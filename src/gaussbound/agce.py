@@ -15,17 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca_ace import ace_fit
+from .cca_ace import _DEGENERATE_STD, ace_fit
 from .errors import InsufficientDataError, ParameterError, UnsupportedModelError
-from .smoother import SmootherConfig
+from .smoother import SmootherConfig, sq_distances
 from .stats_core import (
     MonotoneMap,
     PairedSamples,
     marginal_gaussianize,
     mi_from_correlations,
 )
-
-_DEGENERATE_STD = 1e-12
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -80,28 +78,21 @@ class StepResult:
     fitted_map: MonotoneMap | None
 
 
-def agce_step(
-    v_fixed,
-    x_block,
-    smoother: SmootherConfig | object = SmootherConfig(),
-    seed=None,
-    prev_u=None,
-) -> StepResult:
+def agce_step(v_fixed, smoother, seed=None, prev_u=None) -> StepResult:
     """One optimal-transport projection: Gaussianize E[v | X].
 
-    Smooths the fixed (standardized) side onto ``x_block`` and rank
-    Gaussianizes the result.  If ``prev_u`` is given and the new candidate
-    correlates worse with ``v_fixed``, the previous transform is kept, which
-    makes repeated stepping a monotone ascent.  A degenerate conditional
-    expectation (all ties) is flagged as an independent fit with rho = 0.
+    Smooths the fixed (standardized) side with ``smoother``, built on the X
+    block, and rank Gaussianizes the result.  If ``prev_u`` is given and the
+    new candidate correlates worse with ``v_fixed``, the previous transform
+    is kept, which makes repeated stepping a monotone ascent.  A degenerate
+    conditional expectation (all ties) is flagged as an independent fit with
+    rho = 0.
     """
     v = np.asarray(v_fixed, dtype=float).ravel()
-    sm = smoother.build(x_block) if isinstance(smoother, SmootherConfig) else smoother
-    xbar = sm.smooth(v)
-    if xbar.std() <= _DEGENERATE_STD * (1.0 + np.abs(xbar.mean())):
-        u, gmap = marginal_gaussianize(xbar, seed)
-        return StepResult(u, 0.0, False, True, gmap)
+    xbar = smoother.smooth(v)
     u, gmap = marginal_gaussianize(xbar, seed)
+    if xbar.std() <= _DEGENERATE_STD * (1.0 + np.abs(xbar.mean())):
+        return StepResult(u, 0.0, False, True, gmap)
     rho = _corr(u, v)
     if prev_u is not None:
         rho_prev = _corr(np.asarray(prev_u, dtype=float), v)
@@ -112,17 +103,7 @@ def agce_step(
     return StepResult(u, rho, False, False, gmap)
 
 
-def _alternate(
-    x_block,
-    y_block,
-    u_init,
-    v_init,
-    sm_x,
-    sm_y,
-    tol: float,
-    max_iter: int,
-    rng: np.random.Generator,
-):
+def _alternate(u_init, v_init, sm_x, sm_y, tol: float, max_iter: int, rng: np.random.Generator):
     """Run one AGCE restart from standardized normal-scores initial values."""
     u = u_init
     v = v_init
@@ -132,7 +113,7 @@ def _alternate(
     converged = False
     independent = False
     for _ in range(max_iter):
-        step_u = agce_step(v, None, sm_x, rng, prev_u=u)
+        step_u = agce_step(v, sm_x, rng, prev_u=u)
         u = step_u.u
         map_u = step_u.fitted_map if step_u.fitted_map is not None else map_u
         if step_u.independent:
@@ -141,7 +122,7 @@ def _alternate(
             trace.append(0.0)
             break
         trace.append(step_u.rho)
-        step_v = agce_step(u, None, sm_y, rng, prev_u=v)
+        step_v = agce_step(u, sm_y, rng, prev_u=v)
         v = step_v.u
         map_v = step_v.fitted_map if step_v.fitted_map is not None else map_v
         if step_v.independent:
@@ -166,61 +147,9 @@ def _random_smooth_init(y_col: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return marginal_gaussianize(vals, rng)[0]
 
 
-def _fit_block_pair(
-    x_block: np.ndarray,
-    y_block: np.ndarray,
-    smoother: SmootherConfig,
-    tol: float,
-    max_iter: int,
-    n_restarts: int,
-    seed,
-) -> AgcePair:
-    n = x_block.shape[0]
-    rng = np.random.default_rng(seed)
-    sm_x = smoother.build(x_block)
-    sm_y = smoother.build(y_block)
-
-    ace = ace_fit(
-        PairedSamples(x_block, y_block), k=1, smoother=smoother, tol=tol, seed=rng
-    )
-    u0 = marginal_gaussianize(ace.u[:, 0], rng)[0]
-    v0 = marginal_gaussianize(ace.v[:, 0], rng)[0]
-
-    best = None
-    for r in range(max(1, n_restarts)):
-        if r == 0:
-            u_init, v_init = u0, v0
-        else:
-            direction = (
-                y_block[:, 0]
-                if y_block.shape[1] == 1
-                else y_block @ rng.standard_normal(y_block.shape[1])
-            )
-            u_init, v_init = None, _random_smooth_init(direction, rng)
-        u, v, rho, trace, converged, independent, map_u, map_v = _alternate(
-            x_block, y_block, u_init, v_init, sm_x, sm_y, tol, max_iter, rng
-        )
-        if best is None or rho > best[0]:
-            best = (rho, r, u, v, trace, converged, independent, map_u, map_v)
-
-    rho, r_used, u, v, trace, converged, independent, map_u, map_v = best
-    phi = (
-        FittedTransform(x_block, v, smoother, map_u) if map_u is not None else None
-    )
-    psi = (
-        FittedTransform(y_block, u, smoother, map_v) if map_v is not None else None
-    )
-    return AgcePair(
-        phi=phi,
-        psi=psi,
-        u=u,
-        v=v,
-        rho=rho,
-        trace=trace,
-        restarts_used=max(1, n_restarts),
-        converged=converged,
-        independent=independent,
-    )
+def _ace_transform(block, sm, target, smoother: SmootherConfig, seed) -> FittedTransform:
+    """Regress an ACE column on ``block``; normal scores of the regression."""
+    return FittedTransform(block, target, smoother, marginal_gaussianize(sm.smooth(target), seed)[1])
 
 
 def agce_fit_1d(
@@ -235,14 +164,51 @@ def agce_fit_1d(
 
     Restart 0 starts from the Gaussianized ACE solution (so the result can
     never fall below the off-shelf lower bound); the remaining restarts start
-    from normal scores of random cubic polynomials of y.
+    from normal scores of random cubic polynomials of y.  When restart 0 wins
+    and no step replaced a side's start, that side gets the off-shelf
+    transform the start came from.
     """
     if samples.d_x != 1 or samples.d_y != 1:
         raise ParameterError("agce_fit_1d requires univariate X and Y")
     if samples.n < 100:
         raise InsufficientDataError("agce_fit_1d needs at least 100 samples")
-    return _fit_block_pair(
-        samples.x, samples.y, smoother, tol, max_iter, n_restarts, seed
+    x, y = samples.x, samples.y
+    rng = np.random.default_rng(seed)
+    sm_x = smoother.build(x)
+    sm_y = smoother.build(y)
+
+    ace = ace_fit(samples, k=1, smoother=smoother, tol=tol, seed=rng)
+    u0 = marginal_gaussianize(ace.u[:, 0], rng)[0]
+    v0 = marginal_gaussianize(ace.v[:, 0], rng)[0]
+
+    best = None
+    for r in range(max(1, n_restarts)):
+        if r == 0:
+            u_init, v_init = u0, v0
+        else:
+            u_init, v_init = None, _random_smooth_init(y[:, 0], rng)
+        fit = _alternate(u_init, v_init, sm_x, sm_y, tol, max_iter, rng)
+        if best is None or fit[2] > best[1][2]:
+            best = (r, fit)
+
+    r_best, (u, v, rho, trace, converged, independent, map_u, map_v) = best
+    phi = FittedTransform(x, v, smoother, map_u) if map_u is not None else None
+    psi = FittedTransform(y, u, smoother, map_v) if map_v is not None else None
+    if r_best == 0:
+        # seed 0: a normal-scores map does not depend on the tie-breaking
+        # draw, and the fit's own generator stays untouched
+        phi = phi or _ace_transform(x, sm_x, ace.v[:, 0], smoother, 0)
+        psi = psi or _ace_transform(y, sm_y, ace.u[:, 0], smoother, 0)
+    return AgcePair(
+        phi=phi,
+        psi=psi,
+        u=u,
+        v=v,
+        rho=rho,
+        trace=trace,
+        restarts_used=max(1, n_restarts),
+        converged=converged,
+        independent=independent,
     )
 
 
@@ -267,13 +233,9 @@ def offshelf_lower_1d(
     rho = _corr(u, v)
     # out-of-sample transforms regress the opposite ACE column and carry a
     # normal-scores map fitted on that regression's own in-sample scale
-    sm_x = smoother.build(samples.x)
-    sm_y = smoother.build(samples.y)
-    map_u = marginal_gaussianize(sm_x.smooth(ace.v[:, 0]), rng)[1]
-    map_v = marginal_gaussianize(sm_y.smooth(ace.u[:, 0]), rng)[1]
     return AgcePair(
-        phi=FittedTransform(samples.x, ace.v[:, 0], smoother, map_u),
-        psi=FittedTransform(samples.y, ace.u[:, 0], smoother, map_v),
+        phi=_ace_transform(samples.x, smoother.build(samples.x), ace.v[:, 0], smoother, rng),
+        psi=_ace_transform(samples.y, smoother.build(samples.y), ace.u[:, 0], smoother, rng),
         u=u,
         v=v,
         rho=rho,
@@ -319,11 +281,7 @@ def distance_correlation(a, b, max_n: int = 2000, seed=0) -> float:
         n = max_n
 
     def centered(m):
-        d = np.sqrt(
-            np.maximum(
-                (m * m).sum(1)[:, None] + (m * m).sum(1)[None, :] - 2 * m @ m.T, 0.0
-            )
-        )
+        d = np.sqrt(sq_distances(m, m.copy()))  # copy: see cca_ace._centered_gaussian_gram
         return d - d.mean(0, keepdims=True) - d.mean(1, keepdims=True) + d.mean()
 
     ca, cb = centered(a), centered(b)
@@ -393,20 +351,16 @@ def agce_fit_mv_oracle(model, k: int = 2, n: int = 10_000, seed=None) -> list[Ag
             )
     rng = np.random.default_rng(seed)
     x, y = model.sample(n, rng)
-    pairs = [_oracle_pair(model.first_pair_values(x, y), rng)]
-    if pairs[0].independent:
-        # fall back to the raw samples when the degenerate pair leaves no u
-        u0, _ = marginal_gaussianize(np.asarray(x)[:, 0], rng)
-        v0, _ = marginal_gaussianize(np.asarray(y)[:, 0], rng)
-        pairs[0].u, pairs[0].v = u0, v0
-        pairs[0].rho = abs(_corr(u0, v0))
-    if k == 2:
-        x2 = model.independent_subspace_x(x)
-        y2 = model.independent_subspace_y(y)
-        pairs.append(_oracle_pair(model.second_pair_values(x2, y2), rng))
-        if pairs[1].independent:
-            u1, _ = marginal_gaussianize(np.asarray(x2)[:, 0], rng)
-            v1, _ = marginal_gaussianize(np.asarray(y2)[:, 0], rng)
-            pairs[1].u, pairs[1].v = u1, v1
-            pairs[1].rho = abs(_corr(u1, v1))
+    pairs = []
+    for j in range(2 if k == 2 else 1):
+        if j == 1:
+            x, y = model.independent_subspace_x(x), model.independent_subspace_y(y)
+        pair_values = model.second_pair_values if j else model.first_pair_values
+        pair = _oracle_pair(pair_values(x, y), rng)
+        if pair.independent:
+            # fall back to the raw blocks when the degenerate pair leaves no u
+            pair.u, _ = marginal_gaussianize(np.asarray(x)[:, 0], rng)
+            pair.v, _ = marginal_gaussianize(np.asarray(y)[:, 0], rng)
+            pair.rho = abs(_corr(pair.u, pair.v))
+        pairs.append(pair)
     return pairs

@@ -187,16 +187,12 @@ def biterminal_gaussianize(
     for outer in range(outer_iters):
         for side in ("u", "v"):
             rng = rngs[side]
-            other = blocks["v" if side == "u" else "u"]
             block = blocks[side]
             d = block.shape[1]
             rotation = random_rotation(d, rng)
             cand, layer = _apply_layer(block, rotation, rng)
-            obj = (
-                joint_objective(cand, other)
-                if side == "u"
-                else joint_objective(other, cand)
-            )
+            # the objective of (U, V) with this side's block replaced
+            obj = joint_objective(**{**blocks, side: cand})
             trace.append((outer, side, obj))
             for _ in range(inner_tries):
                 if d >= 2:
@@ -207,11 +203,7 @@ def biterminal_gaussianize(
                 g = givens_rotation(d, int(i), int(j), theta) if d >= 2 else np.eye(1)
                 rot2 = g @ rotation
                 cand2, layer2 = _apply_layer(block, rot2, rng)
-                obj2 = (
-                    joint_objective(cand2, other)
-                    if side == "u"
-                    else joint_objective(other, cand2)
-                )
+                obj2 = joint_objective(**{**blocks, side: cand2})
                 if obj2 > obj:
                     rotation, cand, layer, obj = rot2, cand2, layer2, obj2
                     trace.append((outer, side, obj))

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConditioningError, InsufficientDataError, ParameterError
-from .smoother import SmootherConfig
+from .smoother import SmootherConfig, sq_distances
 from .stats_core import PairedSamples, mi_from_correlations
 
 _DEGENERATE_STD = 1e-12
@@ -48,6 +48,13 @@ def _pc1(block: np.ndarray) -> np.ndarray:
     return centered @ w
 
 
+def _noise_pair(rng: np.random.Generator, n: int, u_cols, v_cols):
+    """Independent standardized noise columns orthogonal to the earlier pairs."""
+    u, _ = _standardize(_orthogonalize(rng.standard_normal(n), u_cols))
+    v, _ = _standardize(_orthogonalize(rng.standard_normal(n), v_cols))
+    return u, v
+
+
 @dataclass
 class CanonicalModel:
     """Fitted transform pair: sample blocks U, V and their correlations."""
@@ -60,6 +67,21 @@ class CanonicalModel:
     converged: np.ndarray
     degenerate: np.ndarray
     smoother: SmootherConfig = field(default_factory=SmootherConfig)
+
+
+def _sorted_model(u_cols, v_cols, rho, history, converged, degenerate, smoother=SmootherConfig()):
+    """Assemble the fitted pairs into a CanonicalModel in decreasing-rho order."""
+    order = np.argsort(-rho, kind="stable")
+    return CanonicalModel(
+        u=np.column_stack([u_cols[i] for i in order]),
+        v=np.column_stack([v_cols[i] for i in order]),
+        rho=rho[order],
+        phi_history=[history[i] for i in order],
+        k=rho.size,
+        converged=converged[order],
+        degenerate=degenerate[order],
+        smoother=smoother,
+    )
 
 
 def ace_fit(
@@ -125,26 +147,14 @@ def ace_fit(
             rho_j = rho_new
         if degenerate[j]:
             # keep the invariants testable: emit an independent noise column
-            u, _ = _standardize(_orthogonalize(rng.standard_normal(n), u_cols))
-            v, _ = _standardize(_orthogonalize(rng.standard_normal(n), v_cols))
+            u, v = _noise_pair(rng, n, u_cols, v_cols)
             rho_j = 0.0
             converged[j] = True
         u_cols.append(u)
         v_cols.append(v)
         rho[j] = rho_j
         history.append(np.asarray(trace))
-
-    order = np.argsort(-rho, kind="stable")
-    return CanonicalModel(
-        u=np.column_stack([u_cols[i] for i in order]),
-        v=np.column_stack([v_cols[i] for i in order]),
-        rho=rho[order],
-        phi_history=[history[i] for i in order],
-        k=k,
-        converged=converged[order],
-        degenerate=degenerate[order],
-        smoother=smoother,
-    )
+    return _sorted_model(u_cols, v_cols, rho, history, converged, degenerate, smoother)
 
 
 def ace_upper_bound(model: CanonicalModel) -> float:
@@ -159,16 +169,15 @@ def ace_upper_bound(model: CanonicalModel) -> float:
 def _median_heuristic_width(block: np.ndarray, rng: np.random.Generator) -> float:
     m = min(block.shape[0], 1000)
     idx = rng.choice(block.shape[0], size=m, replace=False)
-    sub = block[idx]
-    d2 = (sub * sub).sum(1)[:, None] + (sub * sub).sum(1)[None, :] - 2 * sub @ sub.T
-    med = float(np.median(np.sqrt(np.maximum(d2[np.triu_indices(m, 1)], 0.0))))
+    d2 = sq_distances(block[idx], block[idx])  # two copies: see _centered_gaussian_gram
+    med = float(np.median(np.sqrt(d2[np.triu_indices(m, 1)])))
     return med if med > 0 else 1.0
 
 
 def _centered_gaussian_gram(block: np.ndarray, width: float) -> np.ndarray:
-    d2 = (block * block).sum(1)[:, None] + (block * block).sum(1)[None, :] - 2 * block @ block.T
-    np.maximum(d2, 0.0, out=d2)
-    g = np.exp(-d2 / (2.0 * width ** 2))
+    # the copy keeps BLAS on its general product: the symmetric shortcut it
+    # takes for block @ block.T rounds differently in the last bit
+    g = np.exp(-sq_distances(block, block.copy()) / (2.0 * width ** 2))
     g -= g.mean(axis=0, keepdims=True)
     g -= g.mean(axis=1, keepdims=True)
     return g
@@ -227,20 +236,13 @@ def kcca_fit(
         uj, dead_u = _standardize(_orthogonalize(sx @ left[:, j], u_cols))
         vj, dead_v = _standardize(_orthogonalize(sy @ vt[j], v_cols))
         if dead_u or dead_v:
-            uj, _ = _standardize(_orthogonalize(rng.standard_normal(n), u_cols))
-            vj, _ = _standardize(_orthogonalize(rng.standard_normal(n), v_cols))
+            uj, vj = _noise_pair(rng, n, u_cols, v_cols)
         u_cols.append(uj)
         v_cols.append(vj)
         rho.append(max(0.0, float(uj @ vj / n)))
 
     rho = np.asarray(rho)
-    order = np.argsort(-rho, kind="stable")
-    return CanonicalModel(
-        u=np.column_stack([u_cols[i] for i in order]),
-        v=np.column_stack([v_cols[i] for i in order]),
-        rho=rho[order],
-        phi_history=[np.asarray([r]) for r in rho[order]],
-        k=k,
-        converged=np.ones(k, dtype=bool),
-        degenerate=np.zeros(k, dtype=bool),
+    history = [np.asarray([r]) for r in rho]
+    return _sorted_model(
+        u_cols, v_cols, rho, history, np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
     )

@@ -1,16 +1,18 @@
 """Command-line front end: bound, curve, gen, reproduce.
 
-Exit codes: 0 success, 2 input/config error, 3 I/O error, 4 numerical
-failure.  The ``GB_SEED`` environment variable supplies the default seed; a
-``--config`` file of ``key = value`` lines fills in unset flags (explicit
-flags win).  All reports are deterministic for a fixed config and seed,
-except the separately kept "timing" section.
+Exit codes: 0 success, 2 input/config error (non-finite sample values and
+out-of-range parameters included), 3 I/O error, 4 numerical failure.  The
+``GB_SEED`` environment variable supplies the default seed; a ``--config``
+file of ``key = value`` lines fills in unset flags (explicit flags win).
+All reports are deterministic for a fixed config and seed, except the
+separately kept "timing" section.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -22,10 +24,10 @@ from . import reproduce as repro
 from .agce import agce_fit_1d, naive_lower_1d, offshelf_lower_1d
 from .biterminal import biterminal_gaussianize, joint_objective, separate_gaussianize
 from .cca_ace import ace_fit, ace_upper_bound, kcca_fit
-from .errors import GaussboundError
+from .errors import GaussboundError, ParameterError
 from .gib import default_beta_grid, gib_curve, gib_spectrum
 from .ib_discrete import quadrature_discretize, reverse_anneal
-from .models import ModelSpec, discretizable_from_spec, sample_from_spec
+from .models import MODEL_FAMILIES, ModelSpec, discretizable_from_spec, sample_from_spec
 from .smoother import SmootherConfig
 from .stats_core import (
     NATS_PER_BIT,
@@ -42,7 +44,6 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 METHODS = ("ace", "agce", "offshelf", "biterminal", "kcca", "naive")
-MODEL_FAMILIES = ("gm1d", "mv_gaussian_scramble", "exp_gamma", "gm_mv")
 
 
 class CliError(Exception):
@@ -91,6 +92,8 @@ def read_samples_csv(path: str) -> PairedSamples:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise CliError(f"{path}: line {lineno}: {exc}", EXIT_CONFIG) from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise CliError(f"{path}: line {lineno}: non-finite value", EXIT_CONFIG)
     if len(rows) < 2:
         raise CliError(f"{path}: need at least 2 data rows", EXIT_CONFIG)
     arr = np.asarray(rows)
@@ -164,57 +167,43 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-_DEFAULTS = {
-    "n": 10_000,
-    "mu_z": 10.0,
-    "eps": 0.1,
-    "d": 1,
-    "method": "agce",
-    "smoother": "knn",
-    "k": None,
-    "bandwidth": None,
-    "restarts": 8,
-    "tol": 1e-4,
-    "units": "bits",
-    "quad_m": 32,
-    "beta_points": 200,
-    "kcca_ridge": 1e-3,
-    "kcca_width": None,
-    "reference": True,
-}
-
-_CASTS = {
-    "n": int,
-    "mu_z": float,
-    "eps": float,
-    "d": int,
-    "k": int,
-    "bandwidth": float,
-    "restarts": int,
-    "tol": float,
-    "seed": int,
-    "quad_m": int,
-    "beta_points": int,
-    "kcca_ridge": float,
-    "kcca_width": float,
-    "reference": lambda s: s.lower() in ("1", "true", "yes"),
+# key -> (hard default, cast of a config-file value); the seed's default
+# comes from GB_SEED.
+_SETTINGS = {
+    "n": (10_000, int),
+    "mu_z": (10.0, float),
+    "eps": (0.1, float),
+    "d": (1, int),
+    "method": ("agce", str),
+    "smoother": ("knn", str),
+    "k": (None, int),
+    "bandwidth": (None, float),
+    "restarts": (8, int),
+    "tol": (1e-4, float),
+    "units": ("bits", str),
+    "quad_m": (32, int),
+    "beta_points": (200, int),
+    "kcca_ridge": (1e-3, float),
+    "kcca_width": (None, float),
+    "reference": (True, lambda s: s.lower() in ("1", "true", "yes")),
+    "seed": (None, int),
 }
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the config file, then from hard defaults."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, raw in file_cfg.items():
-        if getattr(args, key, None) is None and (key in _DEFAULTS or key == "seed"):
-            cast = _CASTS.get(key, str)
+    for key, (default, cast) in _SETTINGS.items():
+        if getattr(args, key, None) is not None:
+            continue
+        value = default
+        if key in file_cfg:
             try:
-                setattr(args, key, cast(raw))
+                value = cast(file_cfg[key])
             except ValueError as exc:
                 raise CliError(f"config {key}: {exc}", EXIT_CONFIG) from exc
-    for key, value in _DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    if getattr(args, "seed", None) is None:
+        setattr(args, key, value)
+    if args.seed is None:
         env = os.environ.get("GB_SEED")
         args.seed = int(env) if env else 0
     return args
@@ -229,21 +218,23 @@ def _get_samples(args) -> tuple[PairedSamples, object, dict]:
         return samples, None, {"input": args.input, "true_mi_nats": None}
     if not getattr(args, "model", None):
         raise CliError("one of --input or --model is required", EXIT_CONFIG)
-    spec = ModelSpec(
-        family=args.model,
-        params={"mu_z": args.mu_z, "eps": args.eps},
-        d=args.d,
-        seed=args.seed,
-    )
-    ms = sample_from_spec(spec, args.n)
+    spec, ms, params = _draw_model(args)
     prov = {
         "model": args.model,
-        "params": {"mu_z": args.mu_z, "eps": args.eps} if args.model in ("gm1d", "gm_mv") else {},
+        "params": params,
         "d": args.d,
         "n": args.n,
         "true_mi_nats": ms.true_mi_nats,
     }
     return ms.samples, discretizable_from_spec(spec), prov
+
+
+def _draw_model(args) -> tuple[ModelSpec, object, dict]:
+    """(spec, drawn ModelSample, params the reports list) for ``--model``."""
+    params = {"mu_z": args.mu_z, "eps": args.eps}
+    spec = ModelSpec(family=args.model, params=params, d=args.d, seed=args.seed)
+    reported = params if args.model in ("gm1d", "gm_mv") else {}
+    return spec, sample_from_spec(spec, args.n), reported
 
 
 def _smoother_config(args, samples) -> SmootherConfig:
@@ -262,6 +253,11 @@ def _smoother_config(args, samples) -> SmootherConfig:
 # ---------------------------------------------------------------------------
 
 
+def _separate_pair(u, v, seed: int):
+    """Gaussianize both outputs separately, with seeds seed and seed + 1."""
+    return separate_gaussianize(u, seed=seed)[0], separate_gaussianize(v, seed=seed + 1)[0]
+
+
 def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
     """Fit the chosen embedding; returns (u, v, rho array, extras dict)."""
     seed = args.seed
@@ -270,9 +266,7 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
         if univariate:
             pair = naive_lower_1d(samples, seed=seed)
             return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), {}
-        su, _ = separate_gaussianize(samples.x, seed=seed)
-        sv, _ = separate_gaussianize(samples.y, seed=seed + 1)
-        return su, sv, None, {}
+        return *_separate_pair(samples.x, samples.y, seed), None, {}
     if method == "ace":
         model = ace_fit(samples, smoother=cfg, seed=seed)
         return model.u, model.v, model.rho, {"converged": model.converged, "model": model}
@@ -281,9 +275,7 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
             pair = offshelf_lower_1d(samples, smoother=cfg, seed=seed)
             return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), {}
         model = ace_fit(samples, smoother=cfg, seed=seed)
-        su, _ = separate_gaussianize(model.u, seed=seed + 1)
-        sv, _ = separate_gaussianize(model.v, seed=seed + 2)
-        return su, sv, None, {"ace_rho": model.rho}
+        return *_separate_pair(model.u, model.v, seed + 1), None, {"ace_rho": model.rho}
     if method == "agce":
         if not univariate:
             raise CliError(
@@ -304,9 +296,7 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
         model = kcca_fit(
             samples, kernel_width=args.kcca_width, ridge=args.kcca_ridge, seed=seed
         )
-        su, _ = separate_gaussianize(model.u, seed=seed + 1)
-        sv, _ = separate_gaussianize(model.v, seed=seed + 2)
-        return su, sv, model.rho, {}
+        return *_separate_pair(model.u, model.v, seed + 1), model.rho, {}
     raise CliError(f"unknown method {method!r}", EXIT_CONFIG)
 
 
@@ -407,13 +397,7 @@ def _curve_outputs(args) -> dict:
 def _gen_outputs(args) -> None:
     if not args.model:
         raise CliError("--model is required for gen", EXIT_CONFIG)
-    spec = ModelSpec(
-        family=args.model,
-        params={"mu_z": args.mu_z, "eps": args.eps},
-        d=args.d,
-        seed=args.seed,
-    )
-    ms = sample_from_spec(spec, args.n)
+    _, ms, params = _draw_model(args)
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -427,9 +411,7 @@ def _gen_outputs(args) -> None:
     sidecar = {
         "schema": 1,
         "model": args.model,
-        "params": {"mu_z": args.mu_z, "eps": args.eps}
-        if args.model in ("gm1d", "gm_mv")
-        else {},
+        "params": params,
         "d": args.d,
         "n": args.n,
         "seed": args.seed,
@@ -449,8 +431,8 @@ def _gen_outputs(args) -> None:
 
 
 def _reproduce_outputs(args) -> int:
-    if args.experiment not in repro.EXPERIMENT_IDS:
-        valid = ", ".join(repro.EXPERIMENT_IDS)
+    if args.experiment not in repro.EXPERIMENTS:
+        valid = ", ".join(repro.EXPERIMENTS)
         raise CliError(
             f"unknown experiment {args.experiment!r}; valid ids: {valid}", EXIT_CONFIG
         )
@@ -527,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="CSV output path")
 
     p_rep = sub.add_parser("reproduce", help="rerun a documented experiment bundle")
-    p_rep.add_argument("experiment", help="|".join(repro.EXPERIMENT_IDS))
+    p_rep.add_argument("experiment", help="|".join(repro.EXPERIMENTS))
     p_rep.add_argument("--n", type=int, help="override the documented sample count")
     p_rep.add_argument("--seed", type=int, help="override the documented seed")
 
@@ -554,9 +536,9 @@ def main(argv=None) -> int:
             _gen_outputs(args)
             return EXIT_OK
         raise CliError(f"unknown command {args.command!r}", EXIT_CONFIG)
-    except CliError as exc:
+    except (CliError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return getattr(exc, "code", EXIT_CONFIG)
     except GaussboundError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -133,20 +133,14 @@ def ib_iterate(
     lagrangian = []
     converged = False
     n_iter = 0
+    qt, qyt = _decoder(q, px, pyx)
     for n_iter in range(1, max_iter + 1):
-        qt = px @ q
-        alive = qt > 0
-        qyt = (q * px[:, None]).T @ pyx
-        qyt[alive] /= qt[alive, None]
-        qyt[~alive] = 1.0 / joint.n_y
         # d[x,t] = KL(p(y|x) || q(y|t))
         d = h_rows[:, None] - pyx @ np.log(np.maximum(qyt, _Q_FLOOR)).T
         logits = np.log(np.maximum(qt, _Q_FLOOR))[None, :] - beta * d
         q_new = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-
-        i_tx = _mi_rows(px, q_new, px @ q_new)
-        i_ty = _mi_rows(px @ q_new, _decoder(q_new, px, pyx), joint.p_y)
-        lagrangian.append(i_tx - beta * i_ty)
+        qt, qyt = _decoder(q_new, px, pyx)
+        lagrangian.append(_mi_rows(px, q_new, qt) - beta * _mi_rows(qt, qyt, joint.p_y))
 
         delta = np.abs(q_new - q).max()
         q = q_new
@@ -154,30 +148,27 @@ def ib_iterate(
             converged = True
             break
 
-    qt = px @ q
-    qyt = _decoder(q, px, pyx)
-    i_tx = _mi_rows(px, q, qt)
-    i_ty = _mi_rows(qt, qyt, joint.p_y)
     return IBSolution(
         q_t_given_x=q,
         q_t=qt,
         q_y_given_t=qyt,
         beta=float(beta),
-        i_tx=i_tx,
-        i_ty=i_ty,
+        i_tx=_mi_rows(px, q, qt),
+        i_ty=_mi_rows(qt, qyt, joint.p_y),
         converged=converged,
         n_iter=n_iter,
         lagrangian_trace=np.asarray(lagrangian),
     )
 
 
-def _decoder(q: np.ndarray, px: np.ndarray, pyx: np.ndarray) -> np.ndarray:
+def _decoder(q: np.ndarray, px: np.ndarray, pyx: np.ndarray):
+    """Marginal q(t) and decoder q(y|t) of the encoder q(t|x)."""
     qt = px @ q
     qyt = (q * px[:, None]).T @ pyx
     alive = qt > 0
     qyt[alive] /= qt[alive, None]
     qyt[~alive] = 1.0 / pyx.shape[1]
-    return qyt
+    return qt, qyt
 
 
 def upper_concave_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:

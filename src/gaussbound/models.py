@@ -16,10 +16,13 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 from scipy.stats import gamma as gamma_dist
 
+from .biterminal import random_rotation
 from .errors import DomainError, ParameterError
 from .stats_core import NATS_PER_BIT, PairedSamples
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+MODEL_FAMILIES = ("gm1d", "mv_gaussian_scramble", "exp_gamma", "gm_mv")
 
 
 @dataclass(frozen=True)
@@ -31,12 +34,10 @@ class ModelSpec:
     d: int = 1
     seed: int | None = None
 
-    _FAMILIES = ("gm1d", "mv_gaussian_scramble", "exp_gamma", "gm_mv")
-
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
+        if self.family not in MODEL_FAMILIES:
             raise ParameterError(
-                f"unknown model family {self.family!r}; choose from {self._FAMILIES}"
+                f"unknown model family {self.family!r}; choose from {MODEL_FAMILIES}"
             )
         if self.d < 1:
             raise ParameterError("dimension must be at least 1")
@@ -185,14 +186,6 @@ def gm1d_true_mi(mu_z: float, eps: float, *, details: bool = False):
     }
 
 
-def _haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def mvg_scramble_sample(n: int, d: int, seed=None) -> ModelSample:
     """Jointly Gaussian Y = X + W, then per-coordinate mirror on [-1, 1].
 
@@ -229,8 +222,8 @@ def expgamma_sample(n: int, d: int, seed=None) -> ModelSample:
     y_raw = x_raw + rng.exponential(1.0, (n, d))
     x = mirror_transform(x_raw, 0.0, 2.0)
     y = mirror_transform(y_raw, 0.0, 2.0)
-    rot_x = _haar_rotation(d, rng) if d > 1 else np.eye(1)
-    rot_y = _haar_rotation(d, rng) if d > 1 else np.eye(1)
+    rot_x = random_rotation(d, rng) if d > 1 else np.eye(1)
+    rot_y = random_rotation(d, rng) if d > 1 else np.eye(1)
     return ModelSample(
         samples=PairedSamples(x @ rot_x.T, y @ rot_y.T),
         true_mi_nats=d * np.euler_gamma,
@@ -396,10 +389,6 @@ class ExpMirrorModel:
 
     def mi_nats(self) -> float:
         return float(np.euler_gamma)
-
-    def sample(self, n: int, seed=None) -> ModelSample:
-        full = expgamma_sample(n, 1, seed)
-        return full
 
 
 def sample_from_spec(spec: ModelSpec, n: int) -> ModelSample:
@@ -578,7 +567,7 @@ class OracleGaussian:
         rhos = np.asarray(rhos, dtype=float)
         d = d or rhos.size
         rng = np.random.default_rng(seed)
-        q1, q2 = _haar_rotation(d, rng), _haar_rotation(d, rng)
+        q1, q2 = random_rotation(d, rng), random_rotation(d, rng)
         diag = np.zeros((d, d))
         diag[: rhos.size, : rhos.size] = np.diag(rhos)
         return cls(np.eye(d), np.eye(d), q1 @ diag @ q2.T)

@@ -23,15 +23,6 @@ from .models import Gm1dModel, expgamma_sample, gm1d_sample, gm1d_true_mi, gm_mv
 from .smoother import SmootherConfig, default_knn_k
 from .stats_core import NATS_PER_BIT, CovarianceBlocks
 
-EXPERIMENT_IDS = (
-    "sec4.4",
-    "sec5.4-gauss",
-    "sec5.4-exp",
-    "sec5.4-gm",
-    "sec6.1-exp",
-    "sec6.1-gm",
-)
-
 
 @dataclass
 class CheckRow:
@@ -333,19 +324,19 @@ def sec61_exp(n: int = 10_000, seed: int = 400, quad_m: int = 48, n_restarts: in
     return rows
 
 
+EXPERIMENTS = {
+    "sec4.4": sec44,
+    "sec5.4-gauss": sec54_gauss,
+    "sec5.4-exp": sec54_exp,
+    "sec5.4-gm": sec54_gm,
+    "sec6.1-exp": sec61_exp,
+    "sec6.1-gm": sec61_gm,
+}
+
+
 def run_experiment(experiment_id: str, **kwargs) -> list[CheckRow]:
-    """Dispatch one of the named experiment bundles."""
-    dispatch = {
-        "sec4.4": sec44,
-        "sec5.4-gauss": sec54_gauss,
-        "sec5.4-exp": sec54_exp,
-        "sec5.4-gm": sec54_gm,
-        "sec6.1-exp": sec61_exp,
-        "sec6.1-gm": sec61_gm,
-    }
-    if experiment_id not in dispatch:
-        raise KeyError(experiment_id)
-    return dispatch[experiment_id](**kwargs)
+    """Dispatch one of the named experiment bundles (KeyError if unknown)."""
+    return EXPERIMENTS[experiment_id](**kwargs)
 
 
 def format_table(rows: list[CheckRow]) -> str:

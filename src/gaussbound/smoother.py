@@ -34,7 +34,8 @@ def _as_block(x) -> np.ndarray:
     return a
 
 
-def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, clipped at 0."""
     d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -70,7 +71,7 @@ def knn_indices(x_block, k: int) -> np.ndarray:
     chunk = max(1, _CHUNK_BUDGET // n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        d2 = _sq_distances(x[start:stop], x)
+        d2 = sq_distances(x[start:stop], x)
         # self is always a neighbor: give it a sentinel distance below any tie
         d2[np.arange(stop - start), np.arange(start, stop)] = -1.0
         out[start:stop] = _select_k_smallest(d2, k)
@@ -102,7 +103,7 @@ class KnnSmoother:
         chunk = max(1, _CHUNK_BUDGET // self.n)
         for start in range(0, q.shape[0], chunk):
             stop = min(start + chunk, q.shape[0])
-            d2 = _sq_distances(q[start:stop], self.x)
+            d2 = sq_distances(q[start:stop], self.x)
             idx = _select_k_smallest(d2, self.k)
             out[start:stop] = z[idx].mean(axis=1)
         return out
@@ -135,7 +136,7 @@ class KernelSmoother:
         chunk = max(1, _CHUNK_BUDGET // self.n)
         for start in range(0, q.shape[0], chunk):
             stop = min(start + chunk, q.shape[0])
-            w = np.exp(-_sq_distances(q[start:stop], self.x) / h2)
+            w = np.exp(-sq_distances(q[start:stop], self.x) / h2)
             den = w.sum(axis=1)
             num = w @ z
             bad = den <= 0.0

@@ -32,14 +32,6 @@ SATURATION_RHO = 1.0 - 1e-12
 COV_RIDGE = 1e-10
 
 
-def nats_to_bits(x):
-    return np.asarray(x, dtype=float) / NATS_PER_BIT if np.ndim(x) else float(x) / NATS_PER_BIT
-
-
-def bits_to_nats(x):
-    return np.asarray(x, dtype=float) * NATS_PER_BIT if np.ndim(x) else float(x) * NATS_PER_BIT
-
-
 def normal_quantile(p):
     """Standard-normal inverse CDF.
 
@@ -138,7 +130,7 @@ class MonotoneMap:
         return MonotoneMap(self.knots_out, self.knots_in, self.extrapolation)
 
 
-def marginal_gaussianize(x, seed=None, *, extrapolation: str = "clamp"):
+def marginal_gaussianize(x, seed=None):
     """Transform a scalar sample to exact marginal normal scores.
 
     Ranks are mapped to the fixed grid ``Phi^{-1}((i - 0.5) / n)``; ties are
@@ -181,7 +173,7 @@ def marginal_gaussianize(x, seed=None, *, extrapolation: str = "clamp"):
     knots_in = xs_sorted[starts]
     counts = np.diff(np.append(starts, n))
     knots_out = np.add.reduceat(grid, starts) / counts
-    fitted = MonotoneMap(knots_in, knots_out, extrapolation)
+    fitted = MonotoneMap(knots_in, knots_out)
     return u, fitted
 
 
@@ -362,6 +354,8 @@ class PairedSamples:
             raise DomainError("PairedSamples blocks must be 1-D or 2-D arrays")
         if x.shape[0] != y.shape[0]:
             raise DomainError("PairedSamples blocks must share the sample axis")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise DomainError("PairedSamples values must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -11,6 +11,7 @@ from gaussbound import (
     agce_fit_1d,
     agce_fit_mv_oracle,
     agce_step,
+    gm1d_sample,
     marginal_gaussianize,
     naive_lower_1d,
     offshelf_lower_1d,
@@ -30,7 +31,7 @@ class TestAgceStep:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(500)
         psi = marginal_gaussianize(x, seed=1)[0]
-        step = agce_step(psi, x, SmootherConfig(k=1), seed=2)
+        step = agce_step(psi, SmootherConfig(k=1).build(x), seed=2)
         assert np.array_equal(step.u, psi)
         assert abs(step.rho - 1.0) <= 1e-9
 
@@ -38,7 +39,7 @@ class TestAgceStep:
         x = gaussian_pair_06.x[:, 0]
         y = gaussian_pair_06.y[:, 0]
         psi = marginal_gaussianize(y, seed=3)[0]
-        step = agce_step(psi, x[:, None], SmootherConfig(), seed=4)
+        step = agce_step(psi, SmootherConfig().build(x[:, None]), seed=4)
         assert abs(step.rho - 0.6) <= 0.03
         assert is_rank_exact(step.u)
 
@@ -47,7 +48,7 @@ class TestAgceStep:
         y = gaussian_pair_06.y[:, 0]
         psi = marginal_gaussianize(y, seed=5)[0]
         good_u = marginal_gaussianize(gaussian_pair_06.x[:, 0], seed=6)[0]
-        step = agce_step(psi, x, SmootherConfig(k=3), seed=7, prev_u=good_u)
+        step = agce_step(psi, SmootherConfig(k=3).build(x), seed=7, prev_u=good_u)
         rho_prev = float(np.corrcoef(good_u, psi)[0, 1])
         assert step.rho >= rho_prev - 1e-12
 
@@ -55,13 +56,13 @@ class TestAgceStep:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(300)
         psi = marginal_gaussianize(rng.standard_normal(300), seed=9)[0]
-        step = agce_step(psi, x, SmootherConfig(k=300), seed=10)  # full window
+        step = agce_step(psi, SmootherConfig(k=300).build(x), seed=10)  # full window
         assert step.independent
         assert step.rho == 0.0
 
     def test_converged_fixed_point_residual(self, gm_mix_samples, gm_mix_agce):
         step = agce_step(
-            gm_mix_agce.v, gm_mix_samples.x, SmootherConfig(), seed=11, prev_u=gm_mix_agce.u
+            gm_mix_agce.v, SmootherConfig().build(gm_mix_samples.x), seed=11, prev_u=gm_mix_agce.u
         )
         assert abs(step.rho - gm_mix_agce.rho) < 2e-4  # < 2 * tol
 
@@ -94,6 +95,19 @@ class TestAgceFit1d:
         xs = np.linspace(-2, 2, 7)
         vals = gm_mix_agce.phi(xs[:, None])
         assert np.all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("n_restarts", [1, 3, 8])
+    def test_kept_ace_start_has_transforms(self, n_restarts):
+        # restart 0 wins and every step keeps its Gaussianized ACE start, so
+        # no step fits a map; the off-shelf transforms stand in for it
+        samples = gm1d_sample(1200, 10, 0.1, seed=11).samples
+        pair = agce_fit_1d(samples, n_restarts=n_restarts, seed=12)
+        assert not pair.independent and pair.rho > 0.6
+        assert np.corrcoef(pair.phi(samples.x), pair.u)[0, 1] >= 0.99
+        assert np.corrcoef(pair.psi(samples.y), pair.v)[0, 1] >= 0.99
+        held_out = gm1d_sample(2000, 10, 0.1, seed=13).samples
+        rho_held_out = np.corrcoef(pair.phi(held_out.x), pair.psi(held_out.y))[0, 1]
+        assert rho_held_out >= pair.rho - 0.1
 
     def test_requires_univariate(self):
         rng = np.random.default_rng(14)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussbound.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, main
+from gaussbound.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, METHODS, main
 
 
 def run_cli(args):
@@ -22,6 +22,17 @@ def sample_csv(tmp_path):
     path = tmp_path / "pair.csv"
     assert run_cli(["gen", "--model", "gm1d", "--n", "600", "--seed", "5", "--out", str(path)]) == 0
     return path
+
+
+def assert_deterministic(tmp_path, argv):
+    """Two runs of ``bound`` give the same report, apart from its timing."""
+    reports = []
+    for i in range(2):
+        path = tmp_path / f"r{i}.json"
+        assert run_cli([*argv, "--out", str(path)]) == 0
+        reports.append(read_json(path))
+        reports[-1].pop("timing")
+    assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 
 
 class TestGen:
@@ -70,16 +81,16 @@ class TestBound:
         assert "w2_diagnostics" in report
 
     def test_determinism_modulo_timing(self, sample_csv, tmp_path):
-        paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
-        for p in paths:
-            assert (
-                run_cli(["bound", "--input", str(sample_csv), "--method", "offshelf", "--seed", "11", "--out", str(p)])
-                == 0
+        for method in METHODS:
+            assert_deterministic(
+                tmp_path, ["bound", "--input", str(sample_csv), "--method", method, "--seed", "11"]
             )
-        reports = [read_json(p) for p in paths]
-        for r in reports:
-            r.pop("timing")
-        assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+
+    @pytest.mark.parametrize("method", ["biterminal", "kcca"])
+    def test_determinism_multivariate(self, tmp_path, method):
+        csv = tmp_path / "exp.csv"
+        assert run_cli(["gen", "--model", "exp_gamma", "--d", "2", "--n", "400", "--seed", "3", "--out", str(csv)]) == 0
+        assert_deterministic(tmp_path, ["bound", "--input", str(csv), "--method", method, "--seed", "4"])
 
     def test_model_source_sets_lemma_flag(self, tmp_path):
         p = tmp_path / "r.json"
@@ -103,6 +114,19 @@ class TestBound:
             == EXIT_CONFIG
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "0", "--n", "500"],
+            ["--k", "501", "--n", "500"],
+            ["--method", "kcca", "--n", "10001"],
+        ],
+        ids=["k-zero", "k-above-n", "kcca-n-cap"],
+    )
+    def test_out_of_range_parameter_is_input_error(self, argv, capsys):
+        assert run_cli(["bound", "--model", "gm1d", "--seed", "1", *argv]) == EXIT_CONFIG
+        assert "numerical failure" not in capsys.readouterr().err
+
 
 class TestCsvValidation:
     def test_bad_header(self, tmp_path):
@@ -121,6 +145,16 @@ class TestCsvValidation:
         bad.write_text("x0,y0\n1.0,2.0\n1.0\n")
         assert run_cli(["bound", "--input", str(bad), "--method", "naive"]) == EXIT_CONFIG
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, sample_csv, tmp_path, capsys, bad):
+        # rejected while reading, so no method ever sees the value
+        lines = sample_csv.read_text().splitlines()
+        lines[4] = f"{bad},{lines[4].split(',')[1]}"
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("\n".join(lines) + "\n")
+        assert run_cli(["bound", "--input", str(bad_csv), "--method", "agce"]) == EXIT_CONFIG
+        assert "line 5: non-finite" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert run_cli(["bound", "--input", str(tmp_path / "nope.csv"), "--method", "naive"]) == EXIT_IO

@@ -13,6 +13,7 @@ from gaussbound import (
     InsufficientDataError,
     InvalidCovarianceError,
     MonotoneMap,
+    PairedSamples,
     covariance,
     gaussian_mi_bound,
     marginal_gaussianize,
@@ -236,3 +237,13 @@ class TestEmpiricalCdf:
         vals = cdf(q)
         assert np.all(np.diff(vals) >= 0)
         assert np.all((vals >= 0) & (vals <= 1))
+
+
+class TestPairedSamples:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_rejected(self, bad, side):
+        blocks = {"x": np.arange(5.0), "y": np.arange(5.0)}
+        blocks[side][2] = bad
+        with pytest.raises(DomainError):
+            PairedSamples(blocks["x"], blocks["y"])
