@@ -17,7 +17,7 @@ import numpy as np
 
 from .cca_ace import _DEGENERATE_STD, ace_fit
 from .errors import InsufficientDataError, ParameterError, UnsupportedModelError
-from .smoother import SmootherConfig, sq_distances
+from .smoother import KernelSmoother, KnnSmoother, SmootherConfig, sq_distances
 from .stats_core import (
     MonotoneMap,
     PairedSamples,
@@ -37,19 +37,17 @@ def _corr(a: np.ndarray, b: np.ndarray) -> float:
 class FittedTransform:
     """phi(x) = normal-scores map applied to a smoothed regression at x.
 
-    Stores the training block, the response values the smoother regresses,
-    and the monotone map fitted on the in-sample regression values, so the
-    transform can be evaluated on new points.
+    Stores the smoother built on the training block, the response values it
+    regresses, and the monotone map fitted on the in-sample regression
+    values, so the transform can be evaluated on new points.
     """
 
-    x_block: np.ndarray
+    smoother: KnnSmoother | KernelSmoother
     z_values: np.ndarray
-    smoother: SmootherConfig
     map: MonotoneMap
 
     def __call__(self, x_new):
-        sm = self.smoother.build(self.x_block)
-        return self.map(sm.predict(x_new, self.z_values))
+        return self.map(self.smoother.predict(x_new, self.z_values))
 
 
 @dataclass
@@ -147,9 +145,9 @@ def _random_smooth_init(y_col: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return marginal_gaussianize(vals, rng)[0]
 
 
-def _ace_transform(block, sm, target, smoother: SmootherConfig, seed) -> FittedTransform:
-    """Regress an ACE column on ``block``; normal scores of the regression."""
-    return FittedTransform(block, target, smoother, marginal_gaussianize(sm.smooth(target), seed)[1])
+def _ace_transform(sm, target, seed) -> FittedTransform:
+    """Regress an ACE column with ``sm``; normal scores of the regression."""
+    return FittedTransform(sm, target, marginal_gaussianize(sm.smooth(target), seed)[1])
 
 
 def agce_fit_1d(
@@ -172,10 +170,8 @@ def agce_fit_1d(
         raise ParameterError("agce_fit_1d requires univariate X and Y")
     if samples.n < 100:
         raise InsufficientDataError("agce_fit_1d needs at least 100 samples")
-    x, y = samples.x, samples.y
     rng = np.random.default_rng(seed)
-    sm_x = smoother.build(x)
-    sm_y = smoother.build(y)
+    sm_x, sm_y = samples.smoothers(smoother)
 
     ace = ace_fit(samples, k=1, smoother=smoother, tol=tol, seed=rng)
     u0 = marginal_gaussianize(ace.u[:, 0], rng)[0]
@@ -186,19 +182,19 @@ def agce_fit_1d(
         if r == 0:
             u_init, v_init = u0, v0
         else:
-            u_init, v_init = None, _random_smooth_init(y[:, 0], rng)
+            u_init, v_init = None, _random_smooth_init(samples.y[:, 0], rng)
         fit = _alternate(u_init, v_init, sm_x, sm_y, tol, max_iter, rng)
         if best is None or fit[2] > best[1][2]:
             best = (r, fit)
 
     r_best, (u, v, rho, trace, converged, independent, map_u, map_v) = best
-    phi = FittedTransform(x, v, smoother, map_u) if map_u is not None else None
-    psi = FittedTransform(y, u, smoother, map_v) if map_v is not None else None
+    phi = FittedTransform(sm_x, v, map_u) if map_u is not None else None
+    psi = FittedTransform(sm_y, u, map_v) if map_v is not None else None
     if r_best == 0:
         # seed 0: a normal-scores map does not depend on the tie-breaking
         # draw, and the fit's own generator stays untouched
-        phi = phi or _ace_transform(x, sm_x, ace.v[:, 0], smoother, 0)
-        psi = psi or _ace_transform(y, sm_y, ace.u[:, 0], smoother, 0)
+        phi = phi or _ace_transform(sm_x, ace.v[:, 0], 0)
+        psi = psi or _ace_transform(sm_y, ace.u[:, 0], 0)
     return AgcePair(
         phi=phi,
         psi=psi,
@@ -231,11 +227,12 @@ def offshelf_lower_1d(
     u = marginal_gaussianize(ace.u[:, 0], rng)[0]
     v = marginal_gaussianize(ace.v[:, 0], rng)[0]
     rho = _corr(u, v)
+    sm_x, sm_y = samples.smoothers(smoother)
     # out-of-sample transforms regress the opposite ACE column and carry a
     # normal-scores map fitted on that regression's own in-sample scale
     return AgcePair(
-        phi=_ace_transform(samples.x, smoother.build(samples.x), ace.v[:, 0], smoother, rng),
-        psi=_ace_transform(samples.y, smoother.build(samples.y), ace.u[:, 0], smoother, rng),
+        phi=_ace_transform(sm_x, ace.v[:, 0], rng),
+        psi=_ace_transform(sm_y, ace.u[:, 0], rng),
         u=u,
         v=v,
         rho=rho,
@@ -281,7 +278,7 @@ def distance_correlation(a, b, max_n: int = 2000, seed=0) -> float:
         n = max_n
 
     def centered(m):
-        d = np.sqrt(sq_distances(m, m.copy()))  # copy: see cca_ace._centered_gaussian_gram
+        d = np.sqrt(sq_distances(m, m))
         return d - d.mean(0, keepdims=True) - d.mean(1, keepdims=True) + d.mean()
 
     ca, cb = centered(a), centered(b)

@@ -100,7 +100,7 @@ def ace_fit(
     every smoothing step.  Non-convergence returns the best iterate with the
     pair's ``converged`` flag cleared rather than raising.
     """
-    x, y = samples.x, samples.y
+    y = samples.y
     n = samples.n
     if n < 50:
         raise InsufficientDataError("ace_fit needs at least 50 samples")
@@ -110,8 +110,7 @@ def ace_fit(
         raise ParameterError("k must be at least 1")
 
     rng = np.random.default_rng(seed)
-    sm_x = smoother.build(x)
-    sm_y = smoother.build(y)
+    sm_x, sm_y = samples.smoothers(smoother)
 
     u_cols: list[np.ndarray] = []
     v_cols: list[np.ndarray] = []
@@ -169,15 +168,13 @@ def ace_upper_bound(model: CanonicalModel) -> float:
 def _median_heuristic_width(block: np.ndarray, rng: np.random.Generator) -> float:
     m = min(block.shape[0], 1000)
     idx = rng.choice(block.shape[0], size=m, replace=False)
-    d2 = sq_distances(block[idx], block[idx])  # two copies: see _centered_gaussian_gram
+    d2 = sq_distances(block[idx], block[idx])
     med = float(np.median(np.sqrt(d2[np.triu_indices(m, 1)])))
     return med if med > 0 else 1.0
 
 
 def _centered_gaussian_gram(block: np.ndarray, width: float) -> np.ndarray:
-    # the copy keeps BLAS on its general product: the symmetric shortcut it
-    # takes for block @ block.T rounds differently in the last bit
-    g = np.exp(-sq_distances(block, block.copy()) / (2.0 * width ** 2))
+    g = np.exp(-sq_distances(block, block) / (2.0 * width ** 2))
     g -= g.mean(axis=0, keepdims=True)
     g -= g.mean(axis=1, keepdims=True)
     return g

@@ -1,7 +1,8 @@
 """Command-line front end: bound, curve, gen, reproduce.
 
-Exit codes: 0 success, 2 input/config error (non-finite sample values and
-out-of-range parameters included), 3 I/O error, 4 numerical failure.  The
+Exit codes: 0 success, 2 input/config error (non-finite sample values,
+out-of-range parameters and unknown config keys included), 3 I/O error,
+4 numerical failure, 5 a binding ``reproduce`` check failed.  The
 ``GB_SEED`` environment variable supplies the default seed; a ``--config``
 file of ``key = value`` lines fills in unset flags (explicit flags win).
 All reports are deterministic for a fixed config and seed, except the
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+EXIT_CHECK_FAILED = 5
 
 METHODS = ("ace", "agce", "offshelf", "biterminal", "kcca", "naive")
 
@@ -162,8 +164,11 @@ def _load_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise CliError(f"{path}: line {lineno}: expected key = value", EXIT_CONFIG)
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = value
+        written, value = (part.strip() for part in line.split("=", 1))
+        key = written.replace("-", "_")
+        if key not in _SETTINGS:
+            raise CliError(f"{path}: line {lineno}: unknown key {written!r}", EXIT_CONFIG)
+        out[key] = value
     return out
 
 
@@ -446,6 +451,7 @@ def _reproduce_outputs(args) -> int:
     failures = [r for r in rows if r.binding and not r.passed]
     if failures:
         print(f"\n{len(failures)} binding check(s) failed")
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

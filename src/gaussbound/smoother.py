@@ -4,6 +4,12 @@ Two estimators of E[Z | X]: a k-nearest-neighbor average (the default; its
 neighbor sets depend only on the predictor block, so they are computed once
 and reused across the many response vectors an alternating fit produces)
 and a Nadaraya-Watson smoother with Gaussian weights.
+
+The neighbor table of a 1-D block costs O(n log n + n k): a point's k
+nearest neighbors are a contiguous window of the sorted sample.  Wider
+blocks take a chunked O(n^2 d) distance pass.  ``PairedSamples.smoothers``
+memoizes the built pair per ``SmootherConfig``, so every fit on one sample
+shares one table per block, and ``predict`` never needs the table.
 """
 
 from __future__ import annotations
@@ -35,7 +41,17 @@ def _as_block(x) -> np.ndarray:
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and b, clipped at 0."""
+    """Squared Euclidean distances between the rows of a and b, clipped at 0.
+
+    Both blocks are first centred on b's column-wise lower median, so an
+    offset shared by a and b cannot cancel catastrophically in the
+    |a|^2 + |b|^2 - 2 a.b expansion.  The median is a sample value, which
+    keeps integer-valued data, and so its exact distance ties, exact.
+    """
+    mid = (b.shape[0] - 1) // 2
+    centre = np.partition(b, mid, axis=0)[mid]
+    a = a - centre
+    b = b - centre
     d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -61,21 +77,84 @@ def _select_k_smallest(d2_rows: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
+def _select_chunked(distances, m: int, n: int, k: int) -> np.ndarray:
+    """k smallest per row of an (m, n) distance matrix built in row chunks.
+
+    ``distances(start, stop)`` returns rows start..stop-1 of the matrix.
+    """
+    out = np.empty((m, k), dtype=np.intp)
+    chunk = max(1, _CHUNK_BUDGET // n)
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        out[start:stop] = _select_k_smallest(distances(start, stop), k)
+    return out
+
+
+def _knn_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
+    """Exact k nearest of each query among the 1-D sample x, from sorted windows.
+
+    The k nearest points of q form a contiguous window [l, l + k) of the
+    sorted sample.  The window moves right past l while xs[l + k] is
+    strictly nearer than xs[l], i.e. while xs[l] + xs[l + k] < 2 q, and that
+    sum is nondecreasing in l, so one searchsorted finds l.  A row whose
+    nearest outside point is no farther than the window radius has a tied
+    boundary and is re-selected over its full row by (distance, index).
+    With ``self_query`` the queries are x itself and each point wins every
+    tie at distance 0 to itself; a window can miss its own point only when
+    the window is all copies of that value, so the point is an outside one
+    at distance 0 and the row is re-selected.
+    """
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    centre = x[order[(n - 1) // 2]]  # a sample value, as in sq_distances
+    xs = x[order] - centre
+    qc = q - centre
+    lo = np.searchsorted(xs[: n - k] + xs[k:], 2.0 * qc)
+    idx = order[lo[:, None] + np.arange(k)]
+
+    radius = np.maximum(qc - xs[lo], xs[lo + k - 1] - qc)
+    gap = np.full(q.size, np.inf)
+    left = lo > 0
+    gap[left] = qc[left] - xs[lo[left] - 1]
+    right = lo + k < n
+    gap[right] = np.minimum(gap[right], xs[lo[right] + k] - qc[right])
+    tied = np.flatnonzero(gap <= radius)
+    if tied.size:
+        xc = x - centre
+
+        def distances(start, stop):
+            rows = tied[start:stop]
+            d = np.abs(xc[None, :] - qc[rows, None])
+            if self_query:
+                d[np.arange(rows.size), rows] = -1.0
+            return d
+
+        idx[tied] = _select_chunked(distances, tied.size, n, k)
+    return idx
+
+
 def knn_indices(x_block, k: int) -> np.ndarray:
-    """Exact k-nearest-neighbor indices per sample (self included first)."""
+    """Exact k-nearest-neighbor indices per sample, self always included.
+
+    Ties at the k-th distance go to the smaller index, and a point beats
+    every other point at distance 0 to itself.  A 1-D block costs
+    O(n log n + n k) through sorted windows; wider blocks take a chunked
+    O(n^2 d) distance pass.
+    """
     x = _as_block(x_block)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k = {k} is outside [1, n = {n}]")
-    out = np.empty((n, k), dtype=np.intp)
-    chunk = max(1, _CHUNK_BUDGET // n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    if x.shape[1] == 1:
+        return _knn_1d(x[:, 0], x[:, 0], k, self_query=True)
+
+    def distances(start, stop):
         d2 = sq_distances(x[start:stop], x)
         # self is always a neighbor: give it a sentinel distance below any tie
         d2[np.arange(stop - start), np.arange(start, stop)] = -1.0
-        out[start:stop] = _select_k_smallest(d2, k)
-    return out
+        return d2
+
+    return _select_chunked(distances, n, n, k)
 
 
 class KnnSmoother:
@@ -96,17 +175,21 @@ class KnnSmoother:
         return z[self.neighbors].mean(axis=1)
 
     def predict(self, x_new, z) -> np.ndarray:
-        """k-NN regression of z at new query points (no self handling)."""
+        """k-NN regression of z at new query points (no self handling).
+
+        Uses only the training block, never the neighbor table.
+        """
         z = np.asarray(z, dtype=float).ravel()
         q = _as_block(x_new)
-        out = np.empty(q.shape[0])
-        chunk = max(1, _CHUNK_BUDGET // self.n)
-        for start in range(0, q.shape[0], chunk):
-            stop = min(start + chunk, q.shape[0])
-            d2 = sq_distances(q[start:stop], self.x)
-            idx = _select_k_smallest(d2, self.k)
-            out[start:stop] = z[idx].mean(axis=1)
-        return out
+        if q.shape[1] != self.x.shape[1]:
+            raise ParameterError("query points do not match the fitted block's dimension")
+        if self.x.shape[1] == 1:
+            idx = _knn_1d(self.x[:, 0], q[:, 0], self.k, self_query=False)
+        else:
+            idx = _select_chunked(
+                lambda start, stop: sq_distances(q[start:stop], self.x), q.shape[0], self.n, self.k
+            )
+        return z[idx].mean(axis=1)
 
 
 class KernelSmoother:

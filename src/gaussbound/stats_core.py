@@ -21,6 +21,7 @@ from .errors import (
     InsufficientDataError,
     InvalidCovarianceError,
 )
+from .smoother import SmootherConfig
 
 NATS_PER_BIT = float(np.log(2.0))
 
@@ -338,14 +339,19 @@ def ks_normal_stat(x) -> float:
 
 @dataclass(frozen=True)
 class PairedSamples:
-    """Aligned observation blocks of X (n x d_x) and Y (n x d_y)."""
+    """Aligned observation blocks of X (n x d_x) and Y (n x d_y).
+
+    The blocks are read-only copies of the input, so the smoothers built on
+    them can be kept for the life of the object (see ``smoothers``).
+    """
 
     x: np.ndarray
     y: np.ndarray
+    _smoothers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
         if y.ndim == 1:
@@ -356,8 +362,20 @@ class PairedSamples:
             raise DomainError("PairedSamples blocks must share the sample axis")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise DomainError("PairedSamples values must be finite")
+        x.flags.writeable = False
+        y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+
+    def smoothers(self, cfg: SmootherConfig):
+        """``(cfg.build(x), cfg.build(y))``, built once per config.
+
+        Every fit on these samples with the same config shares one pair of
+        neighbor tables instead of building its own.
+        """
+        if cfg not in self._smoothers:
+            self._smoothers[cfg] = (cfg.build(self.x), cfg.build(self.y))
+        return self._smoothers[cfg]
 
     @property
     def n(self) -> int:

@@ -6,7 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussbound.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, METHODS, main
+from gaussbound import agce_fit_1d, gm1d_sample, offshelf_lower_1d, smoother
+from gaussbound import reproduce as repro
+from gaussbound.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    METHODS,
+    main,
+)
 
 
 def run_cli(args):
@@ -200,6 +210,12 @@ class TestConfigFile:
         cfg.write_text("nonsense line\n")
         assert run_cli(["bound", "--model", "gm1d", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 500\nrestart = 3\n")  # typo for restarts
+        assert run_cli(["bound", "--model", "gm1d", "--method", "naive", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "line 2: unknown key 'restart'" in capsys.readouterr().err
+
 
 class TestCurve:
     def test_emits_curves_and_manifest(self, tmp_path):
@@ -270,9 +286,58 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "sec4.4" in err and "sec6.1-gm" in err
 
+    def test_binding_failure_exit_code(self, monkeypatch, capsys):
+        rows = [
+            repro.CheckRow("ok", "passes", "1", "1", True),
+            repro.CheckRow("info", "informational", "0", "1", False, binding=False),
+        ]
+        monkeypatch.setattr(repro, "run_experiment", lambda *_args, **_kwargs: rows)
+        assert run_cli(["reproduce", "sec5.4-gm"]) == EXIT_OK
+        rows.append(repro.CheckRow("bad", "binding and failed", "0", "1", False))
+        assert run_cli(["reproduce", "sec5.4-gm"]) == EXIT_CHECK_FAILED
+        assert "1 binding check(s) failed" in capsys.readouterr().out
+
     def test_table_rendering(self, capsys):
         # small-n smoke of the table path; values are not asserted here
         assert run_cli(["reproduce", "sec5.4-gm", "--n", "2000"]) == 0
         out = capsys.readouterr().out
         assert "check" in out and "gm-d1" in out
         assert "PASS" in out or "FAIL" in out
+
+
+class TestNeighborTables:
+    """One kNN table per sample block and smoother per run; predict builds none."""
+
+    @pytest.fixture()
+    def tables(self, monkeypatch):
+        built = []
+        original = smoother.knn_indices
+
+        def counting(x_block, k):
+            built.append(np.shape(x_block))
+            return original(x_block, k)
+
+        monkeypatch.setattr(smoother, "knn_indices", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "method, model, d",
+        [("agce", "gm1d", 1), ("offshelf", "gm1d", 1), ("ace", "gm1d", 1), ("biterminal", "exp_gamma", 2)],
+    )
+    def test_bound_builds_two_tables(self, tmp_path, tables, method, model, d):
+        argv = ["bound", "--model", model, "--d", str(d), "--n", "400", "--method", method,
+                "--restarts", "2", "--seed", "3", "--out", str(tmp_path / "r.json")]
+        assert run_cli(argv) == 0
+        assert tables == [(400, d), (400, d)]
+
+    @pytest.mark.parametrize(
+        "fit",
+        [lambda s: agce_fit_1d(s, n_restarts=2, seed=5), lambda s: offshelf_lower_1d(s, seed=5)],
+        ids=["agce", "offshelf"],
+    )
+    def test_fitted_transform_builds_none(self, tables, fit):
+        pair = fit(gm1d_sample(400, 10.0, 0.1, seed=4).samples)
+        before = len(tables)
+        grid = np.linspace(-12.0, 12.0, 50)
+        assert np.isfinite(pair.phi(grid)).all() and np.isfinite(pair.psi(grid)).all()
+        assert len(tables) == before

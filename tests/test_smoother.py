@@ -6,23 +6,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gaussbound import KernelSmoother, KnnSmoother, ParameterError, kernel_smooth, knn_smooth
-from gaussbound.smoother import SmootherConfig, default_knn_k
+from gaussbound import (
+    KernelSmoother,
+    KnnSmoother,
+    PairedSamples,
+    ParameterError,
+    ace_fit,
+    kernel_smooth,
+    knn_smooth,
+)
+from gaussbound.smoother import SmootherConfig, default_knn_k, knn_indices
+
+
+def brute_force_neighbors(x, k, queries=None):
+    """Reference: per-query scan sorting by (distance, index).
+
+    Without ``queries`` every sample is a query and comes first among its
+    own neighbors.
+    """
+    x = np.asarray(x, float).reshape(len(x), -1)
+    own = queries is None
+    q = x if own else np.asarray(queries, float).reshape(-1, x.shape[1])
+    out = []
+    for i, point in enumerate(q):
+        d = np.sum((x - point) ** 2, axis=1)
+        if own:
+            d[i] = -1.0
+        out.append(sorted(range(len(x)), key=lambda j: (d[j], j))[:k])
+    return out
 
 
 def brute_force_knn_fit(x, z, k):
-    """Reference: per-point scan sorting by (distance, index), self first."""
-    x = np.atleast_2d(np.asarray(x, float).T).T
-    if x.ndim == 1:
-        x = x[:, None]
-    n = len(z)
-    out = np.empty(n)
-    for i in range(n):
-        d = np.sum((x - x[i]) ** 2, axis=1)
-        d[i] = -1.0
-        order = sorted(range(n), key=lambda j: (d[j], j))
-        out[i] = np.mean([z[j] for j in order[:k]])
-    return out
+    """Reference fit: mean of z over each point's brute-force neighbors."""
+    return np.array([np.mean([z[j] for j in nb]) for nb in brute_force_neighbors(x, k)])
+
+
+_RNG = np.random.default_rng(12)
+# Values on a 2^-20 grid make every distance computed below exact, so a query midway
+# between two samples is a true tie, not a rounding coin flip.
+ONE_D_BLOCKS = {
+    "continuous": np.round(_RNG.standard_normal(150) * 2.0**20) / 2.0**20,
+    "integer-ties": _RNG.integers(0, 5, 120).astype(float),
+    "all-equal": np.full(30, 2.5),
+    "n2": np.array([0.75, -0.25]),
+    "n2-equal": np.array([1.0, 1.0]),
+}
+
+
+def _one_d_cases():
+    for name, x in ONE_D_BLOCKS.items():
+        n = x.size
+        for k in sorted({1, 2, 4, 11, 60, n - 1, n}):
+            if 1 <= k <= n:
+                yield pytest.param(x, k, id=f"{name}-k{k}")
+
+
+@pytest.mark.parametrize("x, k", list(_one_d_cases()))
+class TestKnn1dWindows:
+    """The sorted-window path against the brute-force (distance, index) rule."""
+
+    def test_table_matches_brute_force(self, x, k):
+        table = knn_indices(x, k)
+        assert table.shape == (x.size, k)
+        assert [sorted(row) for row in table.tolist()] == [
+            sorted(nb) for nb in brute_force_neighbors(x, k)
+        ]
+
+    def test_predict_matches_brute_force(self, x, k):
+        z = np.random.default_rng(k).standard_normal(x.size)
+        span = np.ptp(x) + 1.0
+        # training values, midpoints, and points beyond both ends
+        queries = np.concatenate(
+            [x, (x[:-1] + x[1:]) / 2.0, [x.min() - span, x.max() + span, x.min() - 1e-9]]
+        )
+        expected = [np.mean(z[nb]) for nb in brute_force_neighbors(x, k, queries)]
+        assert_allclose(KnnSmoother(x, k).predict(queries, z), expected, rtol=0, atol=1e-12)
 
 
 class TestKnn:
@@ -62,6 +120,26 @@ class TestKnn:
         z = np.array([0.0, 1.0, 2.0, 3.0])
         sm = KnnSmoother(x, 2)
         assert_allclose(sm.predict(np.array([0.1]), z), [0.5])
+
+
+class TestTranslation:
+    def test_1d_smooth_under_offset(self):
+        rng = np.random.default_rng(13)
+        x, z = rng.standard_normal(3000), rng.standard_normal(3000)
+        assert_allclose(knn_smooth(x + 1e6, z, 200), knn_smooth(x, z, 200), rtol=0, atol=1e-12)
+
+    def test_2d_smooth_under_offset(self):
+        rng = np.random.default_rng(14)
+        x, z = rng.standard_normal((1500, 2)), rng.standard_normal(1500)
+        assert_allclose(knn_smooth(x + 1e6, z, 60), knn_smooth(x, z, 60), rtol=0, atol=1e-9)
+
+    def test_ace_rho_under_offset(self):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(2000)
+        y = np.sin(2.0 * x) + 0.5 * rng.standard_normal(2000)
+        rho = ace_fit(PairedSamples(x, y), k=1, seed=1).rho[0]
+        shifted = ace_fit(PairedSamples(x + 1e8, y), k=1, seed=1).rho[0]
+        assert abs(shifted - rho) <= 1e-9
 
 
 class TestKernel:
