@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca_ace import _DEGENERATE_STD, ace_fit
+from .cca_ace import _DEGENERATE_STD, CanonicalModel, _standardize, ace_fit
 from .errors import InsufficientDataError, ParameterError, UnsupportedModelError
 from .smoother import KernelSmoother, KnnSmoother, SmootherConfig, sq_distances
 from .stats_core import (
@@ -52,7 +52,10 @@ class FittedTransform:
 
 @dataclass
 class AgcePair:
-    """One fitted pair of marginally normal transforms and its correlation."""
+    """One fitted pair of marginally normal transforms and its correlation.
+
+    ``ace`` is the ACE model the pair was built from, if any.
+    """
 
     phi: object
     psi: object
@@ -60,9 +63,22 @@ class AgcePair:
     v: np.ndarray
     rho: float
     trace: np.ndarray
-    restarts_used: int
     converged: bool
     independent: bool = False
+    ace: CanonicalModel | None = None
+
+
+def _gaussianized_pair(a, b, rng, **fields) -> AgcePair:
+    """Normal scores of ``a`` and ``b`` and their correlation, as one pair.
+
+    phi/psi default to the two normal-scores maps; ``fields`` overrides any
+    AgcePair field.
+    """
+    u, map_u = marginal_gaussianize(a, rng)
+    v, map_v = marginal_gaussianize(b, rng)
+    rho = _corr(u, v)
+    base = dict(phi=map_u, psi=map_v, u=u, v=v, rho=rho, trace=np.asarray([rho]), converged=True)
+    return AgcePair(**{**base, **fields})
 
 
 @dataclass(frozen=True)
@@ -139,15 +155,19 @@ def _alternate(u_init, v_init, sm_x, sm_y, tol: float, max_iter: int, rng: np.ra
 
 def _random_smooth_init(y_col: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Normal scores of a random cubic polynomial in the standardized input."""
-    ys = (y_col - y_col.mean()) / max(y_col.std(), _DEGENERATE_STD)
+    ys = _standardize(y_col)[0]
     coef = rng.standard_normal(4)
     vals = coef[0] + coef[1] * ys + coef[2] * ys ** 2 + coef[3] * ys ** 3
     return marginal_gaussianize(vals, rng)[0]
 
 
-def _ace_transform(sm, target, seed) -> FittedTransform:
-    """Regress an ACE column with ``sm``; normal scores of the regression."""
-    return FittedTransform(sm, target, marginal_gaussianize(sm.smooth(target), seed)[1])
+def _ace_transform(sm, target) -> FittedTransform:
+    """Regress an ACE column with ``sm``; normal scores of the regression.
+
+    The normal-scores map does not depend on the tie-breaking draw, so a
+    fixed seed leaves the caller's generator untouched.
+    """
+    return FittedTransform(sm, target, marginal_gaussianize(sm.smooth(target), 0)[1])
 
 
 def agce_fit_1d(
@@ -160,27 +180,23 @@ def agce_fit_1d(
 ) -> AgcePair:
     """Best local optimum of the Gaussianized correlation over restarts.
 
-    Restart 0 starts from the Gaussianized ACE solution (so the result can
-    never fall below the off-shelf lower bound); the remaining restarts start
-    from normal scores of random cubic polynomials of y.  When restart 0 wins
-    and no step replaced a side's start, that side gets the off-shelf
-    transform the start came from.
+    Restart 0 starts from the off-shelf pair (so the result can never fall
+    below the off-shelf lower bound); the remaining restarts start from
+    normal scores of random cubic polynomials of y.  When restart 0 wins and
+    no step replaced a side's start, that side keeps the off-shelf
+    transform.  ``tol`` is the alternation's tolerance; the off-shelf ACE
+    fit keeps its own, and the result carries that fit as ``ace``.
     """
-    if samples.d_x != 1 or samples.d_y != 1:
-        raise ParameterError("agce_fit_1d requires univariate X and Y")
-    if samples.n < 100:
-        raise InsufficientDataError("agce_fit_1d needs at least 100 samples")
+    if n_restarts < 1 or not tol > 0:
+        raise ParameterError("agce_fit_1d needs n_restarts >= 1 and tol > 0")
     rng = np.random.default_rng(seed)
+    off = offshelf_lower_1d(samples, smoother, seed=rng)
     sm_x, sm_y = samples.smoothers(smoother)
 
-    ace = ace_fit(samples, k=1, smoother=smoother, tol=tol, seed=rng)
-    u0 = marginal_gaussianize(ace.u[:, 0], rng)[0]
-    v0 = marginal_gaussianize(ace.v[:, 0], rng)[0]
-
     best = None
-    for r in range(max(1, n_restarts)):
+    for r in range(n_restarts):
         if r == 0:
-            u_init, v_init = u0, v0
+            u_init, v_init = off.u, off.v
         else:
             u_init, v_init = None, _random_smooth_init(samples.y[:, 0], rng)
         fit = _alternate(u_init, v_init, sm_x, sm_y, tol, max_iter, rng)
@@ -191,10 +207,7 @@ def agce_fit_1d(
     phi = FittedTransform(sm_x, v, map_u) if map_u is not None else None
     psi = FittedTransform(sm_y, u, map_v) if map_v is not None else None
     if r_best == 0:
-        # seed 0: a normal-scores map does not depend on the tie-breaking
-        # draw, and the fit's own generator stays untouched
-        phi = phi or _ace_transform(sm_x, ace.v[:, 0], 0)
-        psi = psi or _ace_transform(sm_y, ace.u[:, 0], 0)
+        phi, psi = phi or off.phi, psi or off.psi
     return AgcePair(
         phi=phi,
         psi=psi,
@@ -202,9 +215,9 @@ def agce_fit_1d(
         v=v,
         rho=rho,
         trace=trace,
-        restarts_used=max(1, n_restarts),
         converged=converged,
         independent=independent,
+        ace=off.ace,
     )
 
 
@@ -219,26 +232,18 @@ def offshelf_lower_1d(
     this point, never better than it.
     """
     if samples.d_x != 1 or samples.d_y != 1:
-        raise ParameterError("offshelf_lower_1d requires univariate X and Y")
+        raise ParameterError("the off-shelf pair requires univariate X and Y")
     if samples.n < 100:
-        raise InsufficientDataError("offshelf_lower_1d needs at least 100 samples")
+        raise InsufficientDataError("the off-shelf pair needs at least 100 samples")
     rng = np.random.default_rng(seed)
     ace = ace_fit(samples, k=1, smoother=smoother, seed=rng)
-    u = marginal_gaussianize(ace.u[:, 0], rng)[0]
-    v = marginal_gaussianize(ace.v[:, 0], rng)[0]
-    rho = _corr(u, v)
     sm_x, sm_y = samples.smoothers(smoother)
     # out-of-sample transforms regress the opposite ACE column and carry a
     # normal-scores map fitted on that regression's own in-sample scale
-    return AgcePair(
-        phi=_ace_transform(sm_x, ace.v[:, 0], rng),
-        psi=_ace_transform(sm_y, ace.u[:, 0], rng),
-        u=u,
-        v=v,
-        rho=rho,
-        trace=np.asarray([rho]),
-        restarts_used=1,
-        converged=bool(ace.converged[0]),
+    return _gaussianized_pair(
+        ace.u[:, 0], ace.v[:, 0], rng,
+        phi=_ace_transform(sm_x, ace.v[:, 0]), psi=_ace_transform(sm_y, ace.u[:, 0]),
+        converged=bool(ace.converged[0]), ace=ace,
     )
 
 
@@ -246,20 +251,7 @@ def naive_lower_1d(samples: PairedSamples, seed=None) -> AgcePair:
     """Benchmark bound: Gaussianize the raw coordinates directly."""
     if samples.d_x != 1 or samples.d_y != 1:
         raise ParameterError("naive_lower_1d requires univariate X and Y")
-    rng = np.random.default_rng(seed)
-    u, map_u = marginal_gaussianize(samples.x[:, 0], rng)
-    v, map_v = marginal_gaussianize(samples.y[:, 0], rng)
-    rho = _corr(u, v)
-    return AgcePair(
-        phi=map_u,
-        psi=map_v,
-        u=u,
-        v=v,
-        rho=rho,
-        trace=np.asarray([rho]),
-        restarts_used=1,
-        converged=True,
-    )
+    return _gaussianized_pair(samples.x[:, 0], samples.y[:, 0], np.random.default_rng(seed))
 
 
 def pair_bound_nats(pair: AgcePair) -> float:
@@ -288,36 +280,6 @@ def distance_correlation(a, b, max_n: int = 2000, seed=0) -> float:
     if da <= 0 or db <= 0:
         return 0.0
     return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(da * db)))
-
-
-def _oracle_pair(raw, rng) -> AgcePair:
-    """Gaussianize the oracle alternation's fixed-point values into a pair."""
-    if raw is None:
-        # degenerate conditional expectation: the independent-fit case
-        return AgcePair(
-            phi=None,
-            psi=None,
-            u=np.empty(0),
-            v=np.empty(0),
-            rho=0.0,
-            trace=np.asarray([0.0]),
-            restarts_used=1,
-            converged=True,
-            independent=True,
-        )
-    u_raw, v_raw, rho_analytic, trace = raw
-    u, map_u = marginal_gaussianize(u_raw, rng)
-    v, map_v = marginal_gaussianize(v_raw, rng)
-    return AgcePair(
-        phi=map_u,
-        psi=map_v,
-        u=u,
-        v=v,
-        rho=_corr(u, v),
-        trace=trace,
-        restarts_used=1,
-        converged=True,
-    )
 
 
 def agce_fit_mv_oracle(model, k: int = 2, n: int = 10_000, seed=None) -> list[AgcePair]:
@@ -352,12 +314,17 @@ def agce_fit_mv_oracle(model, k: int = 2, n: int = 10_000, seed=None) -> list[Ag
     for j in range(2 if k == 2 else 1):
         if j == 1:
             x, y = model.independent_subspace_x(x), model.independent_subspace_y(y)
-        pair_values = model.second_pair_values if j else model.first_pair_values
-        pair = _oracle_pair(pair_values(x, y), rng)
-        if pair.independent:
-            # fall back to the raw blocks when the degenerate pair leaves no u
-            pair.u, _ = marginal_gaussianize(np.asarray(x)[:, 0], rng)
-            pair.v, _ = marginal_gaussianize(np.asarray(y)[:, 0], rng)
-            pair.rho = abs(_corr(pair.u, pair.v))
+        raw = (model.second_pair_values if j else model.first_pair_values)(x, y)
+        if raw is None:
+            # degenerate conditional expectation: an independent fit, whose
+            # u and v fall back to the raw blocks
+            pair = _gaussianized_pair(
+                np.asarray(x)[:, 0], np.asarray(y)[:, 0], rng,
+                phi=None, psi=None, trace=np.asarray([0.0]), independent=True,
+            )
+            pair.rho = abs(pair.rho)
+        else:
+            u_raw, v_raw, _, trace = raw
+            pair = _gaussianized_pair(u_raw, v_raw, rng, trace=trace)
         pairs.append(pair)
     return pairs

@@ -264,7 +264,10 @@ def _separate_pair(u, v, seed: int):
 
 
 def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
-    """Fit the chosen embedding; returns (u, v, rho array, extras dict)."""
+    """Fit the chosen embedding; returns (u, v, rho array, extras dict).
+
+    A method that fits ACE passes the model as ``extras["model"]``.
+    """
     seed = args.seed
     univariate = samples.d_x == 1 and samples.d_y == 1
     if method == "naive":
@@ -278,9 +281,9 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
     if method == "offshelf":
         if univariate:
             pair = offshelf_lower_1d(samples, smoother=cfg, seed=seed)
-            return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), {}
+            return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), {"model": pair.ace}
         model = ace_fit(samples, smoother=cfg, seed=seed)
-        return *_separate_pair(model.u, model.v, seed + 1), None, {"ace_rho": model.rho}
+        return *_separate_pair(model.u, model.v, seed + 1), None, {"model": model}
     if method == "agce":
         if not univariate:
             raise CliError(
@@ -291,12 +294,12 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
         pair = agce_fit_1d(
             samples, tol=args.tol, n_restarts=args.restarts, smoother=cfg, seed=seed
         )
-        extras = {"trace": pair.trace, "converged": pair.converged}
+        extras = {"trace": pair.trace, "converged": pair.converged, "model": pair.ace}
         return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), extras
     if method == "biterminal":
         model = ace_fit(samples, smoother=cfg, seed=seed)
         bu, bv, _, trace = biterminal_gaussianize(model.u, model.v, seed=seed + 1)
-        return bu, bv, None, {"ace_rho": model.rho, "accepted_moves": len(trace)}
+        return bu, bv, None, {"model": model, "accepted_moves": len(trace)}
     if method == "kcca":
         model = kcca_fit(
             samples, kernel_width=args.kcca_width, ridge=args.kcca_ridge, seed=seed
@@ -312,6 +315,7 @@ def _bound_report(args) -> dict:
     u, v, rho, extras = run_method(args.method, samples, cfg, args)
     lower = joint_objective(u, v) if args.method != "ace" else None
 
+    # naive and kcca fit no ACE model of their own
     ace_model = extras.pop("model", None)
     if ace_model is None:
         ace_model = ace_fit(samples, smoother=cfg, seed=args.seed + 17)
@@ -479,7 +483,7 @@ def _add_method(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="neighbor count for the knn smoother")
     p.add_argument("--bandwidth", type=float, help="bandwidth for the kernel smoother")
     p.add_argument("--restarts", type=int, help="AGCE restart count")
-    p.add_argument("--tol", type=float, help="correlation-change tolerance")
+    p.add_argument("--tol", type=float, help="AGCE alternation tolerance (correlation change)")
     p.add_argument("--kcca-ridge", dest="kcca_ridge", type=float, help="kernel CCA ridge")
     p.add_argument("--kcca-width", dest="kcca_width", type=float, help="kernel CCA width")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConditioningError, DomainError, InvalidCovarianceError
+from .errors import ConditioningError, DomainError, InvalidCovarianceError, ParameterError
 from .stats_core import NATS_PER_BIT
 
 # Components with lambda at or below this are treated as deterministic; their
@@ -196,6 +196,8 @@ class IBCurve:
 
 def default_beta_grid(spec: GibSpectrum, num: int = 200) -> np.ndarray:
     """200 log-spaced trade-off values from 0.9 x first activation to 100 x."""
+    if num < 1:
+        raise ParameterError("a beta grid needs at least one point")
     b1 = spec.beta_crit[0]
     if not np.isfinite(b1):
         return np.logspace(0.0, 1.0, num)

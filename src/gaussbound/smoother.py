@@ -7,9 +7,11 @@ and a Nadaraya-Watson smoother with Gaussian weights.
 
 The neighbor table of a 1-D block costs O(n log n + n k): a point's k
 nearest neighbors are a contiguous window of the sorted sample.  Wider
-blocks take a chunked O(n^2 d) distance pass.  ``PairedSamples.smoothers``
-memoizes the built pair per ``SmootherConfig``, so every fit on one sample
-shares one table per block, and ``predict`` never needs the table.
+blocks take a chunked O(n^2 d) distance pass.  A 1-D ``smooth`` sums each
+sorted window once instead of gathering the table, with the same result bit
+for bit.  ``PairedSamples.smoothers`` memoizes the built pair per
+``SmootherConfig``, so every fit on one sample shares one table per block,
+and ``predict`` never needs the table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 
@@ -90,19 +93,15 @@ def _select_chunked(distances, m: int, n: int, k: int) -> np.ndarray:
     return out
 
 
-def _knn_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
-    """Exact k nearest of each query among the 1-D sample x, from sorted windows.
+def _windows_1d(x: np.ndarray, q: np.ndarray, k: int):
+    """(sorted order of x, window start per query, queries with a tied boundary).
 
     The k nearest points of q form a contiguous window [l, l + k) of the
     sorted sample.  The window moves right past l while xs[l + k] is
     strictly nearer than xs[l], i.e. while xs[l] + xs[l + k] < 2 q, and that
-    sum is nondecreasing in l, so one searchsorted finds l.  A row whose
+    sum is nondecreasing in l, so one searchsorted finds l.  A query whose
     nearest outside point is no farther than the window radius has a tied
-    boundary and is re-selected over its full row by (distance, index).
-    With ``self_query`` the queries are x itself and each point wins every
-    tie at distance 0 to itself; a window can miss its own point only when
-    the window is all copies of that value, so the point is an outside one
-    at distance 0 and the row is re-selected.
+    boundary.
     """
     n = x.size
     order = np.argsort(x, kind="stable")
@@ -110,17 +109,30 @@ def _knn_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarra
     xs = x[order] - centre
     qc = q - centre
     lo = np.searchsorted(xs[: n - k] + xs[k:], 2.0 * qc)
-    idx = order[lo[:, None] + np.arange(k)]
-
     radius = np.maximum(qc - xs[lo], xs[lo + k - 1] - qc)
     gap = np.full(q.size, np.inf)
     left = lo > 0
     gap[left] = qc[left] - xs[lo[left] - 1]
     right = lo + k < n
     gap[right] = np.minimum(gap[right], xs[lo[right] + k] - qc[right])
-    tied = np.flatnonzero(gap <= radius)
+    return order, lo, np.flatnonzero(gap <= radius)
+
+
+def _knn_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
+    """Exact k nearest of each query among the 1-D sample x, from sorted windows.
+
+    A row with a tied window boundary is re-selected over its full row by
+    (distance, index).  With ``self_query`` the queries are x itself and
+    each point wins every tie at distance 0 to itself; a window can miss its
+    own point only when the window is all copies of that value, so the point
+    is an outside one at distance 0 and the row is re-selected.
+    """
+    n = x.size
+    order, lo, tied = _windows_1d(x, q, k)
+    idx = order[lo[:, None] + np.arange(k)]
     if tied.size:
-        xc = x - centre
+        centre = x[order[(n - 1) // 2]]
+        xc, qc = x - centre, q - centre
 
         def distances(start, stop):
             rows = tied[start:stop]
@@ -167,12 +179,23 @@ class KnnSmoother:
         self.n = self.x.shape[0]
         self.k = default_knn_k(self.n) if k is None else int(k)
         self.neighbors = knn_indices(self.x, self.k)
+        # a 1-D table row without a tied boundary is its sorted window
+        self._windows = None
+        if self.x.shape[1] == 1:
+            self._windows = _windows_1d(self.x[:, 0], self.x[:, 0], self.k)
 
     def smooth(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).ravel()
         if z.size != self.n:
             raise ParameterError("response length does not match the fitted block")
-        return z[self.neighbors].mean(axis=1)
+        if self._windows is None:
+            return z[self.neighbors].mean(axis=1)
+        # a window sums the same values in the same order as its table row,
+        # so this equals the table gather's mean bit for bit, reading no table
+        order, lo, tied = self._windows
+        sums = sliding_window_view(z[order], self.k).sum(axis=1)[lo]
+        sums[tied] = z[self.neighbors[tied]].sum(axis=1)
+        return sums / self.k
 
     def predict(self, x_new, z) -> np.ndarray:
         """k-NN regression of z at new query points (no self handling).

@@ -116,6 +116,18 @@ class TestAgceFit1d:
                 PairedSamples(rng.standard_normal((200, 2)), rng.standard_normal(200))
             )
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_restart_zero_starts_from_offshelf_pair(self, seed):
+        samples = gm1d_sample(600, 10, 0.1, seed=seed).samples
+        pair = agce_fit_1d(samples, n_restarts=1, seed=seed)
+        assert pair.trace[0] == offshelf_lower_1d(samples, seed=seed).rho
+
+    def test_pairs_carry_their_ace_fit(self):
+        samples = gm1d_sample(600, 10, 0.1, seed=4).samples
+        rho = ace_fit(samples, k=1).rho
+        for pair in (agce_fit_1d(samples, n_restarts=2, seed=5), offshelf_lower_1d(samples, seed=5)):
+            assert np.array_equal(pair.ace.rho, rho)
+
 
 class TestOffshelfAndNaive:
     def test_mixture_values(self, gm_mix_offshelf):

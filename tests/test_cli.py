@@ -1,12 +1,13 @@
 """CLI contracts: formats, exit codes, determinism, config handling."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaussbound import agce_fit_1d, gm1d_sample, offshelf_lower_1d, smoother
+from gaussbound import agce_fit_1d, cca_ace, gm1d_sample, offshelf_lower_1d, smoother
 from gaussbound import reproduce as repro
 from gaussbound.cli import (
     EXIT_CHECK_FAILED,
@@ -127,15 +128,40 @@ class TestBound:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--k", "0", "--n", "500"],
-            ["--k", "501", "--n", "500"],
-            ["--method", "kcca", "--n", "10001"],
+            ["bound", "--k", "0", "--n", "500"],
+            ["bound", "--k", "501", "--n", "500"],
+            ["bound", "--method", "kcca", "--n", "10001"],
+            ["bound", "--method", "agce", "--restarts", "0", "--n", "500"],
+            ["bound", "--method", "agce", "--restarts", "-3", "--n", "500"],
+            ["bound", "--method", "agce", "--tol", "-1", "--n", "500"],
+            ["curve", "--method", "naive", "--beta-points", "0", "--n", "500"],
         ],
-        ids=["k-zero", "k-above-n", "kcca-n-cap"],
+        ids=["k-zero", "k-above-n", "kcca-n-cap", "restarts-zero", "restarts-negative",
+             "tol-negative", "curve-beta-points-zero"],
     )
-    def test_out_of_range_parameter_is_input_error(self, argv, capsys):
-        assert run_cli(["bound", "--model", "gm1d", "--seed", "1", *argv]) == EXIT_CONFIG
+    def test_out_of_range_parameter_is_input_error(self, argv, tmp_path, capsys):
+        out_dir = ["--out-dir", str(tmp_path / "curves")] if argv[0] == "curve" else []
+        assert run_cli([*argv, "--model", "gm1d", "--seed", "1", *out_dir]) == EXIT_CONFIG
         assert "numerical failure" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("model, d", [("gm1d", 1), ("exp_gamma", 2)])
+    def test_lower_within_ace_upper(self, tmp_path, model, d, method):
+        # the lower bound and the ACE upper bound come from one fit, so the
+        # sandwich holds up to the smoothers' finite-sample slack
+        csv, report = tmp_path / "s.csv", tmp_path / "r.json"
+        gen = ["gen", "--model", model, "--d", str(d), "--n", "600", "--seed", "5", "--out", str(csv)]
+        assert run_cli(gen) == 0
+        code = run_cli(["bound", "--input", str(csv), "--method", method, "--seed", "6", "--out", str(report)])
+        if method == "agce" and d > 1:
+            assert code == EXIT_CONFIG
+            return
+        assert code == 0
+        r = read_json(report)
+        if method == "ace":
+            assert r["lower_bound_nats"] is None
+        else:
+            assert r["lower_bound_nats"] <= r["ace_upper_bound_nats"] + 0.02
 
 
 class TestCsvValidation:
@@ -341,3 +367,31 @@ class TestNeighborTables:
         grid = np.linspace(-12.0, 12.0, 50)
         assert np.isfinite(pair.phi(grid)).all() and np.isfinite(pair.psi(grid)).all()
         assert len(tables) == before
+
+
+class TestAceFits:
+    """Each bound fits ACE once: a method's own ACE model gives the upper bound."""
+
+    @pytest.fixture()
+    def fits(self, monkeypatch):
+        calls = []
+        original = cca_ace.ace_fit
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gaussbound") and getattr(module, "ace_fit", None) is original:
+                monkeypatch.setattr(module, "ace_fit", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "method, model, d",
+        [(m, "gm1d", 1) for m in METHODS] + [("offshelf", "exp_gamma", 2), ("biterminal", "exp_gamma", 2)],
+    )
+    def test_bound_fits_ace_once(self, tmp_path, fits, method, model, d):
+        argv = ["bound", "--model", model, "--d", str(d), "--n", "400", "--method", method,
+                "--restarts", "2", "--seed", "3", "--out", str(tmp_path / "r.json")]
+        assert run_cli(argv) == 0
+        assert len(fits) == 1

@@ -1,0 +1,13 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["lower"] <= namespace["upper"] + 0.02

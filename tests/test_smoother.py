@@ -82,6 +82,12 @@ class TestKnn1dWindows:
         expected = [np.mean(z[nb]) for nb in brute_force_neighbors(x, k, queries)]
         assert_allclose(KnnSmoother(x, k).predict(queries, z), expected, rtol=0, atol=1e-12)
 
+    def test_smooth_is_table_mean_bit_for_bit(self, x, k):
+        # window sums must add the same values in the same order as the table
+        z = np.random.default_rng(k).standard_normal(x.size) * 1e3
+        sm = KnnSmoother(x, k)
+        assert np.array_equal(sm.smooth(z), z[sm.neighbors].mean(axis=1))
+
 
 class TestKnn:
     def test_full_window_is_mean(self):
