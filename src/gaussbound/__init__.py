@@ -56,17 +56,15 @@ from .models import (
     mirror_transform,
     mvg_scramble_sample,
 )
-from .smoother import KernelSmoother, KnnSmoother, SmootherConfig, kernel_smooth, knn_smooth
+from .smoother import KernelSmoother, KnnSmoother, SmootherConfig
 from .stats_core import (
     CovarianceBlocks,
-    EmpiricalCdf,
     MonotoneMap,
     PairedSamples,
     covariance,
     gaussian_mi_bound,
     marginal_gaussianize,
     mi_from_correlations,
-    normal_quantile,
     w2_to_normal,
 )
 

@@ -141,12 +141,6 @@ def joint_objective_saturated(u, v) -> bool:
     return info["saturated"]
 
 
-def biterminal_side_seeds(seed) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-    """Per-side seed sequences used by biterminal_gaussianize (U side, V side)."""
-    a, b = np.random.SeedSequence(seed).spawn(2)
-    return a, b
-
-
 def biterminal_gaussianize(
     u,
     v,
@@ -161,8 +155,8 @@ def biterminal_gaussianize(
     repeatedly perturb the rotation by a random Givens rotation (two
     coordinates, angle uniform on (-pi, pi)), keeping a candidate only when
     the joint objective strictly increases.  With ``inner_tries=0`` the
-    procedure is the per-side objective-blind scheme driven by the seeds from
-    :func:`biterminal_side_seeds`.
+    procedure is the per-side objective-blind scheme; the U and V sides draw
+    from the two children of ``np.random.SeedSequence(seed).spawn(2)``.
 
     Returns ``(u_out, v_out, (chain_u, chain_v), trace)`` where ``trace`` is a
     list of ``(outer_iteration, side, accepted_objective)`` tuples.
@@ -178,7 +172,7 @@ def biterminal_gaussianize(
         raise InsufficientDataError("biterminal_gaussianize needs at least 100 samples")
     tol = default_normality_tol(n) if normality_tol is None else float(normality_tol)
 
-    ss_u, ss_v = biterminal_side_seeds(seed)
+    ss_u, ss_v = np.random.SeedSequence(seed).spawn(2)
     rngs = {"u": np.random.default_rng(ss_u), "v": np.random.default_rng(ss_v)}
     blocks = {"u": u, "v": v}
     chains = {"u": GaussianizeChain(), "v": GaussianizeChain()}

@@ -1,10 +1,11 @@
 """Command-line front end: bound, curve, gen, reproduce.
 
 Exit codes: 0 success, 2 input/config error (non-finite sample values,
-out-of-range parameters and unknown config keys included), 3 I/O error,
-4 numerical failure, 5 a binding ``reproduce`` check failed.  The
-``GB_SEED`` environment variable supplies the default seed; a ``--config``
-file of ``key = value`` lines fills in unset flags (explicit flags win).
+out-of-range parameters, too few samples for a method and unknown config
+keys included), 3 I/O error, 4 numerical failure, 5 a binding
+``reproduce`` check failed.  The ``GB_SEED`` environment variable supplies
+the default seed; a ``--config`` file of ``key = value`` lines fills in
+unset flags (explicit flags win).
 All reports are deterministic for a fixed config and seed, except the
 separately kept "timing" section.
 """
@@ -25,7 +26,7 @@ from . import reproduce as repro
 from .agce import agce_fit_1d, naive_lower_1d, offshelf_lower_1d
 from .biterminal import biterminal_gaussianize, joint_objective, separate_gaussianize
 from .cca_ace import ace_fit, ace_upper_bound, kcca_fit
-from .errors import GaussboundError, ParameterError
+from .errors import GaussboundError, InsufficientDataError, ParameterError
 from .gib import default_beta_grid, gib_curve, gib_spectrum
 from .ib_discrete import quadrature_discretize, reverse_anneal
 from .models import MODEL_FAMILIES, ModelSpec, discretizable_from_spec, sample_from_spec
@@ -546,7 +547,7 @@ def main(argv=None) -> int:
             _gen_outputs(args)
             return EXIT_OK
         raise CliError(f"unknown command {args.command!r}", EXIT_CONFIG)
-    except (CliError, ParameterError) as exc:
+    except (CliError, ParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_CONFIG)
     except GaussboundError as exc:

@@ -284,57 +284,34 @@ def _quantile_nodes(quantile_fn, m: int):
     return centers, np.log(widths)
 
 
-def _voronoi_edges(nodes: np.ndarray, span: float = 40.0) -> np.ndarray:
-    mids = (nodes[1:] + nodes[:-1]) / 2.0
-    return np.concatenate([[nodes[0] - span], mids, [nodes[-1] + span]])
-
-
-def _cell_masses(joint_cdf, x_edges: np.ndarray, y_edges: np.ndarray) -> np.ndarray:
-    corners = joint_cdf(x_edges[:, None], y_edges[None, :])
-    p = corners[1:, 1:] - corners[:-1, 1:] - corners[1:, :-1] + corners[:-1, :-1]
-    return np.maximum(p, 0.0)
-
-
-def quadrature_discretize(model, m: int = 32, method: str = "density"):
+def quadrature_discretize(model, m: int = 32):
     """Discretize an analytic joint onto a quadrature-node grid.
 
     Node placement: Gaussian-like marginals get Gauss-Hermite nodes per
     mixture component; other marginal families fall back to equal-probability
-    quantile bins (flagged in the diagnostics).  Bin masses, per ``method``:
-
-    - ``"density"``: the joint density is evaluated at node products,
-      importance-weighted and renormalized.  Point sampling tracks the
-      analytic MI closely on smooth joints but can exaggerate dependence
-      when a conditional scale is finer than the node spacing.
-    - ``"cells"``: exact probabilities of the nodes' Voronoi cells from the
-      model's ``joint_cdf``.  A true coarsening: the pmf MI is a lower bound
-      of the analytic MI and grows as m does, at the price of losing any
-      structure below the cell width.
+    quantile bins (flagged in the diagnostics).  The joint density is
+    evaluated at node products, importance-weighted and renormalized.  Point
+    sampling tracks the analytic MI closely on smooth joints but can
+    exaggerate dependence when a conditional scale is finer than the node
+    spacing.
 
     Returns ``(JointPmf, diagnostics)``.
     """
     if not 8 <= m <= 64:
         raise ParameterError("nodes per dimension must lie in [8, 64]")
-    if method not in ("density", "cells"):
-        raise ParameterError("method must be 'density' or 'cells'")
-    if method == "density" and not hasattr(model, "joint_log_density"):
+    if not hasattr(model, "joint_log_density"):
         raise UnsupportedModelError(
             f"model {type(model).__name__} exposes no joint_log_density"
         )
-    if method == "cells" and not hasattr(model, "joint_cdf"):
-        raise UnsupportedModelError(f"model {type(model).__name__} exposes no joint_cdf")
 
-    diagnostics = {"fallback_axes": [], "method": method}
-    nodes, logw, edges = [], [], []
+    diagnostics = {"fallback_axes": []}
+    nodes, logw = [], []
     for axis in ("x", "y"):
         comps = getattr(model, f"{axis}_gaussian_components", lambda: None)()
         if comps is not None:
             ns, lw = _axis_nodes(comps, m)
             order = np.argsort(ns, kind="stable")
             ns, lw = ns[order], lw[order]
-            nodes.append(ns)
-            logw.append(lw)
-            edges.append(_voronoi_edges(ns))
         else:
             quantile_fn = getattr(model, f"{axis}_quantile", None)
             if quantile_fn is None:
@@ -343,30 +320,21 @@ def quadrature_discretize(model, m: int = 32, method: str = "density"):
                     f"nor a quantile function for axis {axis}"
                 )
             diagnostics["fallback_axes"].append(axis)
-            centers, lw = _quantile_nodes(quantile_fn, m)
-            nodes.append(centers)
-            logw.append(lw)
-            probs = np.clip(np.linspace(0.0, 1.0, m + 1), 1e-12, 1.0 - 1e-12)
-            edges.append(np.asarray(quantile_fn(probs), dtype=float))
+            ns, lw = _quantile_nodes(quantile_fn, m)
+        nodes.append(ns)
+        logw.append(lw)
 
     xn, yn = nodes
     if xn.size * yn.size > 4096:
         raise ParameterError("total bins exceed 4096; lower m")
 
-    if method == "cells":
-        p = _cell_masses(model.joint_cdf, edges[0], edges[1])
-        total = p.sum()
-        if total <= 0:
-            raise DomainError("joint_cdf produced an empty discretization")
-        pmf = JointPmf(p / total, x_labels=xn, y_labels=yn)
-    else:
-        log_p = (
-            model.joint_log_density(xn[:, None], yn[None, :])
-            + logw[0][:, None]
-            + logw[1][None, :]
-        )
-        log_p -= logsumexp(log_p)
-        pmf = JointPmf(np.exp(log_p), x_labels=xn, y_labels=yn)
+    log_p = (
+        model.joint_log_density(xn[:, None], yn[None, :])
+        + logw[0][:, None]
+        + logw[1][None, :]
+    )
+    log_p -= logsumexp(log_p)
+    pmf = JointPmf(np.exp(log_p), x_labels=xn, y_labels=yn)
     return pmf, diagnostics
 
 

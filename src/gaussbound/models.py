@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .biterminal import random_rotation
 from .errors import DomainError, ParameterError
@@ -166,24 +165,16 @@ def gm1d_mi_closed_form(mu_z: float, eps: float) -> float:
     return 0.25 * math.log1p(eps * eps) - 0.5 * math.log(eps)
 
 
-def gm1d_true_mi(mu_z: float, eps: float, *, details: bool = False):
+def gm1d_true_mi(mu_z: float, eps: float) -> float:
     """Exact (numeric) MI of the Gaussian-mixture pair, in nats.
 
-    The numeric path integrates the exact mixture densities; the closed-form
-    non-overlap approximation is returned alongside it when ``details=True``
-    (it is only trustworthy once the two components barely overlap).
+    Integrates the exact mixture densities; ``gm1d_mi_closed_form`` is the
+    non-overlap approximation, trustworthy only once the two components
+    barely overlap.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
-    numeric = _gm1d_mi_numeric(mu_z, eps)
-    if not details:
-        return numeric
-    closed = gm1d_mi_closed_form(mu_z, eps)
-    return numeric, {
-        "closed_form_nats": closed,
-        "closed_form_valid": abs(mu_z) >= 6.0 * (1.0 + eps),
-        "gap_nats": numeric - closed,
-    }
+    return _gm1d_mi_numeric(mu_z, eps)
 
 
 def mvg_scramble_sample(n: int, d: int, seed=None) -> ModelSample:
@@ -242,17 +233,6 @@ def expgamma_sample(n: int, d: int, seed=None) -> ModelSample:
 # ---------------------------------------------------------------------------
 
 
-def _bvn_cdf(x, y, rho: float, sx: float = 1.0, sy: float = 1.0):
-    """CDF of a centered bivariate normal with given scales and correlation."""
-    from scipy.stats import multivariate_normal
-
-    cov = np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
-    xb, yb = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-    pts = np.stack([xb.ravel(), yb.ravel()], axis=-1)
-    vals = multivariate_normal(mean=[0.0, 0.0], cov=cov).cdf(pts)
-    return np.asarray(vals).reshape(xb.shape)
-
-
 class BivariateGaussianModel:
     """Standard bivariate normal with correlation rho."""
 
@@ -272,9 +252,6 @@ class BivariateGaussianModel:
         det = 1.0 - r * r
         q = (x * x - 2.0 * r * x * y + y * y) / det
         return -0.5 * q - math.log(2.0 * math.pi * math.sqrt(det))
-
-    def joint_cdf(self, x, y):
-        return _bvn_cdf(x, y, self.rho)
 
     def mi_nats(self) -> float:
         return -0.5 * math.log1p(-self.rho * self.rho)
@@ -303,13 +280,6 @@ class Gm1dModel:
         log_noise = -0.5 * zn * zn - 0.5 * _LOG_2PI
         return log_px + np.logaddexp(log_corr, log_noise) + math.log(0.5)
 
-    def joint_cdf(self, x, y):
-        # correlated branch: (X, X+W) is bivariate normal
-        sy = math.sqrt(1.0 + self.eps ** 2)
-        corr = _bvn_cdf(x, y, 1.0 / sy, 1.0, sy)
-        noise = ndtr(np.asarray(x, float)) * ndtr(np.asarray(y, float) - self.mu_z)
-        return 0.5 * corr + 0.5 * noise
-
     def mi_nats(self) -> float:
         return gm1d_true_mi(self.mu_z, self.eps)
 
@@ -326,7 +296,7 @@ class ExpMirrorModel:
 
     def __init__(self):
         self._f2 = 1.0 - math.exp(-2.0)  # Exp(1) CDF at 2
-        self._g2 = float(gamma_dist.cdf(2.0, 2.0))
+        self._g2 = float(gammainc(2.0, 2.0))  # Gamma(2) CDF at 2
 
     def x_gaussian_components(self):
         return None
@@ -348,8 +318,8 @@ class ExpMirrorModel:
         q = np.asarray(q, dtype=float)
         out = np.empty_like(q)
         low = q <= self._g2
-        out[low] = 2.0 - gamma_dist.ppf(self._g2 - q[low], 2.0)
-        out[~low] = gamma_dist.ppf(np.minimum(q[~low], 1.0 - 1e-15), 2.0)
+        out[low] = 2.0 - gammaincinv(2.0, self._g2 - q[low])
+        out[~low] = gammaincinv(2.0, np.minimum(q[~low], 1.0 - 1e-15))
         return out
 
     def joint_log_density(self, x, y):
@@ -359,33 +329,6 @@ class ExpMirrorModel:
         with np.errstate(invalid="ignore"):
             out = np.where(valid, -ym, -np.inf)
         return np.broadcast_to(out, np.broadcast(xm, ym).shape).copy()
-
-    @staticmethod
-    def _raw_cdf(x, y):
-        """P(X <= x, X + W <= y) for the unmirrored exponential pair."""
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        y = np.maximum(np.asarray(y, dtype=float), 0.0)
-        m = np.minimum(x, y)
-        return 1.0 - np.exp(-m) - m * np.exp(-y)
-
-    @classmethod
-    def _mirror_interval(cls, a):
-        """Preimage of (-inf, a] under the [0, 2] mirror, as [lo, hi]."""
-        a = np.asarray(a, dtype=float)
-        lo = np.where(a < 2.0, 2.0 - a, 0.0)
-        hi = np.where(a < 2.0, 2.0, a)
-        empty = a < 0.0
-        lo = np.where(empty, 0.0, lo)
-        hi = np.where(empty, 0.0, hi)
-        return lo, hi
-
-    def joint_cdf(self, x, y):
-        ax_lo, ax_hi = self._mirror_interval(x)
-        ay_lo, ay_hi = self._mirror_interval(y)
-        f = self._raw_cdf
-        return (
-            f(ax_hi, ay_hi) - f(ax_lo, ay_hi) - f(ax_hi, ay_lo) + f(ax_lo, ay_lo)
-        )
 
     def mi_nats(self) -> float:
         return float(np.euler_gamma)

@@ -96,23 +96,6 @@ def sec44(n: int = 10_000, seed: int = 7, n_restarts: int = 8) -> list[CheckRow]
     )
 
     t0 = time.perf_counter()
-    ace = ace_fit(ms.samples, k=1, seed=seed + 2)
-    ub_bits = _bits(ace_upper_bound(ace))
-    lemma_flag = mi_bits > ub_bits
-    ok = abs(ace.rho[0] - 0.703) <= 0.03 and abs(ub_bits - 0.4917) <= 0.05 and lemma_flag
-    ace_elapsed = time.perf_counter() - t0
-    rows.append(
-        CheckRow(
-            "ace",
-            "nonlinear CCA upper bound and no-lossless-embedding flag",
-            f"rho={ace.rho[0]:.3f}, {ub_bits:.4f} bits, flag={lemma_flag}",
-            "rho 0.703 +- 0.03, 0.4917 +- 0.05 bits, flag TRUE",
-            ok,
-            elapsed_s=ace_elapsed,
-        )
-    )
-
-    t0 = time.perf_counter()
     off = offshelf_lower_1d(ms.samples, seed=seed + 3)
     off_bits = _bits(pair_bound_nats(off))
     off_elapsed = time.perf_counter() - t0
@@ -120,6 +103,24 @@ def sec44(n: int = 10_000, seed: int = 7, n_restarts: int = 8) -> list[CheckRow]
     t0 = time.perf_counter()
     ag = agce_fit_1d(ms.samples, n_restarts=n_restarts, seed=seed + 3)
     ag_bits = _bits(pair_bound_nats(ag))
+    ag_elapsed = time.perf_counter() - t0
+
+    # the ACE fit AGCE started from: a one-pair fit starts from Y's first
+    # principal component, so it is the same model whatever its seed
+    ace = ag.ace
+    ub_bits = _bits(ace_upper_bound(ace))
+    lemma_flag = mi_bits > ub_bits
+    ok = abs(ace.rho[0] - 0.703) <= 0.03 and abs(ub_bits - 0.4917) <= 0.05 and lemma_flag
+    rows.append(
+        CheckRow(
+            "ace",
+            "nonlinear CCA upper bound and no-lossless-embedding flag",
+            f"rho={ace.rho[0]:.3f}, {ub_bits:.4f} bits, flag={lemma_flag}",
+            "rho 0.703 +- 0.03, 0.4917 +- 0.05 bits, flag TRUE",
+            ok,
+        )
+    )
+
     ok = ag.rho >= 0.60 and ag_bits >= 0.36 and ag.rho <= ace.rho[0] + 0.02
     rows.append(
         CheckRow(
@@ -128,7 +129,7 @@ def sec44(n: int = 10_000, seed: int = 7, n_restarts: int = 8) -> list[CheckRow]
             f"rho={ag.rho:.3f}, {ag_bits:.4f} bits",
             "rho >= 0.60, >= 0.36 bits, <= ACE rho + 0.02",
             ok,
-            elapsed_s=time.perf_counter() - t0,
+            elapsed_s=ag_elapsed,
         )
     )
 

@@ -288,12 +288,3 @@ class SmootherConfig:
             return KernelSmoother(x_block, self.bandwidth)
         raise ParameterError(f"unknown smoother kind {self.kind!r}")
 
-
-def knn_smooth(x_block, z, k: int) -> np.ndarray:
-    """Fitted values of the k-NN estimate of E[Z | X] at the sample points."""
-    return KnnSmoother(x_block, k).smooth(z)
-
-
-def kernel_smooth(x_block, z, bandwidth: float) -> np.ndarray:
-    """Fitted values of the Gaussian-kernel estimate of E[Z | X]."""
-    return KernelSmoother(x_block, bandwidth).smooth(z)

@@ -1,10 +1,10 @@
 """Rank-based Gaussianization, covariance blocks, and the Gaussian MI bound.
 
-Foundational statistics used everywhere else: the standard-normal quantile,
-empirical CDFs, monotone normal-scores maps (with randomized tie breaking so
-atomic inputs still come out exactly marginally normal), covariance
-estimation, and the closed-form Gaussian lower bound on mutual information
-of two standardized blocks.
+Foundational statistics used everywhere else: the normal-scores rank grid,
+monotone normal-scores maps (with randomized tie breaking so atomic inputs
+still come out exactly marginally normal), covariance estimation, and the
+closed-form Gaussian lower bound on mutual information of two standardized
+blocks.
 
 All information quantities are in nats unless a function name says otherwise.
 """
@@ -33,26 +33,6 @@ SATURATION_RHO = 1.0 - 1e-12
 COV_RIDGE = 1e-10
 
 
-def normal_quantile(p):
-    """Standard-normal inverse CDF.
-
-    Parameters
-    ----------
-    p : float or array_like
-        Probabilities; every entry must lie strictly inside (0, 1).
-
-    Returns
-    -------
-    float or ndarray
-        Phi^{-1}(p), accurate to well below 1e-9 absolute error.
-    """
-    arr = np.asarray(p, dtype=float)
-    if arr.size == 0 or not np.all((arr > 0.0) & (arr < 1.0)):
-        raise DomainError("normal_quantile requires probabilities strictly in (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.ndim(p) == 0 else out
-
-
 def rank_quantile_grid(n: int) -> np.ndarray:
     """Normal scores at the mid-rank plotting positions (i - 0.5) / n, i = 1..n."""
     if n < 2:
@@ -61,43 +41,15 @@ def rank_quantile_grid(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical CDF of a one-dimensional sample."""
-
-    sorted_values: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.sorted_values, dtype=float)
-        if values.ndim != 1 or values.size < 2:
-            raise InsufficientDataError("EmpiricalCdf needs at least 2 values")
-        if np.any(np.diff(values) < 0):
-            raise DomainError("EmpiricalCdf values must be nondecreasing")
-        object.__setattr__(self, "sorted_values", values)
-        object.__setattr__(self, "n", values.size)
-
-    @classmethod
-    def from_samples(cls, x) -> "EmpiricalCdf":
-        return cls(np.sort(np.asarray(x, dtype=float)))
-
-    def __call__(self, x):
-        pos = np.searchsorted(self.sorted_values, np.asarray(x, dtype=float), side="right")
-        out = pos / self.n
-        return float(out) if np.ndim(x) == 0 else out
-
-
-@dataclass(frozen=True)
 class MonotoneMap:
     """A fitted strictly increasing map, piecewise linear between knots.
 
-    Used both for normal-scores transforms and their inverses.  Outside the
-    knot range the map either clamps to the terminal values or continues
-    linearly with the terminal slope.
+    Used for normal-scores transforms; outside the knot range the map clamps
+    to the terminal values.
     """
 
     knots_in: np.ndarray
     knots_out: np.ndarray
-    extrapolation: str = "clamp"
 
     def __post_init__(self):
         kin = np.asarray(self.knots_in, dtype=float)
@@ -106,29 +58,12 @@ class MonotoneMap:
             raise DomainError("MonotoneMap knots must be equal-length 1-D arrays")
         if np.any(np.diff(kin) <= 0) or np.any(np.diff(kout) <= 0):
             raise DomainError("MonotoneMap knots must be strictly increasing")
-        if self.extrapolation not in ("clamp", "linear-tail"):
-            raise DomainError(f"unknown extrapolation mode {self.extrapolation!r}")
         object.__setattr__(self, "knots_in", kin)
         object.__setattr__(self, "knots_out", kout)
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        kin, kout = self.knots_in, self.knots_out
-        if kin.size == 1:
-            out = np.full_like(xs, kout[0], dtype=float)
-        else:
-            out = np.interp(xs, kin, kout)
-            if self.extrapolation == "linear-tail":
-                lo_slope = (kout[1] - kout[0]) / (kin[1] - kin[0])
-                hi_slope = (kout[-1] - kout[-2]) / (kin[-1] - kin[-2])
-                lo = xs < kin[0]
-                hi = xs > kin[-1]
-                out = np.where(lo, kout[0] + lo_slope * (xs - kin[0]), out)
-                out = np.where(hi, kout[-1] + hi_slope * (xs - kin[-1]), out)
+        out = np.interp(np.asarray(x, dtype=float), self.knots_in, self.knots_out)
         return float(out) if np.ndim(x) == 0 else out
-
-    def inverse(self) -> "MonotoneMap":
-        return MonotoneMap(self.knots_out, self.knots_in, self.extrapolation)
 
 
 def marginal_gaussianize(x, seed=None):

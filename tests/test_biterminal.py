@@ -14,7 +14,6 @@ from gaussbound import (
     separate_gaussianize,
 )
 from gaussbound.biterminal import (
-    biterminal_side_seeds,
     default_normality_tol,
     givens_rotation,
     joint_objective_saturated,
@@ -148,7 +147,7 @@ class TestBiterminal:
         bu, bv, _, _ = biterminal_gaussianize(
             u, v, outer_iters=layers, inner_tries=0, normality_tol=-1.0, seed=14
         )
-        ss_u, ss_v = biterminal_side_seeds(14)
+        ss_u, ss_v = np.random.SeedSequence(14).spawn(2)
         su, _ = separate_gaussianize(u, max_layers=layers, normality_tol=-1.0, seed=ss_u)
         sv, _ = separate_gaussianize(v, max_layers=layers, normality_tol=-1.0, seed=ss_v)
         assert np.array_equal(bu, su)

@@ -1,6 +1,8 @@
 """CLI contracts: formats, exit codes, determinism, config handling."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,13 +137,23 @@ class TestBound:
             ["bound", "--method", "agce", "--restarts", "-3", "--n", "500"],
             ["bound", "--method", "agce", "--tol", "-1", "--n", "500"],
             ["curve", "--method", "naive", "--beta-points", "0", "--n", "500"],
+            # too few samples for the method
+            ["bound", "--method", "naive", "--n", "10"],
+            ["bound", "--method", "agce", "--n", "60"],
+            ["bound", "--method", "offshelf", "--n", "60"],
+            ["bound", "--method", "biterminal", "--n", "60"],
+            ["reproduce", "sec4.4", "--n", "40"],
         ],
         ids=["k-zero", "k-above-n", "kcca-n-cap", "restarts-zero", "restarts-negative",
-             "tol-negative", "curve-beta-points-zero"],
+             "tol-negative", "curve-beta-points-zero", "naive-n-10", "agce-n-60",
+             "offshelf-n-60", "biterminal-n-60", "reproduce-n-40"],
     )
     def test_out_of_range_parameter_is_input_error(self, argv, tmp_path, capsys):
-        out_dir = ["--out-dir", str(tmp_path / "curves")] if argv[0] == "curve" else []
-        assert run_cli([*argv, "--model", "gm1d", "--seed", "1", *out_dir]) == EXIT_CONFIG
+        if argv[0] != "reproduce":
+            argv = [*argv, "--model", "gm1d", "--seed", "1"]
+        if argv[0] == "curve":
+            argv = [*argv, "--out-dir", str(tmp_path / "curves")]
+        assert run_cli(argv) == EXIT_CONFIG
         assert "numerical failure" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", METHODS)
@@ -395,3 +407,18 @@ class TestAceFits:
                 "--restarts", "2", "--seed", "3", "--out", str(tmp_path / "r.json")]
         assert run_cli(argv) == 0
         assert len(fits) == 1
+
+    def test_sec44_fits_ace_twice(self, fits):
+        # the off-shelf pair and AGCE fit once each; the ace row reads AGCE's fit
+        rows = repro.sec44(n=2000)
+        assert [r.id for r in rows] == ["corr-xy", "true-mi", "naive", "ace", "agce", "offshelf"]
+        assert len(fits) == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second of import; no CLI path needs it
+    code = "import sys, gaussbound.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

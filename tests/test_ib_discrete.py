@@ -139,8 +139,7 @@ class TestReverseAnneal:
 
 class TestQuadratureDiscretize:
     def test_scalar_gaussian_mi(self):
-        pmf, diag = quadrature_discretize(BivariateGaussianModel(0.6), m=32)
-        assert diag["method"] == "density"
+        pmf, _ = quadrature_discretize(BivariateGaussianModel(0.6), m=32)
         assert abs(pmf.mutual_information() - 0.22314355) <= 3e-3
 
     def test_independent_product(self):
@@ -154,17 +153,6 @@ class TestQuadratureDiscretize:
         ]
         assert np.all(np.diff(mis) >= -1e-3)
         assert abs(mis[-1] - 0.22314355) <= 1e-3
-
-    def test_cells_method_is_a_true_coarsening(self):
-        model = Gm1dModel(10.0, 0.1)
-        analytic = model.mi_nats()
-        mis = []
-        for m in (16, 32):
-            pmf, diag = quadrature_discretize(model, m=m, method="cells")
-            assert diag["method"] == "cells"
-            mis.append(pmf.mutual_information())
-            assert mis[-1] <= analytic + 1e-12
-        assert mis[1] >= mis[0] - 1e-3
 
     @pytest.mark.xfail(
         strict=True,

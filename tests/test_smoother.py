@@ -12,8 +12,6 @@ from gaussbound import (
     PairedSamples,
     ParameterError,
     ace_fit,
-    kernel_smooth,
-    knn_smooth,
 )
 from gaussbound.smoother import SmootherConfig, default_knn_k, knn_indices
 
@@ -92,17 +90,17 @@ class TestKnn1dWindows:
 class TestKnn:
     def test_full_window_is_mean(self):
         z = np.array([1.0, 5.0, 9.0, -2.0])
-        assert_allclose(knn_smooth(np.arange(4.0), z, 4), np.full(4, z.mean()))
+        assert_allclose(KnnSmoother(np.arange(4.0), 4).smooth(z), np.full(4, z.mean()))
 
     def test_k1_returns_z(self):
         rng = np.random.default_rng(0)
         x, z = rng.standard_normal(50), rng.standard_normal(50)
-        assert np.array_equal(knn_smooth(x, z, 1), z)
+        assert np.array_equal(KnnSmoother(x, 1).smooth(z), z)
 
     def test_matches_brute_force_1d(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(64)
-        fitted = knn_smooth(x, x, 3)
+        fitted = KnnSmoother(x, 3).smooth(x)
         assert_allclose(fitted, brute_force_knn_fit(x, x, 3), atol=1e-14)
 
     def test_matches_brute_force_multid_with_ties(self):
@@ -110,16 +108,16 @@ class TestKnn:
         x = rng.integers(0, 3, size=(40, 2)).astype(float)  # many exact ties
         z = rng.standard_normal(40)
         for k in (1, 4, 11):
-            assert_allclose(knn_smooth(x, z, k), brute_force_knn_fit(x, z, k), atol=1e-14)
+            assert_allclose(KnnSmoother(x, k).smooth(z), brute_force_knn_fit(x, z, k), atol=1e-14)
 
     def test_duplicate_points_keep_self_at_k1(self):
         x = np.array([1.0, 1.0, 1.0])
         z = np.array([10.0, 20.0, 30.0])
-        assert np.array_equal(knn_smooth(x, z, 1), z)
+        assert np.array_equal(KnnSmoother(x, 1).smooth(z), z)
 
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
-            knn_smooth(np.arange(5.0), np.arange(5.0), 6)
+            KnnSmoother(np.arange(5.0), 6).smooth(np.arange(5.0))
 
     def test_predict_at_new_points(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
@@ -132,12 +130,14 @@ class TestTranslation:
     def test_1d_smooth_under_offset(self):
         rng = np.random.default_rng(13)
         x, z = rng.standard_normal(3000), rng.standard_normal(3000)
-        assert_allclose(knn_smooth(x + 1e6, z, 200), knn_smooth(x, z, 200), rtol=0, atol=1e-12)
+        shifted = KnnSmoother(x + 1e6, 200).smooth(z)
+        assert_allclose(shifted, KnnSmoother(x, 200).smooth(z), rtol=0, atol=1e-12)
 
     def test_2d_smooth_under_offset(self):
         rng = np.random.default_rng(14)
         x, z = rng.standard_normal((1500, 2)), rng.standard_normal(1500)
-        assert_allclose(knn_smooth(x + 1e6, z, 60), knn_smooth(x, z, 60), rtol=0, atol=1e-9)
+        shifted = KnnSmoother(x + 1e6, 60).smooth(z)
+        assert_allclose(shifted, KnnSmoother(x, 60).smooth(z), rtol=0, atol=1e-9)
 
     def test_ace_rho_under_offset(self):
         rng = np.random.default_rng(15)
@@ -152,10 +152,10 @@ class TestKernel:
     def test_huge_bandwidth_gives_mean(self):
         rng = np.random.default_rng(3)
         x, z = rng.standard_normal(100), rng.standard_normal(100)
-        assert_allclose(kernel_smooth(x, z, 1e6), np.full(100, z.mean()), atol=1e-6)
+        assert_allclose(KernelSmoother(x, 1e6).smooth(z), np.full(100, z.mean()), atol=1e-6)
 
     def test_two_point_hand_value(self):
-        fitted = kernel_smooth(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 1.0)
+        fitted = KernelSmoother(np.array([0.0, 1.0]), 1.0).smooth(np.array([0.0, 1.0]))
         w = np.exp(-0.5)
         assert_allclose(fitted, [w / (1 + w), 1 / (1 + w)], atol=1e-12)
         assert abs(fitted[0] - 0.37754066879814546) <= 1e-12
@@ -163,7 +163,7 @@ class TestKernel:
     def test_constant_response(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(60)
-        assert_allclose(kernel_smooth(x, np.full(60, 2.5), 0.3), np.full(60, 2.5))
+        assert_allclose(KernelSmoother(x, 0.3).smooth(np.full(60, 2.5)), np.full(60, 2.5))
 
     def test_underflow_fallback_on_predict(self):
         sm = KernelSmoother(np.linspace(0, 1, 30), 1e-3)
@@ -173,7 +173,7 @@ class TestKernel:
 
     def test_bandwidth_validation(self):
         with pytest.raises(ParameterError):
-            kernel_smooth(np.arange(4.0), np.arange(4.0), 0.0)
+            KernelSmoother(np.arange(4.0), 0.0).smooth(np.arange(4.0))
 
 
 @pytest.mark.parametrize("make", [lambda x: KnnSmoother(x, 5), lambda x: KernelSmoother(x, 0.7)])

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from gaussbound import (
     CovarianceBlocks,
     DomainError,
-    EmpiricalCdf,
     InsufficientDataError,
     InvalidCovarianceError,
     MonotoneMap,
@@ -18,7 +17,6 @@ from gaussbound import (
     gaussian_mi_bound,
     marginal_gaussianize,
     mi_from_correlations,
-    normal_quantile,
     w2_to_normal,
 )
 from gaussbound.stats_core import (
@@ -35,22 +33,27 @@ MPMATH_Q_16 = -0.9674215661017012
 
 
 class TestNormalQuantile:
+    """Phi^{-1} as the package computes it: the normal-scores rank grid."""
+
     def test_median_is_zero(self):
-        assert normal_quantile(0.5) == 0.0
+        assert rank_quantile_grid(5)[2] == 0.0
 
     def test_against_bisection_oracle(self):
-        assert abs(normal_quantile(0.975) - MPMATH_Q_975) <= 1e-9
-        assert abs(normal_quantile(0.0013499) - (-3.0)) <= 1e-3
-        assert abs(normal_quantile(0.0013499) - MPMATH_Q_00135) <= 1e-9
+        # plotting position (i - 0.5) / n: 19.5 / 20 = 0.975 and
+        # 6749.5 / 5e6 = 0.0013499, both correctly rounded
+        assert abs(rank_quantile_grid(20)[-1] - MPMATH_Q_975) <= 1e-9
+        q_00135 = rank_quantile_grid(5_000_000)[6749]
+        assert abs(q_00135 - (-3.0)) <= 1e-3
+        assert abs(q_00135 - MPMATH_Q_00135) <= 1e-9
 
     def test_domain_errors(self):
-        for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(DomainError):
-                normal_quantile(bad)
+        for bad in (0, 1):
+            with pytest.raises(InsufficientDataError):
+                rank_quantile_grid(bad)
 
     def test_vectorized(self):
-        out = normal_quantile(np.array([0.25, 0.75]))
-        assert_allclose(out[0], -out[1], atol=1e-12)
+        out = rank_quantile_grid(4)  # levels 0.125, 0.375, 0.625, 0.875
+        assert_allclose(out, -out[::-1], atol=1e-12)
 
 
 class TestMarginalGaussianize:
@@ -108,16 +111,14 @@ class TestMonotoneMap:
         rng = np.random.default_rng(0)
         x = np.sort(rng.standard_normal(50))
         _, fitted = marginal_gaussianize(x, seed=1)
-        back = fitted.inverse()(fitted(fitted.knots_in))
+        inverse = MonotoneMap(fitted.knots_out, fitted.knots_in)
+        back = inverse(fitted(fitted.knots_in))
         assert np.max(np.abs(back - fitted.knots_in)) <= 1e-10
 
     def test_extrapolation_modes(self):
-        m_clamp = MonotoneMap([0.0, 1.0], [0.0, 2.0], "clamp")
-        m_tail = MonotoneMap([0.0, 1.0], [0.0, 2.0], "linear-tail")
+        m_clamp = MonotoneMap([0.0, 1.0], [0.0, 2.0])
         assert m_clamp(5.0) == 2.0
-        assert m_tail(5.0) == 10.0
         assert m_clamp(-1.0) == 0.0
-        assert m_tail(-1.0) == -2.0
 
     def test_rejects_nonincreasing_knots(self):
         with pytest.raises(DomainError):
@@ -221,22 +222,6 @@ class TestW2ToNormal:
         rng = np.random.default_rng(22)
         x = 2.0 * rng.standard_normal(10_000)
         assert abs(w2_to_normal(x) - 1.0) <= 0.05
-
-
-class TestEmpiricalCdf:
-    def test_basic_evaluation(self):
-        cdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0, 2.0])
-        assert cdf(0.0) == 0.0
-        assert cdf(2.0) == 0.75
-        assert cdf(10.0) == 1.0
-
-    def test_monotone_in_x(self):
-        rng = np.random.default_rng(1)
-        cdf = EmpiricalCdf.from_samples(rng.standard_normal(100))
-        q = np.linspace(-3, 3, 50)
-        vals = cdf(q)
-        assert np.all(np.diff(vals) >= 0)
-        assert np.all((vals >= 0) & (vals <= 1))
 
 
 class TestPairedSamples:
