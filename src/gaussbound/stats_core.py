@@ -12,6 +12,7 @@ All information quantities are in nats unless a function name says otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -33,11 +34,17 @@ SATURATION_RHO = 1.0 - 1e-12
 COV_RIDGE = 1e-10
 
 
+@lru_cache(maxsize=8)
 def rank_quantile_grid(n: int) -> np.ndarray:
-    """Normal scores at the mid-rank plotting positions (i - 0.5) / n, i = 1..n."""
+    """Normal scores at the mid-rank plotting positions (i - 0.5) / n, i = 1..n.
+
+    Cached per n, so the array is read-only: every caller shares it.
+    """
     if n < 2:
         raise InsufficientDataError("need at least 2 samples for a rank grid")
-    return ndtri((np.arange(1, n + 1) - 0.5) / n)
+    grid = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,11 @@ def marginal_gaussianize(x, seed=None):
 
     Ranks are mapped to the fixed grid ``Phi^{-1}((i - 0.5) / n)``; ties are
     broken by seeded uniform randomization, so atomic or mixed inputs still
-    produce an exact draw-free normal-scores sample.
+    produce an exact draw-free normal-scores sample.  One plain ``argsort``
+    ranks the column; when it has ties (``-0.0`` ties ``0.0``) only the
+    members of tied groups are re-sorted by their draws.  The result is the
+    ``lexsort((draw, x))`` permutation either way, and the draw is taken
+    even without ties, so the generator's stream never depends on the data.
 
     Parameters
     ----------
@@ -94,23 +105,28 @@ def marginal_gaussianize(x, seed=None):
     if not np.all(np.isfinite(xs)):
         raise DomainError("marginal_gaussianize requires finite inputs")
     rng = np.random.default_rng(seed)
-    # lexsort: primary key x, secondary key a uniform draw to scatter ties
-    order = np.lexsort((rng.random(n), xs))
-    ranks = np.empty(n, dtype=np.intp)
-    ranks[order] = np.arange(n)
+    r = rng.random(n)
     grid = rank_quantile_grid(n)
-    u = grid[ranks]
-
+    u = np.empty(n)
+    order = np.argsort(xs)
     xs_sorted = xs[order]
     first = np.empty(n, dtype=bool)
     first[0] = True
     np.not_equal(xs_sorted[1:], xs_sorted[:-1], out=first[1:])
+    if first.all():
+        u[order] = grid
+        return u, MonotoneMap(xs_sorted, grid)
+
+    # Re-sort the tied groups' members by (x, r, index), the order
+    # lexsort((r, x)) gives; the groups keep their sorted positions.
     starts = np.flatnonzero(first)
-    knots_in = xs_sorted[starts]
     counts = np.diff(np.append(starts, n))
+    tied = np.flatnonzero(np.repeat(counts > 1, counts))
+    members = np.sort(order[tied])
+    order[tied] = members[np.lexsort((r[members], xs[members]))]
+    u[order] = grid
     knots_out = np.add.reduceat(grid, starts) / counts
-    fitted = MonotoneMap(knots_in, knots_out)
-    return u, fitted
+    return u, MonotoneMap(xs[order[starts]], knots_out)
 
 
 def covariance(samples) -> np.ndarray:

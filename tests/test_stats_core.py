@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import ndtri
 
 from gaussbound import (
     CovarianceBlocks,
@@ -55,8 +56,63 @@ class TestNormalQuantile:
         out = rank_quantile_grid(4)  # levels 0.125, 0.375, 0.625, 0.875
         assert_allclose(out, -out[::-1], atol=1e-12)
 
+    def test_cached_grid_is_read_only(self):
+        grid = rank_quantile_grid(6)
+        assert grid is rank_quantile_grid(6)
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+
+
+def lexsort_gaussianize(x, rng):
+    """Reference rank rule: sort by (x, one uniform draw per sample).
+
+    Returns ``(u, knots_in, knots_out)``; a tied group's knot is its first
+    sorted value and the mean of its grid scores.
+    """
+    xs = np.asarray(x, dtype=float)
+    n = xs.size
+    order = np.lexsort((rng.random(n), xs))
+    grid = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    u = np.empty(n)
+    u[order] = grid
+    xs_sorted = xs[order]
+    starts = np.flatnonzero(np.r_[True, xs_sorted[1:] != xs_sorted[:-1]])
+    counts = np.diff(np.append(starts, n))
+    return u, xs_sorted[starts], np.add.reduceat(grid, starts) / counts
+
+
+_SIZES = {"min_size": 2, "max_size": 400}
+RANK_COLUMNS = st.one_of(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), unique=True, **_SIZES),
+    st.lists(st.integers(-4, 4).map(float), **_SIZES),
+    st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]), **_SIZES).map(lambda v: v + [0.0, -0.0]),
+    st.tuples(st.floats(-10, 10), st.integers(2, 400)).map(lambda t: [t[0]] * t[1]),
+)
+
+
+class EqualDraws(np.random.Generator):
+    """A generator whose uniform draws all tie, so ties fall to the index."""
+
+    def random(self, size=None):
+        return np.full(size, 0.5)
+
 
 class TestMarginalGaussianize:
+    @given(RANK_COLUMNS, st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lexsort_reference_bit_for_bit(self, x, seed, equal_draws):
+        make = (lambda: EqualDraws(np.random.PCG64(seed))) if equal_draws else (
+            lambda: np.random.default_rng(seed)
+        )
+        rng, ref_rng = make(), make()
+        u, fitted = marginal_gaussianize(np.asarray(x), rng)
+        ref_u, ref_in, ref_out = lexsort_gaussianize(x, ref_rng)
+        assert u.tobytes() == ref_u.tobytes()
+        assert fitted.knots_in.tobytes() == ref_in.tobytes()  # the sign of a zero too
+        assert fitted.knots_out.tobytes() == ref_out.tobytes()
+        # one rng.random(n) per call, tied or not
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_three_point_rank_formula(self):
         u, _ = marginal_gaussianize([13.0, -4.0, 7.0], seed=0)
         grid = rank_quantile_grid(3)
