@@ -7,7 +7,10 @@ and a Nadaraya-Watson smoother with Gaussian weights.
 
 The neighbor table of a 1-D block costs O(n log n + n k): a point's k
 nearest neighbors are a contiguous window of the sorted sample.  Wider
-blocks take a chunked O(n^2 d) distance pass.  A 1-D ``smooth`` sums each
+blocks query a kd-tree (Friedman, Bentley & Finkel, 1977) for k + 1
+neighbors.  Either way a row whose k-th neighbor is tied is re-selected
+over its full distance row, so tied data can still cost O(n^2 d).  A 1-D
+``smooth`` sums each
 sorted window once instead of gathering the table, with the same result bit
 for bit.  ``PairedSamples.smoothers`` memoizes the built pair per
 ``SmootherConfig``, so every fit on one sample shares one table per block,
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 
@@ -93,6 +97,24 @@ def _select_chunked(distances, m: int, n: int, k: int) -> np.ndarray:
     return out
 
 
+def _reselect(idx: np.ndarray, rows: np.ndarray, distances, n: int, self_query: bool) -> None:
+    """Overwrite ``idx[rows]`` with the exact (distance, index) selection.
+
+    ``distances(rows)`` returns the full distance rows of those queries.
+    With ``self_query`` query r is sample r, and it beats every other point
+    at distance 0 to itself.
+    """
+
+    def chunk(start, stop):
+        r = rows[start:stop]
+        d = distances(r)
+        if self_query:
+            d[np.arange(r.size), r] = -1.0
+        return d
+
+    idx[rows] = _select_chunked(chunk, rows.size, n, idx.shape[1])
+
+
 def _windows_1d(x: np.ndarray, q: np.ndarray, k: int):
     """(sorted order of x, window start per query, queries with a tied boundary).
 
@@ -127,21 +149,38 @@ def _knn_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarra
     own point only when the window is all copies of that value, so the point
     is an outside one at distance 0 and the row is re-selected.
     """
-    n = x.size
     order, lo, tied = _windows_1d(x, q, k)
     idx = order[lo[:, None] + np.arange(k)]
     if tied.size:
-        centre = x[order[(n - 1) // 2]]
+        centre = x[order[(x.size - 1) // 2]]
         xc, qc = x - centre, q - centre
+        _reselect(idx, tied, lambda rows: np.abs(xc[None, :] - qc[rows, None]), x.size, self_query)
+    return idx
 
-        def distances(start, stop):
-            rows = tied[start:stop]
-            d = np.abs(xc[None, :] - qc[rows, None])
-            if self_query:
-                d[np.arange(rows.size), rows] = -1.0
-            return d
 
-        idx[tied] = _select_chunked(distances, tied.size, n, k)
+def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
+    """Exact k nearest of each query row among the rows of x, from a kd-tree.
+
+    The tree gives each query's k + 1 nearest in row chunks.  A row whose
+    k-th and (k+1)-th distances tie is re-selected over its full
+    ``sq_distances`` row by (distance, index).  That also keeps the
+    self-first rule of ``self_query``: a point's copies at distance 0 either
+    all fit in its k nearest, itself included, or tie at the boundary.
+    """
+    n, m = x.shape[0], q.shape[0]
+    tree = cKDTree(x)
+    idx = np.empty((m, k), dtype=np.intp)
+    tied = []
+    chunk = max(1, _CHUNK_BUDGET // (k + 1))
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        # beyond n neighbors the tree pads with distance inf
+        dist, nb = tree.query(q[start:stop], k + 1)
+        idx[start:stop] = nb[:, :k]
+        tied.append(start + np.flatnonzero(dist[:, k - 1] == dist[:, k]))
+    tied = np.concatenate(tied)
+    if tied.size:
+        _reselect(idx, tied, lambda rows: sq_distances(q[rows], x), n, self_query)
     return idx
 
 
@@ -150,8 +189,8 @@ def knn_indices(x_block, k: int) -> np.ndarray:
 
     Ties at the k-th distance go to the smaller index, and a point beats
     every other point at distance 0 to itself.  A 1-D block costs
-    O(n log n + n k) through sorted windows; wider blocks take a chunked
-    O(n^2 d) distance pass.
+    O(n log n + n k) through sorted windows; wider blocks query a kd-tree.
+    Only rows with a tied k-th neighbor take a full distance row.
     """
     x = _as_block(x_block)
     n = x.shape[0]
@@ -159,14 +198,7 @@ def knn_indices(x_block, k: int) -> np.ndarray:
         raise ParameterError(f"k = {k} is outside [1, n = {n}]")
     if x.shape[1] == 1:
         return _knn_1d(x[:, 0], x[:, 0], k, self_query=True)
-
-    def distances(start, stop):
-        d2 = sq_distances(x[start:stop], x)
-        # self is always a neighbor: give it a sentinel distance below any tie
-        d2[np.arange(stop - start), np.arange(start, stop)] = -1.0
-        return d2
-
-    return _select_chunked(distances, n, n, k)
+    return _knn_tree(x, x, k, self_query=True)
 
 
 class KnnSmoother:
@@ -209,9 +241,7 @@ class KnnSmoother:
         if self.x.shape[1] == 1:
             idx = _knn_1d(self.x[:, 0], q[:, 0], self.k, self_query=False)
         else:
-            idx = _select_chunked(
-                lambda start, stop: sq_distances(q[start:stop], self.x), q.shape[0], self.n, self.k
-            )
+            idx = _knn_tree(self.x, q, self.k, self_query=False)
         return z[idx].mean(axis=1)
 
 

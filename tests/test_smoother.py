@@ -87,6 +87,47 @@ class TestKnn1dWindows:
         assert np.array_equal(sm.smooth(z), z[sm.neighbors].mean(axis=1))
 
 
+_GRID = 2.0**20
+_POINTS = {d: np.round(_RNG.standard_normal((60, d)) * _GRID) / _GRID for d in (2, 3)}
+# Integer values and a 2^-20 grid keep every distance exact, so ties are true ties.
+MULTI_D_BLOCKS = {
+    "integer-ties-d2": _RNG.integers(0, 5, (150, 2)).astype(float),
+    "integer-ties-d3": _RNG.integers(0, 3, (120, 3)).astype(float),
+    "duplicates-d2": np.repeat(_POINTS[2], 3, axis=0),
+    "duplicates-d3": np.concatenate([_POINTS[3], _POINTS[3][:20]]),
+    "continuous-d2": _POINTS[2],
+}
+
+
+def _multi_d_cases():
+    for name, x in MULTI_D_BLOCKS.items():
+        n = x.shape[0]
+        for k in sorted({1, 2, 5, 17, n - 1, n}):
+            yield pytest.param(x, k, id=f"{name}-k{k}")
+
+
+@pytest.mark.parametrize("x, k", list(_multi_d_cases()))
+class TestKnnTree:
+    """The kd-tree path (d > 1) against the brute-force (distance, index) rule."""
+
+    def test_table_matches_brute_force(self, x, k):
+        table = knn_indices(x, k)
+        assert table.shape == (x.shape[0], k)
+        assert [sorted(row) for row in table.tolist()] == [
+            sorted(nb) for nb in brute_force_neighbors(x, k)
+        ]
+
+    def test_predict_matches_brute_force(self, x, k):
+        z = np.random.default_rng(k).standard_normal(x.shape[0])
+        span = np.ptp(x, axis=0) + 1.0
+        # training points, midpoints of successive rows, and points beyond the corners
+        queries = np.concatenate(
+            [x, (x[:-1] + x[1:]) / 2.0, [x.min(axis=0) - span, x.max(axis=0) + span]]
+        )
+        expected = [np.mean(z[nb]) for nb in brute_force_neighbors(x, k, queries)]
+        assert_allclose(KnnSmoother(x, k).predict(queries, z), expected, rtol=0, atol=1e-12)
+
+
 class TestKnn:
     def test_full_window_is_mean(self):
         z = np.array([1.0, 5.0, 9.0, -2.0])
