@@ -127,8 +127,9 @@ def _jsonify(obj):
     return obj
 
 
-def _dump_report(report: dict, out: str | None) -> None:
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+def _write_json(obj: dict, out: str | Path | None) -> None:
+    """Write obj as indented, key-sorted JSON to the path out, or to stdout."""
+    text = json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -399,8 +400,7 @@ def _curve_outputs(args) -> dict:
         "files": files,
         "timing": {"wall_s": elapsed},
     }
-    text = json.dumps(_jsonify(manifest), indent=2, sort_keys=True) + "\n"
-    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
+    _write_json(manifest, out_dir / "manifest.json")
     return manifest
 
 
@@ -430,13 +430,7 @@ def _gen_outputs(args) -> None:
         "scramble": scramble,
     }
     sidecar_path = out.with_suffix(out.suffix + ".meta.json")
-    try:
-        sidecar_path.write_text(
-            json.dumps(_jsonify(sidecar), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        raise CliError(f"cannot write {sidecar_path}: {exc}", EXIT_IO) from exc
+    _write_json(sidecar, sidecar_path)
     print(f"wrote {out} and {sidecar_path}")
 
 
@@ -538,7 +532,7 @@ def main(argv=None) -> int:
             return _reproduce_outputs(args)
         args = _resolve(args)
         if args.command == "bound":
-            _dump_report(_bound_report(args), args.out)
+            _write_json(_bound_report(args), args.out)
             return EXIT_OK
         if args.command == "curve":
             _curve_outputs(args)

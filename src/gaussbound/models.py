@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammainc, gammaincinv, ndtr, ndtri
 
 from .biterminal import random_rotation
@@ -109,6 +108,8 @@ def gm1d_sample(n: int, mu_z: float = 10.0, eps: float = 0.1, seed=None) -> Mode
 
 def _entropy_quad(pdf, splits) -> float:
     """Differential entropy -int p ln p via adaptive quadrature over segments."""
+    # imported here: scipy.integrate is a quarter of the package's import time
+    from scipy.integrate import quad
 
     def integrand(t):
         p = pdf(t)

@@ -415,10 +415,19 @@ class TestAceFits:
         assert len(fits) == 2
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs about half a second of import; no CLI path needs it
-    code = "import sys, gaussbound.cli; print('scipy.stats' in sys.modules)"
+def _imported_by_cli(module: str) -> bool:
+    code = f"import sys, gaussbound.cli; print({module!r} in sys.modules)"
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second of import; no CLI path needs it
+    assert not _imported_by_cli("scipy.stats")
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate costs about 0.2 s of import; only the numeric gm1d MI uses it
+    assert not _imported_by_cli("scipy.integrate")

@@ -157,12 +157,12 @@ class TestQuadratureDiscretize:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "stated pmf MI of 1.66 +- 0.05 bits is unattainable at m=32 per "
-            "component within the 4096-bin budget: the correlated branch's "
-            "conditional scale (0.1) is finer than any affordable node "
-            "spacing, so point sampling aliases MI up (~1.73 bits) and exact "
-            "cell coarsening loses it down (~1.13 bits); the 1.66-bit anchor "
-            "is the continuous MI, which gm1d_true_mi reproduces"
+            "stated pmf MI of 1.66 +- 0.05 bits is not what point sampling "
+            "gives: the correlated branch's conditional scale (0.1) is finer "
+            "than the node spacing, so the pmf MI aliases up to 1.732 bits at "
+            "m=32 (1.830 at m=16, 1.928 at m=24; m=64 exceeds the 4096-bin "
+            "budget); the 1.66-bit anchor is the continuous MI, which "
+            "gm1d_true_mi reproduces (1.665 bits)"
         ),
     )
     def test_mixture_pmf_mi_as_specified(self):
