@@ -10,11 +10,10 @@ nearest neighbors are a contiguous window of the sorted sample.  Wider
 blocks query a kd-tree (Friedman, Bentley & Finkel, 1977) for k + 1
 neighbors.  Either way a row whose k-th neighbor is tied is re-selected
 over its full distance row, so tied data can still cost O(n^2 d).  A 1-D
-``smooth`` sums each
-sorted window once instead of gathering the table, with the same result bit
-for bit.  ``PairedSamples.smoothers`` memoizes the built pair per
-``SmootherConfig``, so every fit on one sample shares one table per block,
-and ``predict`` never needs the table.
+``smooth`` sums each sorted window once instead of gathering the table,
+with the same result bit for bit.  ``PairedSamples.smoothers`` memoizes
+the built pair per ``SmootherConfig``, so every fit on one sample shares
+one table per block, and ``predict`` never needs the table.
 """
 
 from __future__ import annotations
