@@ -101,9 +101,9 @@ class TestMarginalGaussianize:
     @given(RANK_COLUMNS, st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_matches_lexsort_reference_bit_for_bit(self, x, seed, equal_draws):
-        make = (lambda: EqualDraws(np.random.PCG64(seed))) if equal_draws else (
-            lambda: np.random.default_rng(seed)
-        )
+        def make():
+            return EqualDraws(np.random.PCG64(seed)) if equal_draws else np.random.default_rng(seed)
+
         rng, ref_rng = make(), make()
         u, fitted = marginal_gaussianize(np.asarray(x), rng)
         ref_u, ref_in, ref_out = lexsort_gaussianize(x, ref_rng)
