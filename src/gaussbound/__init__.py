@@ -58,7 +58,6 @@ from .models import (
 )
 from .smoother import KernelSmoother, KnnSmoother, SmootherConfig
 from .stats_core import (
-    CovarianceBlocks,
     MonotoneMap,
     PairedSamples,
     covariance,

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
+from .smoother import as_block
 from .stats_core import (
-    CovarianceBlocks,
     MonotoneMap,
+    covariance,
     gaussian_mi_bound,
     ks_normal_stat,
     marginal_gaussianize,
@@ -99,9 +100,7 @@ def separate_gaussianize(
     Gaussian after the final layer.  Non-convergence returns the best chain
     with ``converged`` cleared.
     """
-    b = np.asarray(block, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
+    b = as_block(block)
     n = b.shape[0]
     if n < 100:
         raise InsufficientDataError("separate_gaussianize needs at least 100 samples")
@@ -120,24 +119,17 @@ def separate_gaussianize(
 
 
 def joint_objective(u, v) -> float:
-    """Gaussian MI bound of the empirical covariance blocks of (U, V), in nats."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if v.ndim == 1:
-        v = v[:, None]
-    n = u.shape[0]
-    if n <= u.shape[1] + v.shape[1]:
+    """Gaussian MI bound of the empirical joint covariance of (U, V), in nats."""
+    u, v = as_block(u), as_block(v)
+    if u.shape[0] <= u.shape[1] + v.shape[1]:
         raise ParameterError("need more samples than total dimensions")
-    return gaussian_mi_bound(CovarianceBlocks.from_blocks(u, v))
+    return gaussian_mi_bound(covariance(np.hstack([u, v])), u.shape[1])
 
 
 def joint_objective_saturated(u, v) -> bool:
     """True when the joint covariance of (U, V) is numerically singular."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _, info = gaussian_mi_bound(CovarianceBlocks.from_blocks(u, v), details=True)
+    u, v = as_block(u), as_block(v)
+    _, info = gaussian_mi_bound(covariance(np.hstack([u, v])), u.shape[1], details=True)
     return info["saturated"]
 
 
@@ -161,12 +153,7 @@ def biterminal_gaussianize(
     Returns ``(u_out, v_out, (chain_u, chain_v), trace)`` where ``trace`` is a
     list of ``(outer_iteration, side, accepted_objective)`` tuples.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if v.ndim == 1:
-        v = v[:, None]
+    u, v = as_block(u), as_block(v)
     n = u.shape[0]
     if n < 100:
         raise InsufficientDataError("biterminal_gaussianize needs at least 100 samples")

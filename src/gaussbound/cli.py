@@ -33,10 +33,9 @@ from .models import MODEL_FAMILIES, ModelSpec, discretizable_from_spec, sample_f
 from .smoother import SmootherConfig
 from .stats_core import (
     NATS_PER_BIT,
-    CovarianceBlocks,
     PairedSamples,
+    covariance,
     gaussian_mi_bound,
-    mi_from_correlations,
     w2_to_normal,
 )
 
@@ -111,25 +110,9 @@ def write_samples_csv(path: Path, samples: PairedSamples) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(obj: dict, out: str | Path | None) -> None:
     """Write obj as indented, key-sorted JSON to the path out, or to stdout."""
-    text = json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, default=lambda o: o.tolist()) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -346,7 +329,7 @@ def _bound_report(args) -> dict:
             "u_first_coord": w2_to_normal(u[:, 0]),
             "v_first_coord": w2_to_normal(v[:, 0]),
         },
-        "extras": {k: _jsonify(v) for k, v in extras.items()},
+        "extras": extras,
         "timing": {"wall_s": elapsed},
     }
     return report
@@ -363,13 +346,12 @@ def _curve_outputs(args) -> dict:
 
     t0 = time.perf_counter()
     u, v, rho, _ = run_method(args.method, samples, cfg, args)
-    blocks = CovarianceBlocks.from_blocks(u, v)
-    spec = gib_spectrum(blocks.c_u, blocks.c_v, blocks.c_uv)
+    cov = covariance(np.hstack([u, v]))
+    spec = gib_spectrum(cov, u.shape[1])
     grid = default_beta_grid(spec, num=args.beta_points)
     method_curve = gib_curve(spec, beta_grid=grid)
 
-    raw_blocks = CovarianceBlocks.from_blocks(samples.x, samples.y)
-    raw_spec = gib_spectrum(raw_blocks.c_u, raw_blocks.c_v, raw_blocks.c_uv)
+    raw_spec = gib_spectrum(covariance(np.hstack([samples.x, samples.y])), samples.d_x)
     raw_curve = gib_curve(raw_spec, beta_grid=grid)
 
     files = {}
@@ -395,7 +377,7 @@ def _curve_outputs(args) -> dict:
         "seed": args.seed,
         "units": args.units,
         "rho": None if rho is None else list(np.round(np.asarray(rho), 12)),
-        "embedding_bound_nats": gaussian_mi_bound(blocks),
+        "embedding_bound_nats": gaussian_mi_bound(cov, u.shape[1]),
         "reference_pmf_mi_nats": reference_mi,
         "files": files,
         "timing": {"wall_s": elapsed},
@@ -417,7 +399,7 @@ def _gen_outputs(args) -> None:
     scramble = {}
     for key in ("mirror", "rotation_x", "rotation_y"):
         if key in ms.meta:
-            scramble[key] = _jsonify(ms.meta[key])
+            scramble[key] = ms.meta[key]
     sidecar = {
         "schema": 1,
         "model": args.model,

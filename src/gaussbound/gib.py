@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConditioningError, DomainError, InvalidCovarianceError, ParameterError
-from .stats_core import NATS_PER_BIT
+from .stats_core import NATS_PER_BIT, joint_covariance
 
 # Components with lambda at or below this are treated as deterministic; their
 # projection coefficient is capped so each contributes at most _CAP_NATS to
@@ -49,26 +49,22 @@ class GibSpectrum:
         return float(-0.5 * np.log(lam).sum())
 
 
-def gib_spectrum(c_x, c_y, c_xy) -> GibSpectrum:
+def gib_spectrum(cov, d_x: int) -> GibSpectrum:
     """Eigen-decomposition driving the Gaussian bottleneck.
 
-    Solves the symmetric definite pencil C_{X|Y} v = lambda C_X v with
-    C_{X|Y} = C_X - C_XY C_Y^{-1} C_XY^T; eigenvalues are clamped to [0, 1].
+    ``cov`` is the joint covariance of (X, Y) with X's ``d_x`` coordinates
+    first.  Solves the symmetric definite pencil C_{X|Y} v = lambda C_X v
+    with C_{X|Y} = C_X - C_XY C_Y^{-1} C_XY^T; eigenvalues are clamped to
+    [0, 1].
     """
-    c_x = np.atleast_2d(np.asarray(c_x, dtype=float))
-    c_y = np.atleast_2d(np.asarray(c_y, dtype=float))
-    c_xy = np.atleast_2d(np.asarray(c_xy, dtype=float))
-    dx, dy = c_x.shape[0], c_y.shape[0]
-    if c_x.shape != (dx, dx) or c_y.shape != (dy, dy) or c_xy.shape != (dx, dy):
-        raise InvalidCovarianceError("covariance block shapes are inconsistent")
-
+    joint = joint_covariance(cov, d_x)
+    c_x, c_y, c_xy = joint[:d_x, :d_x], joint[d_x:, d_x:], joint[:d_x, d_x:]
     for name, m in (("C_X", c_x), ("C_Y", c_y)):
         scale = max(float(np.trace(m)) / m.shape[0], 1e-300)
         if np.linalg.eigvalsh(m)[0] <= 1e-12 * max(scale, 1.0):
             raise ConditioningError(
                 f"{name} is numerically singular; add a ridge before calling"
             )
-    joint = np.block([[c_x, c_xy], [c_xy.T, c_y]])
     if np.linalg.eigvalsh(joint)[0] < -1e-8 * max(1.0, np.abs(joint).max()):
         raise InvalidCovarianceError("joint covariance is not PSD")
 

@@ -25,7 +25,6 @@ class JointPmf:
 
     p: np.ndarray
     x_labels: np.ndarray | None = None
-    y_labels: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -44,16 +43,10 @@ class JointPmf:
         object.__setattr__(self, "p", p)
         if self.x_labels is not None:
             object.__setattr__(self, "x_labels", np.asarray(self.x_labels)[keep])
-        if self.y_labels is not None:
-            object.__setattr__(self, "y_labels", np.asarray(self.y_labels))
 
     @property
     def n_x(self) -> int:
         return self.p.shape[0]
-
-    @property
-    def n_y(self) -> int:
-        return self.p.shape[1]
 
     @property
     def p_x(self) -> np.ndarray:
@@ -334,7 +327,7 @@ def quadrature_discretize(model, m: int = 32):
         + logw[1][None, :]
     )
     log_p -= logsumexp(log_p)
-    pmf = JointPmf(np.exp(log_p), x_labels=xn, y_labels=yn)
+    pmf = JointPmf(np.exp(log_p), x_labels=xn)
     return pmf, diagnostics
 
 

@@ -254,8 +254,6 @@ class BivariateGaussianModel:
         q = (x * x - 2.0 * r * x * y + y * y) / det
         return -0.5 * q - math.log(2.0 * math.pi * math.sqrt(det))
 
-    def mi_nats(self) -> float:
-        return -0.5 * math.log1p(-self.rho * self.rho)
 
 
 class Gm1dModel:
@@ -281,8 +279,6 @@ class Gm1dModel:
         log_noise = -0.5 * zn * zn - 0.5 * _LOG_2PI
         return log_px + np.logaddexp(log_corr, log_noise) + math.log(0.5)
 
-    def mi_nats(self) -> float:
-        return gm1d_true_mi(self.mu_z, self.eps)
 
 
 class ExpMirrorModel:
@@ -331,8 +327,6 @@ class ExpMirrorModel:
             out = np.where(valid, -ym, -np.inf)
         return np.broadcast_to(out, np.broadcast(xm, ym).shape).copy()
 
-    def mi_nats(self) -> float:
-        return float(np.euler_gamma)
 
 
 def sample_from_spec(spec: ModelSpec, n: int) -> ModelSample:
@@ -451,9 +445,6 @@ class OracleGaussian:
     @property
     def canonical_correlations(self) -> np.ndarray:
         return self._rho.copy()
-
-    def mi_nats(self) -> float:
-        return float(-0.5 * np.log1p(-self._rho ** 2).sum())
 
     def sample(self, n: int, seed=None):
         rng = np.random.default_rng(seed)

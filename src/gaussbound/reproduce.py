@@ -21,7 +21,7 @@ from .gib import gib_curve, gib_spectrum
 from .ib_discrete import quadrature_discretize, reverse_anneal
 from .models import Gm1dModel, expgamma_sample, gm1d_sample, gm1d_true_mi, gm_mv_sample, mvg_scramble_sample
 from .smoother import SmootherConfig, default_knn_k
-from .stats_core import NATS_PER_BIT, CovarianceBlocks
+from .stats_core import NATS_PER_BIT, covariance
 
 
 @dataclass
@@ -272,10 +272,9 @@ def _curve_ordering_rows(
     """Shared scaffolding for the trade-off curve orderings."""
     t0 = time.perf_counter()
     ag = agce_fit_1d(samples, n_restarts=n_restarts, seed=seed)
-    spec_m = gib_spectrum([[1.0]], [[1.0]], [[ag.rho]])
-    method_curve = gib_curve(spec_m)
-    cb = CovarianceBlocks.from_blocks(samples.x, samples.y)
-    raw_curve = gib_curve(gib_spectrum(cb.c_u, cb.c_v, cb.c_uv), beta_grid=method_curve.beta)
+    method_curve = gib_curve(gib_spectrum([[1.0, ag.rho], [ag.rho, 1.0]], 1))
+    raw_spec = gib_spectrum(covariance(np.hstack([samples.x, samples.y])), samples.d_x)
+    raw_curve = gib_curve(raw_spec, beta_grid=method_curve.beta)
     pmf, _ = quadrature_discretize(model, m=quad_m)
     ref_curve, _ = reverse_anneal(pmf)
 

@@ -37,7 +37,8 @@ def default_knn_k(n: int) -> int:
     return int(np.clip(math.ceil(n ** 0.8 / 2.0), 3, n))
 
 
-def _as_block(x) -> np.ndarray:
+def as_block(x) -> np.ndarray:
+    """``x`` as a float (n, d) block; a 1-D array becomes one column."""
     a = np.asarray(x, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
@@ -191,7 +192,7 @@ def knn_indices(x_block, k: int) -> np.ndarray:
     O(n log n + n k) through sorted windows; wider blocks query a kd-tree.
     Only rows with a tied k-th neighbor take a full distance row.
     """
-    x = _as_block(x_block)
+    x = as_block(x_block)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ParameterError(f"k = {k} is outside [1, n = {n}]")
@@ -206,7 +207,7 @@ class KnnSmoother:
     kind = "knn"
 
     def __init__(self, x_block, k: int | None = None):
-        self.x = _as_block(x_block)
+        self.x = as_block(x_block)
         self.n = self.x.shape[0]
         self.k = default_knn_k(self.n) if k is None else int(k)
         self.neighbors = knn_indices(self.x, self.k)
@@ -234,7 +235,7 @@ class KnnSmoother:
         Uses only the training block, never the neighbor table.
         """
         z = np.asarray(z, dtype=float).ravel()
-        q = _as_block(x_new)
+        q = as_block(x_new)
         if q.shape[1] != self.x.shape[1]:
             raise ParameterError("query points do not match the fitted block's dimension")
         if self.x.shape[1] == 1:
@@ -257,11 +258,11 @@ class KernelSmoother:
     def __init__(self, x_block, bandwidth: float):
         if not bandwidth > 0:
             raise ParameterError("bandwidth must be positive")
-        self.x = _as_block(x_block)
+        self.x = as_block(x_block)
         self.n = self.x.shape[0]
         self.bandwidth = float(bandwidth)
         self.fallback_count = 0
-        self._fallback_k = max(3, math.ceil(self.n ** 0.8 / 10.0))
+        self._fallback_k = min(max(3, math.ceil(self.n ** 0.8 / 10.0)), self.n)
         self._fallback: KnnSmoother | None = None
 
     def _weights_apply(self, q: np.ndarray, z: np.ndarray, selfq: bool) -> np.ndarray:
@@ -280,8 +281,8 @@ class KernelSmoother:
             dead.extend(start + i for i in np.flatnonzero(bad))
         if dead:
             self.fallback_count += len(dead)
-            if self._fallback is None or self._fallback.k != min(self._fallback_k, self.n):
-                self._fallback = KnnSmoother(self.x, min(self._fallback_k, self.n))
+            if self._fallback is None:
+                self._fallback = KnnSmoother(self.x, self._fallback_k)
             dead = np.asarray(dead, dtype=np.intp)
             if selfq:
                 out[dead] = self._fallback.smooth(z)[dead]
@@ -297,7 +298,7 @@ class KernelSmoother:
 
     def predict(self, x_new, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).ravel()
-        return self._weights_apply(_as_block(x_new), z, selfq=False)
+        return self._weights_apply(as_block(x_new), z, selfq=False)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Rank-based Gaussianization, covariance blocks, and the Gaussian MI bound.
+"""Rank-based Gaussianization, covariances, and the Gaussian MI bound.
 
 Foundational statistics used everywhere else: the normal-scores rank grid,
 monotone normal-scores maps (with randomized tie breaking so atomic inputs
@@ -21,8 +21,9 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     InvalidCovarianceError,
+    ParameterError,
 )
-from .smoother import SmootherConfig
+from .smoother import SmootherConfig, as_block
 
 NATS_PER_BIT = float(np.log(2.0))
 
@@ -131,9 +132,7 @@ def marginal_gaussianize(x, seed=None):
 
 def covariance(samples) -> np.ndarray:
     """Unbiased sample covariance (divisor n - 1), symmetric by construction."""
-    a = np.asarray(samples, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
+    a = as_block(samples)
     n = a.shape[0]
     if n < 2:
         raise InsufficientDataError("covariance needs at least 2 samples")
@@ -141,62 +140,27 @@ def covariance(samples) -> np.ndarray:
     return (c + c.T) / 2.0
 
 
-@dataclass(frozen=True)
-class CovarianceBlocks:
-    """Covariance of a stacked pair (U, V), stored as the three blocks."""
+def joint_covariance(cov, d_u: int) -> np.ndarray:
+    """Checked, exactly symmetric copy of the joint covariance of (U, V).
 
-    c_u: np.ndarray
-    c_v: np.ndarray
-    c_uv: np.ndarray
-
-    def __post_init__(self):
-        cu = np.atleast_2d(np.asarray(self.c_u, dtype=float))
-        cv = np.atleast_2d(np.asarray(self.c_v, dtype=float))
-        cuv = np.atleast_2d(np.asarray(self.c_uv, dtype=float))
-        if cu.shape[0] != cu.shape[1] or cv.shape[0] != cv.shape[1]:
-            raise InvalidCovarianceError("marginal covariance blocks must be square")
-        if cuv.shape != (cu.shape[0], cv.shape[0]):
-            raise InvalidCovarianceError("cross block has incompatible shape")
-        for name, m in (("c_u", cu), ("c_v", cv)):
-            scale = max(1.0, float(np.abs(m).max()))
-            if np.abs(m - m.T).max() > 1e-8 * scale:
-                raise InvalidCovarianceError(f"{name} is not symmetric")
-        object.__setattr__(self, "c_u", (cu + cu.T) / 2.0)
-        object.__setattr__(self, "c_v", (cv + cv.T) / 2.0)
-        object.__setattr__(self, "c_uv", cuv)
-
-    @property
-    def d_u(self) -> int:
-        return self.c_u.shape[0]
-
-    @property
-    def d_v(self) -> int:
-        return self.c_v.shape[0]
-
-    def joint(self) -> np.ndarray:
-        top = np.hstack([self.c_u, self.c_uv])
-        bot = np.hstack([self.c_uv.T, self.c_v])
-        return np.vstack([top, bot])
-
-    @classmethod
-    def from_blocks(cls, u, v) -> "CovarianceBlocks":
-        """Estimate the blocks from aligned sample blocks (rows are draws)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
-        if v.ndim == 1:
-            v = v[:, None]
-        if u.shape[0] != v.shape[0]:
-            raise InvalidCovarianceError("U and V must have the same number of rows")
-        c = covariance(np.hstack([u, v]))
-        du = u.shape[1]
-        return cls(c[:du, :du], c[du:, du:], c[:du, du:])
+    U is the first ``d_u`` coordinates.  A non-square or asymmetric matrix
+    raises InvalidCovarianceError; a split that leaves U or V empty raises
+    ParameterError.
+    """
+    c = np.atleast_2d(np.asarray(cov, dtype=float))
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise InvalidCovarianceError("joint covariance must be a square matrix")
+    if not 0 < d_u < c.shape[0]:
+        raise ParameterError(f"d_u = {d_u} leaves a side of the {c.shape[0]}-dim joint empty")
+    if np.abs(c - c.T).max() > 1e-8 * max(1.0, float(np.abs(c).max())):
+        raise InvalidCovarianceError("joint covariance is not symmetric")
+    return (c + c.T) / 2.0
 
 
-def gaussian_mi_bound(blocks: CovarianceBlocks, *, details: bool = False):
-    """Gaussian lower bound on mutual information from covariance blocks.
+def gaussian_mi_bound(cov, d_u: int, *, details: bool = False):
+    """Gaussian lower bound on mutual information from a joint covariance.
 
+    ``cov`` is the covariance of (U, V) with U's ``d_u`` coordinates first.
     Computes ``0.5 * ln(|C_U| |C_V| / |C_[U,V]|)`` in nats, which is the
     mutual information of a jointly Gaussian pair with the same covariance.
     A relative ridge stabilizes the determinants of near-singular empirical
@@ -206,21 +170,20 @@ def gaussian_mi_bound(blocks: CovarianceBlocks, *, details: bool = False):
     With ``details=True`` also returns a dict with a ``saturated`` flag
     (joint covariance numerically singular, i.e. correlation at 1).
     """
-    joint = blocks.joint()
-    d = joint.shape[0]
-    scale = max(float(np.trace(joint)) / d, 1e-300)
-    eig_joint = np.linalg.eigvalsh(joint)
+    jnt = joint_covariance(cov, d_u)
+    d = jnt.shape[0]
+    scale = max(float(np.trace(jnt)) / d, 1e-300)
+    eig_joint = np.linalg.eigvalsh(jnt)
     if eig_joint[0] < -1e-8 * max(scale, 1.0):
         raise InvalidCovarianceError(
             f"joint covariance is not PSD (min eigenvalue {eig_joint[0]:.3e})"
         )
 
-    du, dv = blocks.d_u, blocks.d_v
-    ridge_u = COV_RIDGE * max(np.trace(blocks.c_u) / du, 1e-300)
-    ridge_v = COV_RIDGE * max(np.trace(blocks.c_v) / dv, 1e-300)
-    cu = blocks.c_u + ridge_u * np.eye(du)
-    cv = blocks.c_v + ridge_v * np.eye(dv)
-    jnt = joint.copy()
+    du, dv = d_u, d - d_u
+    ridge_u = COV_RIDGE * max(np.trace(jnt[:du, :du]) / du, 1e-300)
+    ridge_v = COV_RIDGE * max(np.trace(jnt[du:, du:]) / dv, 1e-300)
+    cu = jnt[:du, :du] + ridge_u * np.eye(du)
+    cv = jnt[du:, du:] + ridge_v * np.eye(dv)
     jnt[:du, :du] = cu
     jnt[du:, du:] = cv
 

@@ -85,7 +85,7 @@ def test_criterion_8_exponential_biterminal(sec54_exp_rows):
 
 def test_criterion_9_gib_vs_discrete_reference():
     t0 = time.perf_counter()
-    spec = gib_spectrum([[1.0]], [[1.0]], [[0.6]])
+    spec = gib_spectrum([[1.0, 0.6], [0.6, 1.0]], 1)
     analytic = gib_curve(spec)
     pmf, _ = quadrature_discretize(BivariateGaussianModel(0.6), m=30)
     annealed, _ = reverse_anneal(pmf)
@@ -138,24 +138,24 @@ class TestCriterion11PropertySuite:
         print("PASS property: hill-climb accepted trace strictly increasing")
 
     def test_mi_bound_nonnegative_and_invariant(self):
-        from gaussbound import CovarianceBlocks, gaussian_mi_bound
+        from gaussbound import covariance, gaussian_mi_bound
 
         rng = np.random.default_rng(4)
         for _ in range(20):
             a = rng.standard_normal((4, 6))
             joint = a @ a.T / 6
-            blocks = CovarianceBlocks(joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
-            assert gaussian_mi_bound(blocks) >= 0.0
+            assert gaussian_mi_bound(joint, 2) >= 0.0
         u = rng.standard_normal((500, 2))
         v = u + rng.standard_normal((500, 2))
-        base = gaussian_mi_bound(CovarianceBlocks.from_blocks(u, v))
+        base = gaussian_mi_bound(covariance(np.hstack([u, v])), 2)
         q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        mapped = gaussian_mi_bound(CovarianceBlocks.from_blocks(u @ q.T, v))
+        mapped = gaussian_mi_bound(covariance(np.hstack([u @ q.T, v])), 2)
         assert abs(base - mapped) <= 1e-8
         print("PASS property: Gaussian MI bound nonnegative + linearly invariant")
 
     def test_curve_dpi_and_concavity(self):
-        spec = gib_spectrum(np.eye(2), np.eye(2), np.diag([0.8, 0.5]))
+        c_xy = np.diag([0.8, 0.5])
+        spec = gib_spectrum(np.block([[np.eye(2), c_xy], [c_xy, np.eye(2)]]), 2)
         curve = gib_curve(spec)
         assert np.all(curve.i_ty <= curve.i_tx + 1e-9)
         assert np.all(curve.i_ty <= spec.mi_nats + 1e-9)
@@ -184,7 +184,7 @@ class TestCriterion11PropertySuite:
         # the analytic curve of the Gaussianized pair's covariance sits below
         # the annealed curve of the (binned) Gaussianized samples
         rho = float(np.corrcoef(gm_mix_agce.u, gm_mix_agce.v)[0, 1])
-        analytic = gib_curve(gib_spectrum([[1.0]], [[1.0]], [[rho]]))
+        analytic = gib_curve(gib_spectrum([[1.0, rho], [rho, 1.0]], 1))
         pmf = discretize_samples(gm_mix_agce.u, gm_mix_agce.v, bins=24)
         annealed, _ = reverse_anneal(pmf)
         top = min(analytic.i_tx.max(), annealed.i_tx.max())

@@ -24,7 +24,7 @@ SCALAR_ITY = 0.12391808195229065  # ITX - 0.5 ln 2
 
 @pytest.fixture(scope="module")
 def scalar_spec():
-    return gib_spectrum([[1.0]], [[1.0]], [[0.6]])
+    return gib_spectrum([[1.0, 0.6], [0.6, 1.0]], 1)
 
 
 class TestSpectrum:
@@ -34,7 +34,7 @@ class TestSpectrum:
         assert_allclose(scalar_spec.r, [1.0], atol=1e-12)
 
     def test_independence_degenerates(self):
-        spec = gib_spectrum(np.eye(2), np.eye(2), np.zeros((2, 2)))
+        spec = gib_spectrum(np.eye(4), 2)
         assert_allclose(spec.lam, [1.0, 1.0])
         assert np.all(np.isinf(spec.beta_crit))
         curve = gib_curve(spec, beta_grid=np.logspace(0, 3, 20))
@@ -43,19 +43,19 @@ class TestSpectrum:
 
     def test_deterministic_limit(self):
         eps = 1e-6
-        spec = gib_spectrum([[1.0]], [[1.0 + eps]], [[1.0]])
+        spec = gib_spectrum([[1.0, 1.0], [1.0, 1.0 + eps]], 1)
         assert spec.lam[0] <= 2 * eps
         assert abs(spec.beta_crit[0] - 1.0) <= 3 * eps
 
     def test_singular_input_rejected(self):
         with pytest.raises(ConditioningError):
-            gib_spectrum(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
+            gib_spectrum(np.diag([0.0, 0.0, 1.0, 1.0]), 2)
 
     def test_ascending_lambda_and_beta(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 6))
         joint = a @ a.T / 6
-        spec = gib_spectrum(joint[:2, :2], joint[2:, 2:], joint[:2, 2:])
+        spec = gib_spectrum(joint, 2)
         assert np.all(np.diff(spec.lam) >= 0)
         assert np.all(np.diff(spec.beta_crit) >= 0)
 
@@ -76,7 +76,7 @@ class TestProjection:
         assert a[0] <= 1e-5  # coefficient grows continuously from zero
 
     def test_deterministic_component_capped(self):
-        spec = gib_spectrum([[1.0]], [[1.0 + 1e-14]], [[1.0]])
+        spec = gib_spectrum([[1.0, 1.0], [1.0, 1.0 + 1e-14]], 1)
         a, active, saturated = projection_coefficients(spec, 10.0)
         assert active[0] and saturated
         itx, _ = gib_point_info(a[:, None] * spec.vectors, spec.c_x, spec.c_x_given_y)
@@ -110,12 +110,13 @@ class TestCurve:
         assert np.all(curve.i_tx == 0.0) and np.all(curve.i_ty == 0.0)
 
     def test_mixture_bound_endpoint(self):
-        spec = gib_spectrum([[1.0]], [[1.0]], [[0.703]])
+        spec = gib_spectrum([[1.0, 0.703], [0.703, 1.0]], 1)
         curve = gib_curve(spec, beta_grid=np.logspace(0, 5, 300), units="bits")
         assert abs(curve.i_ty[-1] - 0.4917) <= 1e-3
 
     def test_slope_at_activation(self):
-        spec = gib_spectrum(np.eye(2), np.eye(2), np.diag([np.sqrt(0.7), np.sqrt(0.3)]))
+        c_xy = np.diag([np.sqrt(0.7), np.sqrt(0.3)])
+        spec = gib_spectrum(np.block([[np.eye(2), c_xy], [c_xy, np.eye(2)]]), 2)
         assert_allclose(np.sort(spec.lam), [0.3, 0.7], atol=1e-12)
         for bc in spec.beta_crit:
             betas = np.array([bc * (1 + 1e-5), bc * (1 + 2e-5)])

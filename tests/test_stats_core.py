@@ -8,14 +8,15 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtri
 
 from gaussbound import (
-    CovarianceBlocks,
     DomainError,
     InsufficientDataError,
     InvalidCovarianceError,
     MonotoneMap,
     PairedSamples,
+    ParameterError,
     covariance,
     gaussian_mi_bound,
+    gib_spectrum,
     marginal_gaussianize,
     mi_from_correlations,
     w2_to_normal,
@@ -203,22 +204,34 @@ class TestCovariance:
 
 class TestGaussianMiBound:
     def test_independence_is_zero(self):
-        blocks = CovarianceBlocks(np.eye(1), np.eye(1), np.zeros((1, 1)))
-        assert gaussian_mi_bound(blocks) == 0.0
+        assert gaussian_mi_bound(np.eye(2), 1) == 0.0
 
     def test_univariate_known_value(self):
-        blocks = CovarianceBlocks(np.eye(1), np.eye(1), np.array([[0.703]]))
-        bits = gaussian_mi_bound(blocks) / NATS_PER_BIT
+        cov = [[1.0, 0.703], [0.703, 1.0]]
+        bits = gaussian_mi_bound(cov, 1) / NATS_PER_BIT
         assert abs(bits - 0.4917) <= 1e-4
-        assert abs(gaussian_mi_bound(blocks) - 0.3408) <= 1e-4
+        assert abs(gaussian_mi_bound(cov, 1) - 0.3408) <= 1e-4
 
     def test_two_dim_diagonal(self):
-        blocks = CovarianceBlocks(np.eye(2), np.eye(2), 0.5 * np.eye(2))
-        assert abs(gaussian_mi_bound(blocks) - (-np.log(0.75))) <= 1e-10
+        cov = np.kron([[1.0, 0.5], [0.5, 1.0]], np.eye(2))
+        assert abs(gaussian_mi_bound(cov, 2) - (-np.log(0.75))) <= 1e-10
 
     def test_non_psd_rejected(self):
         with pytest.raises(InvalidCovarianceError):
-            gaussian_mi_bound(CovarianceBlocks(np.eye(1), np.eye(1), np.array([[1.5]])))
+            gaussian_mi_bound([[1.0, 1.5], [1.5, 1.0]], 1)
+
+    @pytest.mark.parametrize("fn", [gaussian_mi_bound, gib_spectrum])
+    def test_malformed_joint_rejected(self, fn):
+        with pytest.raises(InvalidCovarianceError):
+            fn([[1.0, 0.5], [0.2, 1.0]], 1)
+        with pytest.raises(InvalidCovarianceError):
+            fn(np.ones((2, 3)), 1)
+
+    @pytest.mark.parametrize("fn", [gaussian_mi_bound, gib_spectrum])
+    @pytest.mark.parametrize("d_u", [0, 3])
+    def test_empty_side_rejected(self, fn, d_u):
+        with pytest.raises(ParameterError):
+            fn(np.eye(3), d_u)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -227,8 +240,7 @@ class TestGaussianMiBound:
         du, dv = rng.integers(1, 4, size=2)
         a = rng.standard_normal((du + dv, du + dv + 2))
         joint = a @ a.T / (du + dv + 2)
-        blocks = CovarianceBlocks(joint[:du, :du], joint[du:, du:], joint[:du, du:])
-        assert gaussian_mi_bound(blocks) >= 0.0
+        assert gaussian_mi_bound(joint, du) >= 0.0
 
     @staticmethod
     def _random_well_conditioned(rng):
@@ -242,16 +254,36 @@ class TestGaussianMiBound:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((600, 2))
         v = u @ rng.standard_normal((2, 2)) + 0.5 * rng.standard_normal((600, 2))
-        base = gaussian_mi_bound(CovarianceBlocks.from_blocks(u, v))
+        base = gaussian_mi_bound(covariance(np.hstack([u, v])), 2)
         a = self._random_well_conditioned(rng)
         b = self._random_well_conditioned(rng)
-        mapped = gaussian_mi_bound(CovarianceBlocks.from_blocks(u @ a.T, v @ b.T))
+        mapped = gaussian_mi_bound(covariance(np.hstack([u @ a.T, v @ b.T])), 2)
         assert abs(base - mapped) <= 1e-8 * max(1.0, base)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_canonical_correlations(self, seed):
+        # joint covariance with canonical correlations below 0.9 and
+        # well-conditioned marginal blocks
+        rng = np.random.default_rng(seed)
+        du, dv = (int(d) for d in rng.integers(1, 4, size=2))
+        cross = np.zeros((du, dv))
+        np.fill_diagonal(cross, rng.uniform(0.0, 0.9, min(du, dv)))
+        mix = np.zeros((du + dv, du + dv))
+        mix[:du, :du] = np.linalg.qr(rng.standard_normal((du, du)))[0] * rng.uniform(0.5, 2.0, du)
+        mix[du:, du:] = np.linalg.qr(rng.standard_normal((dv, dv)))[0] * rng.uniform(0.5, 2.0, dv)
+        cov = mix @ np.block([[np.eye(du), cross], [cross.T, np.eye(dv)]]) @ mix.T
+        # canonical correlations from cov alone: singular values of the
+        # whitened cross block L_U^-1 C_UV L_V^-T
+        l_u = np.linalg.cholesky(cov[:du, :du])
+        l_v = np.linalg.cholesky(cov[du:, du:])
+        whitened = np.linalg.solve(l_u, np.linalg.solve(l_v, cov[du:, :du]).T)
+        rho = np.linalg.svd(whitened, compute_uv=False)
+        assert abs(gaussian_mi_bound(cov, du) - mi_from_correlations(rho)) <= 1e-9
 
     def test_saturation_details(self):
         u = np.random.default_rng(0).standard_normal(500)
-        blocks = CovarianceBlocks.from_blocks(u, u)
-        value, info = gaussian_mi_bound(blocks, details=True)
+        value, info = gaussian_mi_bound(covariance(np.column_stack([u, u])), 1, details=True)
         assert info["saturated"] and value > 5.0
 
 
