@@ -25,6 +25,8 @@ from .stats_core import (
     mi_from_correlations,
 )
 
+_MAX_ITER = 100  # alternation rounds per restart
+
 
 def _corr(a: np.ndarray, b: np.ndarray) -> float:
     sa, sb = a.std(), b.std()
@@ -83,13 +85,17 @@ def _gaussianized_pair(a, b, rng, **fields) -> AgcePair:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Outcome of one projection step."""
+    """Outcome of one projection step.
+
+    ``transform`` regresses the response this step smoothed; it is ``None``
+    when the step kept its previous value.
+    """
 
     u: np.ndarray
     rho: float
     kept_previous: bool
     independent: bool
-    fitted_map: MonotoneMap | None
+    transform: FittedTransform | None
 
 
 def agce_step(v_fixed, smoother, seed=None, prev_u=None) -> StepResult:
@@ -105,52 +111,42 @@ def agce_step(v_fixed, smoother, seed=None, prev_u=None) -> StepResult:
     v = np.asarray(v_fixed, dtype=float).ravel()
     xbar = smoother.smooth(v)
     u, gmap = marginal_gaussianize(xbar, seed)
+    transform = FittedTransform(smoother, v, gmap)
     if xbar.std() <= _DEGENERATE_STD * (1.0 + np.abs(xbar.mean())):
-        return StepResult(u, 0.0, False, True, gmap)
+        return StepResult(u, 0.0, False, True, transform)
     rho = _corr(u, v)
     if prev_u is not None:
         rho_prev = _corr(np.asarray(prev_u, dtype=float), v)
         if rho_prev > rho:
-            # keep the previous transform (and its map) per the monotone
-            # convergence argument
+            # keep the previous transform per the monotone convergence argument
             return StepResult(np.asarray(prev_u, dtype=float), rho_prev, True, False, None)
-    return StepResult(u, rho, False, False, gmap)
+    return StepResult(u, rho, False, False, transform)
 
 
-def _alternate(u_init, v_init, sm_x, sm_y, tol: float, max_iter: int, rng: np.random.Generator):
-    """Run one AGCE restart from standardized normal-scores initial values."""
-    u = u_init
-    v = v_init
+def _alternate(u, v, phi, psi, sm_x, sm_y, tol: float, rng: np.random.Generator) -> AgcePair:
+    """Run one AGCE restart from normal-scores start values and transforms.
+
+    ``u`` may be ``None`` (a random restart starts from ``v`` alone).  A side
+    keeps its start transform until a step replaces it.
+    """
     rho = _corr(u, v) if u is not None else 0.0
     trace = [rho] if u is not None else []
-    map_u = map_v = None
     converged = False
-    independent = False
-    for _ in range(max_iter):
-        step_u = agce_step(v, sm_x, rng, prev_u=u)
-        u = step_u.u
-        map_u = step_u.fitted_map if step_u.fitted_map is not None else map_u
-        if step_u.independent:
-            independent = True
-            rho = 0.0
-            trace.append(0.0)
+    for _ in range(_MAX_ITER):
+        step = agce_step(v, sm_x, rng, prev_u=u)
+        u, phi = step.u, step.transform or phi
+        trace.append(step.rho)
+        if not step.independent:
+            step = agce_step(u, sm_y, rng, prev_u=v)
+            v, psi = step.u, step.transform or psi
+            trace.append(step.rho)
+        if step.independent:
+            return AgcePair(phi, psi, u, v, 0.0, np.asarray(trace), False, independent=True)
+        converged = abs(step.rho - rho) < tol
+        rho = step.rho
+        if converged:
             break
-        trace.append(step_u.rho)
-        step_v = agce_step(u, sm_y, rng, prev_u=v)
-        v = step_v.u
-        map_v = step_v.fitted_map if step_v.fitted_map is not None else map_v
-        if step_v.independent:
-            independent = True
-            rho = 0.0
-            trace.append(0.0)
-            break
-        trace.append(step_v.rho)
-        if abs(step_v.rho - rho) < tol:
-            rho = step_v.rho
-            converged = True
-            break
-        rho = step_v.rho
-    return u, v, rho, np.asarray(trace), converged, independent, map_u, map_v
+    return AgcePair(phi, psi, u, v, rho, np.asarray(trace), converged)
 
 
 def _random_smooth_init(y_col: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -173,19 +169,17 @@ def _ace_transform(sm, target) -> FittedTransform:
 def agce_fit_1d(
     samples: PairedSamples,
     tol: float = 1e-4,
-    max_iter: int = 100,
     n_restarts: int = 8,
     smoother: SmootherConfig = SmootherConfig(),
     seed=None,
 ) -> AgcePair:
     """Best local optimum of the Gaussianized correlation over restarts.
 
-    Restart 0 starts from the off-shelf pair (so the result can never fall
-    below the off-shelf lower bound); the remaining restarts start from
-    normal scores of random cubic polynomials of y.  When restart 0 wins and
-    no step replaced a side's start, that side keeps the off-shelf
-    transform.  ``tol`` is the alternation's tolerance; the off-shelf ACE
-    fit keeps its own, and the result carries that fit as ``ace``.
+    Restart 0 starts from the off-shelf pair and its transforms (so the
+    result can never fall below the off-shelf lower bound); the remaining
+    restarts start from normal scores of random cubic polynomials of y.
+    ``tol`` is the alternation's tolerance; the off-shelf ACE fit keeps its
+    own, and the result carries that fit as ``ace``.
     """
     if n_restarts < 1 or not tol > 0:
         raise ParameterError("agce_fit_1d needs n_restarts >= 1 and tol > 0")
@@ -193,32 +187,14 @@ def agce_fit_1d(
     off = offshelf_lower_1d(samples, smoother, seed=rng)
     sm_x, sm_y = samples.smoothers(smoother)
 
-    best = None
-    for r in range(n_restarts):
-        if r == 0:
-            u_init, v_init = off.u, off.v
-        else:
-            u_init, v_init = None, _random_smooth_init(samples.y[:, 0], rng)
-        fit = _alternate(u_init, v_init, sm_x, sm_y, tol, max_iter, rng)
-        if best is None or fit[2] > best[1][2]:
-            best = (r, fit)
-
-    r_best, (u, v, rho, trace, converged, independent, map_u, map_v) = best
-    phi = FittedTransform(sm_x, v, map_u) if map_u is not None else None
-    psi = FittedTransform(sm_y, u, map_v) if map_v is not None else None
-    if r_best == 0:
-        phi, psi = phi or off.phi, psi or off.psi
-    return AgcePair(
-        phi=phi,
-        psi=psi,
-        u=u,
-        v=v,
-        rho=rho,
-        trace=trace,
-        converged=converged,
-        independent=independent,
-        ace=off.ace,
-    )
+    best = _alternate(off.u, off.v, off.phi, off.psi, sm_x, sm_y, tol, rng)
+    for _ in range(1, n_restarts):
+        v_init = _random_smooth_init(samples.y[:, 0], rng)
+        fit = _alternate(None, v_init, None, None, sm_x, sm_y, tol, rng)
+        if fit.rho > best.rho:
+            best = fit
+    best.ace = off.ace
+    return best
 
 
 def offshelf_lower_1d(

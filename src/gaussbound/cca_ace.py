@@ -10,7 +10,7 @@ neighborhood smoothing unreliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -63,13 +63,11 @@ class CanonicalModel:
     v: np.ndarray
     rho: np.ndarray
     phi_history: list[np.ndarray]
-    k: int
     converged: np.ndarray
     degenerate: np.ndarray
-    smoother: SmootherConfig = field(default_factory=SmootherConfig)
 
 
-def _sorted_model(u_cols, v_cols, rho, history, converged, degenerate, smoother=SmootherConfig()):
+def _sorted_model(u_cols, v_cols, rho, history, converged, degenerate):
     """Assemble the fitted pairs into a CanonicalModel in decreasing-rho order."""
     order = np.argsort(-rho, kind="stable")
     return CanonicalModel(
@@ -77,10 +75,8 @@ def _sorted_model(u_cols, v_cols, rho, history, converged, degenerate, smoother=
         v=np.column_stack([v_cols[i] for i in order]),
         rho=rho[order],
         phi_history=[history[i] for i in order],
-        k=rho.size,
         converged=converged[order],
         degenerate=degenerate[order],
-        smoother=smoother,
     )
 
 
@@ -153,7 +149,7 @@ def ace_fit(
         v_cols.append(v)
         rho[j] = rho_j
         history.append(np.asarray(trace))
-    return _sorted_model(u_cols, v_cols, rho, history, converged, degenerate, smoother)
+    return _sorted_model(u_cols, v_cols, rho, history, converged, degenerate)
 
 
 def ace_upper_bound(model: CanonicalModel) -> float:

@@ -5,7 +5,8 @@ out-of-range parameters, too few samples for a method and unknown config
 keys included), 3 I/O error, 4 numerical failure, 5 a binding
 ``reproduce`` check failed.  The ``GB_SEED`` environment variable supplies
 the default seed; a ``--config`` file of ``key = value`` lines fills in
-unset flags (explicit flags win).
+unset flags (explicit flags win).  Config values and ``GB_SEED`` pass the
+same checks as the flags they stand for, so a bad one exits 2.
 All reports are deterministic for a fixed config and seed, except the
 separately kept "timing" section.
 """
@@ -46,6 +47,9 @@ EXIT_NUMERIC = 4
 EXIT_CHECK_FAILED = 5
 
 METHODS = ("ace", "agce", "offshelf", "biterminal", "kcca", "naive")
+SMOOTHERS = ("knn", "kernel")
+UNITS = ("bits", "nats")
+_TRUE_WORDS, _FALSE_WORDS = ("1", "true", "yes"), ("0", "false", "no")
 
 
 class CliError(Exception):
@@ -157,6 +161,13 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+def _one_of(choices: tuple, value: str) -> str:
+    """A config-file value, checked against its flag's choices."""
+    if value not in choices:
+        raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+    return value
+
+
 # key -> (hard default, cast of a config-file value); the seed's default
 # comes from GB_SEED.
 _SETTINGS = {
@@ -164,18 +175,18 @@ _SETTINGS = {
     "mu_z": (10.0, float),
     "eps": (0.1, float),
     "d": (1, int),
-    "method": ("agce", str),
-    "smoother": ("knn", str),
+    "method": ("agce", lambda s: _one_of(METHODS, s)),
+    "smoother": ("knn", lambda s: _one_of(SMOOTHERS, s)),
     "k": (None, int),
     "bandwidth": (None, float),
     "restarts": (8, int),
     "tol": (1e-4, float),
-    "units": ("bits", str),
+    "units": ("bits", lambda s: _one_of(UNITS, s)),
     "quad_m": (32, int),
     "beta_points": (200, int),
     "kcca_ridge": (1e-3, float),
     "kcca_width": (None, float),
-    "reference": (True, lambda s: s.lower() in ("1", "true", "yes")),
+    "reference": (True, lambda s: _one_of(_TRUE_WORDS + _FALSE_WORDS, s.lower()) in _TRUE_WORDS),
     "seed": (None, int),
 }
 
@@ -195,7 +206,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         setattr(args, key, value)
     if args.seed is None:
         env = os.environ.get("GB_SEED")
-        args.seed = int(env) if env else 0
+        try:
+            args.seed = int(env) if env else 0
+        except ValueError as exc:
+            raise CliError(f"GB_SEED must be an integer: {exc}", EXIT_CONFIG) from exc
     return args
 
 
@@ -451,12 +465,12 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
     p.add_argument("--n", type=int, help="sample count")
     p.add_argument("--seed", type=int, help="RNG seed (default: GB_SEED or 0)")
     p.add_argument("--config", help="key = value file supplying unset flags")
-    p.add_argument("--units", choices=("bits", "nats"), help="output units")
+    p.add_argument("--units", choices=UNITS, help="output units")
 
 
 def _add_method(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=METHODS, help="embedding method")
-    p.add_argument("--smoother", choices=("knn", "kernel"), help="conditional-expectation estimator")
+    p.add_argument("--smoother", choices=SMOOTHERS, help="conditional-expectation estimator")
     p.add_argument("--k", type=int, help="neighbor count for the knn smoother")
     p.add_argument("--bandwidth", type=float, help="bandwidth for the kernel smoother")
     p.add_argument("--restarts", type=int, help="AGCE restart count")

@@ -95,7 +95,7 @@ class IBSolution:
 def ib_iterate(
     joint: JointPmf,
     beta: float,
-    init: IBSolution | np.ndarray | None = None,
+    init: IBSolution | None = None,
     tol: float = 1e-9,
     max_iter: int = 3000,
 ) -> IBSolution:
@@ -114,14 +114,7 @@ def ib_iterate(
     log_pyx = np.log(np.maximum(pyx, _Q_FLOOR))
     h_rows = np.sum(pyx * log_pyx, axis=1)  # sum_y p(y|x) ln p(y|x)
 
-    if init is None:
-        q = np.eye(joint.n_x)
-    elif isinstance(init, IBSolution):
-        q = init.q_t_given_x.copy()
-    else:
-        q = np.asarray(init, dtype=float).copy()
-    if q.shape[0] != joint.n_x or q.shape[1] > joint.n_x:
-        raise ParameterError("encoder shape must be |X| x |T| with |T| <= |X|")
+    q = np.eye(joint.n_x) if init is None else init.q_t_given_x.copy()
 
     lagrangian = []
     converged = False
@@ -184,28 +177,20 @@ def upper_concave_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_anneal_schedule(num: int = 60, high: float = 200.0, low: float = 0.8) -> np.ndarray:
-    return np.logspace(np.log10(high), np.log10(low), num)
-
-
-def reverse_anneal(
-    joint: JointPmf,
-    beta_schedule=None,
-    tol: float = 1e-9,
-    max_iter: int = 3000,
-):
+def reverse_anneal(joint: JointPmf, beta_schedule=None):
     """Warm-started sweep from large beta down, tracing the trade-off curve.
 
-    Each solution seeds the next (smaller) beta.  Points that violate
+    Each solution seeds the next (smaller) beta; the default schedule is 60
+    log-spaced betas from 200 down to 0.8.  Points that violate
     concavity by more than 1e-6 (local-optimum artifacts) get their I_TY
     replaced by the upper concave envelope; raw points and non-convergence
     flags are returned in the diagnostics dict.
 
     Returns ``(curve, diagnostics)``.
     """
-    schedule = (
-        default_anneal_schedule() if beta_schedule is None else np.asarray(beta_schedule, float)
-    )
+    if beta_schedule is None:
+        beta_schedule = np.logspace(np.log10(200.0), np.log10(0.8), 60)
+    schedule = np.asarray(beta_schedule, float)
     if schedule.ndim != 1 or schedule.size == 0:
         raise ParameterError("beta schedule must be a nonempty 1-D array")
     if schedule.size > 1 and np.any(np.diff(schedule) >= 0):
@@ -214,7 +199,7 @@ def reverse_anneal(
     solutions = []
     init = None
     for beta in schedule:
-        sol = ib_iterate(joint, beta, init=init, tol=tol, max_iter=max_iter)
+        sol = ib_iterate(joint, beta, init=init)
         solutions.append(sol)
         init = sol
 

@@ -295,12 +295,6 @@ class ExpMirrorModel:
         self._f2 = 1.0 - math.exp(-2.0)  # Exp(1) CDF at 2
         self._g2 = float(gammainc(2.0, 2.0))  # Gamma(2) CDF at 2
 
-    def x_gaussian_components(self):
-        return None
-
-    def y_gaussian_components(self):
-        return None
-
     def x_quantile(self, q):
         q = np.asarray(q, dtype=float)
         low = q <= self._f2

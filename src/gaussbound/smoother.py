@@ -204,8 +204,6 @@ def knn_indices(x_block, k: int) -> np.ndarray:
 class KnnSmoother:
     """k-NN conditional-expectation estimator with precomputed neighborhoods."""
 
-    kind = "knn"
-
     def __init__(self, x_block, k: int | None = None):
         self.x = as_block(x_block)
         self.n = self.x.shape[0]
@@ -252,8 +250,6 @@ class KernelSmoother:
     k = max(3, ceil(n^(4/5) / 10)); the count of such points is kept in
     ``fallback_count``.
     """
-
-    kind = "kernel"
 
     def __init__(self, x_block, bandwidth: float):
         if not bandwidth > 0:

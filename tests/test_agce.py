@@ -109,6 +109,21 @@ class TestAgceFit1d:
         rho_held_out = np.corrcoef(pair.phi(held_out.x), pair.psi(held_out.y))[0, 1]
         assert rho_held_out >= pair.rho - 0.1
 
+    @pytest.mark.parametrize("case", ["fixture", "psi_restart"])
+    def test_each_transform_regresses_its_own_response(self, request, case):
+        # in sample, each normal-scores map sees the regression it was fitted
+        # on, so it orders the points as its side's scores do
+        if case == "fixture":
+            samples = request.getfixturevalue("gm_mix_samples")
+            pair = request.getfixturevalue("gm_mix_agce")
+        else:
+            samples = gm1d_sample(1500, 10, 0.1, seed=21).samples
+            pair = agce_fit_1d(samples, n_restarts=3, seed=23)
+        sm_x, sm_y = samples.smoothers(SmootherConfig())
+        for t, sm, scores in ((pair.phi, sm_x, pair.u), (pair.psi, sm_y, pair.v)):
+            fitted = t.map(sm.smooth(t.z_values))
+            assert np.all(np.diff(fitted[np.argsort(scores)]) >= 0)
+
     def test_requires_univariate(self):
         rng = np.random.default_rng(14)
         with pytest.raises(Exception):

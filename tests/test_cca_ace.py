@@ -79,7 +79,7 @@ class TestAceFit:
     def test_multivariate_pairs_sorted(self):
         ms = mvg_scramble_sample(2000, 2, seed=5)
         model = ace_fit(ms.samples, seed=4)
-        assert model.k == 2
+        assert model.rho.size == 2
         assert model.rho[0] >= model.rho[1] >= 0
 
     def test_small_sample_rejected(self):
@@ -110,7 +110,6 @@ class TestAceUpperBound:
             v=np.zeros((2, 1)),
             rho=np.array([0.703]),
             phi_history=[np.array([0.703])],
-            k=1,
             converged=np.array([True]),
             degenerate=np.array([False]),
         )
@@ -122,7 +121,6 @@ class TestAceUpperBound:
             v=np.zeros((2, 3)),
             rho=np.zeros(3),
             phi_history=[],
-            k=3,
             converged=np.ones(3, bool),
             degenerate=np.zeros(3, bool),
         )
@@ -136,7 +134,6 @@ class TestAceUpperBound:
                 v=np.zeros((2, d)),
                 rho=np.full(d, 1.0 / np.sqrt(2.0)),
                 phi_history=[],
-                k=d,
                 converged=np.ones(d, bool),
                 degenerate=np.zeros(d, bool),
             )
@@ -148,7 +145,6 @@ class TestAceUpperBound:
             v=np.zeros((2, 1)),
             rho=np.array([1.0]),
             phi_history=[],
-            k=1,
             converged=np.ones(1, bool),
             degenerate=np.zeros(1, bool),
         )

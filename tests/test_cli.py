@@ -254,6 +254,30 @@ class TestConfigFile:
         assert run_cli(["bound", "--model", "gm1d", "--method", "naive", "--config", str(cfg)]) == EXIT_CONFIG
         assert "line 2: unknown key 'restart'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("bound", "units = furlongs"),
+            ("curve", "units = furlongs"),
+            ("bound", "smoother = kernal"),
+            ("curve", "reference = maybe"),
+        ],
+    )
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        argv = [command, "--model", "gm1d", "--n", "500", "--method", "naive", "--config", str(cfg)]
+        if command == "curve":
+            argv += ["--out-dir", str(tmp_path / "curves")]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert repr(line.split(" = ")[1]) in capsys.readouterr().err
+
+    def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GB_SEED", "abc")
+        argv = ["bound", "--model", "gm1d", "--n", "300", "--method", "naive"]
+        assert run_cli([*argv, "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+        assert "GB_SEED" in capsys.readouterr().err
+
 
 class TestCurve:
     def test_emits_curves_and_manifest(self, tmp_path):
