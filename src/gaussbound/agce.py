@@ -131,7 +131,6 @@ def _alternate(u, v, phi, psi, sm_x, sm_y, tol: float, rng: np.random.Generator)
     """
     rho = _corr(u, v) if u is not None else 0.0
     trace = [rho] if u is not None else []
-    converged = False
     for _ in range(_MAX_ITER):
         step = agce_step(v, sm_x, rng, prev_u=u)
         u, phi = step.u, step.transform or phi
@@ -140,13 +139,14 @@ def _alternate(u, v, phi, psi, sm_x, sm_y, tol: float, rng: np.random.Generator)
             step = agce_step(u, sm_y, rng, prev_u=v)
             v, psi = step.u, step.transform or psi
             trace.append(step.rho)
-        if step.independent:
-            return AgcePair(phi, psi, u, v, 0.0, np.asarray(trace), False, independent=True)
-        converged = abs(step.rho - rho) < tol
+        # an independent step reports rho = 0 and ends the restart unconverged
+        converged = not step.independent and abs(step.rho - rho) < tol
         rho = step.rho
-        if converged:
+        if converged or step.independent:
             break
-    return AgcePair(phi, psi, u, v, rho, np.asarray(trace), converged)
+    # a random restart whose v-steps all kept the start scores fitted no psi
+    psi = psi or _ace_transform(sm_y, v)
+    return AgcePair(phi, psi, u, v, rho, np.asarray(trace), converged, step.independent)
 
 
 def _random_smooth_init(y_col: np.ndarray, rng: np.random.Generator) -> np.ndarray:

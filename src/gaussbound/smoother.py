@@ -5,15 +5,13 @@ neighbor sets depend only on the predictor block, so they are computed once
 and reused across the many response vectors an alternating fit produces)
 and a Nadaraya-Watson smoother with Gaussian weights.
 
-The neighbor table of a 1-D block costs O(n log n + n k): a point's k
-nearest neighbors are a contiguous window of the sorted sample.  Wider
-blocks query a kd-tree (Friedman, Bentley & Finkel, 1977) for k + 1
-neighbors.  Either way a row whose k-th neighbor is tied is re-selected
-over its full distance row, so tied data can still cost O(n^2 d).  A 1-D
-``smooth`` sums each sorted window once instead of gathering the table,
-with the same result bit for bit.  ``PairedSamples.smoothers`` memoizes
-the built pair per ``SmootherConfig``, so every fit on one sample shares
-one table per block, and ``predict`` never needs the table.
+A point's k nearest neighbors in a 1-D block are a window of the sorted
+sample, so the block keeps its sort order and window starts, and ``smooth``
+and ``predict`` sum windows instead of gathering an (n, k) table.  Wider
+blocks keep the table, from a kd-tree (Friedman, Bentley & Finkel, 1977).
+Either way a row whose k-th neighbor is tied is re-selected over its full
+distance row, so tied data can still cost O(n^2 d).
+``PairedSamples.smoothers`` memoizes the built pair per ``SmootherConfig``.
 """
 
 from __future__ import annotations
@@ -66,9 +64,6 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _select_k_smallest(d2_rows: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest entries per row, ties broken by index order."""
-    n = d2_rows.shape[1]
-    if k >= n:
-        return np.broadcast_to(np.arange(n), (d2_rows.shape[0], n)).copy()
     idx = np.argpartition(d2_rows, k - 1, axis=1)[:, :k]
     rows = np.arange(d2_rows.shape[0])[:, None]
     boundary = d2_rows[rows, idx].max(axis=1)
@@ -84,78 +79,68 @@ def _select_k_smallest(d2_rows: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
-def _select_chunked(distances, m: int, n: int, k: int) -> np.ndarray:
-    """k smallest per row of an (m, n) distance matrix built in row chunks.
+def _reselect(rows: np.ndarray, distances, n: int, k: int, self_query: bool) -> np.ndarray:
+    """The exact (distance, index) selection of k neighbors for the queries ``rows``.
 
-    ``distances(start, stop)`` returns rows start..stop-1 of the matrix.
+    ``distances(rows)`` returns the full distance rows of those queries; it is
+    called in row chunks.  With ``self_query`` query r is sample r, and it
+    beats every other point at distance 0 to itself.
     """
-    out = np.empty((m, k), dtype=np.intp)
+    out = np.empty((rows.size, k), dtype=np.intp)
     chunk = max(1, _CHUNK_BUDGET // n)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        out[start:stop] = _select_k_smallest(distances(start, stop), k)
-    return out
-
-
-def _reselect(idx: np.ndarray, rows: np.ndarray, distances, n: int, self_query: bool) -> None:
-    """Overwrite ``idx[rows]`` with the exact (distance, index) selection.
-
-    ``distances(rows)`` returns the full distance rows of those queries.
-    With ``self_query`` query r is sample r, and it beats every other point
-    at distance 0 to itself.
-    """
-
-    def chunk(start, stop):
-        r = rows[start:stop]
+    for start in range(0, rows.size, chunk):
+        r = rows[start : start + chunk]
         d = distances(r)
         if self_query:
             d[np.arange(r.size), r] = -1.0
-        return d
+        out[start : start + chunk] = _select_k_smallest(d, k)
+        del d  # free this chunk's rows before the next chunk is built
+    return out
 
-    idx[rows] = _select_chunked(chunk, rows.size, n, idx.shape[1])
 
+def _windows_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool):
+    """``(order, lo, tied, rows)``: exact k nearest of queries q in the 1-D sample x.
 
-def _windows_1d(x: np.ndarray, q: np.ndarray, k: int):
-    """(sorted order of x, window start per query, queries with a tied boundary).
-
-    The k nearest points of q form a contiguous window [l, l + k) of the
+    Query i's neighbors are the sorted window ``order[lo[i]:lo[i] + k]``,
+    unless i is in ``tied``; those queries' (distance, index) rows are
+    ``rows``.  The k nearest points of q form a window [l, l + k) of the
     sorted sample.  The window moves right past l while xs[l + k] is
     strictly nearer than xs[l], i.e. while xs[l] + xs[l + k] < 2 q, and that
     sum is nondecreasing in l, so one searchsorted finds l.  A query whose
     nearest outside point is no farther than the window radius has a tied
-    boundary.
+    boundary and is re-selected over its full row.  With ``self_query`` the
+    queries are x itself and each point wins every tie at distance 0 to
+    itself; a window can miss its own point only when the window is all
+    copies of that value, so the point is an outside one at distance 0 and
+    the row is re-selected.
     """
     n = x.size
     order = np.argsort(x, kind="stable")
     centre = x[order[(n - 1) // 2]]  # a sample value, as in sq_distances
-    xs = x[order] - centre
+    xc = x - centre
+    xs = xc[order]
     qc = q - centre
     lo = np.searchsorted(xs[: n - k] + xs[k:], 2.0 * qc)
     radius = np.maximum(qc - xs[lo], xs[lo + k - 1] - qc)
-    gap = np.full(q.size, np.inf)
-    left = lo > 0
-    gap[left] = qc[left] - xs[lo[left] - 1]
-    right = lo + k < n
-    gap[right] = np.minimum(gap[right], xs[lo[right] + k] - qc[right])
-    return order, lo, np.flatnonzero(gap <= radius)
+    # the nearest outside points; ends[l + 1] is xs[l], padded with -inf and inf
+    ends = np.concatenate([[-np.inf], xs, [np.inf]])
+    gap = np.minimum(qc - ends[lo], ends[lo + k + 1] - qc)
+    tied = np.flatnonzero(gap <= radius)
+    rows = _reselect(tied, lambda r: np.abs(xc[None, :] - qc[r, None]), n, k, self_query)
+    return order, lo, tied, rows
 
 
-def _knn_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
-    """Exact k nearest of each query among the 1-D sample x, from sorted windows.
+def _window_means(z: np.ndarray, windows) -> np.ndarray:
+    """Mean of z over each query's ``_windows_1d`` neighbors.
 
-    A row with a tied window boundary is re-selected over its full row by
-    (distance, index).  With ``self_query`` the queries are x itself and
-    each point wins every tie at distance 0 to itself; a window can miss its
-    own point only when the window is all copies of that value, so the point
-    is an outside one at distance 0 and the row is re-selected.
+    A window sums the same values in the same order as its table row, so
+    this equals the table gather's mean bit for bit.
     """
-    order, lo, tied = _windows_1d(x, q, k)
-    idx = order[lo[:, None] + np.arange(k)]
-    if tied.size:
-        centre = x[order[(x.size - 1) // 2]]
-        xc, qc = x - centre, q - centre
-        _reselect(idx, tied, lambda rows: np.abs(xc[None, :] - qc[rows, None]), x.size, self_query)
-    return idx
+    order, lo, tied, rows = windows
+    k = rows.shape[1]
+    sums = sliding_window_view(z[order], k).sum(axis=1)[lo]
+    sums[tied] = z[rows].sum(axis=1)
+    return sums / k
 
 
 def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
@@ -179,40 +164,46 @@ def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndar
         idx[start:stop] = nb[:, :k]
         tied.append(start + np.flatnonzero(dist[:, k - 1] == dist[:, k]))
     tied = np.concatenate(tied)
-    if tied.size:
-        _reselect(idx, tied, lambda rows: sq_distances(q[rows], x), n, self_query)
+    idx[tied] = _reselect(tied, lambda rows: sq_distances(q[rows], x), n, k, self_query)
     return idx
 
 
 def knn_indices(x_block, k: int) -> np.ndarray:
-    """Exact k-nearest-neighbor indices per sample, self always included.
+    """Exact k-nearest-neighbor table (1 <= k <= n), self always included.
 
     Ties at the k-th distance go to the smaller index, and a point beats
-    every other point at distance 0 to itself.  A 1-D block costs
-    O(n log n + n k) through sorted windows; wider blocks query a kd-tree.
-    Only rows with a tied k-th neighbor take a full distance row.
+    every other point at distance 0 to itself.  A 1-D block's rows are its
+    sorted windows, O(n log n + n k); wider blocks query a kd-tree.  Only
+    rows with a tied k-th neighbor take a full distance row.  ``KnnSmoother``
+    builds this table only for blocks wider than one column.
     """
     x = as_block(x_block)
-    n = x.shape[0]
-    if not 1 <= k <= n:
-        raise ParameterError(f"k = {k} is outside [1, n = {n}]")
-    if x.shape[1] == 1:
-        return _knn_1d(x[:, 0], x[:, 0], k, self_query=True)
-    return _knn_tree(x, x, k, self_query=True)
+    if x.shape[1] > 1:
+        return _knn_tree(x, x, k, self_query=True)
+    order, lo, tied, rows = _windows_1d(x[:, 0], x[:, 0], k, self_query=True)
+    idx = order[lo[:, None] + np.arange(k)]
+    idx[tied] = rows
+    return idx
 
 
 class KnnSmoother:
-    """k-NN conditional-expectation estimator with precomputed neighborhoods."""
+    """k-NN conditional-expectation estimator with precomputed neighborhoods.
+
+    ``neighbors`` is the (n, k) table, or for a 1-D block its tied rows only.
+    """
 
     def __init__(self, x_block, k: int | None = None):
         self.x = as_block(x_block)
         self.n = self.x.shape[0]
         self.k = default_knn_k(self.n) if k is None else int(k)
-        self.neighbors = knn_indices(self.x, self.k)
-        # a 1-D table row without a tied boundary is its sorted window
+        if not 1 <= self.k <= self.n:
+            raise ParameterError(f"k = {self.k} is outside [1, n = {self.n}]")
         self._windows = None
         if self.x.shape[1] == 1:
-            self._windows = _windows_1d(self.x[:, 0], self.x[:, 0], self.k)
+            self._windows = _windows_1d(self.x[:, 0], self.x[:, 0], self.k, self_query=True)
+            self.neighbors = self._windows[3]
+        else:
+            self.neighbors = knn_indices(self.x, self.k)
 
     def smooth(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).ravel()
@@ -220,27 +211,17 @@ class KnnSmoother:
             raise ParameterError("response length does not match the fitted block")
         if self._windows is None:
             return z[self.neighbors].mean(axis=1)
-        # a window sums the same values in the same order as its table row,
-        # so this equals the table gather's mean bit for bit, reading no table
-        order, lo, tied = self._windows
-        sums = sliding_window_view(z[order], self.k).sum(axis=1)[lo]
-        sums[tied] = z[self.neighbors[tied]].sum(axis=1)
-        return sums / self.k
+        return _window_means(z, self._windows)
 
     def predict(self, x_new, z) -> np.ndarray:
-        """k-NN regression of z at new query points (no self handling).
-
-        Uses only the training block, never the neighbor table.
-        """
+        """k-NN regression of z at new query points (no self handling)."""
         z = np.asarray(z, dtype=float).ravel()
         q = as_block(x_new)
         if q.shape[1] != self.x.shape[1]:
             raise ParameterError("query points do not match the fitted block's dimension")
-        if self.x.shape[1] == 1:
-            idx = _knn_1d(self.x[:, 0], q[:, 0], self.k, self_query=False)
-        else:
-            idx = _knn_tree(self.x, q, self.k, self_query=False)
-        return z[idx].mean(axis=1)
+        if self._windows is None:
+            return z[_knn_tree(self.x, q, self.k, self_query=False)].mean(axis=1)
+        return _window_means(z, _windows_1d(self.x[:, 0], q[:, 0], self.k, self_query=False))
 
 
 class KernelSmoother:

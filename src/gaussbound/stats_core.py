@@ -284,8 +284,9 @@ class PairedSamples:
     def smoothers(self, cfg: SmootherConfig):
         """``(cfg.build(x), cfg.build(y))``, built once per config.
 
-        Every fit on these samples with the same config shares one pair of
-        neighbor tables instead of building its own.
+        Every fit on these samples with the same config shares one neighbor
+        structure per block (sorted windows for a 1-D block, a kNN table for
+        a wider one) instead of building its own.
         """
         if cfg not in self._smoothers:
             self._smoothers[cfg] = (cfg.build(self.x), cfg.build(self.y))

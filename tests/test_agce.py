@@ -109,6 +109,14 @@ class TestAgceFit1d:
         rho_held_out = np.corrcoef(pair.phi(held_out.x), pair.psi(held_out.y))[0, 1]
         assert rho_held_out >= pair.rho - 0.1
 
+    def test_random_restart_without_v_step_has_psi(self):
+        # the winning random restart keeps its start scores on every v-step,
+        # so no step fits a psi; the restart regresses those scores instead
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal(300), rng.standard_normal(300)
+        pair = agce_fit_1d(PairedSamples(x, y), n_restarts=8, seed=6)
+        assert np.all(np.isfinite(pair.psi(y))) and np.all(np.isfinite(pair.phi(x)))
+
     @pytest.mark.parametrize("case", ["fixture", "psi_restart"])
     def test_each_transform_regresses_its_own_response(self, request, case):
         # in sample, each normal-scores map sees the regression it was fitted

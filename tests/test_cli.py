@@ -368,18 +368,18 @@ class TestReproduce:
 
 
 class TestNeighborTables:
-    """One kNN table per sample block and smoother per run; predict builds none."""
+    """One kNN smoother per sample block and smoother per run; predict builds none."""
 
     @pytest.fixture()
     def tables(self, monkeypatch):
         built = []
-        original = smoother.knn_indices
+        original = smoother.KnnSmoother.__init__
 
-        def counting(x_block, k):
-            built.append(np.shape(x_block))
-            return original(x_block, k)
+        def counting(sm, x_block, k=None):
+            original(sm, x_block, k)
+            built.append(sm.x.shape)
 
-        monkeypatch.setattr(smoother, "knn_indices", counting)
+        monkeypatch.setattr(smoother.KnnSmoother, "__init__", counting)
         return built
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Conditional-expectation smoothers: exactness, ties, and shared properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,7 +86,7 @@ class TestKnn1dWindows:
         # window sums must add the same values in the same order as the table
         z = np.random.default_rng(k).standard_normal(x.size) * 1e3
         sm = KnnSmoother(x, k)
-        assert np.array_equal(sm.smooth(z), z[sm.neighbors].mean(axis=1))
+        assert np.array_equal(sm.smooth(z), z[knn_indices(x, k)].mean(axis=1))
 
 
 _GRID = 2.0**20
@@ -159,6 +161,19 @@ class TestKnn:
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
             KnnSmoother(np.arange(5.0), 6).smooth(np.arange(5.0))
+
+    def test_1d_block_holds_no_table(self):
+        # a 1-D block keeps its sorted windows and tied rows; an (n, k) table
+        # at n = 1e4 and the default k = 793 alone would take 63 MB
+        x = np.random.default_rng(16).standard_normal(10_000)
+        tracemalloc.start()
+        try:
+            sm = KnnSmoother(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert sm.neighbors.shape == (0, sm.k)
 
     def test_predict_at_new_points(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
