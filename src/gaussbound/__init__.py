@@ -46,7 +46,6 @@ from .ib_discrete import (
 )
 from .models import (
     ModelSample,
-    ModelSpec,
     OracleGaussian,
     OracleProduct,
     expgamma_sample,

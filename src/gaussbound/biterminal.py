@@ -175,14 +175,11 @@ def biterminal_gaussianize(
             # the objective of (U, V) with this side's block replaced
             obj = joint_objective(**{**blocks, side: cand})
             trace.append((outer, side, obj))
-            for _ in range(inner_tries):
-                if d >= 2:
-                    i, j = rng.choice(d, size=2, replace=False)
-                else:
-                    i = j = 0
+            # a 1-column block has no Givens move: a try would only redraw its tie-breaks
+            for _ in range(inner_tries if d >= 2 else 0):
+                i, j = rng.choice(d, size=2, replace=False)
                 theta = rng.uniform(-np.pi, np.pi)
-                g = givens_rotation(d, int(i), int(j), theta) if d >= 2 else np.eye(1)
-                rot2 = g @ rotation
+                rot2 = givens_rotation(d, int(i), int(j), theta) @ rotation
                 cand2, layer2 = _apply_layer(block, rot2, rng)
                 obj2 = joint_objective(**{**blocks, side: cand2})
                 if obj2 > obj:

@@ -197,6 +197,8 @@ def kcca_fit(
         raise InsufficientDataError("kcca_fit needs at least 50 samples")
     if ridge <= 0:
         raise ParameterError("ridge must be positive")
+    if kernel_width is not None and not kernel_width > 0:
+        raise ParameterError(f"kernel_width must be positive, got {kernel_width}")
     if k is None:
         k = min(samples.d_x, samples.d_y)
 

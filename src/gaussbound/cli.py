@@ -1,12 +1,15 @@
 """Command-line front end: bound, curve, gen, reproduce.
 
 Exit codes: 0 success, 2 input/config error (non-finite sample values,
-out-of-range parameters, too few samples for a method and unknown config
-keys included), 3 I/O error, 4 numerical failure, 5 a binding
-``reproduce`` check failed.  The ``GB_SEED`` environment variable supplies
-the default seed; a ``--config`` file of ``key = value`` lines fills in
-unset flags (explicit flags win).  Config values and ``GB_SEED`` pass the
-same checks as the flags they stand for, so a bad one exits 2.
+out-of-range parameters, negative seeds, too few samples for a method and
+unknown config keys included), 3 I/O error, 4 numerical failure, 5 a
+binding ``reproduce`` check failed.  The ``GB_SEED`` environment variable
+supplies the default seed; a ``--config`` file of ``key = value`` lines
+fills in unset flags (explicit flags win).  Each setting is declared once,
+in ``_SETTINGS``: its default, parser, help and choices.  The flags are
+built from that table, and a config value or ``GB_SEED`` goes through the
+parser of the flag it stands for, so a bad one exits 2.  Model parameters
+are checked by the samplers in ``models`` before they draw.
 All reports are deterministic for a fixed config and seed, except the
 separately kept "timing" section.
 """
@@ -30,7 +33,7 @@ from .cca_ace import ace_fit, ace_upper_bound, kcca_fit
 from .errors import GaussboundError, InsufficientDataError, ParameterError
 from .gib import default_beta_grid, gib_curve, gib_spectrum
 from .ib_discrete import quadrature_discretize, reverse_anneal
-from .models import MODEL_FAMILIES, ModelSpec, discretizable_from_spec, sample_from_spec
+from .models import MODEL_FAMILIES, discretizable_from_spec, sample_from_spec
 from .smoother import SmootherConfig
 from .stats_core import (
     NATS_PER_BIT,
@@ -162,67 +165,79 @@ def _load_config_file(path: str) -> dict:
 
 
 def _one_of(choices: tuple, value: str) -> str:
-    """A config-file value, checked against its flag's choices."""
+    """value, if it is one of a flag's choices; ValueError otherwise."""
     if value not in choices:
         raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
     return value
 
 
-# key -> (hard default, cast of a config-file value); the seed's default
-# comes from GB_SEED.
+def _seed(text: str) -> int:
+    """A seed: numpy's generators take non-negative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _yes_no(text: str) -> bool:
+    return _one_of(_TRUE_WORDS + _FALSE_WORDS, text.lower()) in _TRUE_WORDS
+
+
+# key -> (default, parser, help, choices).  Each key is the flag --key (with
+# "_" as "-"); a yes/no setting is the switch --no-key.  A config-file value
+# and GB_SEED go through the parser and choices of the flag they stand for.
 _SETTINGS = {
-    "n": (10_000, int),
-    "mu_z": (10.0, float),
-    "eps": (0.1, float),
-    "d": (1, int),
-    "method": ("agce", lambda s: _one_of(METHODS, s)),
-    "smoother": ("knn", lambda s: _one_of(SMOOTHERS, s)),
-    "k": (None, int),
-    "bandwidth": (None, float),
-    "restarts": (8, int),
-    "tol": (1e-4, float),
-    "units": ("bits", lambda s: _one_of(UNITS, s)),
-    "quad_m": (32, int),
-    "beta_points": (200, int),
-    "kcca_ridge": (1e-3, float),
-    "kcca_width": (None, float),
-    "reference": (True, lambda s: _one_of(_TRUE_WORDS + _FALSE_WORDS, s.lower()) in _TRUE_WORDS),
-    "seed": (None, int),
+    "n": (10_000, int, "sample count", None),
+    "mu_z": (10.0, float, "mixture offset (gm models)", None),
+    "eps": (0.1, float, "correlated-branch noise scale (gm models)", None),
+    "d": (1, int, "model dimension", None),
+    "method": ("agce", str, "embedding method", METHODS),
+    "smoother": ("knn", str, "conditional-expectation estimator", SMOOTHERS),
+    "k": (None, int, "neighbor count for the knn smoother", None),
+    "bandwidth": (None, float, "bandwidth for the kernel smoother", None),
+    "restarts": (8, int, "AGCE restart count", None),
+    "tol": (1e-4, float, "AGCE alternation tolerance (correlation change)", None),
+    "units": ("bits", str, "output units", UNITS),
+    "quad_m": (32, int, "quadrature nodes per component", None),
+    "beta_points": (200, int, "curve grid size", None),
+    "kcca_ridge": (1e-3, float, "kernel CCA ridge", None),
+    "kcca_width": (None, float, "kernel CCA width", None),
+    "reference": (True, _yes_no, "skip the discrete reference curve", None),
+    "seed": (0, _seed, "RNG seed (default: GB_SEED or 0)", None),
 }
+_MODEL_KEYS = ("mu_z", "eps", "d", "n", "seed", "units")
+_METHOD_KEYS = ("method", "smoother", "k", "bandwidth", "restarts", "tol", "kcca_ridge", "kcca_width")
+
+
+def _parse(key: str, text: str, source: str):
+    """A config-file or GB_SEED value for key, checked like its flag."""
+    _, parse, _, choices = _SETTINGS[key]
+    try:
+        value = parse(text)
+        return _one_of(choices, value) if choices else value
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise CliError(f"{source}: {exc}", EXIT_CONFIG) from exc
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then from hard defaults."""
+    """Fill unset flags from the config file, then GB_SEED, then the defaults."""
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, (default, cast) in _SETTINGS.items():
+    for key, (value, *_) in _SETTINGS.items():
         if getattr(args, key, None) is not None:
             continue
-        value = default
         if key in file_cfg:
-            try:
-                value = cast(file_cfg[key])
-            except ValueError as exc:
-                raise CliError(f"config {key}: {exc}", EXIT_CONFIG) from exc
+            value = _parse(key, file_cfg[key], f"config {key}")
+        elif key == "seed" and os.environ.get("GB_SEED"):
+            value = _parse(key, os.environ["GB_SEED"], "GB_SEED")
         setattr(args, key, value)
-    if args.seed is None:
-        env = os.environ.get("GB_SEED")
-        try:
-            args.seed = int(env) if env else 0
-        except ValueError as exc:
-            raise CliError(f"GB_SEED must be an integer: {exc}", EXIT_CONFIG) from exc
     return args
 
 
 def _get_samples(args) -> tuple[PairedSamples, object, dict]:
     """Samples plus (optional) analytic model and provenance from the args."""
-    if getattr(args, "input", None) and getattr(args, "model", None):
-        raise CliError("give either --input or --model, not both", EXIT_CONFIG)
-    if getattr(args, "input", None):
+    if args.input:
         samples = read_samples_csv(args.input)
         return samples, None, {"input": args.input, "true_mi_nats": None}
-    if not getattr(args, "model", None):
-        raise CliError("one of --input or --model is required", EXIT_CONFIG)
-    spec, ms, params = _draw_model(args)
+    ms, params = _draw_model(args)
     prov = {
         "model": args.model,
         "params": params,
@@ -230,15 +245,13 @@ def _get_samples(args) -> tuple[PairedSamples, object, dict]:
         "n": args.n,
         "true_mi_nats": ms.true_mi_nats,
     }
-    return ms.samples, discretizable_from_spec(spec), prov
+    return ms.samples, discretizable_from_spec(args.model, args.d, args.mu_z, args.eps), prov
 
 
-def _draw_model(args) -> tuple[ModelSpec, object, dict]:
-    """(spec, drawn ModelSample, params the reports list) for ``--model``."""
-    params = {"mu_z": args.mu_z, "eps": args.eps}
-    spec = ModelSpec(family=args.model, params=params, d=args.d, seed=args.seed)
-    reported = params if args.model in ("gm1d", "gm_mv") else {}
-    return spec, sample_from_spec(spec, args.n), reported
+def _draw_model(args) -> tuple[object, dict]:
+    """(drawn ModelSample, the parameters it records) for ``--model``."""
+    ms = sample_from_spec(args.model, args.n, args.d, args.mu_z, args.eps, args.seed)
+    return ms, {key: ms.meta[key] for key in ("mu_z", "eps") if key in ms.meta}
 
 
 def _smoother_config(args, samples) -> SmootherConfig:
@@ -401,9 +414,7 @@ def _curve_outputs(args) -> dict:
 
 
 def _gen_outputs(args) -> None:
-    if not args.model:
-        raise CliError("--model is required for gen", EXIT_CONFIG)
-    _, ms, params = _draw_model(args)
+    ms, params = _draw_model(args)
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -431,11 +442,6 @@ def _gen_outputs(args) -> None:
 
 
 def _reproduce_outputs(args) -> int:
-    if args.experiment not in repro.EXPERIMENTS:
-        valid = ", ".join(repro.EXPERIMENTS)
-        raise CliError(
-            f"unknown experiment {args.experiment!r}; valid ids: {valid}", EXIT_CONFIG
-        )
     kwargs = {}
     if args.n is not None:
         kwargs["n"] = args.n
@@ -455,28 +461,22 @@ def _reproduce_outputs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+def _add_command(sub, name: str, help_text: str, keys: tuple, with_input: bool = True):
+    """A subcommand with one sample source, --config and the flags of keys."""
+    p = sub.add_parser(name, help=help_text)
+    source = p.add_mutually_exclusive_group(required=True)
     if with_input:
-        p.add_argument("--input", help="CSV of paired samples (header x0..,y0..)")
-    p.add_argument("--model", choices=MODEL_FAMILIES, help="synthetic model family")
-    p.add_argument("--mu-z", dest="mu_z", type=float, help="mixture offset (gm models)")
-    p.add_argument("--eps", type=float, help="correlated-branch noise scale (gm models)")
-    p.add_argument("--d", type=int, help="model dimension")
-    p.add_argument("--n", type=int, help="sample count")
-    p.add_argument("--seed", type=int, help="RNG seed (default: GB_SEED or 0)")
+        source.add_argument("--input", help="CSV of paired samples (header x0..,y0..)")
+    source.add_argument("--model", choices=MODEL_FAMILIES, help="synthetic model family")
     p.add_argument("--config", help="key = value file supplying unset flags")
-    p.add_argument("--units", choices=UNITS, help="output units")
-
-
-def _add_method(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS, help="embedding method")
-    p.add_argument("--smoother", choices=SMOOTHERS, help="conditional-expectation estimator")
-    p.add_argument("--k", type=int, help="neighbor count for the knn smoother")
-    p.add_argument("--bandwidth", type=float, help="bandwidth for the kernel smoother")
-    p.add_argument("--restarts", type=int, help="AGCE restart count")
-    p.add_argument("--tol", type=float, help="AGCE alternation tolerance (correlation change)")
-    p.add_argument("--kcca-ridge", dest="kcca_ridge", type=float, help="kernel CCA ridge")
-    p.add_argument("--kcca-width", dest="kcca_width", type=float, help="kernel CCA width")
+    for key in keys:
+        _, parse, text, choices = _SETTINGS[key]
+        flag = key.replace("_", "-")
+        if parse is _yes_no:
+            p.add_argument(f"--no-{flag}", dest=key, action="store_false", default=None, help=text)
+        else:
+            p.add_argument(f"--{flag}", dest=key, type=parse, choices=choices, help=text)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,33 +486,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = sub.add_parser("bound", help="compute MI bounds for one pair")
-    _add_common(p_bound)
-    _add_method(p_bound)
+    p_bound = _add_command(sub, "bound", "compute MI bounds for one pair", _MODEL_KEYS + _METHOD_KEYS)
     p_bound.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p_curve = sub.add_parser("curve", help="emit trade-off curves as CSV")
-    _add_common(p_curve)
-    _add_method(p_curve)
+    curve_keys = _MODEL_KEYS + _METHOD_KEYS + ("quad_m", "beta_points", "reference")
+    p_curve = _add_command(sub, "curve", "emit trade-off curves as CSV", curve_keys)
     p_curve.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
-    p_curve.add_argument("--quad-m", dest="quad_m", type=int, help="quadrature nodes per component")
-    p_curve.add_argument("--beta-points", dest="beta_points", type=int, help="curve grid size")
-    p_curve.add_argument(
-        "--no-reference",
-        dest="reference",
-        action="store_false",
-        default=None,
-        help="skip the discrete reference curve",
-    )
 
-    p_gen = sub.add_parser("gen", help="generate model samples as CSV")
-    _add_common(p_gen, with_input=False)
+    p_gen = _add_command(sub, "gen", "generate model samples as CSV", _MODEL_KEYS, with_input=False)
     p_gen.add_argument("--out", required=True, help="CSV output path")
 
     p_rep = sub.add_parser("reproduce", help="rerun a documented experiment bundle")
-    p_rep.add_argument("experiment", help="|".join(repro.EXPERIMENTS))
+    p_rep.add_argument(
+        "experiment", choices=repro.EXPERIMENTS, metavar="experiment", help="|".join(repro.EXPERIMENTS)
+    )
     p_rep.add_argument("--n", type=int, help="override the documented sample count")
-    p_rep.add_argument("--seed", type=int, help="override the documented seed")
+    p_rep.add_argument("--seed", type=_seed, help="override the documented seed")
 
     return parser
 
@@ -529,14 +518,11 @@ def main(argv=None) -> int:
         args = _resolve(args)
         if args.command == "bound":
             _write_json(_bound_report(args), args.out)
-            return EXIT_OK
-        if args.command == "curve":
+        elif args.command == "curve":
             _curve_outputs(args)
-            return EXIT_OK
-        if args.command == "gen":
+        else:
             _gen_outputs(args)
-            return EXIT_OK
-        raise CliError(f"unknown command {args.command!r}", EXIT_CONFIG)
+        return EXIT_OK
     except (CliError, ParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_CONFIG)

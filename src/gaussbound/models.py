@@ -4,6 +4,11 @@ Every sampler is pure given its seed.  The scrambled models apply invertible
 but non-monotonic per-coordinate mirrors (plus rotations where noted), which
 preserve the analytic mutual information while destroying the raw Gaussian
 bound, making them the standard stress tests for the pipeline.
+
+``MODELS`` is the one table of families: each maps to its sampler and to the
+analytic joint of its d = 1 model, if it has one.  ``sample_from_spec`` and
+``discretizable_from_spec`` look a family up there; the gm samplers reject a
+non-positive eps and non-finite parameters before drawing.
 """
 
 from __future__ import annotations
@@ -19,26 +24,6 @@ from .errors import DomainError, ParameterError
 from .stats_core import NATS_PER_BIT, PairedSamples
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-MODEL_FAMILIES = ("gm1d", "mv_gaussian_scramble", "exp_gamma", "gm_mv")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Declarative model choice used by the CLI."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-    d: int = 1
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.family not in MODEL_FAMILIES:
-            raise ParameterError(
-                f"unknown model family {self.family!r}; choose from {MODEL_FAMILIES}"
-            )
-        if self.d < 1:
-            raise ParameterError("dimension must be at least 1")
 
 
 @dataclass
@@ -82,6 +67,8 @@ def gm_mv_sample(n: int, d: int, mu_z: float = 10.0, eps: float = 0.1, seed=None
     """Independent per-coordinate replicas of the Gaussian-mixture pair."""
     if n < 1 or d < 1:
         raise ParameterError("n and d must be at least 1")
+    if not (eps > 0 and math.isfinite(eps) and math.isfinite(mu_z)):
+        raise ParameterError(f"eps must be positive and mu_z, eps finite; got {mu_z=}, {eps=}")
     children = np.random.SeedSequence(seed).spawn(d)
     x = np.empty((n, d))
     y = np.empty((n, d))
@@ -185,8 +172,8 @@ def mvg_scramble_sample(n: int, d: int, seed=None) -> ModelSample:
     measure preserving for the symmetric interval, so each scrambled X
     coordinate is still standard normal marginally.
     """
-    if not 1 <= d <= 10:
-        raise ParameterError("d must be in [1, 10]")
+    if n < 1 or not 1 <= d <= 10:
+        raise ParameterError("n must be at least 1 and d in [1, 10]")
     rng = np.random.default_rng(seed)
     x_raw = rng.standard_normal((n, d))
     y_raw = x_raw + rng.standard_normal((n, d))
@@ -207,8 +194,8 @@ def expgamma_sample(n: int, d: int, seed=None) -> ModelSample:
     block (identity when d = 1).  All steps are invertible, so
     I(X;Y) = d * gamma (Euler-Mascheroni) nats exactly.
     """
-    if not 1 <= d <= 10:
-        raise ParameterError("d must be in [1, 10]")
+    if n < 1 or not 1 <= d <= 10:
+        raise ParameterError("n must be at least 1 and d in [1, 10]")
     rng = np.random.default_rng(seed)
     x_raw = rng.exponential(1.0, (n, d))
     y_raw = x_raw + rng.exponential(1.0, (n, d))
@@ -323,30 +310,41 @@ class ExpMirrorModel:
 
 
 
-def sample_from_spec(spec: ModelSpec, n: int) -> ModelSample:
-    """Draw from a declarative model spec."""
-    p = spec.params
-    if spec.family == "gm1d":
-        return gm1d_sample(n, p.get("mu_z", 10.0), p.get("eps", 0.1), spec.seed)
-    if spec.family == "gm_mv":
-        return gm_mv_sample(n, spec.d, p.get("mu_z", 10.0), p.get("eps", 0.1), spec.seed)
-    if spec.family == "mv_gaussian_scramble":
-        return mvg_scramble_sample(n, spec.d, spec.seed)
-    if spec.family == "exp_gamma":
-        return expgamma_sample(n, spec.d, spec.seed)
-    raise ParameterError(f"unknown family {spec.family!r}")
+def _gm1d(n: int, d: int, mu_z: float, eps: float, seed) -> ModelSample:
+    if d != 1:
+        raise ParameterError(f"gm1d is one-dimensional, got d = {d}; use gm_mv")
+    return gm1d_sample(n, mu_z, eps, seed)
 
 
-def discretizable_from_spec(spec: ModelSpec):
-    """Analytic joint for the quadrature path, or None when d > 1."""
-    if spec.d != 1:
-        return None
-    p = spec.params
-    if spec.family in ("gm1d", "gm_mv"):
-        return Gm1dModel(p.get("mu_z", 10.0), p.get("eps", 0.1))
-    if spec.family == "exp_gamma":
-        return ExpMirrorModel()
-    return None
+# family -> (sampler(n, d, mu_z, eps, seed), analytic joint(mu_z, eps) of
+# the d = 1 model for the quadrature path, or None)
+MODELS = {
+    "gm1d": (_gm1d, Gm1dModel),
+    "mv_gaussian_scramble": (lambda n, d, mu_z, eps, seed: mvg_scramble_sample(n, d, seed), None),
+    "exp_gamma": (
+        lambda n, d, mu_z, eps, seed: expgamma_sample(n, d, seed),
+        lambda mu_z, eps: ExpMirrorModel(),
+    ),
+    "gm_mv": (gm_mv_sample, Gm1dModel),
+}
+MODEL_FAMILIES = tuple(MODELS)
+
+
+def _family(family: str) -> tuple:
+    if family not in MODELS:
+        raise ParameterError(f"unknown model family {family!r}; choose from {MODEL_FAMILIES}")
+    return MODELS[family]
+
+
+def sample_from_spec(family: str, n: int, d: int, mu_z: float, eps: float, seed) -> ModelSample:
+    """Draw n pairs from a family; mu_z and eps reach only the gm families."""
+    return _family(family)[0](n, d, mu_z, eps, seed)
+
+
+def discretizable_from_spec(family: str, d: int, mu_z: float, eps: float):
+    """Analytic joint for the quadrature path, or None when d > 1 or there is none."""
+    joint = _family(family)[1]
+    return None if joint is None or d != 1 else joint(mu_z, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gaussbound import (
@@ -171,6 +173,23 @@ class TestOffshelfAndNaive:
         pair = naive_lower_1d(gm_mix_samples, seed=16)
         assert abs(pair.rho - 0.288) <= 0.03
         assert abs(pair_bound_nats(pair) / NATS_PER_BIT - 0.0628) <= 0.02
+
+    @given(
+        st.integers(0, 10_000),
+        st.floats(0.1, 10.0),
+        st.floats(-10.0, 10.0),
+        st.floats(0.1, 10.0),
+        st.floats(-10.0, 10.0),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_affine_invariance(self, seed, a, b, c, e):
+        # x -> a x + b and y -> c y + e (a, c > 0) keep every rank, and every
+        # 1-D neighbour window up to rounding of the distances
+        s = gm1d_sample(400, 10.0, 0.1, seed=seed).samples
+        t = PairedSamples(a * s.x + b, c * s.y + e)
+        assert pair_bound_nats(naive_lower_1d(s, seed=1)) == pair_bound_nats(naive_lower_1d(t, seed=1))
+        upper = [ace_upper_bound(ace_fit(p, seed=2)) for p in (s, t)]
+        assert abs(upper[0] - upper[1]) <= 1e-12
 
     def test_naive_beaten_by_offshelf(self, gm_mix_samples, gm_mix_offshelf):
         naive = naive_lower_1d(gm_mix_samples, seed=17)

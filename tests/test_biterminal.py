@@ -152,6 +152,20 @@ class TestBiterminal:
         assert np.array_equal(bu, su)
         assert np.array_equal(bv, sv)
 
+    def test_univariate_blocks_make_no_tries(self):
+        # a 1-column block has no Givens move, so tries would only redraw
+        # its tie-breaks; tied columns make that visible
+        rng = np.random.default_rng(19)
+        u = rng.integers(0, 40, 600).astype(float)
+        v = u + rng.integers(0, 40, 600)
+        runs = [
+            biterminal_gaussianize(u, v, outer_iters=3, inner_tries=tries, normality_tol=-1.0, seed=20)
+            for tries in (40, 0)
+        ]
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+        assert runs[0][3] == runs[1][3]
+
     def test_accepted_trace_strictly_increasing(self):
         rng = np.random.default_rng(15)
         u = rng.exponential(1.0, (1500, 2))

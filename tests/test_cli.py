@@ -143,18 +143,44 @@ class TestBound:
             ["bound", "--method", "offshelf", "--n", "60"],
             ["bound", "--method", "biterminal", "--n", "60"],
             ["reproduce", "sec4.4", "--n", "40"],
+            # numpy's generators take non-negative seeds only
+            ["bound", "--method", "naive", "--seed", "-1", "--n", "500"],
+            ["gen", "--seed", "-1", "--n", "100"],
+            ["reproduce", "sec4.4", "--seed", "-1"],
+            # gm parameters, checked before drawing
+            ["bound", "--method", "naive", "--eps", "0", "--n", "500"],
+            ["bound", "--method", "naive", "--eps", "nan", "--n", "500"],
+            ["bound", "--method", "naive", "--mu-z", "nan", "--n", "500"],
+            # gm1d is one-dimensional; gm_mv is its d-dimensional family
+            ["bound", "--method", "naive", "--d", "2", "--n", "500"],
+            ["gen", "--d", "2", "--n", "100"],
+            # a kernel width given must be positive
+            ["bound", "--method", "kcca", "--kcca-width", "0", "--n", "500"],
+            ["bound", "--method", "kcca", "--kcca-width", "-1", "--n", "500"],
+            ["bound", "--method", "kcca", "--kcca-width", "nan", "--n", "500"],
+            # every sampler needs n >= 1
+            ["gen", "--model", "exp_gamma", "--n", "0"],
+            ["gen", "--model", "mv_gaussian_scramble", "--n", "-3"],
         ],
         ids=["k-zero", "k-above-n", "kcca-n-cap", "restarts-zero", "restarts-negative",
              "tol-negative", "curve-beta-points-zero", "naive-n-10", "agce-n-60",
-             "offshelf-n-60", "biterminal-n-60", "reproduce-n-40"],
+             "offshelf-n-60", "biterminal-n-60", "reproduce-n-40", "seed-negative",
+             "gen-seed-negative", "reproduce-seed-negative", "eps-zero", "eps-nan", "mu-z-nan",
+             "gm1d-d-2", "gen-gm1d-d-2", "kcca-width-zero", "kcca-width-negative", "kcca-width-nan",
+             "gen-exp-gamma-n-0", "gen-scramble-n-negative"],
     )
     def test_out_of_range_parameter_is_input_error(self, argv, tmp_path, capsys):
-        if argv[0] != "reproduce":
-            argv = [*argv, "--model", "gm1d", "--seed", "1"]
+        argv = list(argv)
+        for flag, value in (("--model", "gm1d"), ("--seed", "1")):
+            if argv[0] != "reproduce" and flag not in argv:
+                argv += [flag, value]
         if argv[0] == "curve":
             argv = [*argv, "--out-dir", str(tmp_path / "curves")]
+        if argv[0] == "gen":
+            argv = [*argv, "--out", str(tmp_path / "g.csv")]
         assert run_cli(argv) == EXIT_CONFIG
-        assert "numerical failure" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and "numerical failure" not in err
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("model, d", [("gm1d", 1), ("exp_gamma", 2)])
@@ -261,6 +287,7 @@ class TestConfigFile:
             ("curve", "units = furlongs"),
             ("bound", "smoother = kernal"),
             ("curve", "reference = maybe"),
+            ("bound", "seed = -1"),
         ],
     )
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command, line):
@@ -273,10 +300,12 @@ class TestConfigFile:
         assert repr(line.split(" = ")[1]) in capsys.readouterr().err
 
     def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GB_SEED", "abc")
+        # a non-negative one: GB_SEED goes through the --seed parser
         argv = ["bound", "--model", "gm1d", "--n", "300", "--method", "naive"]
-        assert run_cli([*argv, "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
-        assert "GB_SEED" in capsys.readouterr().err
+        for bad in ("abc", "-1"):
+            monkeypatch.setenv("GB_SEED", bad)
+            assert run_cli([*argv, "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+            assert "GB_SEED" in capsys.readouterr().err
 
 
 class TestCurve:

@@ -18,11 +18,14 @@ from gaussbound import (
     mvg_scramble_sample,
 )
 from gaussbound.models import (
+    MODEL_FAMILIES,
     ExpMirrorModel,
-    ModelSpec,
+    Gm1dModel,
     OracleGaussian,
     _gm1d_mi_numeric,
+    discretizable_from_spec,
     gm1d_mi_closed_form,
+    sample_from_spec,
 )
 from gaussbound.stats_core import NATS_PER_BIT, ks_normal_stat
 
@@ -156,12 +159,46 @@ class TestReproducibility:
         assert np.array_equal(a.samples.y, b.samples.y)
 
 
-class TestModelSpec:
+class TestSampleFromSpec:
     def test_valid_families_only(self):
         with pytest.raises(ParameterError):
-            ModelSpec(family="mystery")
+            sample_from_spec("mystery", 100, 1, 10.0, 0.1, 0)
         with pytest.raises(ParameterError):
-            ModelSpec(family="gm1d", d=0)
+            discretizable_from_spec("mystery", 1, 10.0, 0.1)
+        for family in MODEL_FAMILIES:
+            with pytest.raises(ParameterError):
+                sample_from_spec(family, 100, 0, 10.0, 0.1, 0)
+            with pytest.raises(ParameterError):
+                sample_from_spec(family, 0, 1, 10.0, 0.1, 0)
+
+    def test_table_dispatch(self):
+        pairs = [
+            (sample_from_spec("gm1d", 50, 1, 5.0, 0.3, 3), gm1d_sample(50, 5.0, 0.3, seed=3)),
+            (sample_from_spec("gm_mv", 50, 2, 5.0, 0.3, 3), gm_mv_sample(50, 2, 5.0, 0.3, seed=3)),
+            (sample_from_spec("exp_gamma", 50, 2, 5.0, 0.3, 3), expgamma_sample(50, 2, seed=3)),
+            (sample_from_spec("mv_gaussian_scramble", 50, 2, 5.0, 0.3, 3), mvg_scramble_sample(50, 2, seed=3)),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got.samples.x, want.samples.x)
+            assert np.array_equal(got.samples.y, want.samples.y)
+        joint = discretizable_from_spec("gm_mv", 1, 5.0, 0.3)
+        assert isinstance(joint, Gm1dModel) and (joint.mu_z, joint.eps) == (5.0, 0.3)
+        assert isinstance(discretizable_from_spec("exp_gamma", 1, 5.0, 0.3), ExpMirrorModel)
+        assert discretizable_from_spec("mv_gaussian_scramble", 1, 5.0, 0.3) is None
+        assert discretizable_from_spec("gm_mv", 2, 5.0, 0.3) is None
+
+    def test_gm1d_is_one_dimensional(self):
+        with pytest.raises(ParameterError, match="gm_mv"):
+            sample_from_spec("gm1d", 100, 2, 10.0, 0.1, 0)
+
+    @pytest.mark.parametrize(
+        "mu_z, eps", [(10.0, 0.0), (10.0, -0.1), (10.0, math.nan), (10.0, math.inf), (math.nan, 0.1), (-math.inf, 0.1)]
+    )
+    def test_gm_parameters_rejected_before_drawing(self, mu_z, eps):
+        # ParameterError, not the DomainError the MI computation after the draw raises
+        for d in (1, 2):
+            with pytest.raises(ParameterError):
+                gm_mv_sample(100, d, mu_z, eps, seed=0)
 
 
 class TestLemmaFlagPipeline:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtri
@@ -22,6 +22,7 @@ from gaussbound import (
     w2_to_normal,
 )
 from gaussbound.stats_core import (
+    COV_RIDGE,
     NATS_PER_BIT,
     correlations_saturated,
     ks_normal_stat,
@@ -261,6 +262,7 @@ class TestGaussianMiBound:
         assert abs(base - mapped) <= 1e-8 * max(1.0, base)
 
     @given(st.integers(0, 10_000))
+    @example(1512)
     @settings(max_examples=25, deadline=None)
     def test_matches_canonical_correlations(self, seed):
         # joint covariance with canonical correlations below 0.9 and
@@ -274,12 +276,16 @@ class TestGaussianMiBound:
         mix[du:, du:] = np.linalg.qr(rng.standard_normal((dv, dv)))[0] * rng.uniform(0.5, 2.0, dv)
         cov = mix @ np.block([[np.eye(du), cross], [cross.T, np.eye(dv)]]) @ mix.T
         # canonical correlations from cov alone: singular values of the
-        # whitened cross block L_U^-1 C_UV L_V^-T
-        l_u = np.linalg.cholesky(cov[:du, :du])
-        l_v = np.linalg.cholesky(cov[du:, du:])
+        # whitened cross block L_U^-1 C_UV L_V^-T, with each marginal block
+        # ridged the way gaussian_mi_bound ridges it (COV_RIDGE times its
+        # mean variance); the un-ridged blocks differ by up to 2.1e-9 nats
+        c_u = cov[:du, :du] + COV_RIDGE * np.trace(cov[:du, :du]) / du * np.eye(du)
+        c_v = cov[du:, du:] + COV_RIDGE * np.trace(cov[du:, du:]) / dv * np.eye(dv)
+        l_u = np.linalg.cholesky(c_u)
+        l_v = np.linalg.cholesky(c_v)
         whitened = np.linalg.solve(l_u, np.linalg.solve(l_v, cov[du:, :du]).T)
         rho = np.linalg.svd(whitened, compute_uv=False)
-        assert abs(gaussian_mi_bound(cov, du) - mi_from_correlations(rho)) <= 1e-9
+        assert abs(gaussian_mi_bound(cov, du) - mi_from_correlations(rho)) <= 1e-12
 
     def test_saturation_details(self):
         u = np.random.default_rng(0).standard_normal(500)
@@ -318,5 +324,18 @@ class TestPairedSamples:
     def test_non_finite_rejected(self, bad, side):
         blocks = {"x": np.arange(5.0), "y": np.arange(5.0)}
         blocks[side][2] = bad
+        with pytest.raises(DomainError):
+            PairedSamples(blocks["x"], blocks["y"])
+
+    @given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_non_finite_rejected_anywhere(self, n, d_x, d_y, data):
+        rng = np.random.default_rng(n)
+        blocks = {"x": rng.standard_normal((n, d_x)), "y": rng.standard_normal((n, d_y))}
+        PairedSamples(blocks["x"], blocks["y"])
+        side = data.draw(st.sampled_from(["x", "y"]))
+        row = data.draw(st.integers(0, n - 1))
+        col = data.draw(st.integers(0, blocks[side].shape[1] - 1))
+        blocks[side][row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         with pytest.raises(DomainError):
             PairedSamples(blocks["x"], blocks["y"])
