@@ -201,6 +201,8 @@ def kcca_fit(
         raise ParameterError(f"kernel_width must be positive, got {kernel_width}")
     if k is None:
         k = min(samples.d_x, samples.d_y)
+    # imported here: scipy.sparse.linalg adds about 35 ms to the package's import
+    from scipy.sparse.linalg import svds
 
     rng = np.random.default_rng(seed)
     wx = kernel_width or _median_heuristic_width(samples.x, rng)
@@ -217,7 +219,8 @@ def kcca_fit(
             sx = scipy.linalg.cho_solve(cx, kx)
             sy = scipy.linalg.cho_solve(cy, ky)
             m = sx @ sy.T
-            left, sing, vt = np.linalg.svd(m)
+            # only the k leading singular pairs are used; v0 keeps svds seeded
+            left, sing, vt = svds(m, k=k, v0=rng.standard_normal(n))
             break
         except np.linalg.LinAlgError:
             if attempt == 3:
@@ -226,6 +229,8 @@ def kcca_fit(
                 ) from None
             cur_ridge *= 10.0
 
+    order = np.argsort(sing)[::-1]
+    left, vt = left[:, order], vt[order]
     u_cols, v_cols, rho = [], [], []
     for j in range(k):
         uj, dead_u = _standardize(_orthogonalize(sx @ left[:, j], u_cols))

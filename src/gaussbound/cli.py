@@ -387,13 +387,18 @@ def _curve_outputs(args) -> dict:
     write_curve_csv(out_dir / "raw_gib_curve.csv", raw_curve, args.units)
     files["raw_gib_curve"] = "raw_gib_curve.csv"
 
-    reference_mi = None
+    reference_mi = reference_solver = None
     if args.reference and analytic is not None:
         pmf, _ = quadrature_discretize(analytic, m=args.quad_m)
-        ref_curve, _ = reverse_anneal(pmf)
+        ref_curve, diag = reverse_anneal(pmf)
         write_curve_csv(out_dir / "reference_curve.csv", ref_curve, args.units)
         files["reference_curve"] = "reference_curve.csv"
         reference_mi = pmf.mutual_information()
+        reference_solver = {
+            "sweeps": sum(sol.n_iter for sol in diag["solutions"]),
+            "unconverged_betas": int(np.count_nonzero(~diag["converged"])),
+            "lifted_points": [int(i) for i in diag["lifted_points"]],
+        }
     elapsed = time.perf_counter() - t0
 
     manifest = {
@@ -406,6 +411,7 @@ def _curve_outputs(args) -> dict:
         "rho": None if rho is None else list(np.round(np.asarray(rho), 12)),
         "embedding_bound_nats": gaussian_mi_bound(cov, u.shape[1]),
         "reference_pmf_mi_nats": reference_mi,
+        "reference_solver": reference_solver,
         "files": files,
         "timing": {"wall_s": elapsed},
     }

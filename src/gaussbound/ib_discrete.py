@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from .errors import DomainError, ParameterError, UnsupportedModelError
 from .gib import IBCurve
@@ -73,7 +73,7 @@ class JointPmf:
 
 def _mi_rows(weights: np.ndarray, rows: np.ndarray, marginal: np.ndarray) -> float:
     """sum_i w_i KL(rows_i || marginal), the MI of a channel with input weights."""
-    ratio = np.log(np.maximum(rows, _Q_FLOOR)) - np.log(np.maximum(marginal, _Q_FLOOR))
+    ratio = _log_floored(rows) - _log_floored(marginal)
     return float(np.sum(weights[:, None] * rows * ratio))
 
 
@@ -105,28 +105,40 @@ def ib_iterate(
     marginal and decoder recomputed each sweep; iteration stops when the
     max-abs change of q(t|x) falls below ``tol``.  The Lagrangian
     I(T;X) - beta I(T;Y) is tracked per sweep and is nonincreasing up to
-    numerical noise.
+    numerical noise.  It comes from the sweep's own logs: log q(t|x) from the
+    softmax, and the floored log q(t) and log q(y|t) that the next sweep's
+    KL term reuses.
     """
-    if beta <= 0:
-        raise ParameterError("beta must be positive")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ParameterError(f"beta must be finite and positive, got {beta}")
+    if init is not None and init.q_t_given_x.shape != (joint.n_x, joint.n_x):
+        raise ParameterError(
+            f"init encoder has shape {init.q_t_given_x.shape}, expected {(joint.n_x, joint.n_x)}"
+        )
     px = joint.p_x
     pyx = joint.p_y_given_x
-    log_pyx = np.log(np.maximum(pyx, _Q_FLOOR))
-    h_rows = np.sum(pyx * log_pyx, axis=1)  # sum_y p(y|x) ln p(y|x)
+    pxy = px[:, None] * pyx
+    h_rows = np.sum(pyx * _log_floored(pyx), axis=1)  # sum_y p(y|x) ln p(y|x)
+    log_py = _log_floored(joint.p_y)
+    log_floor = np.log(_Q_FLOOR)
 
     q = np.eye(joint.n_x) if init is None else init.q_t_given_x.copy()
 
     lagrangian = []
     converged = False
     n_iter = 0
-    qt, qyt = _decoder(q, px, pyx)
+    qt, _, qyt = _decoder(q, px, pxy)
+    log_qt, log_qyt = _log_floored(qt), _log_floored(qyt)
     for n_iter in range(1, max_iter + 1):
         # d[x,t] = KL(p(y|x) || q(y|t))
-        d = h_rows[:, None] - pyx @ np.log(np.maximum(qyt, _Q_FLOOR)).T
-        logits = np.log(np.maximum(qt, _Q_FLOOR))[None, :] - beta * d
-        q_new = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-        qt, qyt = _decoder(q_new, px, pyx)
-        lagrangian.append(_mi_rows(px, q_new, qt) - beta * _mi_rows(qt, qyt, joint.p_y))
+        d = h_rows[:, None] - pyx @ log_qyt.T
+        q_new, log_q = _softmax(log_qt - beta * d, axis=1)
+        qt, qty, qyt = _decoder(q_new, px, pxy)
+        log_qt, log_qyt = _log_floored(qt), _log_floored(qyt)
+        # sum_x p(x) q(t|x) ln(q(t|x) / q(t)) and sum_t q(t) q(y|t) ln(q(y|t) / p(y))
+        i_tx = np.vdot(px[:, None] * q_new, np.maximum(log_q, log_floor) - log_qt)
+        i_ty = np.vdot(qty, log_qyt - log_py)
+        lagrangian.append(i_tx - beta * i_ty)
 
         delta = np.abs(q_new - q).max()
         q = q_new
@@ -147,14 +159,37 @@ def ib_iterate(
     )
 
 
-def _decoder(q: np.ndarray, px: np.ndarray, pyx: np.ndarray):
-    """Marginal q(t) and decoder q(y|t) of the encoder q(t|x)."""
+def _log_floored(a: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(a, _Q_FLOOR))
+
+
+def _softmax(logits: np.ndarray, axis=None):
+    """exp(logits) normalized along ``axis`` (over every entry when None), and its log.
+
+    The max is subtracted before ``exp`` so nothing overflows.  This stands in
+    for scipy's ``logsumexp``, whose per-call dispatch outweighs the
+    arithmetic on matrices this small.
+    """
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    unnorm = np.exp(shifted)
+    total = unnorm.sum(axis=axis, keepdims=True)
+    return unnorm / total, shifted - np.log(total)
+
+
+def _decoder(q: np.ndarray, px: np.ndarray, pxy: np.ndarray):
+    """Marginal q(t), joint q(t,y) and decoder q(y|t) of the encoder q(t|x).
+
+    ``pxy`` is the joint p(x,y).  A dead cluster (q(t) = 0) gets a uniform
+    decoder.
+    """
     qt = px @ q
-    qyt = (q * px[:, None]).T @ pyx
+    qty = q.T @ pxy
+    if qt.all():
+        return qt, qty, qty / qt[:, None]
     alive = qt > 0
-    qyt[alive] /= qt[alive, None]
-    qyt[~alive] = 1.0 / pyx.shape[1]
-    return qt, qyt
+    qyt = np.full_like(qty, 1.0 / qty.shape[1])
+    qyt[alive] = qty[alive] / qt[alive, None]
+    return qt, qty, qyt
 
 
 def upper_concave_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -193,6 +228,8 @@ def reverse_anneal(joint: JointPmf, beta_schedule=None):
     schedule = np.asarray(beta_schedule, float)
     if schedule.ndim != 1 or schedule.size == 0:
         raise ParameterError("beta schedule must be a nonempty 1-D array")
+    if not np.isfinite(schedule).all():
+        raise ParameterError("beta schedule entries must be finite")
     if schedule.size > 1 and np.any(np.diff(schedule) >= 0):
         raise ParameterError("beta schedule must be strictly descending")
 
@@ -311,8 +348,7 @@ def quadrature_discretize(model, m: int = 32):
         + logw[0][:, None]
         + logw[1][None, :]
     )
-    log_p -= logsumexp(log_p)
-    pmf = JointPmf(np.exp(log_p), x_labels=xn)
+    pmf = JointPmf(_softmax(log_p)[0], x_labels=xn)
     return pmf, diagnostics
 
 

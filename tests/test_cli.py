@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussbound import agce_fit_1d, cca_ace, gm1d_sample, offshelf_lower_1d, smoother
+from gaussbound import (
+    agce_fit_1d,
+    cca_ace,
+    gm1d_sample,
+    offshelf_lower_1d,
+    quadrature_discretize,
+    reverse_anneal,
+    smoother,
+)
 from gaussbound import reproduce as repro
 from gaussbound.cli import (
     EXIT_CHECK_FAILED,
@@ -20,6 +28,7 @@ from gaussbound.cli import (
     METHODS,
     main,
 )
+from gaussbound.models import Gm1dModel
 
 
 def run_cli(args):
@@ -338,6 +347,27 @@ class TestCurve:
         method = np.loadtxt(out / "method_curve.csv", delimiter=",", skiprows=1)
         assert ref[:, 2].max() > method[:, 2].max()  # reference sits above
 
+    def test_manifest_reports_reference_solver(self, tmp_path):
+        out = tmp_path / "curves"
+        argv = ["curve", "--model", "gm1d", "--mu-z", "9.0", "--eps", "0.1", "--n", "1000",
+                "--method", "naive", "--seed", "3", "--quad-m", "12", "--out-dir", str(out)]
+        assert run_cli(argv) == 0
+        manifest = read_json(out / "manifest.json")
+        # the full key set, so an added or dropped key shows
+        assert set(manifest) == {
+            "schema", "command", "method", "provenance", "seed", "units", "rho",
+            "embedding_bound_nats", "reference_pmf_mi_nats", "reference_solver", "files", "timing",
+        }
+        pmf, _ = quadrature_discretize(Gm1dModel(9.0, 0.1), m=12)
+        _, diag = reverse_anneal(pmf)
+        assert manifest["reference_solver"] == {
+            "sweeps": sum(sol.n_iter for sol in diag["solutions"]),
+            "unconverged_betas": int(np.count_nonzero(~diag["converged"])),
+            "lifted_points": diag["lifted_points"].tolist(),
+        }
+        assert manifest["reference_solver"]["sweeps"] >= 60
+        assert manifest["reference_pmf_mi_nats"] == pmf.mutual_information()
+
     def test_no_reference_on_csv_input(self, sample_csv, tmp_path):
         out = tmp_path / "curves"
         code = run_cli(
@@ -346,6 +376,7 @@ class TestCurve:
         assert code == 0
         manifest = read_json(out / "manifest.json")
         assert "reference_curve" not in manifest["files"]
+        assert manifest["reference_solver"] is None
 
     def test_independent_input_stays_at_origin(self, tmp_path):
         rng = np.random.default_rng(30)

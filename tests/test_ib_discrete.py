@@ -1,8 +1,11 @@
 """Discrete bottleneck solver, annealing, and quadrature discretization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from gaussbound import (
     JointPmf,
@@ -13,7 +16,7 @@ from gaussbound import (
     quadrature_discretize,
     reverse_anneal,
 )
-from gaussbound.ib_discrete import upper_concave_envelope
+from gaussbound.ib_discrete import _mi_rows, upper_concave_envelope
 from gaussbound.models import BivariateGaussianModel, ExpMirrorModel, Gm1dModel
 
 
@@ -45,6 +48,38 @@ def grid_search_symmetric_ib(pmf: JointPmf, beta: float, grid: int = 20001):
     lagr = i_tx - beta * i_ty
     best = int(np.argmin(lagr))
     return float(i_tx[best]), float(i_ty[best])
+
+
+def reference_sweep(joint: JointPmf, beta: float, q=None, tol=1e-9, max_iter=3000):
+    """The solver as first written: scipy logsumexp softmax, Lagrangian from _mi_rows.
+
+    Returns (q(t|x), I_TX, I_TY, n_iter, Lagrangian trace).
+    """
+    px, pyx = joint.p_x, joint.p_y_given_x
+    h_rows = np.sum(pyx * np.log(np.maximum(pyx, 1e-300)), axis=1)
+    q = np.eye(joint.n_x) if q is None else q.copy()
+
+    def decoder(q):
+        qt = px @ q
+        qyt = (q * px[:, None]).T @ pyx
+        alive = qt > 0
+        qyt[alive] /= qt[alive, None]
+        qyt[~alive] = 1.0 / pyx.shape[1]
+        return qt, qyt
+
+    trace = []
+    qt, qyt = decoder(q)
+    for n_iter in range(1, max_iter + 1):
+        d = h_rows[:, None] - pyx @ np.log(np.maximum(qyt, 1e-300)).T
+        logits = np.log(np.maximum(qt, 1e-300))[None, :] - beta * d
+        q_new = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        qt, qyt = decoder(q_new)
+        trace.append(_mi_rows(px, q_new, qt) - beta * _mi_rows(qt, qyt, joint.p_y))
+        delta = np.abs(q_new - q).max()
+        q = q_new
+        if delta < tol:
+            break
+    return q, _mi_rows(px, q, qt), _mi_rows(qt, qyt, joint.p_y), n_iter, np.asarray(trace)
 
 
 class TestIbIterate:
@@ -94,6 +129,53 @@ class TestIbIterate:
         with pytest.raises(ParameterError):
             ib_iterate(symmetric_2x2(0.1), beta=0.0)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ParameterError, match="finite"):
+            ib_iterate(symmetric_2x2(0.1), beta=beta)
+
+    def test_init_of_another_alphabet_rejected(self):
+        other = ib_iterate(JointPmf(np.full((3, 2), 1.0)), beta=2.0)
+        with pytest.raises(ParameterError, match="shape"):
+            ib_iterate(symmetric_2x2(0.1), beta=2.0, init=other)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            symmetric_2x2(0.1),
+            JointPmf(np.random.default_rng(11).random((6, 5))),
+            quadrature_discretize(Gm1dModel(10.0, 0.1), m=16)[0],
+        ],
+        ids=["symmetric-2x2", "random-6x5", "gm1d-m16"],
+    )
+    def test_matches_reference_sweep(self, pmf):
+        # a warm-started 12-beta reverse schedule: same sweep counts, same
+        # information pair and Lagrangian trace to rounding
+        _, diag = reverse_anneal(pmf, beta_schedule=np.logspace(2.3, -0.1, 12))
+        q = None
+        for sol in diag["solutions"]:
+            q, i_tx, i_ty, n_iter, trace = reference_sweep(pmf, sol.beta, q)
+            assert sol.n_iter == n_iter
+            assert abs(sol.i_tx - i_tx) <= 1e-12
+            assert abs(sol.i_ty - i_ty) <= 1e-12
+            assert np.max(np.abs(sol.lagrangian_trace - trace)) <= 1e-12
+
+    def test_dead_clusters(self):
+        # x rows 3-5 repeat rows 0-2; the start encoder pools rows 3-5 in one
+        # cluster, a mixture far (KL ~ ln 3) from every row, and leaves two
+        # clusters empty.  At beta = 1e3 the mixture's weight underflows to 0.
+        pmf = JointPmf(np.vstack([np.eye(3) + 1e-3] * 2))
+        q0 = np.zeros((6, 6))
+        q0[[0, 1, 2], [0, 1, 2]] = 1.0
+        q0[3:, 3] = 1.0
+        start = dataclasses.replace(ib_iterate(pmf, beta=1.0), q_t_given_x=q0)
+        sol = ib_iterate(pmf, beta=1e3, init=start)
+        assert np.count_nonzero(sol.q_t == 0.0) == 3
+        assert np.isfinite([sol.i_tx, sol.i_ty]).all()
+        assert np.isfinite(sol.lagrangian_trace).all()
+        assert sol.i_ty <= sol.i_tx
+        assert_allclose(sol.q_y_given_t.sum(axis=1), 1.0, atol=1e-12)
+
 
 class TestReverseAnneal:
     def test_independent_pmf_stays_at_origin(self):
@@ -111,6 +193,12 @@ class TestReverseAnneal:
     def test_schedule_validation(self):
         with pytest.raises(ParameterError):
             reverse_anneal(symmetric_2x2(0.1), beta_schedule=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("schedule", [[200.0, np.nan, 1.0], [np.inf, 1.0], [np.nan]])
+    def test_non_finite_schedule_rejected(self, schedule):
+        # rejected up front, before any beta is solved
+        with pytest.raises(ParameterError, match="schedule entries must be finite"):
+            reverse_anneal(symmetric_2x2(0.1), beta_schedule=np.array(schedule))
 
     def test_curve_passes_validation(self):
         pmf = symmetric_2x2(0.1)
