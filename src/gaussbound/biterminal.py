@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError
+from .errors import DomainError, InsufficientDataError, ParameterError
 from .smoother import as_block
 from .stats_core import (
     MonotoneMap,
@@ -104,6 +104,8 @@ def separate_gaussianize(
     n = b.shape[0]
     if n < 100:
         raise InsufficientDataError("separate_gaussianize needs at least 100 samples")
+    if max_layers < 1:
+        raise ParameterError(f"max_layers must be at least 1, got {max_layers}")
     tol = default_normality_tol(n) if normality_tol is None else float(normality_tol)
     rng = np.random.default_rng(seed)
     chain = GaussianizeChain()
@@ -133,6 +135,38 @@ def joint_objective_saturated(u, v) -> bool:
     return info["saturated"]
 
 
+def _try_scorer(blocks: dict, side: str):
+    """``cand -> joint_objective`` of (U, V) with ``side``'s block replaced by ``cand``.
+
+    The other block is centered and its Gram taken once, here; each call
+    adds only the candidate's column sums (``ones @ cand``), ``cand.T @ cand``
+    and ``cand.T @ other_c``, from which it builds the ddof-1 joint
+    covariance in (U, V) order.  That matrix goes through the same checks,
+    ridge and determinants in ``gaussian_mi_bound`` as ``joint_objective``.
+    """
+    other = blocks["v" if side == "u" else "u"]
+    n, d_o = other.shape
+    d_c = blocks[side].shape[1]
+    ones = np.ones(n)
+    other_c = other - (ones @ other) / n
+    gram_o = other_c.T @ other_c
+    # the candidate's rows and columns of the joint, and U's width
+    c, o = (slice(0, d_c), slice(d_c, None)) if side == "u" else (slice(d_o, None), slice(0, d_o))
+    d_u = d_c if side == "u" else d_o
+
+    def score(cand) -> float:
+        sums = ones @ cand
+        cross = cand.T @ other_c
+        joint = np.empty((d_c + d_o, d_c + d_o))
+        joint[c, c] = cand.T @ cand - np.outer(sums, sums) / n
+        joint[c, o] = cross
+        joint[o, c] = cross.T
+        joint[o, o] = gram_o
+        return gaussian_mi_bound(joint / (n - 1), d_u)
+
+    return score
+
+
 def biterminal_gaussianize(
     u,
     v,
@@ -150,13 +184,27 @@ def biterminal_gaussianize(
     procedure is the per-side objective-blind scheme; the U and V sides draw
     from the two children of ``np.random.SeedSequence(seed).spawn(2)``.
 
+    A try is scored without restacking (U, V): the unchanged side's centered
+    block and its Gram are taken once per side step, and each candidate adds
+    its own column sums, Gram and cross-products with that block.  The
+    resulting joint covariance goes through ``gaussian_mi_bound``, so a try
+    scores ``joint_objective`` of the replaced pair up to rounding.
+
     Returns ``(u_out, v_out, (chain_u, chain_v), trace)`` where ``trace`` is a
     list of ``(outer_iteration, side, accepted_objective)`` tuples.
     """
     u, v = as_block(u), as_block(v)
     n = u.shape[0]
+    if v.shape[0] != n:
+        raise DomainError(f"u has {n} rows but v has {v.shape[0]}")
     if n < 100:
         raise InsufficientDataError("biterminal_gaussianize needs at least 100 samples")
+    if n <= u.shape[1] + v.shape[1]:
+        raise ParameterError("need more samples than total dimensions")
+    if outer_iters < 1:
+        raise ParameterError(f"outer_iters must be at least 1, got {outer_iters}")
+    if inner_tries < 0:
+        raise ParameterError(f"inner_tries must be nonnegative, got {inner_tries}")
     tol = default_normality_tol(n) if normality_tol is None else float(normality_tol)
 
     ss_u, ss_v = np.random.SeedSequence(seed).spawn(2)
@@ -170,10 +218,10 @@ def biterminal_gaussianize(
             rng = rngs[side]
             block = blocks[side]
             d = block.shape[1]
+            score = _try_scorer(blocks, side)
             rotation = random_rotation(d, rng)
             cand, layer = _apply_layer(block, rotation, rng)
-            # the objective of (U, V) with this side's block replaced
-            obj = joint_objective(**{**blocks, side: cand})
+            obj = score(cand)
             trace.append((outer, side, obj))
             # a 1-column block has no Givens move: a try would only redraw its tie-breaks
             for _ in range(inner_tries if d >= 2 else 0):
@@ -181,7 +229,7 @@ def biterminal_gaussianize(
                 theta = rng.uniform(-np.pi, np.pi)
                 rot2 = givens_rotation(d, int(i), int(j), theta) @ rotation
                 cand2, layer2 = _apply_layer(block, rot2, rng)
-                obj2 = joint_objective(**{**blocks, side: cand2})
+                obj2 = score(cand2)
                 if obj2 > obj:
                     rotation, cand, layer, obj = rot2, cand2, layer2, obj2
                     trace.append((outer, side, obj))

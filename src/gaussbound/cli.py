@@ -310,8 +310,14 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
         return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), extras
     if method == "biterminal":
         model = ace_fit(samples, smoother=cfg, seed=seed)
-        bu, bv, _, trace = biterminal_gaussianize(model.u, model.v, seed=seed + 1)
-        return bu, bv, None, {"model": model, "accepted_moves": len(trace)}
+        bu, bv, (chain_u, _), trace = biterminal_gaussianize(model.u, model.v, seed=seed + 1)
+        extras = {
+            "model": model,
+            "accepted_moves": len(trace),
+            "outer_iters": len(chain_u.layers),
+            "converged": chain_u.converged,
+        }
+        return bu, bv, None, extras
     if method == "kcca":
         model = kcca_fit(
             samples, kernel_width=args.kcca_width, ridge=args.kcca_ridge, seed=seed

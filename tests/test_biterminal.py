@@ -14,12 +14,15 @@ from gaussbound import (
     separate_gaussianize,
 )
 from gaussbound.biterminal import (
+    _apply_layer,
+    _probe_stats,
+    _try_scorer,
     default_normality_tol,
     givens_rotation,
     joint_objective_saturated,
     random_rotation,
 )
-from gaussbound.errors import ParameterError
+from gaussbound.errors import DomainError, InvalidCovarianceError, ParameterError
 from gaussbound.ib_discrete import discretize_samples
 from gaussbound.stats_core import rank_quantile_grid
 
@@ -66,8 +69,6 @@ class TestSeparateGaussianize:
         proxies = []
         cur = block
         chain_rng = np.random.default_rng(6)
-        from gaussbound.biterminal import _apply_layer
-
         for _ in range(40):
             cur, _layer = _apply_layer(cur, random_rotation(2, chain_rng), chain_rng)
             proxies.append(pairwise_mi(cur))
@@ -189,6 +190,148 @@ class TestBiterminal:
             for layer in chain.layers:
                 r = layer.rotation
                 assert np.max(np.abs(r.T @ r - np.eye(2))) <= 1e-8
+
+
+def reference_biterminal(u, v, seed):
+    """The hill climb as first written, on 2-D blocks and with the default
+    budgets: every try scored by ``joint_objective`` of the restacked pair.
+    Returns (u_out, v_out, trace)."""
+    tol = default_normality_tol(u.shape[0])
+    ss_u, ss_v = np.random.SeedSequence(seed).spawn(2)
+    rngs = {"u": np.random.default_rng(ss_u), "v": np.random.default_rng(ss_v)}
+    blocks = {"u": u, "v": v}
+    trace = []
+    for outer in range(30):
+        for side in ("u", "v"):
+            rng, block = rngs[side], blocks[side]
+            d = block.shape[1]
+            rotation = random_rotation(d, rng)
+            cand, _ = _apply_layer(block, rotation, rng)
+            obj = joint_objective(**{**blocks, side: cand})
+            trace.append((outer, side, obj))
+            for _ in range(40 if d >= 2 else 0):
+                i, j = rng.choice(d, size=2, replace=False)
+                theta = rng.uniform(-np.pi, np.pi)
+                rot2 = givens_rotation(d, int(i), int(j), theta) @ rotation
+                cand2, _ = _apply_layer(block, rot2, rng)
+                obj2 = joint_objective(**{**blocks, side: cand2})
+                if obj2 > obj:
+                    rotation, cand, obj = rot2, cand2, obj2
+                    trace.append((outer, side, obj))
+            blocks[side] = cand
+        stats_u = _probe_stats(blocks["u"], rngs["u"])
+        stats_v = _probe_stats(blocks["v"], rngs["v"])
+        if stats_u.max() <= tol and stats_v.max() <= tol:
+            break
+    return blocks["u"], blocks["v"], trace
+
+
+def _off_grid_pair(d_u, d_v, seed, n=600):
+    """Dependent blocks with column means near 5, far from the rank grid."""
+    rng = np.random.default_rng(seed)
+    u = 5.0 + rng.exponential(1.0, (n, d_u)) @ rng.standard_normal((d_u, d_u))
+    v = 5.0 + rng.gamma(2.0, 1.0, (n, d_v)) + u[:, :1]
+    return u, v
+
+
+class TestTryScorer:
+    """Each Givens try is scored from cross-products against the fixed side."""
+
+    @pytest.mark.parametrize("d_u, d_v", [(1, 3), (3, 2), (2, 2)])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_matches_joint_objective(self, d_u, d_v, side):
+        u, v = _off_grid_pair(d_u, d_v, seed=30 + 3 * d_u + d_v)
+        blocks = {"u": u, "v": v}
+        score = _try_scorer(blocks, side)
+        rng = np.random.default_rng(31)
+        block = blocks[side]
+        for _ in range(4):
+            # an on-grid candidate, as a try makes, and one off the grid
+            noisy = block + rng.standard_normal(block.shape)
+            cand, _ = _apply_layer(noisy, random_rotation(block.shape[1], rng), rng)
+            for c in (cand, noisy):
+                expected = joint_objective(**{**blocks, side: c})
+                assert abs(score(c) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_saturated_candidate(self, d, side):
+        # cand == other: the joint is singular, so the ridge sets the value
+        # and rounding of order eps * scale shifts it by about that / ridge.
+        # Both paths must agree at that resolution, or raise alike.
+        u, v = _off_grid_pair(d, d, seed=40 + d)
+        blocks = {"u": u, "v": v}
+        cand = blocks["v" if side == "u" else "u"]
+        replaced = {**blocks, side: cand}
+        assert joint_objective_saturated(replaced["u"], replaced["v"])
+        try:
+            expected = joint_objective(**replaced)
+        except InvalidCovarianceError as exc:
+            with pytest.raises(type(exc)):
+                _try_scorer(blocks, side)(cand)
+            return
+        got = _try_scorer(blocks, side)(cand)
+        assert expected > 5.0
+        assert abs(got - expected) <= 1e-3
+
+    @pytest.mark.parametrize("model", ["exponential", "exp_gamma"])
+    def test_hill_climb_matches_reference(self, model):
+        # 5 and 7 layers, with 25 and 52 accepted moves
+        if model == "exponential":
+            seed = 5
+            rng = np.random.default_rng(seed)
+            u = rng.exponential(1.0, (600, 2))
+            v = u + rng.exponential(1.0, (600, 2))
+        else:
+            seed = 1
+            ms = expgamma_sample(600, 2, seed=seed)
+            u, v = ms.samples.x, ms.samples.y
+        bu, bv, chains, trace = biterminal_gaussianize(u, v, seed=seed)
+        ru, rv, ref_trace = reference_biterminal(u, v, seed=seed)
+        assert np.array_equal(bu, ru)
+        assert np.array_equal(bv, rv)
+        assert len(trace) == len(ref_trace)
+        assert [t[:2] for t in trace] == [t[:2] for t in ref_trace]
+        assert max(abs(a[2] - b[2]) for a, b in zip(trace, ref_trace)) <= 1e-12
+        assert len(chains[0].layers) == len(chains[1].layers) == trace[-1][0] + 1
+
+
+class TestBiterminalInputs:
+    def test_mismatched_rows_rejected(self):
+        rng = np.random.default_rng(34)
+        with pytest.raises(DomainError, match="rows"):
+            biterminal_gaussianize(rng.standard_normal((200, 2)), rng.standard_normal((150, 2)), seed=1)
+
+    def test_more_dimensions_than_samples_rejected(self):
+        rng = np.random.default_rng(35)
+        with pytest.raises(ParameterError, match="more samples"):
+            biterminal_gaussianize(rng.standard_normal((100, 60)), rng.standard_normal((100, 40)), seed=1)
+
+    @pytest.mark.parametrize("outer_iters", [0, -1])
+    def test_outer_iters_below_one_rejected(self, outer_iters):
+        u = np.random.default_rng(36).standard_normal((200, 2))
+        with pytest.raises(ParameterError, match="outer_iters"):
+            biterminal_gaussianize(u, u + 1.0, outer_iters=outer_iters, seed=1)
+
+    def test_negative_inner_tries_rejected(self):
+        u = np.random.default_rng(37).standard_normal((200, 2))
+        with pytest.raises(ParameterError, match="inner_tries"):
+            biterminal_gaussianize(u, u + 1.0, inner_tries=-3, seed=1)
+
+    @pytest.mark.parametrize("max_layers", [0, -2])
+    def test_separate_max_layers_below_one_rejected(self, max_layers):
+        block = np.random.default_rng(38).standard_normal((200, 2))
+        with pytest.raises(ParameterError, match="max_layers"):
+            separate_gaussianize(block, max_layers=max_layers, seed=1)
+
+    def test_nonpositive_normality_tol_allowed(self):
+        # a tolerance <= 0 only switches off early stopping
+        rng = np.random.default_rng(39)
+        u = rng.standard_normal((200, 2))
+        _, _, chains, _ = biterminal_gaussianize(u, u + rng.standard_normal((200, 2)), outer_iters=2,
+                                                 inner_tries=1, normality_tol=-1.0, seed=1)
+        assert [len(c.layers) for c in chains] == [2, 2]
+        assert not chains[0].converged
 
 
 def test_rotation_helpers():

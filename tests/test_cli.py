@@ -114,6 +114,18 @@ class TestBound:
         assert run_cli(["gen", "--model", "exp_gamma", "--d", "2", "--n", "400", "--seed", "3", "--out", str(csv)]) == 0
         assert_deterministic(tmp_path, ["bound", "--input", str(csv), "--method", method, "--seed", "4"])
 
+    def test_biterminal_reports_layers_and_convergence(self, tmp_path):
+        p = tmp_path / "r.json"
+        argv = ["bound", "--model", "exp_gamma", "--d", "2", "--n", "400", "--method", "biterminal",
+                "--seed", "3", "--out", str(p)]
+        assert run_cli(argv) == 0
+        extras = read_json(p)["extras"]
+        assert set(extras) == {"accepted_moves", "outer_iters", "converged"}
+        assert 1 <= extras["outer_iters"] <= 30
+        assert isinstance(extras["converged"], bool)
+        assert extras["converged"] or extras["outer_iters"] == 30
+        assert extras["accepted_moves"] >= 2 * extras["outer_iters"]
+
     def test_model_source_sets_lemma_flag(self, tmp_path):
         p = tmp_path / "r.json"
         code = run_cli(
