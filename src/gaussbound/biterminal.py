@@ -21,7 +21,8 @@ from .stats_core import (
     covariance,
     gaussian_mi_bound,
     ks_normal_stat,
-    marginal_gaussianize,
+    rank_order,
+    rank_quantile_grid,
 )
 
 
@@ -51,8 +52,14 @@ def givens_rotation(d: int, i: int, j: int, theta: float) -> np.ndarray:
 
 @dataclass
 class GaussianizeLayer:
+    """One fitted layer: ``maps[c]`` sends rotated coordinate ``c`` to normal scores."""
+
     rotation: np.ndarray
     maps: list[MonotoneMap]
+
+    @classmethod
+    def from_knots(cls, rotation: np.ndarray, knots) -> "GaussianizeLayer":
+        return cls(rotation, [MonotoneMap(*k) for k in knots])
 
 
 @dataclass
@@ -65,25 +72,34 @@ class GaussianizeChain:
     converged: bool = False
 
 
-def _gaussianize_coords(block: np.ndarray, rng: np.random.Generator):
-    out = np.empty_like(block)
-    maps = []
-    for c in range(block.shape[1]):
-        out[:, c], m = marginal_gaussianize(block[:, c], rng)
-        maps.append(m)
-    return out, maps
+def _rows(block) -> np.ndarray:
+    """A finite sample block as a C-contiguous (d, n) array, one coordinate per row."""
+    b = as_block(block)
+    if not np.isfinite(b).all():
+        raise DomainError("Gaussianization requires finite inputs")
+    return np.ascontiguousarray(b.T)
 
 
-def _apply_layer(block: np.ndarray, rotation: np.ndarray, rng: np.random.Generator):
-    rotated = block @ rotation.T
-    out, maps = _gaussianize_coords(rotated, rng)
-    return out, GaussianizeLayer(rotation, maps)
+def _rank_rows(rotated: np.ndarray, rng: np.random.Generator):
+    """Normal scores of each row of a (d, n) block, plus each row's knots.
+
+    Rows are ranked in order by ``rank_order``, each taking its tie-break
+    draws from ``rng``; no map is built here.
+    """
+    grid = rank_quantile_grid(rotated.shape[1])
+    out = np.empty_like(rotated)
+    knots = []
+    for row, x in zip(out, rotated):
+        order, knots_in, knots_out = rank_order(x, rng)
+        row[order] = grid
+        knots.append((knots_in, knots_out))
+    return out, knots
 
 
 def _probe_stats(block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-coordinate KS stats after a held-out plain rotation."""
-    probe = block @ random_rotation(block.shape[1], rng).T
-    return np.asarray([ks_normal_stat(probe[:, c]) for c in range(block.shape[1])])
+    """Per-coordinate KS stats of a (d, n) block after a held-out plain rotation."""
+    probe = random_rotation(block.shape[0], rng) @ block
+    return np.asarray([ks_normal_stat(row) for row in probe])
 
 
 def separate_gaussianize(
@@ -100,8 +116,8 @@ def separate_gaussianize(
     Gaussian after the final layer.  Non-convergence returns the best chain
     with ``converged`` cleared.
     """
-    b = as_block(block)
-    n = b.shape[0]
+    b = _rows(block)
+    d, n = b.shape
     if n < 100:
         raise InsufficientDataError("separate_gaussianize needs at least 100 samples")
     if max_layers < 1:
@@ -110,55 +126,55 @@ def separate_gaussianize(
     rng = np.random.default_rng(seed)
     chain = GaussianizeChain()
     for _ in range(max_layers):
-        b, layer = _apply_layer(b, random_rotation(b.shape[1], rng), rng)
-        chain.layers.append(layer)
+        rotation = random_rotation(d, rng)
+        b, knots = _rank_rows(rotation @ b, rng)
+        chain.layers.append(GaussianizeLayer.from_knots(rotation, knots))
         stats = _probe_stats(b, rng)
         chain.normality_stat = stats
         if stats.max() <= tol:
             chain.converged = True
             break
-    return b, chain
+    return np.ascontiguousarray(b.T), chain
 
 
-def joint_objective(u, v) -> float:
-    """Gaussian MI bound of the empirical joint covariance of (U, V), in nats."""
+def joint_objective(u, v, *, details: bool = False):
+    """Gaussian MI bound of the empirical joint covariance of (U, V), in nats.
+
+    With ``details=True`` returns ``(value, info)`` as ``gaussian_mi_bound``
+    does; ``info["saturated"]`` is True when that covariance is numerically
+    singular, so the value is set by the ridge, not by the data.
+    """
     u, v = as_block(u), as_block(v)
     if u.shape[0] <= u.shape[1] + v.shape[1]:
         raise ParameterError("need more samples than total dimensions")
-    return gaussian_mi_bound(covariance(np.hstack([u, v])), u.shape[1])
-
-
-def joint_objective_saturated(u, v) -> bool:
-    """True when the joint covariance of (U, V) is numerically singular."""
-    u, v = as_block(u), as_block(v)
-    _, info = gaussian_mi_bound(covariance(np.hstack([u, v])), u.shape[1], details=True)
-    return info["saturated"]
+    return gaussian_mi_bound(covariance(np.hstack([u, v])), u.shape[1], details=details)
 
 
 def _try_scorer(blocks: dict, side: str):
     """``cand -> joint_objective`` of (U, V) with ``side``'s block replaced by ``cand``.
 
-    The other block is centered and its Gram taken once, here; each call
-    adds only the candidate's column sums (``ones @ cand``), ``cand.T @ cand``
-    and ``cand.T @ other_c``, from which it builds the ddof-1 joint
-    covariance in (U, V) order.  That matrix goes through the same checks,
-    ridge and determinants in ``gaussian_mi_bound`` as ``joint_objective``.
+    Blocks and candidates are (d, n) arrays, one coordinate per row.  The
+    other block is centered and its Gram taken once, here; each call adds
+    only the candidate's row sums (``cand @ ones``), ``cand @ cand.T`` and
+    ``cand @ other_c.T``, from which it builds the ddof-1 joint covariance
+    in (U, V) order.  That matrix goes through the same checks, ridge and
+    determinants in ``gaussian_mi_bound`` as ``joint_objective``.
     """
     other = blocks["v" if side == "u" else "u"]
-    n, d_o = other.shape
-    d_c = blocks[side].shape[1]
+    d_o, n = other.shape
+    d_c = blocks[side].shape[0]
     ones = np.ones(n)
-    other_c = other - (ones @ other) / n
-    gram_o = other_c.T @ other_c
+    other_c = other - (other @ ones)[:, None] / n
+    gram_o = other_c @ other_c.T
     # the candidate's rows and columns of the joint, and U's width
     c, o = (slice(0, d_c), slice(d_c, None)) if side == "u" else (slice(d_o, None), slice(0, d_o))
     d_u = d_c if side == "u" else d_o
 
     def score(cand) -> float:
-        sums = ones @ cand
-        cross = cand.T @ other_c
+        sums = cand @ ones
+        cross = cand @ other_c.T
         joint = np.empty((d_c + d_o, d_c + d_o))
-        joint[c, c] = cand.T @ cand - np.outer(sums, sums) / n
+        joint[c, c] = cand @ cand.T - np.outer(sums, sums) / n
         joint[c, o] = cross
         joint[o, c] = cross.T
         joint[o, o] = gram_o
@@ -184,22 +200,31 @@ def biterminal_gaussianize(
     procedure is the per-side objective-blind scheme; the U and V sides draw
     from the two children of ``np.random.SeedSequence(seed).spawn(2)``.
 
+    Both blocks are held as C-contiguous (d, n) arrays, one coordinate per
+    row: transposed once on entry and back to (n, d) on return.  A try
+    rotates with ``rotation @ block``, ranks each row with ``rank_order``
+    and keeps only the rows' knots; a layer's ``MonotoneMap`` objects are
+    built once per side step, for the kept rotation only.  A row without
+    ties reads no tie-break draw: on a stock ``PCG64`` generator it advances
+    the bit generator by n instead of drawing, which leaves the state that
+    ``rng.random(n)`` leaves, so the seeded stream is the same either way.
+
     A try is scored without restacking (U, V): the unchanged side's centered
     block and its Gram are taken once per side step, and each candidate adds
-    its own column sums, Gram and cross-products with that block.  The
+    its own row sums, Gram and cross-products with that block.  The
     resulting joint covariance goes through ``gaussian_mi_bound``, so a try
     scores ``joint_objective`` of the replaced pair up to rounding.
 
     Returns ``(u_out, v_out, (chain_u, chain_v), trace)`` where ``trace`` is a
     list of ``(outer_iteration, side, accepted_objective)`` tuples.
     """
-    u, v = as_block(u), as_block(v)
-    n = u.shape[0]
-    if v.shape[0] != n:
-        raise DomainError(f"u has {n} rows but v has {v.shape[0]}")
+    u, v = _rows(u), _rows(v)
+    n = u.shape[1]
+    if v.shape[1] != n:
+        raise DomainError(f"u has {n} rows but v has {v.shape[1]}")
     if n < 100:
         raise InsufficientDataError("biterminal_gaussianize needs at least 100 samples")
-    if n <= u.shape[1] + v.shape[1]:
+    if n <= u.shape[0] + v.shape[0]:
         raise ParameterError("need more samples than total dimensions")
     if outer_iters < 1:
         raise ParameterError(f"outer_iters must be at least 1, got {outer_iters}")
@@ -217,10 +242,10 @@ def biterminal_gaussianize(
         for side in ("u", "v"):
             rng = rngs[side]
             block = blocks[side]
-            d = block.shape[1]
+            d = block.shape[0]
             score = _try_scorer(blocks, side)
             rotation = random_rotation(d, rng)
-            cand, layer = _apply_layer(block, rotation, rng)
+            cand, knots = _rank_rows(rotation @ block, rng)
             obj = score(cand)
             trace.append((outer, side, obj))
             # a 1-column block has no Givens move: a try would only redraw its tie-breaks
@@ -228,13 +253,13 @@ def biterminal_gaussianize(
                 i, j = rng.choice(d, size=2, replace=False)
                 theta = rng.uniform(-np.pi, np.pi)
                 rot2 = givens_rotation(d, int(i), int(j), theta) @ rotation
-                cand2, layer2 = _apply_layer(block, rot2, rng)
+                cand2, knots2 = _rank_rows(rot2 @ block, rng)
                 obj2 = score(cand2)
                 if obj2 > obj:
-                    rotation, cand, layer, obj = rot2, cand2, layer2, obj2
+                    rotation, cand, knots, obj = rot2, cand2, knots2, obj2
                     trace.append((outer, side, obj))
             blocks[side] = cand
-            chains[side].layers.append(layer)
+            chains[side].layers.append(GaussianizeLayer.from_knots(rotation, knots))
             chains[side].objective_trace.append(obj)
         stats_u = _probe_stats(blocks["u"], rngs["u"])
         stats_v = _probe_stats(blocks["v"], rngs["v"])
@@ -245,4 +270,5 @@ def biterminal_gaussianize(
             chains["v"].converged = True
             break
 
-    return blocks["u"], blocks["v"], (chains["u"], chains["v"]), trace
+    u_out, v_out = (np.ascontiguousarray(blocks[side].T) for side in ("u", "v"))
+    return u_out, v_out, (chains["u"], chains["v"]), trace

@@ -331,7 +331,11 @@ def _bound_report(args) -> dict:
     cfg = _smoother_config(args, samples)
     t0 = time.perf_counter()
     u, v, rho, extras = run_method(args.method, samples, cfg, args)
-    lower = joint_objective(u, v) if args.method != "ace" else None
+    lower = None
+    if args.method != "ace":
+        lower, info = joint_objective(u, v, details=True)
+        if args.method == "biterminal":
+            extras["saturated"] = info["saturated"]
 
     # naive and kcca fit no ACE model of their own
     ace_model = extras.pop("model", None)

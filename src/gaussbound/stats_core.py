@@ -74,16 +74,64 @@ class MonotoneMap:
         return float(out) if np.ndim(x) == 0 else out
 
 
+def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
+    """Leave ``rng`` in the state ``rng.random(n)`` would, without the draws.
+
+    A stock ``Generator`` on ``PCG64`` takes one 64-bit output per double,
+    so advancing the bit generator by ``n`` lands on the same state.  The
+    advance also clears the buffered half of a 32-bit draw, so a generator
+    holding one still draws; so does any other generator or bit generator.
+    """
+    bg = rng.bit_generator
+    if type(rng) is np.random.Generator and type(bg) is np.random.PCG64 and not bg.state["has_uint32"]:
+        bg.advance(n)
+    else:
+        rng.random(n)
+
+
+def rank_order(xs: np.ndarray, rng: np.random.Generator):
+    """Sort order of a finite column, ties broken by one uniform per sample.
+
+    The tie-break rank step of every normal-scores map.  One plain
+    ``argsort`` ranks the column; when it has ties (``-0.0`` ties ``0.0``)
+    ``rng.random(n)`` is drawn and only the members of tied groups are
+    re-sorted by their draws, so ``order`` is the ``lexsort((draw, xs))``
+    permutation.  A column without ties reads no draw and skips it (see
+    ``_skip_uniforms``): the generator ends in the same state either way,
+    so its stream never depends on the data.
+
+    Returns ``(order, knots_in, knots_out)``: ``u[order] = rank_quantile_grid(n)``
+    gives the normal scores, and each tied group has one knot, its first
+    sorted value mapped to the mean of its grid scores.
+    """
+    n = xs.size
+    grid = rank_quantile_grid(n)
+    order = np.argsort(xs)
+    xs_sorted = xs[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(xs_sorted[1:], xs_sorted[:-1], out=first[1:])
+    if first.all():
+        _skip_uniforms(rng, n)
+        return order, xs_sorted, grid
+
+    # Re-sort the tied groups' members by (x, r, index), the order
+    # lexsort((r, x)) gives; the groups keep their sorted positions.
+    r = rng.random(n)
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, n))
+    tied = np.flatnonzero(np.repeat(counts > 1, counts))
+    members = np.sort(order[tied])
+    order[tied] = members[np.lexsort((r[members], xs[members]))]
+    return order, xs[order[starts]], np.add.reduceat(grid, starts) / counts
+
+
 def marginal_gaussianize(x, seed=None):
     """Transform a scalar sample to exact marginal normal scores.
 
     Ranks are mapped to the fixed grid ``Phi^{-1}((i - 0.5) / n)``; ties are
-    broken by seeded uniform randomization, so atomic or mixed inputs still
-    produce an exact draw-free normal-scores sample.  One plain ``argsort``
-    ranks the column; when it has ties (``-0.0`` ties ``0.0``) only the
-    members of tied groups are re-sorted by their draws.  The result is the
-    ``lexsort((draw, x))`` permutation either way, and the draw is taken
-    even without ties, so the generator's stream never depends on the data.
+    broken by seeded uniform randomization (``rank_order``), so atomic or
+    mixed inputs still produce an exact draw-free normal-scores sample.
 
     Parameters
     ----------
@@ -105,29 +153,10 @@ def marginal_gaussianize(x, seed=None):
         raise InsufficientDataError("marginal_gaussianize needs at least 2 samples")
     if not np.all(np.isfinite(xs)):
         raise DomainError("marginal_gaussianize requires finite inputs")
-    rng = np.random.default_rng(seed)
-    r = rng.random(n)
-    grid = rank_quantile_grid(n)
+    order, knots_in, knots_out = rank_order(xs, np.random.default_rng(seed))
     u = np.empty(n)
-    order = np.argsort(xs)
-    xs_sorted = xs[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(xs_sorted[1:], xs_sorted[:-1], out=first[1:])
-    if first.all():
-        u[order] = grid
-        return u, MonotoneMap(xs_sorted, grid)
-
-    # Re-sort the tied groups' members by (x, r, index), the order
-    # lexsort((r, x)) gives; the groups keep their sorted positions.
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, n))
-    tied = np.flatnonzero(np.repeat(counts > 1, counts))
-    members = np.sort(order[tied])
-    order[tied] = members[np.lexsort((r[members], xs[members]))]
-    u[order] = grid
-    knots_out = np.add.reduceat(grid, starts) / counts
-    return u, MonotoneMap(xs[order[starts]], knots_out)
+    u[order] = rank_quantile_grid(n)
+    return u, MonotoneMap(knots_in, knots_out)
 
 
 def covariance(samples) -> np.ndarray:

@@ -13,22 +13,38 @@ from gaussbound import (
     marginal_gaussianize,
     separate_gaussianize,
 )
+import gaussbound.biterminal as biterminal
 from gaussbound.biterminal import (
-    _apply_layer,
-    _probe_stats,
+    _rank_rows,
     _try_scorer,
     default_normality_tol,
     givens_rotation,
-    joint_objective_saturated,
     random_rotation,
 )
 from gaussbound.errors import DomainError, InvalidCovarianceError, ParameterError
 from gaussbound.ib_discrete import discretize_samples
-from gaussbound.stats_core import rank_quantile_grid
+from gaussbound.stats_core import ks_normal_stat, rank_quantile_grid
 
 
 def is_rank_exact(col):
     return np.array_equal(np.sort(col), rank_quantile_grid(len(col)))
+
+
+def reference_layer(block, rotation, rng):
+    """The layer as first written, on an (n, d) block: rotate, then rank
+    each column by ``lexsort((rng.random(n), column))``, the normal-scores
+    rule of ``marginal_gaussianize``, drawing the tie-breaks of every column."""
+    rotated = block @ rotation.T
+    n, d = rotated.shape
+    out = np.empty_like(rotated)
+    for c in range(d):
+        out[np.lexsort((rng.random(n), rotated[:, c])), c] = rank_quantile_grid(n)
+    return out
+
+
+def reference_probe_stats(block, rng):
+    probe = block @ random_rotation(block.shape[1], rng).T
+    return np.asarray([ks_normal_stat(probe[:, c]) for c in range(block.shape[1])])
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +79,14 @@ class TestSeparateGaussianize:
         rng = np.random.default_rng(5)
         block = rng.uniform(-1, 1, (30_000, 2))
 
-        def pairwise_mi(b):
-            return discretize_samples(b[:, 0], b[:, 1], bins=16).mutual_information()
+        def pairwise_mi(rows):
+            return discretize_samples(rows[0], rows[1], bins=16).mutual_information()
 
         proxies = []
-        cur = block
+        cur = np.ascontiguousarray(block.T)
         chain_rng = np.random.default_rng(6)
         for _ in range(40):
-            cur, _layer = _apply_layer(cur, random_rotation(2, chain_rng), chain_rng)
+            cur, _ = _rank_rows(random_rotation(2, chain_rng) @ cur, chain_rng)
             proxies.append(pairwise_mi(cur))
         diffs = np.diff(proxies)
         assert np.all(diffs <= 0.02)
@@ -87,12 +103,72 @@ class TestSeparateGaussianize:
             r = layer.rotation
             assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-8
 
+    def test_non_finite_rejected(self):
+        block = np.random.default_rng(21).standard_normal((200, 2))
+        block[7, 1] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            separate_gaussianize(block, seed=1)
+        with pytest.raises(DomainError, match="finite"):
+            biterminal_gaussianize(block, np.ones((200, 2)), seed=1)
+
+
+def replay_layers(block, layers):
+    """Each layer's maps applied to that layer's rotated input, in turn."""
+    outs, cur = [], np.ascontiguousarray(block.T)
+    for layer in layers:
+        rotated = layer.rotation @ cur
+        cur = np.stack([m(row) for m, row in zip(layer.maps, rotated)])
+        outs.append(cur)
+    return outs
+
+
+class TestLayerMaps:
+    """Maps are built from a kept layer's knots, after its hill climb."""
+
+    def test_maps_reproduce_kept_outputs(self):
+        rng = np.random.default_rng(22)
+        u = rng.exponential(1.0, (700, 2))
+        v = u + rng.exponential(1.0, (700, 2))
+        for layers in (1, 3):
+            bu, bv, chains, _ = biterminal_gaussianize(
+                u, v, outer_iters=layers, inner_tries=10, normality_tol=-1.0, seed=23
+            )
+            for block, out, chain in ((u, bu, chains[0]), (v, bv, chains[1])):
+                replayed = replay_layers(block, chain.layers)
+                assert len(replayed) == layers
+                assert all(is_rank_exact(row) for step in replayed for row in step)
+                assert np.array_equal(replayed[-1].T, out)
+
+    def test_separate_maps_reproduce_output(self):
+        block = np.random.default_rng(24).gamma(2.0, 1.0, (600, 3))
+        out, chain = separate_gaussianize(block, max_layers=4, normality_tol=-1.0, seed=25)
+        assert np.array_equal(replay_layers(block, chain.layers)[-1].T, out)
+
+    def test_maps_built_only_for_kept_layers(self, monkeypatch):
+        built = []
+
+        class CountingMap(biterminal.MonotoneMap):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(biterminal, "MonotoneMap", CountingMap)
+        rng = np.random.default_rng(26)
+        u = rng.exponential(1.0, (400, 2))
+        _, _, chains, _ = biterminal_gaussianize(
+            u, u + rng.exponential(1.0, (400, 2)), outer_iters=3, inner_tries=20, normality_tol=-1.0, seed=27
+        )
+        # 3 layers x 2 sides x 2 coordinates; one map per ranked row would be
+        # 3 x 2 x (1 + 20) x 2 = 252
+        assert len(built) == 12
+        assert all(isinstance(m, CountingMap) for c in chains for layer in c.layers for m in layer.maps)
+
 
 class TestJointObjective:
     def test_saturation_when_equal(self):
         rng = np.random.default_rng(9)
         u = rng.standard_normal(2000)
-        assert joint_objective_saturated(u, u)
+        assert joint_objective(u, u, details=True)[1]["saturated"]
 
     def test_independent_near_zero(self):
         rng = np.random.default_rng(10)
@@ -193,9 +269,9 @@ class TestBiterminal:
 
 
 def reference_biterminal(u, v, seed):
-    """The hill climb as first written, on 2-D blocks and with the default
-    budgets: every try scored by ``joint_objective`` of the restacked pair.
-    Returns (u_out, v_out, trace)."""
+    """The hill climb as first written, with the default budgets: (n, d)
+    blocks, every try ranked by ``reference_layer`` and scored by
+    ``joint_objective`` of the restacked pair.  Returns (u_out, v_out, trace)."""
     tol = default_normality_tol(u.shape[0])
     ss_u, ss_v = np.random.SeedSequence(seed).spawn(2)
     rngs = {"u": np.random.default_rng(ss_u), "v": np.random.default_rng(ss_v)}
@@ -206,21 +282,21 @@ def reference_biterminal(u, v, seed):
             rng, block = rngs[side], blocks[side]
             d = block.shape[1]
             rotation = random_rotation(d, rng)
-            cand, _ = _apply_layer(block, rotation, rng)
+            cand = reference_layer(block, rotation, rng)
             obj = joint_objective(**{**blocks, side: cand})
             trace.append((outer, side, obj))
             for _ in range(40 if d >= 2 else 0):
                 i, j = rng.choice(d, size=2, replace=False)
                 theta = rng.uniform(-np.pi, np.pi)
                 rot2 = givens_rotation(d, int(i), int(j), theta) @ rotation
-                cand2, _ = _apply_layer(block, rot2, rng)
+                cand2 = reference_layer(block, rot2, rng)
                 obj2 = joint_objective(**{**blocks, side: cand2})
                 if obj2 > obj:
                     rotation, cand, obj = rot2, cand2, obj2
                     trace.append((outer, side, obj))
             blocks[side] = cand
-        stats_u = _probe_stats(blocks["u"], rngs["u"])
-        stats_v = _probe_stats(blocks["v"], rngs["v"])
+        stats_u = reference_probe_stats(blocks["u"], rngs["u"])
+        stats_v = reference_probe_stats(blocks["v"], rngs["v"])
         if stats_u.max() <= tol and stats_v.max() <= tol:
             break
     return blocks["u"], blocks["v"], trace
@@ -234,23 +310,32 @@ def _off_grid_pair(d_u, d_v, seed, n=600):
     return u, v
 
 
+def _rows_of(block):
+    """An (n, d) block in the hill climb's (d, n) layout."""
+    return np.ascontiguousarray(block.T)
+
+
 class TestTryScorer:
-    """Each Givens try is scored from cross-products against the fixed side."""
+    """Each Givens try is scored from cross-products against the fixed side.
+
+    The scorer takes (d, n) blocks and candidates; ``joint_objective`` takes
+    the same data as (n, d) blocks.
+    """
 
     @pytest.mark.parametrize("d_u, d_v", [(1, 3), (3, 2), (2, 2)])
     @pytest.mark.parametrize("side", ["u", "v"])
     def test_matches_joint_objective(self, d_u, d_v, side):
         u, v = _off_grid_pair(d_u, d_v, seed=30 + 3 * d_u + d_v)
         blocks = {"u": u, "v": v}
-        score = _try_scorer(blocks, side)
+        score = _try_scorer({k: _rows_of(b) for k, b in blocks.items()}, side)
         rng = np.random.default_rng(31)
-        block = blocks[side]
+        block = _rows_of(blocks[side])
         for _ in range(4):
             # an on-grid candidate, as a try makes, and one off the grid
             noisy = block + rng.standard_normal(block.shape)
-            cand, _ = _apply_layer(noisy, random_rotation(block.shape[1], rng), rng)
+            cand, _ = _rank_rows(random_rotation(block.shape[0], rng) @ noisy, rng)
             for c in (cand, noisy):
-                expected = joint_objective(**{**blocks, side: c})
+                expected = joint_objective(**{**blocks, side: c.T})
                 assert abs(score(c) - expected) <= 1e-12
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -261,30 +346,33 @@ class TestTryScorer:
         # Both paths must agree at that resolution, or raise alike.
         u, v = _off_grid_pair(d, d, seed=40 + d)
         blocks = {"u": u, "v": v}
+        rows = {k: _rows_of(b) for k, b in blocks.items()}
         cand = blocks["v" if side == "u" else "u"]
         replaced = {**blocks, side: cand}
-        assert joint_objective_saturated(replaced["u"], replaced["v"])
+        assert joint_objective(**replaced, details=True)[1]["saturated"]
         try:
             expected = joint_objective(**replaced)
         except InvalidCovarianceError as exc:
             with pytest.raises(type(exc)):
-                _try_scorer(blocks, side)(cand)
+                _try_scorer(rows, side)(_rows_of(cand))
             return
-        got = _try_scorer(blocks, side)(cand)
+        got = _try_scorer(rows, side)(_rows_of(cand))
         assert expected > 5.0
         assert abs(got - expected) <= 1e-3
 
-    @pytest.mark.parametrize("model", ["exponential", "exp_gamma"])
+    @pytest.mark.parametrize("model", ["exponential", "exp_gamma", "exp_gamma_d3"])
     def test_hill_climb_matches_reference(self, model):
-        # 5 and 7 layers, with 25 and 52 accepted moves
+        # 5, 7 and 2 layers, with 25, 52 and 22 accepted moves.  On 3-D
+        # blocks a Givens pick leaves half a 32-bit draw buffered, which a
+        # skipped tie-break draw must keep.
         if model == "exponential":
             seed = 5
             rng = np.random.default_rng(seed)
             u = rng.exponential(1.0, (600, 2))
             v = u + rng.exponential(1.0, (600, 2))
         else:
-            seed = 1
-            ms = expgamma_sample(600, 2, seed=seed)
+            seed, d = (2, 3) if model == "exp_gamma_d3" else (1, 2)
+            ms = expgamma_sample(600, d, seed=seed)
             u, v = ms.samples.x, ms.samples.y
         bu, bv, chains, trace = biterminal_gaussianize(u, v, seed=seed)
         ru, rv, ref_trace = reference_biterminal(u, v, seed=seed)

@@ -120,9 +120,10 @@ class TestBound:
                 "--seed", "3", "--out", str(p)]
         assert run_cli(argv) == 0
         extras = read_json(p)["extras"]
-        assert set(extras) == {"accepted_moves", "outer_iters", "converged"}
+        assert set(extras) == {"accepted_moves", "outer_iters", "converged", "saturated"}
         assert 1 <= extras["outer_iters"] <= 30
         assert isinstance(extras["converged"], bool)
+        assert extras["saturated"] is False
         assert extras["converged"] or extras["outer_iters"] == 30
         assert extras["accepted_moves"] >= 2 * extras["outer_iters"]
 

@@ -26,6 +26,7 @@ from gaussbound.stats_core import (
     NATS_PER_BIT,
     correlations_saturated,
     ks_normal_stat,
+    rank_order,
     rank_quantile_grid,
 )
 
@@ -97,6 +98,55 @@ class EqualDraws(np.random.Generator):
 
     def random(self, size=None):
         return np.full(size, 0.5)
+
+
+class TestRankOrder:
+    """The shared tie-break rank step of marginal_gaussianize and the Givens tries."""
+
+    @given(RANK_COLUMNS, st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_order_is_the_lexsort_permutation(self, x, seed, equal_draws):
+        def make():
+            return EqualDraws(np.random.PCG64(seed)) if equal_draws else np.random.default_rng(seed)
+
+        xs = np.asarray(x, dtype=float)
+        rng, ref_rng = make(), make()
+        order, knots_in, knots_out = rank_order(xs, rng)
+        assert np.array_equal(order, np.lexsort((ref_rng.random(xs.size), xs)))
+        _, ref_in, ref_out = lexsort_gaussianize(x, make())
+        assert knots_in.tobytes() == ref_in.tobytes()
+        assert knots_out.tobytes() == ref_out.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_untied_column_leaves_the_draws_state_on_pcg64(self):
+        xs = np.random.default_rng(1).standard_normal(1000)
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        rank_order(xs, rng)
+        ref_rng.random(1000)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+
+    def test_buffered_half_draw_survives(self):
+        # a 32-bit draw leaves half a 64-bit output buffered; advancing the
+        # bit generator would drop it, rng.random(n) keeps it
+        xs = np.random.default_rng(3).standard_normal(500)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for g in (rng, ref_rng):
+            g.integers(0, 10, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"]
+        rank_order(xs, rng)
+        ref_rng.random(500)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(0, 2**31, dtype=np.int32) == ref_rng.integers(0, 2**31, dtype=np.int32)
+
+    def test_other_bit_generator_still_draws(self):
+        xs = np.random.default_rng(5).standard_normal(300)
+        rng = np.random.Generator(np.random.MT19937(1))
+        ref_rng = np.random.Generator(np.random.MT19937(1))
+        rank_order(xs, rng)
+        ref_rng.random(300)
+        assert rng.bit_generator.state["state"]["pos"] == ref_rng.bit_generator.state["state"]["pos"]
+        assert np.array_equal(rng.bit_generator.state["state"]["key"], ref_rng.bit_generator.state["state"]["key"])
 
 
 class TestMarginalGaussianize:
