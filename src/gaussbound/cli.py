@@ -406,7 +406,8 @@ def _curve_outputs(args) -> dict:
         reference_mi = pmf.mutual_information()
         reference_solver = {
             "sweeps": sum(sol.n_iter for sol in diag["solutions"]),
-            "unconverged_betas": int(np.count_nonzero(~diag["converged"])),
+            "stationary_betas": int(np.count_nonzero(diag["stationary"])),
+            "unconverged_betas": int(np.count_nonzero(~(diag["converged"] | diag["stationary"]))),
             "lifted_points": [int(i) for i in diag["lifted_points"]],
         }
     elapsed = time.perf_counter() - t0

@@ -17,6 +17,10 @@ from .errors import DomainError, ParameterError, UnsupportedModelError
 from .gib import IBCurve
 
 _Q_FLOOR = 1e-300
+# A beta whose I(T;X) and I(T;Y) each span less than _STATIONARY_TOL nats over
+# the last _STATIONARY_WINDOW sweeps stops as stationary.
+_STATIONARY_WINDOW = 50
+_STATIONARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,7 @@ class IBSolution:
     i_ty: float
     converged: bool
     n_iter: int
+    stationary: bool = False
     lagrangian_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -102,15 +107,32 @@ def ib_iterate(
     """Fixed-point iteration of the bottleneck self-consistent equations.
 
     q(t|x) is proportional to q(t) exp(-beta KL(p(y|x) || q(y|t))), with the
-    marginal and decoder recomputed each sweep; iteration stops when the
-    max-abs change of q(t|x) falls below ``tol``.  The Lagrangian
-    I(T;X) - beta I(T;Y) is tracked per sweep and is nonincreasing up to
-    numerical noise.  It comes from the sweep's own logs: log q(t|x) from the
-    softmax, and the floored log q(t) and log q(y|t) that the next sweep's
-    KL term reuses.
+    marginal and decoder recomputed each sweep.  Encoder entries below the
+    log floor (1e-300) are set to exactly 0 after each softmax: every log
+    already reads them as 1e-300, and left in place they turn the decoder's
+    products into subnormal arithmetic.
+
+    The Lagrangian I(T;X) - beta I(T;Y) is tracked per sweep and is
+    nonincreasing up to numerical noise.  It comes from the sweep's own logs:
+    log q(t|x) from the softmax, and the floored log q(t) and log q(y|t) that
+    the next sweep's KL term reuses.
+
+    A beta stops at the first of three events:
+
+    - ``converged``: the max-abs change of q(t|x) in one sweep is below ``tol``;
+    - ``stationary``: over the last 50 sweeps (``_STATIONARY_WINDOW``), the
+      per-sweep I(T;X) and I(T;Y) each span less than 1e-9 nats
+      (``_STATIONARY_TOL``), so it never fires before sweep 50.  Near a
+      cluster split q(t|x) can creep for thousands of sweeps while the
+      information pair has settled;
+    - neither: ``max_iter`` sweeps ran out.
     """
     if not (np.isfinite(beta) and beta > 0):
         raise ParameterError(f"beta must be finite and positive, got {beta}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if init is not None and init.q_t_given_x.shape != (joint.n_x, joint.n_x):
         raise ParameterError(
             f"init encoder has shape {init.q_t_given_x.shape}, expected {(joint.n_x, joint.n_x)}"
@@ -124,26 +146,30 @@ def ib_iterate(
 
     q = np.eye(joint.n_x) if init is None else init.q_t_given_x.copy()
 
-    lagrangian = []
-    converged = False
-    n_iter = 0
+    tx_hist, ty_hist = [], []
+    converged = stationary = False
     qt, _, qyt = _decoder(q, px, pxy)
     log_qt, log_qyt = _log_floored(qt), _log_floored(qyt)
     for n_iter in range(1, max_iter + 1):
         # d[x,t] = KL(p(y|x) || q(y|t))
         d = h_rows[:, None] - pyx @ log_qyt.T
         q_new, log_q = _softmax(log_qt - beta * d, axis=1)
+        q_new[q_new < _Q_FLOOR] = 0.0
         qt, qty, qyt = _decoder(q_new, px, pxy)
         log_qt, log_qyt = _log_floored(qt), _log_floored(qyt)
         # sum_x p(x) q(t|x) ln(q(t|x) / q(t)) and sum_t q(t) q(y|t) ln(q(y|t) / p(y))
         i_tx = np.vdot(px[:, None] * q_new, np.maximum(log_q, log_floor) - log_qt)
         i_ty = np.vdot(qty, log_qyt - log_py)
-        lagrangian.append(i_tx - beta * i_ty)
+        tx_hist.append(float(i_tx))
+        ty_hist.append(float(i_ty))
 
         delta = np.abs(q_new - q).max()
         q = q_new
         if delta < tol:
             converged = True
+            break
+        if n_iter >= _STATIONARY_WINDOW and _spans_less(tx_hist) and _spans_less(ty_hist):
+            stationary = True
             break
 
     return IBSolution(
@@ -155,8 +181,21 @@ def ib_iterate(
         i_ty=_mi_rows(qt, qyt, joint.p_y),
         converged=converged,
         n_iter=n_iter,
-        lagrangian_trace=np.asarray(lagrangian),
+        stationary=stationary,
+        lagrangian_trace=np.asarray(tx_hist) - beta * np.asarray(ty_hist),
     )
+
+
+def _spans_less(history: list) -> bool:
+    """Whether the last _STATIONARY_WINDOW values span less than _STATIONARY_TOL.
+
+    The endpoints are compared first, so a beta that is still moving costs
+    one subtraction per sweep.
+    """
+    if abs(history[-1] - history[-_STATIONARY_WINDOW]) >= _STATIONARY_TOL:
+        return False
+    window = history[-_STATIONARY_WINDOW:]
+    return max(window) - min(window) < _STATIONARY_TOL
 
 
 def _log_floored(a: np.ndarray) -> np.ndarray:
@@ -218,8 +257,10 @@ def reverse_anneal(joint: JointPmf, beta_schedule=None):
     Each solution seeds the next (smaller) beta; the default schedule is 60
     log-spaced betas from 200 down to 0.8.  Points that violate
     concavity by more than 1e-6 (local-optimum artifacts) get their I_TY
-    replaced by the upper concave envelope; raw points and non-convergence
-    flags are returned in the diagnostics dict.
+    replaced by the upper concave envelope; raw points are returned in the
+    diagnostics dict.  So are each beta's ``converged`` and ``stationary``
+    flags (see ``ib_iterate``), in curve order; a beta with neither stopped
+    at the sweep limit.
 
     Returns ``(curve, diagnostics)``.
     """
@@ -244,6 +285,7 @@ def reverse_anneal(joint: JointPmf, beta_schedule=None):
     tx_raw = np.asarray([s.i_tx for s in solutions])[::-1]
     ty_raw = np.asarray([s.i_ty for s in solutions])[::-1]
     conv = np.asarray([s.converged for s in solutions])[::-1]
+    stationary = np.asarray([s.stationary for s in solutions])[::-1]
 
     # cleanup: clip coordinate backtracking, then lift concavity violations
     tx = np.maximum.accumulate(tx_raw)
@@ -258,6 +300,7 @@ def reverse_anneal(joint: JointPmf, beta_schedule=None):
         "raw_i_tx": tx_raw,
         "raw_i_ty": ty_raw,
         "converged": conv,
+        "stationary": stationary,
         "lifted_points": np.flatnonzero(lifted),
         "solutions": solutions,
     }

@@ -16,7 +16,14 @@ from gaussbound import (
     quadrature_discretize,
     reverse_anneal,
 )
-from gaussbound.ib_discrete import _mi_rows, upper_concave_envelope
+from gaussbound import ib_discrete
+from gaussbound.ib_discrete import (
+    _STATIONARY_TOL,
+    _STATIONARY_WINDOW,
+    _mi_rows,
+    _spans_less,
+    upper_concave_envelope,
+)
 from gaussbound.models import BivariateGaussianModel, ExpMirrorModel, Gm1dModel
 
 
@@ -50,10 +57,16 @@ def grid_search_symmetric_ib(pmf: JointPmf, beta: float, grid: int = 20001):
     return float(i_tx[best]), float(i_ty[best])
 
 
-def reference_sweep(joint: JointPmf, beta: float, q=None, tol=1e-9, max_iter=3000):
+def reference_sweep(joint: JointPmf, beta: float, q=None, tol=1e-9, max_iter=3000, flush=True):
     """The solver as first written: scipy logsumexp softmax, Lagrangian from _mi_rows.
 
-    Returns (q(t|x), I_TX, I_TY, n_iter, Lagrangian trace).
+    With the solver's two later steps: encoder entries below 1e-300 are set
+    to 0 after each softmax (unless ``flush`` is false), and a beta stops
+    once I_TX and I_TY each span less than the stationary tolerance over the
+    last window of sweeps.
+
+    Returns (q(t|x), I_TX, I_TY, n_iter, Lagrangian trace, number of entries
+    the flush zeroed).
     """
     px, pyx = joint.p_x, joint.p_y_given_x
     h_rows = np.sum(pyx * np.log(np.maximum(pyx, 1e-300)), axis=1)
@@ -67,19 +80,47 @@ def reference_sweep(joint: JointPmf, beta: float, q=None, tol=1e-9, max_iter=300
         qyt[~alive] = 1.0 / pyx.shape[1]
         return qt, qyt
 
-    trace = []
+    def spans_less(values):
+        window = values[-_STATIONARY_WINDOW:]
+        return max(window) - min(window) < _STATIONARY_TOL
+
+    tx, ty = [], []
+    flushed = 0
     qt, qyt = decoder(q)
     for n_iter in range(1, max_iter + 1):
         d = h_rows[:, None] - pyx @ np.log(np.maximum(qyt, 1e-300)).T
         logits = np.log(np.maximum(qt, 1e-300))[None, :] - beta * d
         q_new = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        if flush:
+            sub_floor = (q_new > 0) & (q_new < 1e-300)
+            flushed += np.count_nonzero(sub_floor)
+            q_new[sub_floor] = 0.0
         qt, qyt = decoder(q_new)
-        trace.append(_mi_rows(px, q_new, qt) - beta * _mi_rows(qt, qyt, joint.p_y))
+        tx.append(_mi_rows(px, q_new, qt))
+        ty.append(_mi_rows(qt, qyt, joint.p_y))
         delta = np.abs(q_new - q).max()
         q = q_new
         if delta < tol:
             break
-    return q, _mi_rows(px, q, qt), _mi_rows(qt, qyt, joint.p_y), n_iter, np.asarray(trace)
+        if n_iter >= _STATIONARY_WINDOW and spans_less(tx) and spans_less(ty):
+            break
+    trace = np.asarray(tx) - beta * np.asarray(ty)
+    return q, _mi_rows(px, q, qt), _mi_rows(qt, qyt, joint.p_y), n_iter, trace, flushed
+
+
+def dead_cluster_case():
+    """Duplicated x rows, and a start encoder with one pooled and two empty clusters.
+
+    Rows 3-5 repeat rows 0-2; the start encoder pools rows 3-5 in one
+    cluster, a mixture far (KL ~ ln 3) from every row, and leaves two
+    clusters empty.  Returns (pmf, start solution, beta).
+    """
+    pmf = JointPmf(np.vstack([np.eye(3) + 1e-3] * 2))
+    q0 = np.zeros((6, 6))
+    q0[[0, 1, 2], [0, 1, 2]] = 1.0
+    q0[3:, 3] = 1.0
+    start = dataclasses.replace(ib_iterate(pmf, beta=1.0), q_t_given_x=q0)
+    return pmf, start, 1e3
 
 
 class TestIbIterate:
@@ -154,27 +195,127 @@ class TestIbIterate:
         _, diag = reverse_anneal(pmf, beta_schedule=np.logspace(2.3, -0.1, 12))
         q = None
         for sol in diag["solutions"]:
-            q, i_tx, i_ty, n_iter, trace = reference_sweep(pmf, sol.beta, q)
+            q, i_tx, i_ty, n_iter, trace, _ = reference_sweep(pmf, sol.beta, q)
             assert sol.n_iter == n_iter
             assert abs(sol.i_tx - i_tx) <= 1e-12
             assert abs(sol.i_ty - i_ty) <= 1e-12
             assert np.max(np.abs(sol.lagrangian_trace - trace)) <= 1e-12
 
     def test_dead_clusters(self):
-        # x rows 3-5 repeat rows 0-2; the start encoder pools rows 3-5 in one
-        # cluster, a mixture far (KL ~ ln 3) from every row, and leaves two
-        # clusters empty.  At beta = 1e3 the mixture's weight underflows to 0.
-        pmf = JointPmf(np.vstack([np.eye(3) + 1e-3] * 2))
-        q0 = np.zeros((6, 6))
-        q0[[0, 1, 2], [0, 1, 2]] = 1.0
-        q0[3:, 3] = 1.0
-        start = dataclasses.replace(ib_iterate(pmf, beta=1.0), q_t_given_x=q0)
-        sol = ib_iterate(pmf, beta=1e3, init=start)
+        # at beta = 1e3 the pooled mixture's weight underflows to 0
+        pmf, start, beta = dead_cluster_case()
+        sol = ib_iterate(pmf, beta=beta, init=start)
         assert np.count_nonzero(sol.q_t == 0.0) == 3
         assert np.isfinite([sol.i_tx, sol.i_ty]).all()
         assert np.isfinite(sol.lagrangian_trace).all()
         assert sol.i_ty <= sol.i_tx
         assert_allclose(sol.q_y_given_t.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def design_point_anneal():
+    """The default anneal of the gm1d design point (mu_z, eps) = (10, 0.1), m = 32."""
+    pmf, _ = quadrature_discretize(Gm1dModel(10.0, 0.1), m=32)
+    _, diag = reverse_anneal(pmf)
+    return pmf, diag
+
+
+class TestFlushAndStop:
+    @pytest.mark.parametrize(
+        "case, flushes",
+        [("random-6x5", False), ("gm1d-m16", True), ("dead-cluster", False), ("dead-cluster-650", True)],
+    )
+    def test_flush_is_bit_identical(self, case, flushes):
+        # zeroing sub-floor encoder mass moves no information value, sweep count
+        # or Lagrangian bit: the 12-beta schedule of the reference-sweep test,
+        # or one beta from the dead-cluster start (at beta = 650 the pooled
+        # cluster's weight lands near 1e-310 instead of underflowing to 0)
+        if case.startswith("dead-cluster"):
+            pmf, start, beta = dead_cluster_case()
+            runs = [650.0 if case.endswith("650") else beta]
+        else:
+            if case == "random-6x5":
+                pmf = JointPmf(np.random.default_rng(11).random((6, 5)))
+            else:
+                pmf = quadrature_discretize(Gm1dModel(10.0, 0.1), m=16)[0]
+            start = None
+            runs = np.logspace(2.3, -0.1, 12)
+        q_on = q_off = None if start is None else start.q_t_given_x
+        sol, flushed = start, 0
+        for beta in runs:
+            q_on, tx_on, ty_on, n_on, trace_on, count = reference_sweep(pmf, beta, q_on)
+            q_off, tx_off, ty_off, n_off, trace_off, _ = reference_sweep(pmf, beta, q_off, flush=False)
+            flushed += count
+            assert (n_on, tx_on, ty_on) == (n_off, tx_off, ty_off)
+            assert np.array_equal(trace_on, trace_off)
+            sol = ib_iterate(pmf, beta, init=sol)
+            q = sol.q_t_given_x
+            assert not np.any((q > 0) & (q < 1e-300))
+        assert (flushed > 0) == flushes
+
+    def test_design_point_matches_reference_sweep(self, design_point_anneal):
+        # the default 60-beta anneal, where betas near the cluster splits stop
+        # as stationary: the same sweep counts as the reference, and the same
+        # information pair to rounding
+        pmf, diag = design_point_anneal
+        assert any(sol.stationary for sol in diag["solutions"])
+        q = None
+        for sol in diag["solutions"]:
+            q, i_tx, i_ty, n_iter, _, _ = reference_sweep(pmf, sol.beta, q)
+            assert sol.n_iter == n_iter
+            assert abs(sol.i_tx - i_tx) <= 1e-12
+            assert abs(sol.i_ty - i_ty) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1.69, 1.54])
+    def test_cluster_split_betas_stop_stationary(self, design_point_anneal, beta, monkeypatch):
+        pmf, diag = design_point_anneal
+        sols = diag["solutions"]
+        k = next(i for i, sol in enumerate(sols) if round(sol.beta, 2) == beta)
+        sol = sols[k]
+        assert sol.stationary and not sol.converged
+        assert _STATIONARY_WINDOW <= sol.n_iter <= 2250  # 3000 without the stop
+        # the same warm start without the stop runs out its sweeps, and ends
+        # within 1e-6 nats of where the stop left it
+        monkeypatch.setattr(ib_discrete, "_STATIONARY_WINDOW", 10**9)
+        full = ib_iterate(pmf, sol.beta, init=sols[k - 1])
+        assert full.n_iter == 3000 and not (full.converged or full.stationary)
+        assert abs(full.i_tx - sol.i_tx) <= 1e-6
+        assert abs(full.i_ty - sol.i_ty) <= 1e-6
+
+    def test_stop_never_fires_before_window(self, design_point_anneal):
+        # restarted at its own fixed point with a tolerance no sweep can meet,
+        # a beta's information pair does not move, and it stops at sweep W
+        pmf = JointPmf(np.random.default_rng(11).random((6, 5)))
+        fixed = ib_iterate(pmf, beta=3.0)
+        assert fixed.converged
+        sol = ib_iterate(pmf, beta=3.0, init=fixed, tol=1e-300)
+        assert sol.stationary and not sol.converged
+        assert sol.n_iter == _STATIONARY_WINDOW
+        _, diag = design_point_anneal
+        stopped = [s.n_iter for s in diag["solutions"] if s.stationary]
+        assert stopped and min(stopped) >= _STATIONARY_WINDOW
+        assert np.array_equal(diag["stationary"], [s.stationary for s in diag["solutions"]][::-1])
+
+    def test_stop_needs_the_whole_window_still(self):
+        # the rule is the span of the window, not its endpoints
+        flat = [0.5] * _STATIONARY_WINDOW
+        assert _spans_less(flat)
+        spike = flat.copy()
+        spike[_STATIONARY_WINDOW // 2] += 10 * _STATIONARY_TOL
+        assert not _spans_less(spike)
+        drift = [0.5 + 2 * _STATIONARY_TOL * i / _STATIONARY_WINDOW for i in range(_STATIONARY_WINDOW + 1)]
+        assert not _spans_less(drift)
+        assert _spans_less([0.0] + flat)  # only the last window counts
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            ib_iterate(symmetric_2x2(0.1), beta=2.0, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_bad_max_iter_rejected(self, max_iter):
+        with pytest.raises(ParameterError, match="max_iter"):
+            ib_iterate(symmetric_2x2(0.1), beta=2.0, max_iter=max_iter)
 
 
 class TestReverseAnneal:
