@@ -20,7 +20,6 @@ from .agce import (
     pair_bound_nats,
 )
 from .biterminal import (
-    GaussianizeChain,
     biterminal_gaussianize,
     joint_objective,
     separate_gaussianize,

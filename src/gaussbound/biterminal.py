@@ -1,11 +1,12 @@
 """Multivariate Gaussianization by rotations plus marginal normal scores.
 
-Two schemes over the same layer primitive: an objective-blind iteration of
-[random rotation -> per-coordinate Gaussianization] in the spirit of
-rotation-based iterative Gaussianization (Laparra et al., 2011), and a
-bi-terminal variant that Gaussianizes two blocks simultaneously while
-hill-climbing over Givens perturbations of each rotation so the joint
-Gaussian-MI objective survives the marginal maps.
+One layer loop stacks [random rotation -> per-coordinate normal scores] on
+each block, in the spirit of rotation-based iterative Gaussianization
+(Laparra et al., 2011), until a held-out probe rotation of every block looks
+normal.  On one block that is the objective-blind separate scheme.  On two
+blocks (the bi-terminal variant) each layer also hill-climbs over Givens
+perturbations of its rotation so the joint Gaussian-MI objective survives
+the marginal maps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError, ParameterError
 from .smoother import as_block
 from .stats_core import (
-    MonotoneMap,
     covariance,
     gaussian_mi_bound,
     ks_normal_stat,
@@ -51,24 +51,16 @@ def givens_rotation(d: int, i: int, j: int, theta: float) -> np.ndarray:
 
 
 @dataclass
-class GaussianizeLayer:
-    """One fitted layer: ``maps[c]`` sends rotated coordinate ``c`` to normal scores."""
-
-    rotation: np.ndarray
-    maps: list[MonotoneMap]
-
-    @classmethod
-    def from_knots(cls, rotation: np.ndarray, knots) -> "GaussianizeLayer":
-        return cls(rotation, [MonotoneMap(*k) for k in knots])
-
-
-@dataclass
 class GaussianizeChain:
-    """Fitted stack of rotation + per-coordinate normal-scores layers."""
+    """What one block's layer stack reports: its layer count and convergence.
 
-    layers: list[GaussianizeLayer] = field(default_factory=list)
+    ``objective_trace`` holds, per layer, the joint objective the bi-terminal
+    hill climb kept (empty for a separate chain); ``perfbench/spans.py``
+    reads its length as the layer count.
+    """
+
+    layers: int = 0
     objective_trace: list[float] = field(default_factory=list)
-    normality_stat: np.ndarray | None = None
     converged: bool = False
 
 
@@ -80,61 +72,19 @@ def _rows(block) -> np.ndarray:
     return np.ascontiguousarray(b.T)
 
 
-def _rank_rows(rotated: np.ndarray, rng: np.random.Generator):
-    """Normal scores of each row of a (d, n) block, plus each row's knots.
-
-    Rows are ranked in order by ``rank_order``, each taking its tie-break
-    draws from ``rng``; no map is built here.
-    """
+def _rank_rows(rotated: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Normal scores of each row of a (d, n) block, ranked in row order with ``rng``."""
     grid = rank_quantile_grid(rotated.shape[1])
     out = np.empty_like(rotated)
-    knots = []
     for row, x in zip(out, rotated):
-        order, knots_in, knots_out = rank_order(x, rng)
-        row[order] = grid
-        knots.append((knots_in, knots_out))
-    return out, knots
+        row[rank_order(x, rng)[0]] = grid
+    return out
 
 
 def _probe_stats(block: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per-coordinate KS stats of a (d, n) block after a held-out plain rotation."""
     probe = random_rotation(block.shape[0], rng) @ block
     return np.asarray([ks_normal_stat(row) for row in probe])
-
-
-def separate_gaussianize(
-    block,
-    max_layers: int = 30,
-    normality_tol: float | None = None,
-    seed=None,
-):
-    """Objective-blind iterative Gaussianization of one block.
-
-    Layers of [random rotation -> per-coordinate normal scores] are stacked
-    until the per-coordinate KS statistics of a held-out probe rotation all
-    drop below the tolerance.  Output coordinates are exactly marginally
-    Gaussian after the final layer.  Non-convergence returns the best chain
-    with ``converged`` cleared.
-    """
-    b = _rows(block)
-    d, n = b.shape
-    if n < 100:
-        raise InsufficientDataError("separate_gaussianize needs at least 100 samples")
-    if max_layers < 1:
-        raise ParameterError(f"max_layers must be at least 1, got {max_layers}")
-    tol = default_normality_tol(n) if normality_tol is None else float(normality_tol)
-    rng = np.random.default_rng(seed)
-    chain = GaussianizeChain()
-    for _ in range(max_layers):
-        rotation = random_rotation(d, rng)
-        b, knots = _rank_rows(rotation @ b, rng)
-        chain.layers.append(GaussianizeLayer.from_knots(rotation, knots))
-        stats = _probe_stats(b, rng)
-        chain.normality_stat = stats
-        if stats.max() <= tol:
-            chain.converged = True
-            break
-    return np.ascontiguousarray(b.T), chain
 
 
 def joint_objective(u, v, *, details: bool = False):
@@ -183,6 +133,80 @@ def _try_scorer(blocks: dict, side: str):
     return score
 
 
+def _gaussianize(blocks: dict, rngs: dict, max_layers: int, tol: float, inner_tries: int):
+    """The layer loop over one or two (d, n) blocks keyed by side.
+
+    Per layer and per side: draw a rotation from that side's generator and
+    rank the rotated rows to normal scores.  With a second block to score
+    against, the side then hill-climbs: each of ``inner_tries`` Givens
+    perturbations of the rotation (two coordinates, angle uniform on
+    (-pi, pi)) is ranked and kept only when the joint objective strictly
+    increases.  After every side has moved, every side draws its probe and
+    the loop stops once all probes pass ``tol``.  Each generator thus reads
+    rotation, ranks, tries, probe, layer after layer.
+
+    Returns ``(blocks, chains, trace)``; ``trace`` lists
+    ``(layer, side, objective)`` per side per layer and per accepted move.
+    """
+    chains = {side: GaussianizeChain() for side in blocks}
+    trace: list[tuple[int, str, float]] = []
+    for outer in range(max_layers):
+        for side, rng in rngs.items():
+            block = blocks[side]
+            d = block.shape[0]
+            rotation = random_rotation(d, rng)
+            cand = _rank_rows(rotation @ block, rng)
+            if len(blocks) == 2:
+                score = _try_scorer(blocks, side)
+                obj = score(cand)
+                trace.append((outer, side, obj))
+                # a 1-column block has no Givens move: a try would only redraw its tie-breaks
+                for _ in range(inner_tries if d >= 2 else 0):
+                    i, j = rng.choice(d, size=2, replace=False)
+                    theta = rng.uniform(-np.pi, np.pi)
+                    rot2 = givens_rotation(d, int(i), int(j), theta) @ rotation
+                    cand2 = _rank_rows(rot2 @ block, rng)
+                    obj2 = score(cand2)
+                    if obj2 > obj:
+                        rotation, cand, obj = rot2, cand2, obj2
+                        trace.append((outer, side, obj))
+                chains[side].objective_trace.append(obj)
+            blocks[side] = cand
+            chains[side].layers += 1
+        # a list, not a short-circuit: every side draws its probe each layer
+        stats = [_probe_stats(blocks[side], rng).max() for side, rng in rngs.items()]
+        if max(stats) <= tol:
+            for chain in chains.values():
+                chain.converged = True
+            break
+    return blocks, chains, trace
+
+
+def separate_gaussianize(
+    block,
+    max_layers: int = 30,
+    normality_tol: float | None = None,
+    seed=None,
+):
+    """Objective-blind iterative Gaussianization of one block.
+
+    Layers of [random rotation -> per-coordinate normal scores] are stacked
+    until the per-coordinate KS statistics of a held-out probe rotation all
+    drop below the tolerance.  Output coordinates are exactly marginally
+    Gaussian after the final layer.  Non-convergence returns the full chain
+    with ``converged`` cleared.
+    """
+    b = _rows(block)
+    n = b.shape[1]
+    if n < 100:
+        raise InsufficientDataError("separate_gaussianize needs at least 100 samples")
+    if max_layers < 1:
+        raise ParameterError(f"max_layers must be at least 1, got {max_layers}")
+    tol = default_normality_tol(n) if normality_tol is None else float(normality_tol)
+    blocks, chains, _ = _gaussianize({"x": b}, {"x": np.random.default_rng(seed)}, max_layers, tol, 0)
+    return np.ascontiguousarray(blocks["x"].T), chains["x"]
+
+
 def biterminal_gaussianize(
     u,
     v,
@@ -193,18 +217,15 @@ def biterminal_gaussianize(
 ):
     """Joint Gaussianization of two blocks by objective-aware hill climbing.
 
-    Per outer iteration and per side: draw a base rotation, Gaussianize, then
-    repeatedly perturb the rotation by a random Givens rotation (two
-    coordinates, angle uniform on (-pi, pi)), keeping a candidate only when
-    the joint objective strictly increases.  With ``inner_tries=0`` the
-    procedure is the per-side objective-blind scheme; the U and V sides draw
+    The layer loop of ``separate_gaussianize`` on both blocks at once: in
+    each of at most ``outer_iters`` layers U steps, then V, each keeping the
+    best of its base rotation and ``inner_tries`` Givens perturbations of
+    it; the loop stops when both probes pass.  With ``inner_tries=0`` each
+    side gets exactly the separate scheme's output.  The U and V sides draw
     from the two children of ``np.random.SeedSequence(seed).spawn(2)``.
 
-    Both blocks are held as C-contiguous (d, n) arrays, one coordinate per
-    row: transposed once on entry and back to (n, d) on return.  A try
-    rotates with ``rotation @ block``, ranks each row with ``rank_order``
-    and keeps only the rows' knots; a layer's ``MonotoneMap`` objects are
-    built once per side step, for the kept rotation only.  A row without
+    Blocks are held as C-contiguous (d, n) arrays, one coordinate per row,
+    and each try ranks its rotated rows with ``rank_order``.  A row without
     ties reads no tie-break draw: on a stock ``PCG64`` generator it advances
     the bit generator by n instead of drawing, which leaves the state that
     ``rng.random(n)`` leaves, so the seeded stream is the same either way.
@@ -216,7 +237,8 @@ def biterminal_gaussianize(
     scores ``joint_objective`` of the replaced pair up to rounding.
 
     Returns ``(u_out, v_out, (chain_u, chain_v), trace)`` where ``trace`` is a
-    list of ``(outer_iteration, side, accepted_objective)`` tuples.
+    list of ``(outer_iteration, side, accepted_objective)`` tuples: one per
+    side per layer for the base rotation, plus one per accepted Givens move.
     """
     u, v = _rows(u), _rows(v)
     n = u.shape[1]
@@ -231,44 +253,8 @@ def biterminal_gaussianize(
     if inner_tries < 0:
         raise ParameterError(f"inner_tries must be nonnegative, got {inner_tries}")
     tol = default_normality_tol(n) if normality_tol is None else float(normality_tol)
-
     ss_u, ss_v = np.random.SeedSequence(seed).spawn(2)
     rngs = {"u": np.random.default_rng(ss_u), "v": np.random.default_rng(ss_v)}
-    blocks = {"u": u, "v": v}
-    chains = {"u": GaussianizeChain(), "v": GaussianizeChain()}
-    trace: list[tuple[int, str, float]] = []
-
-    for outer in range(outer_iters):
-        for side in ("u", "v"):
-            rng = rngs[side]
-            block = blocks[side]
-            d = block.shape[0]
-            score = _try_scorer(blocks, side)
-            rotation = random_rotation(d, rng)
-            cand, knots = _rank_rows(rotation @ block, rng)
-            obj = score(cand)
-            trace.append((outer, side, obj))
-            # a 1-column block has no Givens move: a try would only redraw its tie-breaks
-            for _ in range(inner_tries if d >= 2 else 0):
-                i, j = rng.choice(d, size=2, replace=False)
-                theta = rng.uniform(-np.pi, np.pi)
-                rot2 = givens_rotation(d, int(i), int(j), theta) @ rotation
-                cand2, knots2 = _rank_rows(rot2 @ block, rng)
-                obj2 = score(cand2)
-                if obj2 > obj:
-                    rotation, cand, knots, obj = rot2, cand2, knots2, obj2
-                    trace.append((outer, side, obj))
-            blocks[side] = cand
-            chains[side].layers.append(GaussianizeLayer.from_knots(rotation, knots))
-            chains[side].objective_trace.append(obj)
-        stats_u = _probe_stats(blocks["u"], rngs["u"])
-        stats_v = _probe_stats(blocks["v"], rngs["v"])
-        chains["u"].normality_stat = stats_u
-        chains["v"].normality_stat = stats_v
-        if stats_u.max() <= tol and stats_v.max() <= tol:
-            chains["u"].converged = True
-            chains["v"].converged = True
-            break
-
+    blocks, chains, trace = _gaussianize({"u": u, "v": v}, rngs, outer_iters, tol, inner_tries)
     u_out, v_out = (np.ascontiguousarray(blocks[side].T) for side in ("u", "v"))
     return u_out, v_out, (chains["u"], chains["v"]), trace

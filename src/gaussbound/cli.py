@@ -313,8 +313,8 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
         bu, bv, (chain_u, _), trace = biterminal_gaussianize(model.u, model.v, seed=seed + 1)
         extras = {
             "model": model,
-            "accepted_moves": len(trace),
-            "outer_iters": len(chain_u.layers),
+            "accepted_moves": len(trace) - 2 * chain_u.layers,
+            "outer_iters": chain_u.layers,
             "converged": chain_u.converged,
         }
         return bu, bv, None, extras

@@ -13,7 +13,6 @@ from gaussbound import (
     marginal_gaussianize,
     separate_gaussianize,
 )
-import gaussbound.biterminal as biterminal
 from gaussbound.biterminal import (
     _rank_rows,
     _try_scorer,
@@ -47,6 +46,18 @@ def reference_probe_stats(block, rng):
     return np.asarray([ks_normal_stat(probe[:, c]) for c in range(block.shape[1])])
 
 
+def reference_separate(block, max_layers, tol, seed):
+    """The separate loop as first written, on an (n, d) block: per layer a
+    rotation, ``reference_layer`` and a probe from ``default_rng(seed)``,
+    stopping once this block's probe passes.  Returns (out, layers, converged)."""
+    rng = np.random.default_rng(seed)
+    for layer in range(1, max_layers + 1):
+        block = reference_layer(block, random_rotation(block.shape[1], rng), rng)
+        if reference_probe_stats(block, rng).max() <= tol:
+            return block, layer, True
+    return block, max_layers, False
+
+
 @pytest.fixture(scope="module")
 def gaussian_blocks():
     rng = np.random.default_rng(0)
@@ -60,7 +71,7 @@ class TestSeparateGaussianize:
         block = rng.standard_normal((10_000, 2))
         _, chain = separate_gaussianize(block, seed=2)
         assert chain.converged
-        assert len(chain.layers) == 1
+        assert chain.layers == 1
 
     def test_univariate_reduces_to_marginal(self):
         rng = np.random.default_rng(3)
@@ -86,7 +97,7 @@ class TestSeparateGaussianize:
         cur = np.ascontiguousarray(block.T)
         chain_rng = np.random.default_rng(6)
         for _ in range(40):
-            cur, _ = _rank_rows(random_rotation(2, chain_rng) @ cur, chain_rng)
+            cur = _rank_rows(random_rotation(2, chain_rng) @ cur, chain_rng)
             proxies.append(pairwise_mi(cur))
         diffs = np.diff(proxies)
         assert np.all(diffs <= 0.02)
@@ -96,12 +107,28 @@ class TestSeparateGaussianize:
     def test_output_rank_exact(self):
         rng = np.random.default_rng(7)
         block = rng.exponential(1.0, (400, 3))
-        out, chain = separate_gaussianize(block, max_layers=5, seed=8)
+        out, _ = separate_gaussianize(block, max_layers=5, seed=8)
         for c in range(3):
             assert is_rank_exact(out[:, c])
-        for layer in chain.layers:
-            r = layer.rotation
-            assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-8
+
+    @pytest.mark.parametrize("normality_tol", [None, -1.0])
+    @pytest.mark.parametrize("kind", ["1d", "tied_2d", "3d"])
+    def test_matches_reference(self, kind, normality_tol):
+        # tol <= 0 runs all 6 layers; with the default tolerance the 3-D
+        # block stops after 5 and the others after 1
+        rng = np.random.default_rng(0)
+        block = {
+            "1d": lambda: rng.exponential(1.0, (500, 1)),
+            "tied_2d": lambda: rng.integers(0, 8, (600, 2)).astype(float),
+            "3d": lambda: rng.gamma(2.0, 1.0, (600, 3)) @ rng.standard_normal((3, 3)),
+        }[kind]()
+        out, chain = separate_gaussianize(block, max_layers=6, normality_tol=normality_tol, seed=10)
+        tol = default_normality_tol(block.shape[0]) if normality_tol is None else normality_tol
+        ref, layers, converged = reference_separate(block, 6, tol, seed=10)
+        assert np.array_equal(out, ref)
+        assert (chain.layers, chain.converged) == (layers, converged)
+        if kind == "3d" and normality_tol is None:
+            assert 2 <= layers < 6
 
     def test_non_finite_rejected(self):
         block = np.random.default_rng(21).standard_normal((200, 2))
@@ -110,58 +137,6 @@ class TestSeparateGaussianize:
             separate_gaussianize(block, seed=1)
         with pytest.raises(DomainError, match="finite"):
             biterminal_gaussianize(block, np.ones((200, 2)), seed=1)
-
-
-def replay_layers(block, layers):
-    """Each layer's maps applied to that layer's rotated input, in turn."""
-    outs, cur = [], np.ascontiguousarray(block.T)
-    for layer in layers:
-        rotated = layer.rotation @ cur
-        cur = np.stack([m(row) for m, row in zip(layer.maps, rotated)])
-        outs.append(cur)
-    return outs
-
-
-class TestLayerMaps:
-    """Maps are built from a kept layer's knots, after its hill climb."""
-
-    def test_maps_reproduce_kept_outputs(self):
-        rng = np.random.default_rng(22)
-        u = rng.exponential(1.0, (700, 2))
-        v = u + rng.exponential(1.0, (700, 2))
-        for layers in (1, 3):
-            bu, bv, chains, _ = biterminal_gaussianize(
-                u, v, outer_iters=layers, inner_tries=10, normality_tol=-1.0, seed=23
-            )
-            for block, out, chain in ((u, bu, chains[0]), (v, bv, chains[1])):
-                replayed = replay_layers(block, chain.layers)
-                assert len(replayed) == layers
-                assert all(is_rank_exact(row) for step in replayed for row in step)
-                assert np.array_equal(replayed[-1].T, out)
-
-    def test_separate_maps_reproduce_output(self):
-        block = np.random.default_rng(24).gamma(2.0, 1.0, (600, 3))
-        out, chain = separate_gaussianize(block, max_layers=4, normality_tol=-1.0, seed=25)
-        assert np.array_equal(replay_layers(block, chain.layers)[-1].T, out)
-
-    def test_maps_built_only_for_kept_layers(self, monkeypatch):
-        built = []
-
-        class CountingMap(biterminal.MonotoneMap):
-            def __post_init__(self):
-                built.append(1)
-                super().__post_init__()
-
-        monkeypatch.setattr(biterminal, "MonotoneMap", CountingMap)
-        rng = np.random.default_rng(26)
-        u = rng.exponential(1.0, (400, 2))
-        _, _, chains, _ = biterminal_gaussianize(
-            u, u + rng.exponential(1.0, (400, 2)), outer_iters=3, inner_tries=20, normality_tol=-1.0, seed=27
-        )
-        # 3 layers x 2 sides x 2 coordinates; one map per ranked row would be
-        # 3 x 2 x (1 + 20) x 2 = 252
-        assert len(built) == 12
-        assert all(isinstance(m, CountingMap) for c in chains for layer in c.layers for m in layer.maps)
 
 
 class TestJointObjective:
@@ -258,14 +233,10 @@ class TestBiterminal:
         rng = np.random.default_rng(17)
         u = rng.exponential(1.0, (400, 2))
         v = rng.exponential(1.0, (400, 2))
-        bu, bv, chains, _ = biterminal_gaussianize(u, v, outer_iters=3, inner_tries=5, seed=18)
+        bu, bv, _, _ = biterminal_gaussianize(u, v, outer_iters=3, inner_tries=5, seed=18)
         for block in (bu, bv):
             for c in range(2):
                 assert is_rank_exact(block[:, c])
-        for chain in chains:
-            for layer in chain.layers:
-                r = layer.rotation
-                assert np.max(np.abs(r.T @ r - np.eye(2))) <= 1e-8
 
 
 def reference_biterminal(u, v, seed):
@@ -333,7 +304,7 @@ class TestTryScorer:
         for _ in range(4):
             # an on-grid candidate, as a try makes, and one off the grid
             noisy = block + rng.standard_normal(block.shape)
-            cand, _ = _rank_rows(random_rotation(block.shape[0], rng) @ noisy, rng)
+            cand = _rank_rows(random_rotation(block.shape[0], rng) @ noisy, rng)
             for c in (cand, noisy):
                 expected = joint_objective(**{**blocks, side: c.T})
                 assert abs(score(c) - expected) <= 1e-12
@@ -381,7 +352,7 @@ class TestTryScorer:
         assert len(trace) == len(ref_trace)
         assert [t[:2] for t in trace] == [t[:2] for t in ref_trace]
         assert max(abs(a[2] - b[2]) for a, b in zip(trace, ref_trace)) <= 1e-12
-        assert len(chains[0].layers) == len(chains[1].layers) == trace[-1][0] + 1
+        assert chains[0].layers == chains[1].layers == trace[-1][0] + 1
 
 
 class TestBiterminalInputs:
@@ -418,7 +389,7 @@ class TestBiterminalInputs:
         u = rng.standard_normal((200, 2))
         _, _, chains, _ = biterminal_gaussianize(u, u + rng.standard_normal((200, 2)), outer_iters=2,
                                                  inner_tries=1, normality_tol=-1.0, seed=1)
-        assert [len(c.layers) for c in chains] == [2, 2]
+        assert [c.layers for c in chains] == [2, 2]
         assert not chains[0].converged
 
 

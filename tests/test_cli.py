@@ -125,7 +125,7 @@ class TestBound:
         assert isinstance(extras["converged"], bool)
         assert extras["saturated"] is False
         assert extras["converged"] or extras["outer_iters"] == 30
-        assert extras["accepted_moves"] >= 2 * extras["outer_iters"]
+        assert 0 <= extras["accepted_moves"] <= 2 * 40 * extras["outer_iters"]
 
     def test_model_source_sets_lemma_flag(self, tmp_path):
         p = tmp_path / "r.json"
