@@ -12,9 +12,7 @@ from .agce import (
     AgcePair,
     FittedTransform,
     agce_fit_1d,
-    agce_fit_mv_oracle,
     agce_step,
-    distance_correlation,
     naive_lower_1d,
     offshelf_lower_1d,
     pair_bound_nats,
@@ -34,19 +32,16 @@ from .errors import (
     ParameterError,
     UnsupportedModelError,
 )
-from .gib import GibSpectrum, IBCurve, gib_curve, gib_point_info, gib_projection, gib_spectrum
+from .gib import GibSpectrum, IBCurve, gib_curve, gib_spectrum
 from .ib_discrete import (
     IBSolution,
     JointPmf,
-    discretize_samples,
     ib_iterate,
     quadrature_discretize,
     reverse_anneal,
 )
 from .models import (
     ModelSample,
-    OracleGaussian,
-    OracleProduct,
     expgamma_sample,
     gm1d_sample,
     gm1d_true_mi,

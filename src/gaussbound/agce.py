@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cca_ace import _DEGENERATE_STD, CanonicalModel, _standardize, ace_fit
-from .errors import InsufficientDataError, ParameterError, UnsupportedModelError
-from .smoother import KernelSmoother, KnnSmoother, SmootherConfig, sq_distances
+from .errors import InsufficientDataError, ParameterError
+from .smoother import KernelSmoother, KnnSmoother, SmootherConfig
 from .stats_core import (
     MonotoneMap,
     PairedSamples,
@@ -233,74 +233,3 @@ def naive_lower_1d(samples: PairedSamples, seed=None) -> AgcePair:
 def pair_bound_nats(pair: AgcePair) -> float:
     """Gaussian MI bound implied by a fitted pair's correlation."""
     return mi_from_correlations([pair.rho])
-
-
-def distance_correlation(a, b, max_n: int = 2000, seed=0) -> float:
-    """Sample distance correlation, subsampled to keep the n^2 matrices small."""
-    a = np.asarray(a, dtype=float).reshape(len(a), -1)
-    b = np.asarray(b, dtype=float).reshape(len(b), -1)
-    n = a.shape[0]
-    if n > max_n:
-        idx = np.random.default_rng(seed).choice(n, size=max_n, replace=False)
-        a, b = a[idx], b[idx]
-        n = max_n
-
-    def centered(m):
-        d = np.sqrt(sq_distances(m, m))
-        return d - d.mean(0, keepdims=True) - d.mean(1, keepdims=True) + d.mean()
-
-    ca, cb = centered(a), centered(b)
-    dcov2 = (ca * cb).mean()
-    da = (ca * ca).mean()
-    db = (cb * cb).mean()
-    if da <= 0 or db <= 0:
-        return 0.0
-    return float(np.sqrt(max(dcov2, 0.0) / np.sqrt(da * db)))
-
-
-def agce_fit_mv_oracle(model, k: int = 2, n: int = 10_000, seed=None) -> list[AgcePair]:
-    """Multivariate pairs via oracle conditionals and CDF push-forwards.
-
-    Pair 1 alternates the model's exact conditional-expectation projections
-    to their fixed point (for Gaussian oracles a closed-form power
-    iteration) and Gaussianizes the resulting canonical values on the drawn
-    samples.  Between pairs, the model pushes each block through its
-    conditional CDF given the first canonical variable onto a uniform target
-    that is exactly independent of it; pair 2 repeats the alternation on the
-    push-forward blocks.  Degenerate conditional expectations produce an
-    independent-fit pair with rho = 0.
-    """
-    if k > 2:
-        raise ParameterError("oracle mode supports at most 2 pairs")
-    required = (
-        "sample",
-        "first_pair_values",
-        "independent_subspace_x",
-        "independent_subspace_y",
-    )
-    for attr in required:
-        if not hasattr(model, attr):
-            raise UnsupportedModelError(
-                f"model {type(model).__name__} lacks {attr}; analytic conditional "
-                "CDFs are required for oracle fitting"
-            )
-    rng = np.random.default_rng(seed)
-    x, y = model.sample(n, rng)
-    pairs = []
-    for j in range(2 if k == 2 else 1):
-        if j == 1:
-            x, y = model.independent_subspace_x(x), model.independent_subspace_y(y)
-        raw = (model.second_pair_values if j else model.first_pair_values)(x, y)
-        if raw is None:
-            # degenerate conditional expectation: an independent fit, whose
-            # u and v fall back to the raw blocks
-            pair = _gaussianized_pair(
-                np.asarray(x)[:, 0], np.asarray(y)[:, 0], rng,
-                phi=None, psi=None, trace=np.asarray([0.0]), independent=True,
-            )
-            pair.rho = abs(pair.rho)
-        else:
-            u_raw, v_raw, _, trace = raw
-            pair = _gaussianized_pair(u_raw, v_raw, rng, trace=trace)
-        pairs.append(pair)
-    return pairs

@@ -195,10 +195,15 @@ def kcca_fit(
         raise ParameterError("kcca_fit builds dense n x n kernels; n must be <= 10000")
     if n < 50:
         raise InsufficientDataError("kcca_fit needs at least 50 samples")
-    if ridge <= 0:
-        raise ParameterError("ridge must be positive")
-    if kernel_width is not None and not kernel_width > 0:
-        raise ParameterError(f"kernel_width must be positive, got {kernel_width}")
+    if not 0 < ridge < np.inf:
+        raise ParameterError(f"ridge must be finite and positive, got {ridge}")
+    # a width whose 2w^2 overflows or underflows to 0 leaves a Gram of NaNs
+    if kernel_width is not None and not (
+        kernel_width > 0 and 0 < 2.0 * kernel_width * kernel_width < np.inf
+    ):
+        raise ParameterError(
+            f"kernel_width must be positive with 2w^2 finite and > 0, got {kernel_width}"
+        )
     if k is None:
         k = min(samples.d_x, samples.d_y)
     # imported here: scipy.sparse.linalg adds about 35 ms to the package's import

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, ndtr, ndtri
+from scipy.special import gammainc, gammaincinv
 
 from .biterminal import random_rotation
 from .errors import DomainError, ParameterError
@@ -345,180 +345,3 @@ def discretizable_from_spec(family: str, d: int, mu_z: float, eps: float):
     """Analytic joint for the quadrature path, or None when d > 1 or there is none."""
     joint = _family(family)[1]
     return None if joint is None or d != 1 else joint(mu_z, eps)
-
-
-# ---------------------------------------------------------------------------
-# Oracle joints exposing analytic conditional structure
-# ---------------------------------------------------------------------------
-
-
-def _power_iterate_pair(c_x, c_y, c_xy, tol=1e-13, max_iter=500):
-    """Alternating conditional expectations in the Gaussian domain.
-
-    For jointly Gaussian blocks the conditional-expectation projection of a
-    linear functional is again linear, so the alternation reduces to a power
-    iteration on the whitened cross-covariance.  Returns the fixed-point
-    directions (normalized to unit output variance), the correlation, and
-    the per-step correlation trace.
-    """
-    d_y = c_y.shape[0]
-    b = np.ones(d_y)
-    denom = float(b @ c_y @ b)
-    if denom <= 0:
-        return None
-    b = b / math.sqrt(denom)
-    rho_prev = -np.inf
-    trace = []
-    a = None
-    for _ in range(max_iter):
-        # E[b^T Y | X] = (C_xy b)^T C_x^{-1} X; normalize its variance
-        a_raw = np.linalg.solve(c_x, c_xy @ b)
-        var_a = float(a_raw @ c_x @ a_raw)
-        if var_a <= 1e-24:
-            return None
-        a = a_raw / math.sqrt(var_a)
-        b_raw = np.linalg.solve(c_y, c_xy.T @ a)
-        var_b = float(b_raw @ c_y @ b_raw)
-        if var_b <= 1e-24:
-            return None
-        b = b_raw / math.sqrt(var_b)
-        rho = float(a @ c_xy @ b)
-        trace.append(rho)
-        if abs(rho - rho_prev) < tol:
-            break
-        rho_prev = rho
-    return a, b, float(trace[-1]), np.asarray(trace)
-
-
-class OracleGaussian:
-    """Jointly Gaussian model exposing analytic conditional structure.
-
-    Pair fitting runs the alternating-projection fixed point in closed form
-    (conditional expectations of linear functionals).  The push-forward to
-    the subspace independent of the first canonical variable is exact: the
-    regression residual, rotated to its principal axes and mapped to uniform
-    per coordinate (the residual given a scalar projection has one
-    degenerate direction, so the subspace has d - 1 coordinates).
-    """
-
-    def __init__(self, c_x, c_y, c_xy):
-        self.c_x = np.atleast_2d(np.asarray(c_x, dtype=float))
-        self.c_y = np.atleast_2d(np.asarray(c_y, dtype=float))
-        self.c_xy = np.atleast_2d(np.asarray(c_xy, dtype=float))
-        self.d_x = self.c_x.shape[0]
-        self.d_y = self.c_y.shape[0]
-        joint = np.block([[self.c_x, self.c_xy], [self.c_xy.T, self.c_y]])
-        if np.linalg.eigvalsh(joint)[0] <= 0:
-            raise DomainError("joint covariance must be positive definite")
-        self._chol = np.linalg.cholesky(joint)
-        self._wx, self._wy, self._rho = self._canonical_directions()
-        self._res_x = self._residual_basis(self.c_x, self._wx[:, 0])
-        self._res_y = self._residual_basis(self.c_y, self._wy[:, 0])
-
-    def _canonical_directions(self):
-        def isqrt(m):
-            lam, e = np.linalg.eigh(m)
-            return e @ np.diag(1.0 / np.sqrt(lam)) @ e.T
-
-        isx, isy = isqrt(self.c_x), isqrt(self.c_y)
-        left, sing, right_t = np.linalg.svd(isx @ self.c_xy @ isy)
-        wx = isx @ left  # columns: canonical directions, wx_i^T C_X wx_i = 1
-        wy = isy @ right_t.T
-        return wx, wy, np.clip(sing, 0.0, 1.0)
-
-    @staticmethod
-    def _residual_basis(cov, w):
-        beta = cov @ w  # Cov(block, unit-variance canonical variable)
-        cov_resid = cov - np.outer(beta, beta)
-        lam, vecs = np.linalg.eigh((cov_resid + cov_resid.T) / 2.0)
-        keep = lam > 1e-10 * max(lam.max(), 1e-300)
-        return beta, vecs[:, keep], np.sqrt(lam[keep])
-
-    @property
-    def canonical_correlations(self) -> np.ndarray:
-        return self._rho.copy()
-
-    def sample(self, n: int, seed=None):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, self.d_x + self.d_y)) @ self._chol.T
-        return z[:, : self.d_x], z[:, self.d_x :]
-
-    def first_pair_values(self, x_block, y_block):
-        """Fixed point of the oracle alternation, evaluated on the samples."""
-        fit = _power_iterate_pair(self.c_x, self.c_y, self.c_xy)
-        if fit is None or fit[2] <= 1e-12:
-            return None
-        a, b, rho, trace = fit
-        return np.asarray(x_block) @ a, np.asarray(y_block) @ b, rho, trace
-
-    def independent_subspace_x(self, x_block) -> np.ndarray:
-        x = np.asarray(x_block, dtype=float)
-        beta, vecs, scales = self._res_x
-        resid = x - np.outer(x @ self._wx[:, 0], beta)
-        return ndtr(resid @ vecs / scales)
-
-    def independent_subspace_y(self, y_block) -> np.ndarray:
-        y = np.asarray(y_block, dtype=float)
-        beta, vecs, scales = self._res_y
-        resid = y - np.outer(y @ self._wy[:, 0], beta)
-        return ndtr(resid @ vecs / scales)
-
-    def _residual_cross_cov(self):
-        wx, wy = self._wx[:, 0], self._wy[:, 0]
-        bx, ex, sx = self._res_x
-        by, ey, sy = self._res_y
-        rho1 = float(wx @ self.c_xy @ wy)
-        cross = (
-            self.c_xy
-            - np.outer(bx, wx @ self.c_xy)
-            - np.outer(self.c_xy @ wy, by)
-            + rho1 * np.outer(bx, by)
-        )
-        # covariance of the standardized principal residual scores
-        return (ex / sx[None, :]).T @ cross @ (ey / sy[None, :])
-
-    def second_pair_values(self, x_tilde, y_tilde):
-        """Oracle alternation on the push-forward blocks (uniform coordinates)."""
-        zx = ndtri(np.clip(np.asarray(x_tilde, float), 1e-15, 1 - 1e-15))
-        zy = ndtri(np.clip(np.asarray(y_tilde, float), 1e-15, 1 - 1e-15))
-        dx, dy = zx.shape[1], zy.shape[1]
-        fit = _power_iterate_pair(np.eye(dx), np.eye(dy), self._residual_cross_cov())
-        if fit is None or fit[2] <= 1e-12:
-            return None
-        a, b, rho, trace = fit
-        return zx @ a, zy @ b, rho, trace
-
-    @classmethod
-    def from_canonical(cls, rhos, d: int | None = None, seed: int = 0) -> "OracleGaussian":
-        """Identity marginals with prescribed canonical correlations."""
-        rhos = np.asarray(rhos, dtype=float)
-        d = d or rhos.size
-        rng = np.random.default_rng(seed)
-        q1, q2 = random_rotation(d, rng), random_rotation(d, rng)
-        diag = np.zeros((d, d))
-        diag[: rhos.size, : rhos.size] = np.diag(rhos)
-        return cls(np.eye(d), np.eye(d), q1 @ diag @ q2.T)
-
-
-class OracleProduct:
-    """Independent standard-normal blocks (zero canonical correlation)."""
-
-    def __init__(self, d_x: int = 2, d_y: int = 2):
-        self.d_x = d_x
-        self.d_y = d_y
-
-    def sample(self, n: int, seed=None):
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((n, self.d_x)), rng.standard_normal((n, self.d_y))
-
-    def first_pair_values(self, x_block, y_block):
-        return None  # conditional expectations are constant
-
-    def second_pair_values(self, x_tilde, y_tilde):
-        return None
-
-    def independent_subspace_x(self, x_block) -> np.ndarray:
-        return ndtr(np.asarray(x_block, dtype=float))
-
-    def independent_subspace_y(self, y_block) -> np.ndarray:
-        return ndtr(np.asarray(y_block, dtype=float))

@@ -233,11 +233,14 @@ class KernelSmoother:
     """
 
     def __init__(self, x_block, bandwidth: float):
-        if not bandwidth > 0:
-            raise ParameterError("bandwidth must be positive")
+        # 2h^2 that overflows or underflows to 0 would turn every weight into 0/0
+        self._h2 = 2.0 * bandwidth * bandwidth
+        if not (bandwidth > 0 and 0 < self._h2 < math.inf):
+            raise ParameterError(
+                f"bandwidth must be positive with 2h^2 finite and > 0, got {bandwidth}"
+            )
         self.x = as_block(x_block)
         self.n = self.x.shape[0]
-        self.bandwidth = float(bandwidth)
         self.fallback_count = 0
         self._fallback_k = min(max(3, math.ceil(self.n ** 0.8 / 10.0)), self.n)
         self._fallback: KnnSmoother | None = None
@@ -245,11 +248,10 @@ class KernelSmoother:
     def _weights_apply(self, q: np.ndarray, z: np.ndarray, selfq: bool) -> np.ndarray:
         out = np.empty(q.shape[0])
         dead = []
-        h2 = 2.0 * self.bandwidth ** 2
         chunk = max(1, _CHUNK_BUDGET // self.n)
         for start in range(0, q.shape[0], chunk):
             stop = min(start + chunk, q.shape[0])
-            w = np.exp(-sq_distances(q[start:stop], self.x) / h2)
+            w = np.exp(-sq_distances(q[start:stop], self.x) / self._h2)
             den = w.sum(axis=1)
             num = w @ z
             bad = den <= 0.0

@@ -4,23 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from gaussbound import (
     PairedSamples,
     SmootherConfig,
-    UnsupportedModelError,
     agce_fit_1d,
-    agce_fit_mv_oracle,
     agce_step,
     gm1d_sample,
     marginal_gaussianize,
     naive_lower_1d,
     offshelf_lower_1d,
 )
-from gaussbound.agce import distance_correlation, pair_bound_nats
+from gaussbound.agce import pair_bound_nats
 from gaussbound.cca_ace import ace_fit, ace_upper_bound
-from gaussbound.models import OracleGaussian, OracleProduct
 from gaussbound.stats_core import NATS_PER_BIT, rank_quantile_grid
 
 
@@ -194,49 +190,3 @@ class TestOffshelfAndNaive:
     def test_naive_beaten_by_offshelf(self, gm_mix_samples, gm_mix_offshelf):
         naive = naive_lower_1d(gm_mix_samples, seed=17)
         assert gm_mix_offshelf.rho > naive.rho + 0.2
-
-
-class TestOracleMultivariate:
-    def test_gaussian_oracle_recovers_canonical_pairs(self):
-        model = OracleGaussian.from_canonical([0.8, 0.5], seed=3)
-        pairs = agce_fit_mv_oracle(model, k=2, n=10_000, seed=9)
-        assert abs(pairs[0].rho - 0.8) <= 0.03
-        assert abs(pairs[1].rho - 0.5) <= 0.03
-
-    def test_pair_independence(self):
-        model = OracleGaussian.from_canonical([0.8, 0.5], seed=3)
-        pairs = agce_fit_mv_oracle(model, k=2, n=10_000, seed=9)
-        corr = abs(np.corrcoef(pairs[0].u, pairs[1].u)[0, 1])
-        assert corr <= 0.02
-        assert distance_correlation(pairs[0].u, pairs[1].u) <= 0.05
-
-    def test_product_model(self):
-        pairs = agce_fit_mv_oracle(OracleProduct(2, 2), k=2, n=10_000, seed=10)
-        assert all(p.rho <= 0.05 for p in pairs)
-        assert all(p.independent for p in pairs)
-
-    def test_outputs_rank_exact(self):
-        model = OracleGaussian.from_canonical([0.7, 0.3], seed=4)
-        pairs = agce_fit_mv_oracle(model, k=2, n=2000, seed=11)
-        assert is_rank_exact(pairs[0].u)
-        assert is_rank_exact(pairs[1].v)
-
-    def test_traces_monotone(self):
-        model = OracleGaussian.from_canonical([0.7, 0.3], seed=4)
-        pairs = agce_fit_mv_oracle(model, k=2, n=2000, seed=11)
-        for p in pairs:
-            assert np.all(np.diff(p.trace) >= -1e-10)
-
-    def test_unsupported_model(self):
-        class Opaque:
-            pass
-
-        with pytest.raises(UnsupportedModelError):
-            agce_fit_mv_oracle(Opaque())
-
-
-def test_distance_correlation_detects_dependence():
-    rng = np.random.default_rng(20)
-    x = rng.standard_normal(1500)
-    assert distance_correlation(x, x * x) > 0.3
-    assert distance_correlation(x, rng.standard_normal(1500)) < 0.1

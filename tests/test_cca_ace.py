@@ -187,8 +187,13 @@ class TestKcca:
             kcca_fit(
                 PairedSamples(rng.standard_normal(10_001), rng.standard_normal(10_001))
             )
+        small = PairedSamples(rng.standard_normal(200), rng.standard_normal(200))
         with pytest.raises(ParameterError):
-            kcca_fit(
-                PairedSamples(rng.standard_normal(200), rng.standard_normal(200)),
-                ridge=0.0,
-            )
+            kcca_fit(small, ridge=0.0)
+        for ridge in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterError):
+                kcca_fit(small, ridge=ridge)
+        # 2w^2 must stay a finite, nonzero float
+        for width in (np.nan, np.inf, 1e200, 1e-300):
+            with pytest.raises(ParameterError):
+                kcca_fit(small, kernel_width=width)

@@ -180,6 +180,14 @@ class TestBound:
             ["bound", "--method", "kcca", "--kcca-width", "0", "--n", "500"],
             ["bound", "--method", "kcca", "--kcca-width", "-1", "--n", "500"],
             ["bound", "--method", "kcca", "--kcca-width", "nan", "--n", "500"],
+            # non-finite kernel parameters, and kernel scales whose 2h^2 leaves the floats
+            ["bound", "--method", "kcca", "--kcca-ridge", "nan", "--n", "500"],
+            ["bound", "--method", "kcca", "--kcca-ridge", "inf", "--n", "500"],
+            ["bound", "--method", "kcca", "--kcca-width", "inf", "--n", "500"],
+            ["bound", "--method", "ace", "--smoother", "kernel", "--bandwidth", "1e200",
+             "--n", "500"],
+            ["bound", "--method", "ace", "--smoother", "kernel", "--bandwidth", "1e-300",
+             "--n", "500"],
             # every sampler needs n >= 1
             ["gen", "--model", "exp_gamma", "--n", "0"],
             ["gen", "--model", "mv_gaussian_scramble", "--n", "-3"],
@@ -189,6 +197,7 @@ class TestBound:
              "offshelf-n-60", "biterminal-n-60", "reproduce-n-40", "seed-negative",
              "gen-seed-negative", "reproduce-seed-negative", "eps-zero", "eps-nan", "mu-z-nan",
              "gm1d-d-2", "gen-gm1d-d-2", "kcca-width-zero", "kcca-width-negative", "kcca-width-nan",
+             "kcca-ridge-nan", "kcca-ridge-inf", "kcca-width-inf", "bandwidth-huge", "bandwidth-tiny",
              "gen-exp-gamma-n-0", "gen-scramble-n-negative"],
     )
     def test_out_of_range_parameter_is_input_error(self, argv, tmp_path, capsys):

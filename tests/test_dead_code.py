@@ -1,4 +1,5 @@
-"""Every top-level function and class in the package has a caller or a test."""
+"""Every top-level function and class in the package has a caller or a test,
+and every name the package re-exports has a caller in the package itself."""
 
 import ast
 import re
@@ -6,19 +7,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gaussbound"
+# __init__.py only re-exports, so a name listed there is not a use
+SOURCES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _count(name: str, texts: list[str]) -> int:
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    return sum(len(word.findall(t)) for t in texts)
 
 
 def test_every_top_level_name_is_used():
-    # __init__.py only re-exports, so a name listed there is not a use
-    sources = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    texts = [p.read_text(encoding="utf-8") for p in sources]
+    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
     texts += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
     unused = []
-    for path in sources:
+    for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                word = re.compile(rf"\b{re.escape(node.name)}\b")
                 # one match is the definition itself
-                if sum(len(word.findall(t)) for t in texts) <= 1:
+                if _count(node.name, texts) <= 1:
                     unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"defined but never named elsewhere: {unused}"
+
+
+def test_every_export_has_a_program_caller():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exports = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert exports
+    texts = [p.read_text(encoding="utf-8") for p in SOURCES]
+    # one match is the definition itself; a name only tests reach is not exported
+    uncalled = [name for name in exports if _count(name, texts) <= 1]
+    assert not uncalled, f"exported but named by no program module: {uncalled}"

@@ -11,7 +11,6 @@ from gaussbound import (
     JointPmf,
     ParameterError,
     UnsupportedModelError,
-    discretize_samples,
     ib_iterate,
     quadrature_discretize,
     reverse_anneal,
@@ -22,6 +21,7 @@ from gaussbound.ib_discrete import (
     _STATIONARY_WINDOW,
     _mi_rows,
     _spans_less,
+    discretize_samples,
     upper_concave_envelope,
 )
 from gaussbound.models import BivariateGaussianModel, ExpMirrorModel, Gm1dModel

@@ -21,7 +21,6 @@ from gaussbound.models import (
     MODEL_FAMILIES,
     ExpMirrorModel,
     Gm1dModel,
-    OracleGaussian,
     _gm1d_mi_numeric,
     discretizable_from_spec,
     gm1d_mi_closed_form,
@@ -226,24 +225,3 @@ class TestDiscretizableModels:
         for quantile, sample in ((model.x_quantile, ms.samples.x), (model.y_quantile, ms.samples.y)):
             emp = np.asarray([np.mean(sample[:, 0] <= v) for v in quantile(qs)])
             assert np.max(np.abs(emp - qs)) <= 0.01
-
-
-class TestOracleGaussian:
-    def test_prescribed_canonical_correlations(self):
-        model = OracleGaussian.from_canonical([0.9, 0.4], seed=15)
-        assert_allclose(np.sort(model.canonical_correlations)[::-1], [0.9, 0.4], atol=1e-10)
-
-    def test_sample_covariance(self):
-        model = OracleGaussian.from_canonical([0.7, 0.2], seed=16)
-        x, y = model.sample(100_000, seed=17)
-        assert np.max(np.abs(np.cov(x.T) - np.eye(2))) <= 0.02
-        assert np.max(np.abs(np.cov(x.T, y.T)[:2, 2:] - model.c_xy)) <= 0.02
-
-    def test_subspace_independent_and_uniform(self):
-        model = OracleGaussian.from_canonical([0.8, 0.3], seed=18)
-        x, _ = model.sample(50_000, seed=19)
-        u1 = x @ model._wx[:, 0]
-        sub = model.independent_subspace_x(x)
-        assert sub.shape == (50_000, 1)
-        assert np.max(np.abs(np.corrcoef(u1, sub[:, 0])[0, 1])) <= 0.02
-        assert abs(sub.mean() - 0.5) <= 0.01  # uniform target

@@ -230,6 +230,12 @@ class TestKernel:
     def test_bandwidth_validation(self):
         with pytest.raises(ParameterError):
             KernelSmoother(np.arange(4.0), 0.0).smooth(np.arange(4.0))
+        # non-finite, and 2h^2 overflowing to inf or underflowing to 0
+        for bandwidth in (-1.0, np.nan, np.inf, 1e200, 1e-300):
+            with pytest.raises(ParameterError):
+                KernelSmoother(np.arange(4.0), bandwidth)
+        for bandwidth in (0.7, 1e-150, 1e150):
+            assert KernelSmoother(np.arange(4.0), bandwidth)._h2 == 2.0 * bandwidth ** 2
 
 
 @pytest.mark.parametrize("make", [lambda x: KnnSmoother(x, 5), lambda x: KernelSmoother(x, 0.7)])
