@@ -104,30 +104,35 @@ def _try_scorer(blocks: dict, side: str):
     """``cand -> joint_objective`` of (U, V) with ``side``'s block replaced by ``cand``.
 
     Blocks and candidates are (d, n) arrays, one coordinate per row.  The
-    other block is centered and its Gram taken once, here; each call adds
-    only the candidate's row sums (``cand @ ones``), ``cand @ cand.T`` and
-    ``cand @ other_c.T``, from which it builds the ddof-1 joint covariance
-    in (U, V) order.  That matrix goes through the same checks, ridge and
-    determinants in ``gaussian_mi_bound`` as ``joint_objective``.
+    other block is centered and its Gram taken once, here, and stacked under
+    a row of ones.  Each call copies the candidate on top of that stack and
+    takes one product, ``cand @ stack.T``: the candidate's Gram, its
+    cross-products with the centered block and its row sums.  From these it
+    builds the ddof-1 joint covariance in (U, V) order, which goes through
+    the same checks, ridge and determinants in ``gaussian_mi_bound`` as
+    ``joint_objective``.
     """
     other = blocks["v" if side == "u" else "u"]
     d_o, n = other.shape
     d_c = blocks[side].shape[0]
     ones = np.ones(n)
-    other_c = other - (other @ ones)[:, None] / n
-    gram_o = other_c @ other_c.T
+    stack = np.empty((d_c + d_o + 1, n))
+    other_c = stack[d_c:-1]
+    np.subtract(other, (other @ ones)[:, None] / n, out=other_c)
+    stack[-1] = ones
     # the candidate's rows and columns of the joint, and U's width
     c, o = (slice(0, d_c), slice(d_c, None)) if side == "u" else (slice(d_o, None), slice(0, d_o))
     d_u = d_c if side == "u" else d_o
+    joint = np.empty((d_c + d_o, d_c + d_o))
+    joint[o, o] = other_c @ other_c.T
 
     def score(cand) -> float:
-        sums = cand @ ones
-        cross = cand @ other_c.T
-        joint = np.empty((d_c + d_o, d_c + d_o))
-        joint[c, c] = cand @ cand.T - np.outer(sums, sums) / n
-        joint[c, o] = cross
-        joint[o, c] = cross.T
-        joint[o, o] = gram_o
+        stack[:d_c] = cand
+        prods = cand @ stack.T
+        sums = prods[:, -1:]
+        joint[c, c] = prods[:, :d_c] - sums * sums.T / n
+        joint[c, o] = prods[:, d_c:-1]
+        joint[o, c] = prods[:, d_c:-1].T
         return gaussian_mi_bound(joint / (n - 1), d_u)
 
     return score
@@ -225,16 +230,18 @@ def biterminal_gaussianize(
     from the two children of ``np.random.SeedSequence(seed).spawn(2)``.
 
     Blocks are held as C-contiguous (d, n) arrays, one coordinate per row,
-    and each try ranks its rotated rows with ``rank_order``.  A row without
-    ties reads no tie-break draw: on a stock ``PCG64`` generator it advances
-    the bit generator by n instead of drawing, which leaves the state that
-    ``rng.random(n)`` leaves, so the seeded stream is the same either way.
+    and each try ranks its rotated rows with ``rank_order``, one int64 key
+    sort per row.  A row without ties reads no tie-break draw: on a stock
+    ``PCG64`` generator it advances the bit generator by n instead of
+    drawing, which leaves the state that ``rng.random(n)`` leaves, so the
+    seeded stream is the same either way.
 
     A try is scored without restacking (U, V): the unchanged side's centered
     block and its Gram are taken once per side step, and each candidate adds
-    its own row sums, Gram and cross-products with that block.  The
-    resulting joint covariance goes through ``gaussian_mi_bound``, so a try
-    scores ``joint_objective`` of the replaced pair up to rounding.
+    its own Gram, cross-products with that block and row sums, all from one
+    matrix product.  The resulting joint covariance goes through
+    ``gaussian_mi_bound``, so a try scores ``joint_objective`` of the
+    replaced pair up to rounding.
 
     Returns ``(u_out, v_out, (chain_u, chain_v), trace)`` where ``trace`` is a
     list of ``(outer_iteration, side, accepted_objective)`` tuples: one per

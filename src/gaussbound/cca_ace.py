@@ -207,7 +207,7 @@ def kcca_fit(
     if k is None:
         k = min(samples.d_x, samples.d_y)
     # imported here: scipy.sparse.linalg adds about 35 ms to the package's import
-    from scipy.sparse.linalg import svds
+    from scipy.sparse.linalg import ArpackError, svds
 
     rng = np.random.default_rng(seed)
     wx = kernel_width or _median_heuristic_width(samples.x, rng)
@@ -224,8 +224,18 @@ def kcca_fit(
             sx = scipy.linalg.cho_solve(cx, kx)
             sy = scipy.linalg.cho_solve(cy, ky)
             m = sx @ sy.T
+            # a kernel so wide that its centered Gram vanishes, or a ridge so
+            # large that the solved product underflows, leaves nothing to
+            # decompose; a larger ridge would only shrink it further
+            if not m.any():
+                raise ConditioningError(
+                    "kernel CCA cross-product is zero; the kernel width or ridge leaves no signal"
+                )
             # only the k leading singular pairs are used; v0 keeps svds seeded
-            left, sing, vt = svds(m, k=k, v0=rng.standard_normal(n))
+            try:
+                left, sing, vt = svds(m, k=k, v0=rng.standard_normal(n))
+            except ArpackError as exc:
+                raise ConditioningError(f"kernel CCA decomposition failed: {exc}") from None
             break
         except np.linalg.LinAlgError:
             if attempt == 3:

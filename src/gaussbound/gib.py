@@ -59,13 +59,13 @@ def gib_spectrum(cov, d_x: int) -> GibSpectrum:
     """
     joint = joint_covariance(cov, d_x)
     c_x, c_y, c_xy = joint[:d_x, :d_x], joint[d_x:, d_x:], joint[:d_x, d_x:]
+    # both checks are relative to the matrix's own scale
     for name, m in (("C_X", c_x), ("C_Y", c_y)):
-        scale = max(float(np.trace(m)) / m.shape[0], 1e-300)
-        if np.linalg.eigvalsh(m)[0] <= 1e-12 * max(scale, 1.0):
+        if np.linalg.eigvalsh(m)[0] <= 1e-12 * float(np.trace(m)) / m.shape[0]:
             raise ConditioningError(
                 f"{name} is numerically singular; add a ridge before calling"
             )
-    if np.linalg.eigvalsh(joint)[0] < -1e-8 * max(1.0, np.abs(joint).max()):
+    if np.linalg.eigvalsh(joint)[0] < -1e-8 * np.abs(joint).max():
         raise InvalidCovarianceError("joint covariance is not PSD")
 
     c_xgy = c_x - c_xy @ np.linalg.solve(c_y, c_xy.T)

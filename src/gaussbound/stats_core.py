@@ -11,10 +11,13 @@ All information quantities are in nats unless a function name says otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dsyevd
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -33,6 +36,9 @@ SATURATION_RHO = 1.0 - 1e-12
 
 # Relative ridge added to covariance blocks before taking determinants.
 COV_RIDGE = 1e-10
+
+# Every bit of an IEEE double but its sign, as an int64 mask.
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
 
 @lru_cache(maxsize=8)
@@ -74,6 +80,14 @@ class MonotoneMap:
         return float(out) if np.ndim(x) == 0 else out
 
 
+@lru_cache(maxsize=8)
+def _sample_indices(n: int) -> np.ndarray:
+    """``arange(n)`` as int64, cached read-only like the rank grid."""
+    idx = np.arange(n, dtype=np.int64)
+    idx.flags.writeable = False
+    return idx
+
+
 def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
     """Leave ``rng`` in the state ``rng.random(n)`` would, without the draws.
 
@@ -92,8 +106,13 @@ def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
 def rank_order(xs: np.ndarray, rng: np.random.Generator):
     """Sort order of a finite column, ties broken by one uniform per sample.
 
-    The tie-break rank step of every normal-scores map.  One plain
-    ``argsort`` ranks the column; when it has ties (``-0.0`` ties ``0.0``)
+    The tie-break rank step of every normal-scores map.  The column is
+    ranked by one sort of int64 keys: each value's order-preserving bit
+    pattern (``-0.0`` read as ``0.0``) with its low ``ceil(log2 n)`` bits
+    replaced by the sample's index.  Keys whose kept bits differ are in
+    value order; only runs of keys whose kept bits clash can hold distinct
+    values out of order, and only those runs are re-sorted exactly, by
+    (value, index).  When the column has ties (``-0.0`` ties ``0.0``)
     ``rng.random(n)`` is drawn and only the members of tied groups are
     re-sorted by their draws, so ``order`` is the ``lexsort((draw, xs))``
     permutation.  A column without ties reads no draw and skips it (see
@@ -106,8 +125,45 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator):
     """
     n = xs.size
     grid = rank_quantile_grid(n)
-    order = np.argsort(xs)
+    shift = (n - 1).bit_length()
+    low = (1 << shift) - 1
+    keys = (xs + 0.0).view(np.int64)
+    flip = keys >> 63  # all ones on a negative value: reverse its magnitude
+    flip &= _MAGNITUDE
+    keys ^= flip
+    keys &= ~low
+    keys |= _sample_indices(n)
+    keys.sort()
+    order = keys & low
+    # a clash: adjacent sorted keys that differ only in their index bits,
+    # so their gap is at most ``low``; ties always clash
+    gaps = keys[1:] - keys[:-1]
+    near = np.empty(0, dtype=np.intp)
+    if gaps.min() <= low:
+        near = (gaps <= low).nonzero()[0]
+        near = near[(keys[near] >> shift) == (keys[near + 1] >> shift)]
+    if not near.size:
+        _skip_uniforms(rng, n)
+        return order, xs[order], grid
+
+    # A clashing run sits in index order.  Re-sort the members of each run
+    # that holds a descent by (value, index); runs keep their positions.
     xs_sorted = xs[order]
+    descent = xs_sorted[near + 1] < xs_sorted[near]
+    if descent.any():
+        new_run = np.ones(near.size, dtype=bool)
+        np.not_equal(near[1:] - near[:-1], 1, out=new_run[1:])
+        run = np.cumsum(new_run) - 1
+        bad = np.zeros(run[-1] + 1, dtype=bool)
+        bad[run[descent]] = True
+        links = near[bad[run]]
+        member = np.zeros(n, dtype=bool)
+        member[links] = True
+        member[links + 1] = True
+        pos = member.nonzero()[0]
+        sub = order[pos]
+        order[pos] = sub[np.lexsort((sub, xs[sub]))]
+        xs_sorted = xs[order]
     first = np.empty(n, dtype=bool)
     first[0] = True
     np.not_equal(xs_sorted[1:], xs_sorted[:-1], out=first[1:])
@@ -115,15 +171,24 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator):
         _skip_uniforms(rng, n)
         return order, xs_sorted, grid
 
-    # Re-sort the tied groups' members by (x, r, index), the order
-    # lexsort((r, x)) gives; the groups keep their sorted positions.
+    # Re-sort the tied groups' members, now in (x, index) order, by
+    # (x, r, index), the order lexsort((r, x)) gives.
     r = rng.random(n)
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, n))
-    tied = np.flatnonzero(np.repeat(counts > 1, counts))
-    members = np.sort(order[tied])
+    in_group = ~first  # tied with the value before, or
+    in_group[:-1] |= in_group[1:]  # with the value after
+    tied = in_group.nonzero()[0]
+    members = order[tied]
     order[tied] = members[np.lexsort((r[members], xs[members]))]
-    return order, xs[order[starts]], np.add.reduceat(grid, starts) / counts
+    # each group's knot: its first sorted value, and the mean of its scores
+    starts = first.nonzero()[0]
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1] = n - starts[-1]
+    knots_out = grid[starts]  # a lone value's own score
+    group = counts > 1
+    sizes = counts[group]
+    knots_out[group] = np.add.reduceat(grid[tied], np.cumsum(sizes) - sizes) / sizes
+    return order, xs[order[starts]], knots_out
 
 
 def marginal_gaussianize(x, seed=None):
@@ -172,18 +237,61 @@ def covariance(samples) -> np.ndarray:
 def joint_covariance(cov, d_u: int) -> np.ndarray:
     """Checked, exactly symmetric copy of the joint covariance of (U, V).
 
-    U is the first ``d_u`` coordinates.  A non-square or asymmetric matrix
-    raises InvalidCovarianceError; a split that leaves U or V empty raises
+    U is the first ``d_u`` coordinates.  A non-square, non-finite or
+    asymmetric matrix (beyond 1e-8 of its largest entry) raises
+    InvalidCovarianceError; a split that leaves U or V empty raises
     ParameterError.
     """
-    c = np.atleast_2d(np.asarray(cov, dtype=float))
+    c = np.asarray(cov, dtype=float)
+    if c.ndim < 2:
+        c = np.atleast_2d(c)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise InvalidCovarianceError("joint covariance must be a square matrix")
     if not 0 < d_u < c.shape[0]:
         raise ParameterError(f"d_u = {d_u} leaves a side of the {c.shape[0]}-dim joint empty")
-    if np.abs(c - c.T).max() > 1e-8 * max(1.0, float(np.abs(c).max())):
+    size = float(np.abs(c).max())
+    if not math.isfinite(size):
+        raise InvalidCovarianceError("joint covariance must be finite")
+    ct = c.T
+    # c - c.T is antisymmetric, so its largest entry is its largest magnitude
+    if float((c - ct).max()) > 1e-8 * size:
         raise InvalidCovarianceError("joint covariance is not symmetric")
-    return (c + c.T) / 2.0
+    return (c + ct) / 2.0
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix from its lower triangle.
+
+    LAPACK ``dsyevd`` called directly, as ``numpy.linalg.eigvalsh`` calls it
+    but without its per-call dispatch.
+    """
+    w, _, info = dsyevd(m, 0, 1)  # no vectors, lower triangle
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def _slogdet(m: np.ndarray) -> tuple[float, float]:
+    """``(sign, ln|det m|)`` from one LAPACK ``dgetrf``.
+
+    The arithmetic of ``numpy.linalg.slogdet``: the pivots' signs and row
+    swaps give the sign, and the logs of the pivots' magnitudes are summed
+    in diagonal order.  An exactly singular factor gives ``(0.0, -inf)``.
+    """
+    lu, piv, info = dgetrf(m)
+    if info:
+        return 0.0, -math.inf
+    sign, logdet = 1.0, 0.0
+    for i, (p, pivot) in enumerate(zip(piv.tolist(), lu.diagonal().tolist())):
+        if (p != i) != (pivot < 0.0):  # a row swap or a negative pivot, not both
+            sign = -sign
+        logdet += math.log(abs(pivot))
+    return sign, logdet
+
+
+def _mean_of(values: list[float]) -> float:
+    """Mean summed left to right, numpy's order for fewer than 8 terms."""
+    return reduce(add, values, 0.0) / len(values)
 
 
 def gaussian_mi_bound(cov, d_u: int, *, details: bool = False):
@@ -192,46 +300,56 @@ def gaussian_mi_bound(cov, d_u: int, *, details: bool = False):
     ``cov`` is the covariance of (U, V) with U's ``d_u`` coordinates first.
     Computes ``0.5 * ln(|C_U| |C_V| / |C_[U,V]|)`` in nats, which is the
     mutual information of a jointly Gaussian pair with the same covariance.
-    A relative ridge stabilizes the determinants of near-singular empirical
-    blocks; Hadamard-Fischer guarantees the value is nonnegative for any
-    PSD joint matrix.
+    A relative ridge (``COV_RIDGE`` times a block's mean variance)
+    stabilizes the determinants of near-singular empirical blocks;
+    Hadamard-Fischer guarantees the value is nonnegative for any PSD joint
+    matrix.  Every check is relative to the matrix's own scale, so scaling
+    ``cov`` leaves the value unchanged up to rounding: the joint must be
+    PSD to 1e-8 of its mean variance, and each ridged block's smallest
+    eigenvalue must exceed 1e-12 of that block's mean variance.
+
+    The eigenvalues and determinants come from LAPACK ``dsyevd`` and
+    ``dgetrf`` called directly (``_eigvalsh``, ``_slogdet``), with the
+    arithmetic of ``numpy.linalg.eigvalsh`` and ``slogdet``; the traces
+    come from one read of the diagonal.  A bi-terminal Givens try calls
+    this once, so its cost is mostly per-call overhead.
 
     With ``details=True`` also returns a dict with a ``saturated`` flag
     (joint covariance numerically singular, i.e. correlation at 1).
     """
     jnt = joint_covariance(cov, d_u)
     d = jnt.shape[0]
-    scale = max(float(np.trace(jnt)) / d, 1e-300)
-    eig_joint = np.linalg.eigvalsh(jnt)
-    if eig_joint[0] < -1e-8 * max(scale, 1.0):
+    du, dv = d_u, d - d_u
+    diag = jnt.diagonal().tolist()
+    scale = max(_mean_of(diag), 1e-300)
+    eig_joint = _eigvalsh(jnt)
+    if eig_joint[0] < -1e-8 * scale:
         raise InvalidCovarianceError(
             f"joint covariance is not PSD (min eigenvalue {eig_joint[0]:.3e})"
         )
 
-    du, dv = d_u, d - d_u
-    ridge_u = COV_RIDGE * max(np.trace(jnt[:du, :du]) / du, 1e-300)
-    ridge_v = COV_RIDGE * max(np.trace(jnt[du:, du:]) / dv, 1e-300)
-    cu = jnt[:du, :du] + ridge_u * np.eye(du)
-    cv = jnt[du:, du:] + ridge_v * np.eye(dv)
-    jnt[:du, :du] = cu
-    jnt[du:, du:] = cv
+    var_u, var_v = _mean_of(diag[:du]), _mean_of(diag[du:])
+    ridge_u, ridge_v = COV_RIDGE * var_u, COV_RIDGE * var_v
+    diagonal = jnt.reshape(-1)[:: d + 1]  # a view: jnt is a fresh C-contiguous copy
+    diagonal += [ridge_u] * du + [ridge_v] * dv
+    cu, cv = jnt[:du, :du], jnt[du:, du:]
 
-    for name, m in (("C_U", cu), ("C_V", cv)):
-        if np.linalg.eigvalsh(m)[0] <= 1e-12:
+    for name, m, var in (("C_U", cu, var_u), ("C_V", cv, var_v)):
+        if _eigvalsh(m)[0] <= 1e-12 * var:
             raise InvalidCovarianceError(f"{name} is singular even after ridge")
 
-    sign_u, ld_u = np.linalg.slogdet(cu)
-    sign_v, ld_v = np.linalg.slogdet(cv)
-    sign_j, ld_j = np.linalg.slogdet(jnt)
+    sign_u, ld_u = _slogdet(cu)
+    sign_v, ld_v = _slogdet(cv)
+    sign_j, ld_j = _slogdet(jnt)
     if min(sign_u, sign_v, sign_j) <= 0:
         raise InvalidCovarianceError("covariance determinant is not positive")
     value = max(0.0, 0.5 * (ld_u + ld_v - ld_j))
 
     if not details:
         return value
-    eig_after = np.linalg.eigvalsh(jnt)[0]
+    eig_after = _eigvalsh(jnt)[0]
     info = {
-        "saturated": bool(eig_after <= 1e-8 * max(scale, 1.0) * 10.0),
+        "saturated": bool(eig_after <= 1e-8 * scale * 10.0),
         "ridge_u": ridge_u,
         "ridge_v": ridge_v,
         "min_joint_eigenvalue": float(eig_joint[0]),

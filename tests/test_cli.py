@@ -279,6 +279,22 @@ class TestCsvValidation:
         code = run_cli(["curve", "--input", str(path), "--method", "naive", "--seed", "1", "--out-dir", str(out)])
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--kcca-width", "1e10", "cross-product is zero"),
+         ("--kcca-ridge", "1e300", "cross-product is zero"),
+         ("--kcca-ridge", "1e150", "decomposition failed")],
+        ids=["wide-kernel-zero-gram", "huge-ridge-zero-product", "large-ridge-arpack"],
+    )
+    def test_degenerate_kcca_is_numerical_failure(self, tmp_path, capsys, flag, value, message):
+        # finite settings that leave kernel CCA nothing to decompose: a width
+        # that makes the centered Gram all zeros, a ridge whose solved product
+        # underflows to zero, or one that leaves it too small for ARPACK
+        argv = ["bound", "--model", "gm1d", "--n", "500", "--method", "kcca", flag, value,
+                "--seed", "1", "--out", str(tmp_path / "r.json")]
+        assert run_cli(argv) == EXIT_NUMERIC
+        assert f"numerical failure: kernel CCA {message}" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):

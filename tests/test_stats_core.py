@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtri
@@ -85,11 +85,50 @@ def lexsort_gaussianize(x, rng):
 
 
 _SIZES = {"min_size": 2, "max_size": 400}
+
+
+def _ulp_chain(start, steps):
+    """``start``, then each value 1-4 ulps above the one before."""
+    values = [start]
+    for k in steps:
+        x = values[-1]
+        for _ in range(k):
+            x = float(np.nextafter(x, np.inf))
+        values.append(x)
+    return values
+
+
+def _with_low_bits(value, lows):
+    """``value`` with its low 9 bits replaced by each of ``lows`` in turn.
+
+    rank_order keeps all but the low ceil(log2 n) <= 9 bits of a key for
+    n <= 400, so these values differ only in the bits it drops.
+    """
+    bits = np.float64(value).view(np.int64) & ~np.int64(511)
+    return [float(np.int64(bits | low).view(np.float64)) for low in lows]
+
+
+# finite values around +-0: zeros, subnormals and the smallest normals
+_TINY = [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1e-323, 1e-310, -1e-310,
+         2.2250738585072014e-308, -2.2250738585072014e-308, 1e-300, -1e-300]
+_POWER_OF_TWO_SIZES = st.integers(1, 8).flatmap(lambda k: st.sampled_from([2**k, 2**k + 1]))
+
 RANK_COLUMNS = st.one_of(
     st.lists(st.floats(-1e6, 1e6, allow_nan=False), unique=True, **_SIZES),
     st.lists(st.integers(-4, 4).map(float), **_SIZES),
     st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0]), **_SIZES).map(lambda v: v + [0.0, -0.0]),
     st.tuples(st.floats(-10, 10), st.integers(2, 400)).map(lambda t: [t[0]] * t[1]),
+    # packed-key clashes: distinct values whose keys share every kept bit,
+    # in an order the index bits alone would get wrong
+    st.tuples(st.floats(-1e6, 1e6), st.lists(st.integers(1, 4), min_size=1, max_size=399))
+    .map(lambda t: _ulp_chain(*t))
+    .flatmap(st.permutations),
+    st.lists(st.sampled_from(_TINY), **_SIZES),
+    st.tuples(st.floats(-1e3, 1e3), st.lists(st.integers(0, 511), **_SIZES))
+    .map(lambda t: _with_low_bits(*t)),
+    st.tuples(st.floats(-1e3, 1e3), _POWER_OF_TWO_SIZES.flatmap(
+        lambda n: st.lists(st.integers(0, 511), min_size=n, max_size=n)))
+    .map(lambda t: _with_low_bits(*t)),
 )
 
 
@@ -341,6 +380,155 @@ class TestGaussianMiBound:
         u = np.random.default_rng(0).standard_normal(500)
         value, info = gaussian_mi_bound(covariance(np.column_stack([u, u])), 1, details=True)
         assert info["saturated"] and value > 5.0
+
+
+def reference_gaussian_mi_bound(cov, d_u):
+    """The bound through ``numpy.linalg``: the checks, ridge and
+    scale-relative thresholds of ``gaussian_mi_bound``, with ``eigvalsh``,
+    ``slogdet`` and ``np.trace`` in place of its direct LAPACK calls."""
+    c = np.atleast_2d(np.asarray(cov, dtype=float))
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise InvalidCovarianceError("not square")
+    if not 0 < d_u < c.shape[0]:
+        raise ParameterError("empty side")
+    size = np.abs(c).max()
+    if not np.isfinite(size):
+        raise InvalidCovarianceError("not finite")
+    if np.abs(c - c.T).max() > 1e-8 * size:
+        raise InvalidCovarianceError("not symmetric")
+    jnt = (c + c.T) / 2.0
+    d = jnt.shape[0]
+    scale = max(float(np.trace(jnt)) / d, 1e-300)
+    if np.linalg.eigvalsh(jnt)[0] < -1e-8 * scale:
+        raise InvalidCovarianceError("not PSD")
+    du, dv = d_u, d - d_u
+    var_u = np.trace(jnt[:du, :du]) / du
+    var_v = np.trace(jnt[du:, du:]) / dv
+    cu = jnt[:du, :du] + COV_RIDGE * var_u * np.eye(du)
+    cv = jnt[du:, du:] + COV_RIDGE * var_v * np.eye(dv)
+    jnt[:du, :du] = cu
+    jnt[du:, du:] = cv
+    for m, var in ((cu, var_u), (cv, var_v)):
+        if np.linalg.eigvalsh(m)[0] <= 1e-12 * var:
+            raise InvalidCovarianceError("singular block")
+    (s_u, ld_u), (s_v, ld_v), (s_j, ld_j) = (np.linalg.slogdet(m) for m in (cu, cv, jnt))
+    if min(s_u, s_v, s_j) <= 0:
+        raise InvalidCovarianceError("determinant not positive")
+    return max(0.0, 0.5 * (ld_u + ld_v - ld_j))
+
+
+def _random_joint(rng, du, dv):
+    """A well-conditioned PSD joint: canonical correlations below 0.9, and
+    each block a random rotation of variances in [0.25, 4]."""
+    cross = np.zeros((du, dv))
+    np.fill_diagonal(cross, rng.uniform(0.0, 0.9, min(du, dv)))
+    mix = np.zeros((du + dv, du + dv))
+    mix[:du, :du] = np.linalg.qr(rng.standard_normal((du, du)))[0] * rng.uniform(0.5, 2.0, du)
+    mix[du:, du:] = np.linalg.qr(rng.standard_normal((dv, dv)))[0] * rng.uniform(0.5, 2.0, dv)
+    return mix @ np.block([[np.eye(du), cross], [cross.T, np.eye(dv)]]) @ mix.T
+
+
+def _joint_case(kind, seed, du, dv):
+    """A joint covariance of one kind: valid, PSD-violating, asymmetric,
+    with a zero (singular) block, or saturated (V a copy of U)."""
+    rng = np.random.default_rng(seed)
+    if kind == "saturated":
+        a = rng.standard_normal((du, du + 3))
+        block = a @ a.T
+        return np.block([[block, block], [block, block]]), du
+    joint = _random_joint(rng, du, dv)
+    d = du + dv
+    if kind == "not_psd":
+        w, q = np.linalg.eigh(joint)
+        w[0] = -rng.uniform(1e-6, 1.0) * w.mean()
+        joint = (q * w) @ q.T
+    elif kind == "asymmetric":
+        i, j = rng.choice(d, size=2, replace=False)
+        joint[i, j] += rng.uniform(1e-6, 1.0) * np.abs(joint).max()
+    elif kind == "singular_block":
+        side = slice(0, du) if rng.random() < 0.5 else slice(du, d)
+        joint[side, :] = 0.0
+        joint[:, side] = 0.0
+    return joint, du
+
+
+JOINT_KINDS = ["valid", "not_psd", "asymmetric", "singular_block", "saturated"]
+
+
+class TestLeanBound:
+    """gaussian_mi_bound calls LAPACK directly; numpy.linalg is the reference.
+
+    numpy and scipy may link different LAPACK builds, whose factorizations
+    can differ in the last bits (on larger joints even when the versions
+    are close), so the tests allow 1e-13 relative.
+    """
+
+    @given(st.sampled_from(JOINT_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_reference(self, kind, seed, du, dv):
+        joint, d_u = _joint_case(kind, seed, du, dv)
+        try:
+            expected = reference_gaussian_mi_bound(joint, d_u)
+        except (InvalidCovarianceError, ParameterError) as exc:
+            with pytest.raises(type(exc)):
+                gaussian_mi_bound(joint, d_u)
+            return
+        got = gaussian_mi_bound(joint, d_u)
+        assert abs(got - expected) <= 1e-13 * max(abs(expected), 1e-300)
+        if kind == "saturated":
+            assert gaussian_mi_bound(joint, d_u, details=True)[1]["saturated"]
+
+    @pytest.mark.parametrize("kind", JOINT_KINDS)
+    def test_each_kind_reaches_its_branch(self, kind):
+        outcomes = set()
+        for seed in range(20):
+            try:
+                outcomes.add(("value", reference_gaussian_mi_bound(*_joint_case(kind, seed, 2, 2)) > 5.0))
+            except InvalidCovarianceError as exc:
+                outcomes.add(("error", str(exc)))
+        expected = {
+            "valid": {("value", False)},
+            "not_psd": {("error", "not PSD")},
+            "asymmetric": {("error", "not symmetric")},
+            "singular_block": {("error", "singular block")},
+            "saturated": {("value", True)},
+        }[kind]
+        assert outcomes == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        joint = np.eye(3)
+        joint[0, 2] = joint[2, 0] = bad
+        with pytest.raises(InvalidCovarianceError, match="finite"):
+            gaussian_mi_bound(joint, 1)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3), st.floats(-20.0, 20.0))
+    @settings(max_examples=25, deadline=None)
+    def test_scale_invariant(self, seed, du, dv, log10_s):
+        joint = _random_joint(np.random.default_rng(seed), du, dv)
+        base = gaussian_mi_bound(joint, du)
+        assume(base >= 0.1)
+        scaled = gaussian_mi_bound(joint * 10.0**log10_s, du)
+        assert abs(scaled - base) <= 1e-12 * base
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-4, 1.0, 1e13])
+    def test_checks_hold_at_every_scale(self, scale):
+        # asymmetric by 30% of its largest entry, and an eigenvalue of -1e-6
+        # of its scale: each was let through below scale 1
+        with pytest.raises(InvalidCovarianceError, match="not symmetric"):
+            gaussian_mi_bound(np.array([[1.0, 0.5], [0.2, 1.0]]) * scale, 1)
+        with pytest.raises(InvalidCovarianceError, match="not PSD"):
+            gaussian_mi_bound(np.array([[1.0, 1.0 + 1e-6], [1.0 + 1e-6, 1.0]]) * scale, 1)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e13])
+    def test_tiny_and_huge_scales_accepted(self, scale):
+        # the singular-block and PSD checks used to be absolute below scale 1,
+        # so 1e-13 raised "C_U is singular even after ridge"
+        joint = np.array([[1.0, 0.5], [0.5, 1.0]])
+        base = gaussian_mi_bound(joint, 1)
+        assert abs(base - (-0.5 * np.log(0.75))) <= 1e-10  # the ridge moves it ~3e-11
+        assert abs(gaussian_mi_bound(joint * scale, 1) - base) <= 1e-12 * base
+        assert_allclose(gib_spectrum(joint * scale, 1).lam, gib_spectrum(joint, 1).lam, rtol=1e-12)
 
 
 class TestCorrelationHelpers:
