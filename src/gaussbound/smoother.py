@@ -7,10 +7,13 @@ and a Nadaraya-Watson smoother with Gaussian weights.
 
 A point's k nearest neighbors in a 1-D block are a window of the sorted
 sample, so the block keeps its sort order and window starts, and ``smooth``
-and ``predict`` sum windows instead of gathering an (n, k) table.  Wider
-blocks keep the table, from a kd-tree (Friedman, Bentley & Finkel, 1977).
-Either way a row whose k-th neighbor is tied is re-selected over its full
-distance row, so tied data can still cost O(n^2 d).
+and ``predict`` sum windows instead of gathering an (n, k) table.  All
+windows of one width share numpy's pairwise summation tree, so their sums
+take one vector add per tree node, O(n log k), and equal numpy's row sums
+bit for bit.  Wider blocks keep the table, from a kd-tree (Friedman,
+Bentley & Finkel, 1977).  Either way a row whose k-th neighbor is tied is
+re-selected over its full distance row, so tied data can still cost
+O(n^2 d).  ``predict`` takes only finite query points.
 ``PairedSamples.smoothers`` memoizes the built pair per ``SmootherConfig``.
 """
 
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from .errors import ParameterError
@@ -43,6 +45,16 @@ def as_block(x) -> np.ndarray:
     if a.ndim != 2:
         raise ParameterError("predictor block must be 1-D or 2-D")
     return a
+
+
+def _query_block(x_new, d: int) -> np.ndarray:
+    """``x_new`` as an (m, d) block of finite query points."""
+    q = as_block(x_new)
+    if q.shape[1] != d:
+        raise ParameterError("query points do not match the fitted block's dimension")
+    if not np.isfinite(q).all():
+        raise ParameterError("query points must be finite")
+    return q
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,15 +142,68 @@ def _windows_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool):
     return order, lo, tied, rows
 
 
+def _pairwise_split(width: int) -> int:
+    """Where numpy's pairwise sum splits a run of ``width`` > 128 values."""
+    half = width // 2
+    return half - half % 8
+
+
+def _window_sums(p: np.ndarray, k: int) -> np.ndarray:
+    """Sum of every length-k window of p, bit for bit as numpy's ``sum`` adds a row.
+
+    numpy adds a contiguous float64 run of length L pairwise: for L < 8 in
+    order from 0.0; for L <= 128 in eight strided accumulators over the first
+    8 floor(L/8) values, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the tail in order; above 128 as the sum of two runs split at
+    ``_pairwise_split(L)``.  Every window of one width has the same tree, so
+    each width the tree visits gets its sums for all window starts at once,
+    smallest first: a split width is one add of two shifted slices, and the
+    leaf widths read one strided running sum.  The final ``+ 0.0`` is the
+    reduction's 0.0 start, which turns -0.0 into +0.0.
+    """
+    n = p.size
+    if k < 8:
+        sums = p[: n - k + 1] + 0.0
+        for t in range(1, k):
+            sums += p[t : n - k + 1 + t]
+        return sums
+    widths, todo = set(), [k]
+    while todo:
+        width = todo.pop()
+        if width not in widths:
+            widths.add(width)
+            if width > 128:
+                half = _pairwise_split(width)
+                todo += [half, width - half]
+    sums = {}
+    run, terms = p, 1  # run[i] = p[i] + p[i + 8] + ... over ``terms`` values
+    for width in sorted(widths):
+        m = n - width + 1
+        if width > 128:
+            half = _pairwise_split(width)
+            sums[width] = sums[half][:m] + sums[width - half][half : half + m]
+            continue
+        while terms < width // 8:
+            run = run[: n - 8 * terms] + p[8 * terms :]
+            terms += 1
+        pairs = run[:-1] + run[1:]
+        quads = pairs[:-2] + pairs[2:]
+        total = quads[:m] + quads[4 : 4 + m]
+        for t in range(8 * terms, width):
+            total += p[t : t + m]
+        sums[width] = total
+    return sums[k] + 0.0
+
+
 def _window_means(z: np.ndarray, windows) -> np.ndarray:
     """Mean of z over each query's ``_windows_1d`` neighbors.
 
-    A window sums the same values in the same order as its table row, so
-    this equals the table gather's mean bit for bit.
+    A window sums the same values in the same order as its table row
+    (``_window_sums``), so this equals the table gather's mean bit for bit.
     """
     order, lo, tied, rows = windows
     k = rows.shape[1]
-    sums = sliding_window_view(z[order], k).sum(axis=1)[lo]
+    sums = _window_sums(z[order], k)[lo]
     sums[tied] = z[rows].sum(axis=1)
     return sums / k
 
@@ -216,9 +281,7 @@ class KnnSmoother:
     def predict(self, x_new, z) -> np.ndarray:
         """k-NN regression of z at new query points (no self handling)."""
         z = np.asarray(z, dtype=float).ravel()
-        q = as_block(x_new)
-        if q.shape[1] != self.x.shape[1]:
-            raise ParameterError("query points do not match the fitted block's dimension")
+        q = _query_block(x_new, self.x.shape[1])
         if self._windows is None:
             return z[_knn_tree(self.x, q, self.k, self_query=False)].mean(axis=1)
         return _window_means(z, _windows_1d(self.x[:, 0], q[:, 0], self.k, self_query=False))
@@ -277,7 +340,7 @@ class KernelSmoother:
 
     def predict(self, x_new, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).ravel()
-        return self._weights_apply(as_block(x_new), z, selfq=False)
+        return self._weights_apply(_query_block(x_new, self.x.shape[1]), z, selfq=False)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,10 @@ COV_RIDGE = 1e-10
 # Every bit of an IEEE double but its sign, as an int64 mask.
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 
+# A uniform draw times 2^53 is an integer below 2^53 when the draw is one of
+# the generator's 53-bit doubles.
+_TWO_53 = float(2**53)
+
 
 @lru_cache(maxsize=8)
 def rank_quantile_grid(n: int) -> np.ndarray:
@@ -103,6 +107,39 @@ def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
         rng.random(n)
 
 
+def _clashes(keys: np.ndarray, shift: int) -> np.ndarray:
+    """Where adjacent sorted int64 keys agree in all but their low ``shift`` bits.
+
+    Those bits hold a position, so the two keys of a clash sit in position
+    order whatever the fields they stand in for.  Returns the first index of
+    each clashing pair.
+    """
+    low = (1 << shift) - 1
+    gaps = keys[1:] - keys[:-1]
+    if gaps.min() > low:
+        return np.empty(0, dtype=np.intp)
+    near = (gaps <= low).nonzero()[0]
+    return near[(keys[near] >> shift) == (keys[near + 1] >> shift)]
+
+
+def _descent_runs(near: np.ndarray, descent: np.ndarray, size: int) -> np.ndarray:
+    """Sorted positions of the members of every clash run that holds a descent.
+
+    ``near`` are the clashes from ``_clashes``; adjacent ones chain into
+    runs, and ``descent`` marks the pairs whose fields are out of order.
+    """
+    new_run = np.ones(near.size, dtype=bool)
+    np.not_equal(near[1:] - near[:-1], 1, out=new_run[1:])
+    run = np.cumsum(new_run) - 1
+    bad = np.zeros(run[-1] + 1, dtype=bool)
+    bad[run[descent]] = True
+    links = near[bad[run]]
+    member = np.zeros(size, dtype=bool)
+    member[links] = True
+    member[links + 1] = True
+    return member.nonzero()[0]
+
+
 def rank_order(xs: np.ndarray, rng: np.random.Generator):
     """Sort order of a finite column, ties broken by one uniform per sample.
 
@@ -113,8 +150,12 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator):
     value order; only runs of keys whose kept bits clash can hold distinct
     values out of order, and only those runs are re-sorted exactly, by
     (value, index).  When the column has ties (``-0.0`` ties ``0.0``)
-    ``rng.random(n)`` is drawn and only the members of tied groups are
-    re-sorted by their draws, so ``order`` is the ``lexsort((draw, xs))``
+    ``rng.random(n)`` is drawn and the members of tied groups, by then in
+    (value, index) order, are re-sorted by one more int64 sort.  Its keys
+    pack, from the high bits down, a member's group number, ``floor(draw
+    2^53)`` shifted right as far as the key's 63 bits need, and its
+    position; clashing runs out of draw order are again re-sorted exactly,
+    by (group, draw, position).  So ``order`` is the ``lexsort((draw, xs))``
     permutation.  A column without ties reads no draw and skips it (see
     ``_skip_uniforms``): the generator ends in the same state either way,
     so its stream never depends on the data.
@@ -135,34 +176,17 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator):
     keys |= _sample_indices(n)
     keys.sort()
     order = keys & low
-    # a clash: adjacent sorted keys that differ only in their index bits,
-    # so their gap is at most ``low``; ties always clash
-    gaps = keys[1:] - keys[:-1]
-    near = np.empty(0, dtype=np.intp)
-    if gaps.min() <= low:
-        near = (gaps <= low).nonzero()[0]
-        near = near[(keys[near] >> shift) == (keys[near + 1] >> shift)]
+    near = _clashes(keys, shift)  # ties always clash
     if not near.size:
         _skip_uniforms(rng, n)
         return order, xs[order], grid
 
-    # A clashing run sits in index order.  Re-sort the members of each run
-    # that holds a descent by (value, index); runs keep their positions.
     xs_sorted = xs[order]
     descent = xs_sorted[near + 1] < xs_sorted[near]
     if descent.any():
-        new_run = np.ones(near.size, dtype=bool)
-        np.not_equal(near[1:] - near[:-1], 1, out=new_run[1:])
-        run = np.cumsum(new_run) - 1
-        bad = np.zeros(run[-1] + 1, dtype=bool)
-        bad[run[descent]] = True
-        links = near[bad[run]]
-        member = np.zeros(n, dtype=bool)
-        member[links] = True
-        member[links + 1] = True
-        pos = member.nonzero()[0]
-        sub = order[pos]
-        order[pos] = sub[np.lexsort((sub, xs[sub]))]
+        at = _descent_runs(near, descent, n)
+        sub = order[at]
+        order[at] = sub[np.lexsort((sub, xs[sub]))]
         xs_sorted = xs[order]
     first = np.empty(n, dtype=bool)
     first[0] = True
@@ -171,14 +195,33 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator):
         _skip_uniforms(rng, n)
         return order, xs_sorted, grid
 
-    # Re-sort the tied groups' members, now in (x, index) order, by
-    # (x, r, index), the order lexsort((r, x)) gives.
+    # Order the tied groups' members, now in (x, index) order, by (x, r, index).
     r = rng.random(n)
     in_group = ~first  # tied with the value before, or
     in_group[:-1] |= in_group[1:]  # with the value after
     tied = in_group.nonzero()[0]
+    m = tied.size
     members = order[tied]
-    order[tied] = members[np.lexsort((r[members], xs[members]))]
+    draws = r[members]
+    group_of = np.cumsum(first[tied])
+    m_shift = (m - 1).bit_length()
+    draw_bits = min(53, 63 - m_shift - int(group_of[-1]).bit_length())
+    keys = (draws * _TWO_53).astype(np.int64)  # floor(draw 2^53), monotone in the draw
+    keys >>= 53 - draw_bits
+    keys |= group_of << draw_bits
+    keys <<= m_shift
+    keys |= _sample_indices(m)
+    keys.sort()
+    pos = keys & ((1 << m_shift) - 1)
+    # dropped draw bits, or draws finer than 2^-53, can clash out of order
+    near = _clashes(keys, m_shift)
+    if near.size:
+        descent = draws[pos[near + 1]] < draws[pos[near]]
+        if descent.any():
+            at = _descent_runs(near, descent, m)
+            sub = pos[at]
+            pos[at] = sub[np.lexsort((sub, draws[sub], group_of[sub]))]
+    order[tied] = members[pos]
     # each group's knot: its first sorted value, and the mean of its scores
     starts = first.nonzero()[0]
     counts = np.empty_like(starts)

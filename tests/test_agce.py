@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gaussbound import (
     PairedSamples,
+    ParameterError,
     SmootherConfig,
     agce_fit_1d,
     agce_step,
@@ -15,7 +16,7 @@ from gaussbound import (
     naive_lower_1d,
     offshelf_lower_1d,
 )
-from gaussbound.agce import pair_bound_nats
+from gaussbound.agce import FittedTransform, pair_bound_nats
 from gaussbound.cca_ace import ace_fit, ace_upper_bound
 from gaussbound.stats_core import NATS_PER_BIT, rank_quantile_grid
 
@@ -93,6 +94,12 @@ class TestAgceFit1d:
         xs = np.linspace(-2, 2, 7)
         vals = gm_mix_agce.phi(xs[:, None])
         assert np.all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_transform_rejects_non_finite_points(self, gm_mix_agce, bad):
+        assert isinstance(gm_mix_agce.phi, FittedTransform)
+        with pytest.raises(ParameterError):
+            gm_mix_agce.phi(np.array([0.0, bad, 1.0]))
 
     @pytest.mark.parametrize("n_restarts", [1, 3, 8])
     def test_kept_ace_start_has_transforms(self, n_restarts):

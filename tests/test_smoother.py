@@ -1,11 +1,13 @@
 """Conditional-expectation smoothers: exactness, ties, and shared properties."""
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from gaussbound import (
@@ -15,7 +17,7 @@ from gaussbound import (
     ParameterError,
     ace_fit,
 )
-from gaussbound.smoother import SmootherConfig, default_knn_k, knn_indices
+from gaussbound.smoother import SmootherConfig, _window_sums, default_knn_k, knn_indices
 
 
 def brute_force_neighbors(x, k, queries=None):
@@ -87,6 +89,96 @@ class TestKnn1dWindows:
         z = np.random.default_rng(k).standard_normal(x.size) * 1e3
         sm = KnnSmoother(x, k)
         assert np.array_equal(sm.smooth(z), z[knn_indices(x, k)].mean(axis=1))
+
+
+def reference_window_sums(z, k):
+    """numpy's own row sums of every length-k window of z."""
+    return sliding_window_view(z, k).sum(axis=1)
+
+
+# the widths where numpy's pairwise sum changes shape: in-order below 8,
+# eight accumulators up to 128, split in two above
+_EDGE_WIDTHS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129, 255, 256, 257]
+
+
+@st.composite
+def window_cases(draw):
+    n = draw(st.integers(1, 3000))
+    k = draw(st.one_of(st.sampled_from(_EDGE_WIDTHS), st.integers(1, 3000)))
+    k = min(k, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "zero-sum", "signed-zeros"]))
+    if kind == "normal":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4), k
+    if kind == "signed-zeros":
+        # a window of -0.0 alone sums to -0.0 in the tree, +0.0 from the reduce
+        positive = draw(st.sampled_from([0.0, 0.01, 0.1]))
+        return np.where(rng.random(n) < positive, 0.0, -0.0), k
+    # integers, period k, each period summing to exactly 0, with signed
+    # zeros: every window sums to exactly 0
+    period = rng.integers(-3, 4, k).astype(float)
+    period[-1] -= period.sum()
+    zeros = period == 0.0
+    period[zeros] *= rng.choice([-1.0, 1.0], zeros.sum())
+    return np.resize(period, n), k
+
+
+class TestWindowSums:
+    """The shared pairwise tree against numpy's own window sums, bit for bit."""
+
+    @given(window_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_row_sums(self, case):
+        z, k = case
+        expected = reference_window_sums(z, k)
+        assert np.array_equal(_window_sums(z, k).view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("k", [793, 8191, 8192, 8193, 10_000])
+    def test_large_widths(self, k):
+        z = np.random.default_rng(k).standard_normal(10_000)
+        expected = reference_window_sums(z, k)
+        assert np.array_equal(_window_sums(z, k).view(np.int64), expected.view(np.int64))
+
+    def test_smooth_leaves_no_garbage_for_the_collector(self):
+        # with the collector off, memory held by a reference cycle per call
+        # (say, a self-referencing closure) would pile up
+        rng = np.random.default_rng(17)
+        x, z = rng.standard_normal(10_000), rng.standard_normal(10_000)
+        sm = KnnSmoother(x)
+        sm.smooth(z)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                sm.smooth(z)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert growth < 2e6
+
+
+_NON_FINITE_PATHS = {
+    "knn-1d": (lambda x: KnnSmoother(x[:, 0], 5), 1),
+    "knn-2d": (lambda x: KnnSmoother(x, 5), 2),
+    "kernel": (lambda x: KernelSmoother(x[:, 0], 0.5), 1),
+}
+
+
+@pytest.mark.parametrize("path", list(_NON_FINITE_PATHS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_rejected(path, bad):
+    make, d = _NON_FINITE_PATHS[path]
+    rng = np.random.default_rng(18)
+    x, z = rng.standard_normal((40, 2)), rng.standard_normal(40)
+    sm = make(x)
+    queries = np.zeros((3, d))
+    queries[1, -1] = bad
+    with pytest.raises(ParameterError):
+        sm.predict(queries, z)
 
 
 _GRID = 2.0**20

@@ -139,20 +139,55 @@ class EqualDraws(np.random.Generator):
         return np.full(size, 0.5)
 
 
+class LowBitDraws(np.random.Generator):
+    """A generator whose draws differ only in bits the tie-break keys drop.
+
+    Each draw is 2^-20 (1 + j 2^-52) for a random j < 2^30, so
+    floor(draw 2^53) keeps only j's top 11 bits, and a column with enough
+    tied members drops those too: every pair of keys in a tie group then
+    clashes, and only the exact re-sort can order them.
+    """
+
+    def random(self, size=None):
+        return 2.0**-20 * (1.0 + self.integers(0, 2**30, size) * 2.0**-52)
+
+
+_DRAWS = {"pcg64": np.random.Generator, "equal": EqualDraws, "low-bit": LowBitDraws}
+
+
+def _make_draws(kind, seed):
+    return _DRAWS[kind](np.random.PCG64(seed))
+
+
+def _tied_column(n_groups=2_000, n_single=2_000, seed=19):
+    """A shuffled column of ``n_groups`` tie groups of 2-6 copies each,
+    among ``n_single`` untied non-integers: n = 10,000."""
+    sizes = 2 + np.arange(n_groups) % 5
+    tied = np.repeat(np.arange(n_groups, dtype=float), sizes)
+    single = np.arange(n_single) + 0.5
+    return np.random.default_rng(seed).permutation(np.concatenate([tied, single]))
+
+
 class TestRankOrder:
     """The shared tie-break rank step of marginal_gaussianize and the Givens tries."""
 
-    @given(RANK_COLUMNS, st.integers(0, 2**32 - 1), st.booleans())
+    @given(RANK_COLUMNS, st.integers(0, 2**32 - 1), st.sampled_from(list(_DRAWS)))
     @settings(max_examples=100, deadline=None)
-    def test_order_is_the_lexsort_permutation(self, x, seed, equal_draws):
-        def make():
-            return EqualDraws(np.random.PCG64(seed)) if equal_draws else np.random.default_rng(seed)
+    def test_order_is_the_lexsort_permutation(self, x, seed, draws):
+        self.check_against_lexsort(np.asarray(x, dtype=float), lambda: _make_draws(draws, seed))
 
-        xs = np.asarray(x, dtype=float)
+    @pytest.mark.parametrize("draws", list(_DRAWS))
+    def test_large_tied_column(self, draws):
+        # 8,000 tied members in 2,000 groups: the tie-break keys drop draw
+        # bits, which RANK_COLUMNS' short columns rarely make them do
+        self.check_against_lexsort(_tied_column(), lambda: _make_draws(draws, 20))
+
+    @staticmethod
+    def check_against_lexsort(xs, make):
         rng, ref_rng = make(), make()
         order, knots_in, knots_out = rank_order(xs, rng)
         assert np.array_equal(order, np.lexsort((ref_rng.random(xs.size), xs)))
-        _, ref_in, ref_out = lexsort_gaussianize(x, make())
+        _, ref_in, ref_out = lexsort_gaussianize(xs, make())
         assert knots_in.tobytes() == ref_in.tobytes()
         assert knots_out.tobytes() == ref_out.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -189,13 +224,10 @@ class TestRankOrder:
 
 
 class TestMarginalGaussianize:
-    @given(RANK_COLUMNS, st.integers(0, 2**32 - 1), st.booleans())
+    @given(RANK_COLUMNS, st.integers(0, 2**32 - 1), st.sampled_from(list(_DRAWS)))
     @settings(max_examples=150, deadline=None)
-    def test_matches_lexsort_reference_bit_for_bit(self, x, seed, equal_draws):
-        def make():
-            return EqualDraws(np.random.PCG64(seed)) if equal_draws else np.random.default_rng(seed)
-
-        rng, ref_rng = make(), make()
+    def test_matches_lexsort_reference_bit_for_bit(self, x, seed, draws):
+        rng, ref_rng = _make_draws(draws, seed), _make_draws(draws, seed)
         u, fitted = marginal_gaussianize(np.asarray(x), rng)
         ref_u, ref_in, ref_out = lexsort_gaussianize(x, ref_rng)
         assert u.tobytes() == ref_u.tobytes()
