@@ -15,7 +15,6 @@ from .agce import (
     agce_step,
     naive_lower_1d,
     offshelf_lower_1d,
-    pair_bound_nats,
 )
 from .biterminal import (
     biterminal_gaussianize,

@@ -11,7 +11,9 @@ built from that table, and a config value or ``GB_SEED`` goes through the
 parser of the flag it stands for, so a bad one exits 2.  Model parameters
 are checked by the samplers in ``models`` before they draw.
 All reports are deterministic for a fixed config and seed, except the
-separately kept "timing" section.
+separately kept "timing" section.  ``bound_report`` and ``curve_report``
+build them; ``reproduce`` runs every row's commands through the same
+parser and builders.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import reproduce as repro
 from .agce import agce_fit_1d, naive_lower_1d, offshelf_lower_1d
 from .biterminal import biterminal_gaussianize, joint_objective, separate_gaussianize
 from .cca_ace import ace_fit, ace_upper_bound, kcca_fit
@@ -34,7 +35,7 @@ from .errors import GaussboundError, InsufficientDataError, ParameterError
 from .gib import default_beta_grid, gib_curve, gib_spectrum
 from .ib_discrete import quadrature_discretize, reverse_anneal
 from .models import MODEL_FAMILIES, discretizable_from_spec, sample_from_spec
-from .smoother import SmootherConfig
+from .smoother import SmootherConfig, experiment_knn_k
 from .stats_core import (
     NATS_PER_BIT,
     PairedSamples,
@@ -261,7 +262,7 @@ def _smoother_config(args, samples) -> SmootherConfig:
         return SmootherConfig(kind="kernel", bandwidth=args.bandwidth)
     k = args.k
     if k is None and max(samples.d_x, samples.d_y) > 1:
-        k = repro.experiment_knn_k(samples.n, max(samples.d_x, samples.d_y))
+        k = experiment_knn_k(samples.n, max(samples.d_x, samples.d_y))
     return SmootherConfig(kind="knn", k=k)
 
 
@@ -326,7 +327,7 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
     raise CliError(f"unknown method {method!r}", EXIT_CONFIG)
 
 
-def _bound_report(args) -> dict:
+def bound_report(args) -> dict:
     samples, _, prov = _get_samples(args)
     cfg = _smoother_config(args, samples)
     t0 = time.perf_counter()
@@ -372,37 +373,25 @@ def _bound_report(args) -> dict:
     return report
 
 
-def _curve_outputs(args) -> dict:
+def curve_report(args) -> tuple[dict, dict]:
+    """The curve manifest and its curves, keyed by the stem of each CSV."""
     samples, analytic, prov = _get_samples(args)
     cfg = _smoother_config(args, samples)
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create {out_dir}: {exc}", EXIT_IO) from exc
-
     t0 = time.perf_counter()
     u, v, rho, _ = run_method(args.method, samples, cfg, args)
     cov = covariance(np.hstack([u, v]))
     spec = gib_spectrum(cov, u.shape[1])
     grid = default_beta_grid(spec, num=args.beta_points)
-    method_curve = gib_curve(spec, beta_grid=grid)
-
     raw_spec = gib_spectrum(covariance(np.hstack([samples.x, samples.y])), samples.d_x)
-    raw_curve = gib_curve(raw_spec, beta_grid=grid)
-
-    files = {}
-    write_curve_csv(out_dir / "method_curve.csv", method_curve, args.units)
-    files["method_curve"] = "method_curve.csv"
-    write_curve_csv(out_dir / "raw_gib_curve.csv", raw_curve, args.units)
-    files["raw_gib_curve"] = "raw_gib_curve.csv"
+    curves = {
+        "method_curve": gib_curve(spec, beta_grid=grid),
+        "raw_gib_curve": gib_curve(raw_spec, beta_grid=grid),
+    }
 
     reference_mi = reference_solver = None
     if args.reference and analytic is not None:
         pmf, _ = quadrature_discretize(analytic, m=args.quad_m)
-        ref_curve, diag = reverse_anneal(pmf)
-        write_curve_csv(out_dir / "reference_curve.csv", ref_curve, args.units)
-        files["reference_curve"] = "reference_curve.csv"
+        curves["reference_curve"], diag = reverse_anneal(pmf)
         reference_mi = pmf.mutual_information()
         reference_solver = {
             "sweeps": sum(sol.n_iter for sol in diag["solutions"]),
@@ -423,11 +412,22 @@ def _curve_outputs(args) -> dict:
         "embedding_bound_nats": gaussian_mi_bound(cov, u.shape[1]),
         "reference_pmf_mi_nats": reference_mi,
         "reference_solver": reference_solver,
-        "files": files,
+        "files": {name: f"{name}.csv" for name in curves},
         "timing": {"wall_s": elapsed},
     }
+    return manifest, curves
+
+
+def _write_curves(manifest: dict, curves: dict, args) -> None:
+    """Each curve as ``out_dir/<name>.csv`` in args.units, then the manifest."""
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, curve in curves.items():
+            write_curve_csv(out_dir / manifest["files"][name], curve, args.units)
+    except OSError as exc:
+        raise CliError(f"cannot write to {out_dir}: {exc}", EXIT_IO) from exc
     _write_json(manifest, out_dir / "manifest.json")
-    return manifest
 
 
 def _gen_outputs(args) -> None:
@@ -459,12 +459,10 @@ def _gen_outputs(args) -> None:
 
 
 def _reproduce_outputs(args) -> int:
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    rows = repro.run_experiment(args.experiment, **kwargs)
+    # imported here: reproduce runs its rows through this module
+    from . import reproduce as repro
+
+    rows = repro.run_experiment(args.experiment, n=args.n, seed=args.seed)
     print(repro.format_table(rows))
     failures = [r for r in rows if r.binding and not r.passed]
     if failures:
@@ -514,9 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="CSV output path")
 
     p_rep = sub.add_parser("reproduce", help="rerun a documented experiment bundle")
-    p_rep.add_argument(
-        "experiment", choices=repro.EXPERIMENTS, metavar="experiment", help="|".join(repro.EXPERIMENTS)
-    )
+    p_rep.add_argument("experiment", help="bundle id, such as sec4.4 (an unknown id lists them)")
     p_rep.add_argument("--n", type=int, help="override the documented sample count")
     p_rep.add_argument("--seed", type=_seed, help="override the documented seed")
 
@@ -534,9 +530,9 @@ def main(argv=None) -> int:
             return _reproduce_outputs(args)
         args = _resolve(args)
         if args.command == "bound":
-            _write_json(_bound_report(args), args.out)
+            _write_json(bound_report(args), args.out)
         elif args.command == "curve":
-            _curve_outputs(args)
+            _write_curves(*curve_report(args), args)
         else:
             _gen_outputs(args)
         return EXIT_OK

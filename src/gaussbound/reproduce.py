@@ -1,32 +1,39 @@
-"""End-to-end experiment reproductions with documented defaults.
+"""Experiment reproductions: every check row reads ``gaussbound`` reports.
 
-Each ``sec*`` function runs one experiment bundle and returns check rows the
-CLI renders as a pass/fail table; the acceptance test suite asserts the same
-rows.  Rows flagged non-binding are informational context (e.g. kernel-CCA
-columns) whose values the qualitative figures do not pin down.
+A bundle is data.  Each row names the ``bound`` or ``curve`` commands it
+reads and a check over their reports' fields.  ``run_experiment`` parses
+each command with the CLI's own parser and calls the report builders that
+``gaussbound bound`` and ``gaussbound curve`` call, once per distinct
+command, so a table certifies the pipeline the CLI runs.  The table prints
+the commands, so any number in it can be rerun from the shell (a ``curve``
+row reads its curves in memory; rerun, it writes them under ``curves/``).
+A command's ``--seed`` is the seed of the sample it draws; the methods
+take the CLI's settings and seed offsets.  Only the two model checks of
+sec4.4 (``corr-xy``, ``true-mi``) call the library directly.  Rows flagged
+non-binding are informational context (e.g. kernel-CCA columns) whose
+values the qualitative figures do not pin down.
 """
 
 from __future__ import annotations
 
 import math
+import shlex
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .agce import agce_fit_1d, naive_lower_1d, offshelf_lower_1d, pair_bound_nats
-from .biterminal import biterminal_gaussianize, joint_objective, separate_gaussianize
-from .cca_ace import ace_fit, ace_upper_bound, kcca_fit
-from .gib import gib_curve, gib_spectrum
-from .ib_discrete import quadrature_discretize, reverse_anneal
-from .models import Gm1dModel, expgamma_sample, gm1d_sample, gm1d_true_mi, gm_mv_sample, mvg_scramble_sample
-from .smoother import SmootherConfig, default_knn_k
-from .stats_core import NATS_PER_BIT, covariance
+from . import cli
+from .errors import ParameterError
+from .models import gm1d_sample, gm1d_true_mi
+from .smoother import experiment_knn_k
+from .stats_core import NATS_PER_BIT
 
 
 @dataclass
 class CheckRow:
-    """One line of a reproduction table."""
+    """One line of a reproduction table, with the commands it read."""
 
     id: str
     description: str
@@ -35,293 +42,224 @@ class CheckRow:
     passed: bool
     binding: bool = True
     elapsed_s: float = 0.0
+    commands: tuple[str, ...] = ()
 
 
-def experiment_knn_k(n: int, d: int) -> int:
-    """Documented per-experiment neighbor count: consistency-rate scaling in d."""
-    return int(np.clip(math.ceil(n ** (4.0 / (4.0 + d)) / 8.0), 10, default_knn_k(n)))
+@dataclass
+class _Check:
+    """A row as data: the commands it reads, and a check mapping their
+    reports, in ``argvs`` order, to (value text, passed)."""
+
+    id: str
+    description: str
+    target: str
+    argvs: list[tuple[str, ...]]
+    check: Callable[[list[dict]], tuple[str, bool]]
+    binding: bool = True
 
 
-def _bits(nats: float) -> float:
-    return nats / NATS_PER_BIT
+def _argv(command: str, model: str, n: int, seed: int, method: str, *flags) -> tuple[str, ...]:
+    argv = [command, "--model", model, "--n", n, "--seed", seed, "--method", method, *flags]
+    if command == "curve":  # required by the parser; a row reads the curves in memory
+        argv += ["--out-dir", "curves"]
+    return tuple(str(a) for a in argv)
 
 
-def sec44(n: int = 10_000, seed: int = 7, n_restarts: int = 8) -> list[CheckRow]:
-    """Univariate Gaussian-mixture experiment (mu_z = 10, eps = 0.1)."""
-    rows = []
-    mu_z, eps = 10.0, 0.1
-
-    t0 = time.perf_counter()
-    big = gm1d_sample(100_000, mu_z, eps, seed=seed)
-    corr = float(np.corrcoef(big.samples.x[:, 0], big.samples.y[:, 0])[0, 1])
-    rows.append(
-        CheckRow(
-            "corr-xy",
-            "raw correlation of the mixture pair, n=1e5",
-            f"{corr:.4f}",
-            "0.098 +- 0.010",
-            abs(corr - 0.098) <= 0.010,
-            elapsed_s=time.perf_counter() - t0,
-        )
-    )
-
-    t0 = time.perf_counter()
-    mi_bits = _bits(gm1d_true_mi(mu_z, eps))
-    rows.append(
-        CheckRow(
-            "true-mi",
-            "numeric mutual information of the model",
-            f"{mi_bits:.4f} bits",
-            "1.66 +- 0.02 bits",
-            abs(mi_bits - 1.66) <= 0.02,
-            elapsed_s=time.perf_counter() - t0,
-        )
-    )
-
-    ms = gm1d_sample(n, mu_z, eps, seed=seed)
-
-    t0 = time.perf_counter()
-    nv = naive_lower_1d(ms.samples, seed=seed + 1)
-    nv_bits = _bits(pair_bound_nats(nv))
-    ok = abs(nv.rho - 0.288) <= 0.03 and abs(nv_bits - 0.063) <= 0.02
-    rows.append(
-        CheckRow(
-            "naive",
-            "direct separate Gaussianization of X and Y",
-            f"rho={nv.rho:.3f}, {nv_bits:.4f} bits",
-            "rho 0.288 +- 0.03, 0.063 +- 0.02 bits",
-            ok,
-            elapsed_s=time.perf_counter() - t0,
-        )
-    )
-
-    t0 = time.perf_counter()
-    off = offshelf_lower_1d(ms.samples, seed=seed + 3)
-    off_bits = _bits(pair_bound_nats(off))
-    off_elapsed = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    ag = agce_fit_1d(ms.samples, n_restarts=n_restarts, seed=seed + 3)
-    ag_bits = _bits(pair_bound_nats(ag))
-    ag_elapsed = time.perf_counter() - t0
-
-    # the ACE fit AGCE started from: a one-pair fit starts from Y's first
-    # principal component, so it is the same model whatever its seed
-    ace = ag.ace
-    ub_bits = _bits(ace_upper_bound(ace))
-    lemma_flag = mi_bits > ub_bits
-    ok = abs(ace.rho[0] - 0.703) <= 0.03 and abs(ub_bits - 0.4917) <= 0.05 and lemma_flag
-    rows.append(
-        CheckRow(
-            "ace",
-            "nonlinear CCA upper bound and no-lossless-embedding flag",
-            f"rho={ace.rho[0]:.3f}, {ub_bits:.4f} bits, flag={lemma_flag}",
-            "rho 0.703 +- 0.03, 0.4917 +- 0.05 bits, flag TRUE",
-            ok,
-        )
-    )
-
-    ok = ag.rho >= 0.60 and ag_bits >= 0.36 and ag.rho <= ace.rho[0] + 0.02
-    rows.append(
-        CheckRow(
-            "agce",
-            f"alternating Gaussianized search, best of {n_restarts} restarts",
-            f"rho={ag.rho:.3f}, {ag_bits:.4f} bits",
-            "rho >= 0.60, >= 0.36 bits, <= ACE rho + 0.02",
-            ok,
-            elapsed_s=ag_elapsed,
-        )
-    )
-
-    ok = abs(off.rho - 0.646) <= 0.03 and abs(off_bits - 0.389) <= 0.05 and off.rho <= ag.rho + 1e-9
-    rows.append(
-        CheckRow(
-            "offshelf",
-            "Gaussianized ACE lower bound",
-            f"rho={off.rho:.3f}, {off_bits:.4f} bits",
-            "rho 0.646 +- 0.03, 0.389 +- 0.05 bits, <= AGCE",
-            ok,
-            elapsed_s=off_elapsed,
-        )
-    )
-    return rows
+def _pair_value(report: dict) -> str:
+    return f"rho={report['rho'][0]:.3f}, {report['lower_bound_bits']:.4f} bits"
 
 
-def sec54_gauss(
-    n: int = 10_000,
-    seed: int = 100,
-    dims=(1, 2, 3, 4, 5),
-    kcca_dims=(6, 7, 8, 9, 10),
-    kcca_n: int = 2000,
-) -> list[CheckRow]:
-    """Scrambled jointly Gaussian model: ACE recovers, naive does not."""
-    rows = []
-    for d in dims:
-        t0 = time.perf_counter()
-        ms = mvg_scramble_sample(n, d, seed=seed + d)
-        true_mi = ms.true_mi_nats
-        cfg = SmootherConfig(k=experiment_knn_k(n, d))
-        ace = ace_fit(ms.samples, smoother=cfg, seed=seed + d)
-        share = ace_upper_bound(ace) / true_mi
-        su, _ = separate_gaussianize(ms.samples.x, max_layers=15, seed=seed + 31 * d)
-        sv, _ = separate_gaussianize(ms.samples.y, max_layers=15, seed=seed + 37 * d)
-        naive_share = joint_objective(su, sv) / true_mi
-        ok = share >= 0.90 and naive_share <= 0.40
-        rows.append(
-            CheckRow(
-                f"gauss-d{d}",
-                f"d={d}: ACE share of true MI vs naive Gaussianization share",
-                f"ace={100 * share:.1f}%, naive={100 * naive_share:.1f}%",
-                "ace >= 90%, naive <= 40%",
-                ok,
-                elapsed_s=time.perf_counter() - t0,
-            )
-        )
-    for d in kcca_dims:
-        t0 = time.perf_counter()
-        ms = mvg_scramble_sample(kcca_n, d, seed=seed + d)
-        kc = kcca_fit(ms.samples, k=min(d, 4), ridge=1e-2, seed=seed + d)
-        su, _ = separate_gaussianize(kc.u, max_layers=10, seed=seed + 41 * d)
-        sv, _ = separate_gaussianize(kc.v, max_layers=10, seed=seed + 43 * d)
-        share = joint_objective(su, sv) / ms.true_mi_nats
-        rows.append(
-            CheckRow(
-                f"kcca-d{d}",
-                f"d={d}: Gaussianized kernel-CCA share of true MI (n={kcca_n})",
-                f"{100 * share:.1f}%",
-                "informational (suboptimal fallback)",
-                True,
-                binding=False,
-                elapsed_s=time.perf_counter() - t0,
-            )
-        )
-    return rows
+def _share(report: dict, key: str) -> float:
+    return report[key] / report["true_mi_nats"]
 
 
-def sec54_exp(n: int = 10_000, seed: int = 200, d: int = 2, n_seeds: int = 10) -> list[CheckRow]:
-    """Rotated, mirrored exponential model: bi-terminal beats separate."""
-    wins = 0
-    shares = []
-    t0 = time.perf_counter()
-    cfg = SmootherConfig(k=experiment_knn_k(n, d))
-    for s in range(n_seeds):
-        ms = expgamma_sample(n, d, seed=seed + s)
-        ace = ace_fit(ms.samples, smoother=cfg, seed=seed + s)
-        shares.append(ace_upper_bound(ace) / ms.true_mi_nats)
-        su, _ = separate_gaussianize(ace.u, max_layers=12, seed=seed + 1000 + s)
-        sv, _ = separate_gaussianize(ace.v, max_layers=12, seed=seed + 2000 + s)
-        sep = joint_objective(su, sv)
-        bu, bv, _, _ = biterminal_gaussianize(
-            ace.u, ace.v, outer_iters=12, inner_tries=30, seed=seed + 3000 + s
-        )
-        bit = joint_objective(bu, bv)
-        wins += bit >= sep
-    elapsed = time.perf_counter() - t0
+# ---------------------------------------------------------------------------
+# sec4.4: univariate Gaussian mixture (mu_z = 10, eps = 0.1, the CLI defaults)
+# ---------------------------------------------------------------------------
+
+
+def _corr_xy(seed: int) -> tuple[str, bool]:
+    big = gm1d_sample(100_000, 10.0, 0.1, seed=seed).samples
+    corr = float(np.corrcoef(big.x[:, 0], big.y[:, 0])[0, 1])
+    return f"{corr:.4f}", abs(corr - 0.098) <= 0.010
+
+
+def _true_mi(_reports) -> tuple[str, bool]:
+    bits = gm1d_true_mi(10.0, 0.1) / NATS_PER_BIT
+    return f"{bits:.4f} bits", abs(bits - 1.66) <= 0.02
+
+
+def _naive(reports) -> tuple[str, bool]:
+    (r,) = reports
+    return _pair_value(r), abs(r["rho"][0] - 0.288) <= 0.03 and abs(r["lower_bound_bits"] - 0.063) <= 0.02
+
+
+def _ace(reports) -> tuple[str, bool]:
+    (r,) = reports
+    rho, bits, flag = r["ace_rho"][0], r["ace_upper_bound_bits"], r["no_lossless_gaussian_embedding"]
+    ok = abs(rho - 0.703) <= 0.03 and abs(bits - 0.4917) <= 0.05 and flag
+    return f"rho={rho:.3f}, {bits:.4f} bits, flag={flag}", ok
+
+
+def _agce(reports) -> tuple[str, bool]:
+    (r,) = reports
+    rho = r["rho"][0]
+    return _pair_value(r), rho >= 0.60 and r["lower_bound_bits"] >= 0.36 and rho <= r["ace_rho"][0] + 0.02
+
+
+def _offshelf(reports) -> tuple[str, bool]:
+    agce, r = reports
+    rho = r["rho"][0]
+    ok = abs(rho - 0.646) <= 0.03 and abs(r["lower_bound_bits"] - 0.389) <= 0.05
+    return _pair_value(r), ok and rho <= agce["rho"][0] + 1e-9
+
+
+def sec44(n: int = 10_000, seed: int = 7) -> list[_Check]:
+    """Univariate Gaussian-mixture experiment; the ace row reads AGCE's ACE fit."""
+    naive, agce, offshelf = (_argv("bound", "gm1d", n, seed, m) for m in ("naive", "agce", "offshelf"))
     return [
-        CheckRow(
-            "exp-biterminal",
-            f"d={d}: bi-terminal beats separate Gaussianization of ACE over {n_seeds} seeds",
-            f"{wins}/{n_seeds} wins",
-            ">= 9/10",
-            wins >= math.ceil(0.9 * n_seeds),
-            elapsed_s=elapsed,
-        ),
-        CheckRow(
-            "exp-ace-share",
-            f"d={d}: worst ACE share of true MI over {n_seeds} seeds",
-            f"{100 * min(shares):.1f}%",
-            ">= 50%",
-            min(shares) >= 0.50,
-            elapsed_s=0.0,
-        ),
+        _Check("corr-xy", "raw correlation of the mixture pair, n=1e5", "0.098 +- 0.010", [],
+               lambda _: _corr_xy(seed)),
+        _Check("true-mi", "numeric mutual information of the model", "1.66 +- 0.02 bits", [], _true_mi),
+        _Check("naive", "direct separate Gaussianization of X and Y",
+               "rho 0.288 +- 0.03, 0.063 +- 0.02 bits", [naive], _naive),
+        _Check("ace", "nonlinear CCA upper bound and no-lossless-embedding flag",
+               "rho 0.703 +- 0.03, 0.4917 +- 0.05 bits, flag TRUE", [agce], _ace),
+        _Check("agce", "alternating Gaussianized search, best of the CLI's 8 restarts",
+               "rho >= 0.60, >= 0.36 bits, <= ACE rho + 0.02", [agce], _agce),
+        _Check("offshelf", "Gaussianized ACE lower bound",
+               "rho 0.646 +- 0.03, 0.389 +- 0.05 bits, <= AGCE", [agce, offshelf], _offshelf),
     ]
 
 
-def sec54_gm(n: int = 10_000, seed: int = 300, dims=(1, 2)) -> list[CheckRow]:
+# ---------------------------------------------------------------------------
+# sec5.4: multivariate models
+# ---------------------------------------------------------------------------
+
+
+def _gauss_shares(reports) -> tuple[str, bool]:
+    (r,) = reports
+    ace, naive = _share(r, "ace_upper_bound_nats"), _share(r, "lower_bound_nats")
+    return f"ace={100 * ace:.1f}%, naive={100 * naive:.1f}%", ace >= 0.90 and naive <= 0.40
+
+
+def _kcca_share(reports) -> tuple[str, bool]:
+    return f"{100 * _share(reports[0], 'lower_bound_nats'):.1f}%", True
+
+
+def sec54_gauss(n: int = 10_000, seed: int = 100) -> list[_Check]:
+    """Scrambled jointly Gaussian model: ACE recovers, naive does not.
+
+    A naive report carries both shares: its lower bound, and the upper bound
+    of the ACE fit it makes for it.  The kcca rows run at n = 2000.
+    """
+    rows = [
+        _Check(f"gauss-d{d}", f"d={d}: ACE share of true MI vs naive Gaussianization share",
+               "ace >= 90%, naive <= 40%",
+               [_argv("bound", "mv_gaussian_scramble", n, seed + d, "naive", "--d", d,
+                      "--k", experiment_knn_k(n, d))],
+               _gauss_shares)
+        for d in range(1, 6)
+    ]
+    rows += [
+        _Check(f"kcca-d{d}", f"d={d}: Gaussianized kernel-CCA share of true MI (n=2000)",
+               "informational (suboptimal fallback)",
+               [_argv("bound", "mv_gaussian_scramble", 2000, seed + d, "kcca", "--d", d, "--kcca-ridge", "1e-2")],
+               _kcca_share, binding=False)
+        for d in range(6, 11)
+    ]
+    return rows
+
+
+def _biterminal_wins(reports) -> tuple[str, bool]:
+    pairs = list(zip(reports[::2], reports[1::2]))
+    wins = sum(bit["lower_bound_nats"] >= sep["lower_bound_nats"] for sep, bit in pairs)
+    return f"{wins}/{len(pairs)} wins", wins >= math.ceil(0.9 * len(pairs))
+
+
+def _worst_ace_share(reports) -> tuple[str, bool]:
+    worst = min(_share(r, "ace_upper_bound_nats") for r in reports)
+    return f"{100 * worst:.1f}%", worst >= 0.50
+
+
+def sec54_exp(n: int = 10_000, seed: int = 200) -> list[_Check]:
+    """Rotated, mirrored exponential model, d = 2: bi-terminal beats separate.
+
+    Seeds seed..seed+9 each run ``offshelf`` (separate Gaussianization of
+    ACE) and ``biterminal``.
+    """
+    argvs = [
+        _argv("bound", "exp_gamma", n, seed + s, method, "--d", 2)
+        for s in range(10)
+        for method in ("offshelf", "biterminal")
+    ]
+    return [
+        _Check("exp-biterminal", "d=2: bi-terminal beats separate Gaussianization of ACE over 10 seeds",
+               ">= 9/10", argvs, _biterminal_wins),
+        _Check("exp-ace-share", "d=2: worst ACE share of true MI over 10 seeds", ">= 50%", argvs,
+               _worst_ace_share),
+    ]
+
+
+def _gm_flag(reports) -> tuple[str, bool]:
+    (r,) = reports
+    flag = r["no_lossless_gaussian_embedding"]
+    true_bits = r["true_mi_nats"] / NATS_PER_BIT
+    return f"true={true_bits:.3f} bits, ace={r['ace_upper_bound_bits']:.3f} bits, flag={flag}", flag
+
+
+def sec54_gm(n: int = 10_000, seed: int = 300) -> list[_Check]:
     """Multivariate Gaussian-mixture model: the no-lossless-embedding flag."""
-    rows = []
-    for d in dims:
-        t0 = time.perf_counter()
-        ms = gm_mv_sample(n, d, seed=seed + d)
-        cfg = SmootherConfig(k=experiment_knn_k(n, d))
-        ace = ace_fit(ms.samples, smoother=cfg, seed=seed + d)
-        ub = ace_upper_bound(ace)
-        flag = ms.true_mi_nats > ub
-        rows.append(
-            CheckRow(
-                f"gm-d{d}",
-                f"d={d}: true MI exceeds the ACE bound (no lossless Gaussian embedding)",
-                f"true={_bits(ms.true_mi_nats):.3f} bits, ace={_bits(ub):.3f} bits, flag={flag}",
-                "flag TRUE",
-                flag,
-                elapsed_s=time.perf_counter() - t0,
-            )
-        )
-    return rows
-
-
-def _curve_ordering_rows(
-    tag: str,
-    model,
-    samples,
-    n_restarts: int,
-    seed: int,
-    quad_m: int,
-    slack: float = 0.02,
-) -> list[CheckRow]:
-    """Shared scaffolding for the trade-off curve orderings."""
-    t0 = time.perf_counter()
-    ag = agce_fit_1d(samples, n_restarts=n_restarts, seed=seed)
-    method_curve = gib_curve(gib_spectrum([[1.0, ag.rho], [ag.rho, 1.0]], 1))
-    raw_spec = gib_spectrum(covariance(np.hstack([samples.x, samples.y])), samples.d_x)
-    raw_curve = gib_curve(raw_spec, beta_grid=method_curve.beta)
-    pmf, _ = quadrature_discretize(model, m=quad_m)
-    ref_curve, _ = reverse_anneal(pmf)
-
-    top_ref = min(method_curve.i_tx.max(), ref_curve.i_tx.max())
-    grid = np.linspace(0.01, top_ref, 50)
-    above_raw = bool(
-        np.all(method_curve.ity_at(grid) >= raw_curve.ity_at(grid) - 1e-12)
-    )
-    excess = float((method_curve.ity_at(grid) - ref_curve.ity_at(grid)).max())
-    elapsed = time.perf_counter() - t0
     return [
-        CheckRow(
-            f"{tag}-vs-raw",
-            "Gaussianized-embedding curve dominates the raw-covariance curve",
-            f"dominates={above_raw} (rho {ag.rho:.3f} vs raw)",
-            "at every matched I_TX",
-            above_raw,
-            elapsed_s=elapsed,
-        ),
-        CheckRow(
-            f"{tag}-vs-ref",
-            "Gaussianized-embedding curve stays below the discrete reference",
-            f"max excess {excess:.4f} nats",
-            f"<= {slack} nats",
-            excess <= slack,
-            elapsed_s=0.0,
-        ),
+        _Check(f"gm-d{d}", f"d={d}: true MI exceeds the ACE bound (no lossless Gaussian embedding)",
+               "flag TRUE", [_argv("bound", "gm_mv", n, seed + d, "ace", "--d", d)], _gm_flag)
+        for d in (1, 2)
     ]
 
 
-def sec61_gm(n: int = 10_000, seed: int = 7, quad_m: int = 32, n_restarts: int = 8) -> list[CheckRow]:
+# ---------------------------------------------------------------------------
+# sec6.1: trade-off curve orderings
+# ---------------------------------------------------------------------------
+
+
+def _matched_curves(reports):
+    """Method, raw and reference I_TY on a grid of I_TX all three reach."""
+    curves = reports[0]["curves"]
+    method, raw, ref = (curves[k] for k in ("method_curve", "raw_gib_curve", "reference_curve"))
+    grid = np.linspace(0.01, min(method.i_tx.max(), ref.i_tx.max()), 50)
+    return method.ity_at(grid), raw.ity_at(grid), ref.ity_at(grid)
+
+
+def _dominates_raw(reports) -> tuple[str, bool]:
+    method, raw, _ = _matched_curves(reports)
+    above = bool(np.all(method >= raw - 1e-12))
+    return f"dominates={above} (rho {reports[0]['rho'][0]:.3f} vs raw)", above
+
+
+def _below_reference(reports) -> tuple[str, bool]:
+    method, _, ref = _matched_curves(reports)
+    excess = float((method - ref).max())
+    return f"max excess {excess:.4f} nats", excess <= 0.02
+
+
+def _curve_rows(tag: str, argv: tuple[str, ...], binding: bool = True) -> list[_Check]:
+    return [
+        _Check(f"{tag}-vs-raw", "Gaussianized-embedding curve dominates the raw-covariance curve",
+               "at every matched I_TX", [argv], _dominates_raw, binding),
+        _Check(f"{tag}-vs-ref", "Gaussianized-embedding curve stays below the discrete reference",
+               "<= 0.02 nats", [argv], _below_reference, binding),
+    ]
+
+
+def sec61_gm(n: int = 10_000, seed: int = 7) -> list[_Check]:
     """Trade-off curve ordering on the Gaussian-mixture model."""
-    ms = gm1d_sample(n, seed=seed)
-    return _curve_ordering_rows("gm-curve", Gm1dModel(10.0, 0.1), ms.samples, n_restarts, seed + 11, quad_m)
+    return _curve_rows("gm-curve", _argv("curve", "gm1d", n, seed, "agce"))
 
 
-def sec61_exp(n: int = 10_000, seed: int = 400, quad_m: int = 48, n_restarts: int = 6) -> list[CheckRow]:
-    """Trade-off curve ordering on the mirrored exponential model."""
-    from .models import ExpMirrorModel
-
-    ms = expgamma_sample(n, 1, seed=seed)
-    rows = _curve_ordering_rows(
-        "exp-curve", ExpMirrorModel(), ms.samples, n_restarts, seed + 11, quad_m
-    )
-    for r in rows:
-        r.binding = False  # figure ordering is qualitative for this model
-    return rows
+def sec61_exp(n: int = 10_000, seed: int = 400) -> list[_Check]:
+    """Trade-off curve ordering on the mirrored exponential model (qualitative)."""
+    argv = _argv("curve", "exp_gamma", n, seed, "agce", "--quad-m", 48, "--restarts", 6)
+    return _curve_rows("exp-curve", argv, binding=False)
 
 
 EXPERIMENTS = {
@@ -334,23 +272,65 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(experiment_id: str, **kwargs) -> list[CheckRow]:
-    """Dispatch one of the named experiment bundles (KeyError if unknown)."""
-    return EXPERIMENTS[experiment_id](**kwargs)
+def _report(argv: tuple[str, ...]) -> dict:
+    """The report ``gaussbound`` builds for argv; a curve's also holds its curves."""
+    args = cli._resolve(cli.build_parser().parse_args(argv))
+    if args.command == "bound":
+        return cli.bound_report(args)
+    manifest, curves = cli.curve_report(args)
+    return {**manifest, "curves": curves}
+
+
+def run_experiment(experiment_id: str, n: int | None = None, seed: int | None = None) -> list[CheckRow]:
+    """Run a named bundle, each distinct command once; n and seed override its defaults."""
+    if experiment_id not in EXPERIMENTS:
+        raise ParameterError(f"unknown experiment {experiment_id!r}; choose from {', '.join(EXPERIMENTS)}")
+    if n is not None and n < 1:
+        raise ParameterError(f"n must be at least 1, got {n}")
+    overrides = {key: value for key, value in (("n", n), ("seed", seed)) if value is not None}
+    reports, rows = {}, []
+    for spec in EXPERIMENTS[experiment_id](**overrides):
+        for argv in spec.argvs:
+            if argv not in reports:
+                reports[argv] = _report(argv)
+        read = [reports[argv] for argv in spec.argvs]
+        t0 = time.perf_counter()
+        value, passed = spec.check(read)
+        elapsed = time.perf_counter() - t0 + sum(r["timing"]["wall_s"] for r in read)
+        commands = tuple(shlex.join(("gaussbound", *argv)) for argv in spec.argvs)
+        rows.append(CheckRow(spec.id, spec.description, value, spec.target, bool(passed), spec.binding,
+                             elapsed, commands))
+    return rows
+
+
+def _numbers(numbers: list[int]) -> str:
+    """[3, 4, 5] as "3-5"; other lists joined by commas; none as "-"."""
+    if len(numbers) > 2 and numbers == list(range(numbers[0], numbers[-1] + 1)):
+        return f"{numbers[0]}-{numbers[-1]}"
+    return ",".join(map(str, numbers)) or "-"
 
 
 def format_table(rows: list[CheckRow]) -> str:
-    """Fixed-width pass/fail table."""
-    headers = ("check", "value", "target", "status")
+    """Fixed-width pass/fail table, then the numbered commands its rows read."""
+    number = {c: i for i, c in enumerate(dict.fromkeys(c for r in rows for c in r.commands), start=1)}
+    headers = ("check", "value", "target", "status", "commands")
     cells = [
-        (r.id, r.value, r.target, ("PASS" if r.passed else "FAIL") + ("" if r.binding else " (info)"))
+        (
+            r.id,
+            r.value,
+            r.target,
+            ("PASS" if r.passed else "FAIL") + ("" if r.binding else " (info)"),
+            _numbers([number[c] for c in r.commands]),
+        )
         for r in rows
     ]
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(headers)]
     lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
         "  ".join("-" * w for w in widths),
     ]
-    for c in cells:
-        lines.append("  ".join(s.ljust(w) for s, w in zip(c, widths)))
+    lines.extend("  ".join(s.ljust(w) for s, w in zip(c, widths)).rstrip() for c in cells)
+    if number:
+        lines.append("")
+        lines.extend(f"[{i}] {c}" for c, i in number.items())
     return "\n".join(lines)

@@ -37,6 +37,11 @@ def default_knn_k(n: int) -> int:
     return int(np.clip(math.ceil(n ** 0.8 / 2.0), 3, n))
 
 
+def experiment_knn_k(n: int, d: int) -> int:
+    """Neighbor count for d-column blocks: consistency-rate scaling in d."""
+    return int(np.clip(math.ceil(n ** (4.0 / (4.0 + d)) / 8.0), 10, default_knn_k(n)))
+
+
 def as_block(x) -> np.ndarray:
     """``x`` as a float (n, d) block; a 1-D array becomes one column."""
     a = np.asarray(x, dtype=float)

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance and budget.
 
 Each test prints one PASS line (pytest -v shows them per criterion).  The
-experiment bundles are computed once per session through the reproduce
-module, which is the same code path the CLI's `reproduce` command renders.
+experiment bundles are computed once per session through
+``reproduce.run_experiment``, the code path the CLI's `reproduce` command
+renders; each row reads the reports of `bound`/`curve` commands.
 """
 
 import time
@@ -31,27 +32,27 @@ TIME_BUDGETS = {
 
 @pytest.fixture(scope="session")
 def sec44_rows():
-    return {row.id: row for row in repro.sec44()}
+    return {row.id: row for row in repro.run_experiment("sec4.4")}
 
 
 @pytest.fixture(scope="session")
 def sec54_gauss_rows():
     t0 = time.perf_counter()
-    rows = repro.sec54_gauss()
+    rows = repro.run_experiment("sec5.4-gauss")
     return rows, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def sec54_exp_rows():
     t0 = time.perf_counter()
-    rows = repro.sec54_exp()
+    rows = repro.run_experiment("sec5.4-exp")
     return rows, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def sec61_gm_rows():
     t0 = time.perf_counter()
-    rows = repro.sec61_gm()
+    rows = repro.run_experiment("sec6.1-gm")
     return rows, time.perf_counter() - t0
 
 

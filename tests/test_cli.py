@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,7 @@ from gaussbound.cli import (
     main,
 )
 from gaussbound.models import Gm1dModel
+from gaussbound.stats_core import NATS_PER_BIT
 
 
 def run_cli(args):
@@ -441,6 +444,43 @@ class TestCurve:
         assert np.all(curve[:, 2] <= 0.02)
 
 
+def _pair_shown(r):
+    return f"rho={r['rho'][0]:.3f}, {r['lower_bound_bits']:.4f} bits"
+
+
+def _gm_shown(r):
+    flag = r["no_lossless_gaussian_embedding"]
+    return f"true={r['true_mi_nats'] / NATS_PER_BIT:.3f} bits, ace={r['ace_upper_bound_bits']:.3f} bits, flag={flag}"
+
+
+# check id -> (method of the report a reproduce row shows, the value it shows)
+SHOWN = {
+    "sec4.4": {
+        "naive": ("naive", _pair_shown),
+        "ace": ("agce", lambda r: (
+            f"rho={r['ace_rho'][0]:.3f}, {r['ace_upper_bound_bits']:.4f} bits, "
+            f"flag={r['no_lossless_gaussian_embedding']}"
+        )),
+        "agce": ("agce", _pair_shown),
+        "offshelf": ("offshelf", _pair_shown),
+    },
+    "sec5.4-gm": {"gm-d1": ("ace", _gm_shown), "gm-d2": ("ace", _gm_shown)},
+}
+
+
+def _printed_table(out: str):
+    """({check: (value, command numbers)}, {number: command}) of a reproduce table."""
+    lines = out.splitlines()
+    starts = [lines[0].index(h) for h in ("check", "value", "target", "status", "commands")]
+    rows = {}
+    for line in lines[2:]:
+        if not line:
+            break
+        cells = [line[a:b].strip() for a, b in zip(starts, [*starts[1:], None])]
+        rows[cells[0]] = (cells[1], cells[4])
+    return rows, dict(re.findall(r"^\[(\d+)\] (gaussbound .+)$", out, re.M))
+
+
 class TestReproduce:
     def test_unknown_id_lists_valid(self, capsys):
         assert run_cli(["reproduce", "bogus"]) == EXIT_CONFIG
@@ -457,6 +497,29 @@ class TestReproduce:
         rows.append(repro.CheckRow("bad", "binding and failed", "0", "1", False))
         assert run_cli(["reproduce", "sec5.4-gm"]) == EXIT_CHECK_FAILED
         assert "1 binding check(s) failed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("experiment", ["sec4.4", "sec5.4-gm"])
+    def test_printed_commands_replay(self, experiment, tmp_path, capsys):
+        # each row's value is formatted from the reports of the commands the
+        # table prints, rerun here through main with --out
+        assert run_cli(["reproduce", experiment, "--n", "2000"]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        rows, commands = _printed_table(capsys.readouterr().out)
+        reports = {}
+        for number, command in commands.items():
+            argv = shlex.split(command)
+            assert argv[:2] == ["gaussbound", "bound"] and argv[argv.index("--n") + 1] == "2000"
+            path = tmp_path / f"{number}.json"
+            assert run_cli([*argv[1:], "--out", str(path)]) == EXIT_OK
+            reports[number] = read_json(path)
+        assert set(rows) >= set(SHOWN[experiment])
+        for check, (value, numbers) in rows.items():
+            if check in ("corr-xy", "true-mi"):  # model checks: no command
+                assert numbers == "-"
+                continue
+            # a row that reads several reports shows the last one's fields
+            report = reports[numbers.split(",")[-1]]
+            method, shown = SHOWN[experiment][check]
+            assert report["method"] == method and value == shown(report)
 
     def test_table_rendering(self, capsys):
         # small-n smoke of the table path; values are not asserted here
@@ -531,11 +594,12 @@ class TestAceFits:
         assert run_cli(argv) == 0
         assert len(fits) == 1
 
-    def test_sec44_fits_ace_twice(self, fits):
-        # the off-shelf pair and AGCE fit once each; the ace row reads AGCE's fit
-        rows = repro.sec44(n=2000)
+    def test_sec44_fits_ace_once_per_row_command(self, fits):
+        # one fit per bound command: naive (for its upper bound), agce and
+        # offshelf; the ace row reads AGCE's fit
+        rows = repro.run_experiment("sec4.4", n=2000)
         assert [r.id for r in rows] == ["corr-xy", "true-mi", "naive", "ace", "agce", "offshelf"]
-        assert len(fits) == 2
+        assert len(fits) == 3
 
 
 def _imported_by_cli(module: str) -> bool:
