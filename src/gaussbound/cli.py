@@ -397,6 +397,7 @@ def curve_report(args) -> tuple[dict, dict]:
             "sweeps": sum(sol.n_iter for sol in diag["solutions"]),
             "stationary_betas": int(np.count_nonzero(diag["stationary"])),
             "unconverged_betas": int(np.count_nonzero(~(diag["converged"] | diag["stationary"]))),
+            "max_residual": max(sol.residual for sol in diag["solutions"]),
             "lifted_points": [int(i) for i in diag["lifted_points"]],
         }
     elapsed = time.perf_counter() - t0

@@ -9,6 +9,7 @@ as the reference a Gaussian lower-bound curve is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import xlogy
@@ -21,6 +22,10 @@ _Q_FLOOR = 1e-300
 # the last _STATIONARY_WINDOW sweeps stops as stationary.
 _STATIONARY_WINDOW = 50
 _STATIONARY_TOL = 1e-9
+# A beta still running after _PLAIN_SWEEPS plain sweeps switches to SQUAREM
+# cycles, whose step bound moves by _STEP_FACTOR.
+_PLAIN_SWEEPS = 100
+_STEP_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,10 @@ def _mi_rows(weights: np.ndarray, rows: np.ndarray, marginal: np.ndarray) -> flo
 
 @dataclass
 class IBSolution:
-    """A locally optimal encoder q(t|x) with its decoder and information pair."""
+    """A locally optimal encoder q(t|x) with its decoder and information pair.
+
+    ``residual`` is the max |Δq(t|x)| of the sweep that produced the encoder.
+    """
 
     q_t_given_x: np.ndarray
     q_t: np.ndarray
@@ -95,6 +103,23 @@ class IBSolution:
     n_iter: int
     stationary: bool = False
     lagrangian_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    residual: float = np.nan
+
+
+class _Iterate(NamedTuple):
+    """An encoder with its marginal, decoder and their floored logs.
+
+    A sweep's output also carries its information pair and its max |Δq|.
+    """
+
+    q: np.ndarray
+    qt: np.ndarray
+    qyt: np.ndarray
+    log_qt: np.ndarray
+    log_qyt: np.ndarray
+    i_tx: float = np.nan
+    i_ty: float = np.nan
+    delta: float = np.nan
 
 
 def ib_iterate(
@@ -106,26 +131,41 @@ def ib_iterate(
 ) -> IBSolution:
     """Fixed-point iteration of the bottleneck self-consistent equations.
 
-    q(t|x) is proportional to q(t) exp(-beta KL(p(y|x) || q(y|t))), with the
-    marginal and decoder recomputed each sweep.  Encoder entries below the
-    log floor (1e-300) are set to exactly 0 after each softmax: every log
-    already reads them as 1e-300, and left in place they turn the decoder's
-    products into subnormal arithmetic.
+    The map F sends q(t|x) to q(t) exp(-beta KL(p(y|x) || q(y|t))),
+    normalized over t, with the marginal and decoder recomputed from the
+    result.  Encoder entries below the log floor (1e-300) are set to exactly
+    0 after each softmax: every log already reads them as 1e-300, and left in
+    place they turn the decoder's products into subnormal arithmetic.
 
-    The Lagrangian I(T;X) - beta I(T;Y) is tracked per sweep and is
-    nonincreasing up to numerical noise.  It comes from the sweep's own logs:
-    log q(t|x) from the softmax, and the floored log q(t) and log q(y|t) that
-    the next sweep's KL term reuses.
+    The first ``_PLAIN_SWEEPS`` (100) sweeps apply F plainly.  A beta still
+    running after them switches to SQUAREM cycles (Varadhan & Roland, Scand.
+    J. Statist. 35, 2008): from q0, q1 = F(q0) and q2 = F(q1); with
+    r = q1 - q0 and v = q2 - 2 q1 + q0, the step q0 - 2 alpha r + alpha^2 v,
+    alpha = -||r|| / ||v|| clipped to at most -1 and at least
+    -``step_max``, is clipped to nonnegative entries, its rows are
+    renormalized, and one stabilizing F follows.  The cycle keeps that result
+    only if its Lagrangian is not above q2's.  Otherwise it continues from
+    q2 and quarters ``step_max`` (at least 1); a kept step taken at
+    ``step_max`` quadruples it.  Every evaluation of F counts as a sweep.
 
-    A beta stops at the first of three events:
+    The Lagrangian I(T;X) - beta I(T;Y) of every kept iterate is traced and
+    is nonincreasing up to numerical noise.  It comes from the sweep's own
+    logs: log q(t|x) from the softmax, and the floored log q(t) and
+    log q(y|t) that the next sweep's KL term reuses.
 
-    - ``converged``: the max-abs change of q(t|x) in one sweep is below ``tol``;
-    - ``stationary``: over the last 50 sweeps (``_STATIONARY_WINDOW``), the
-      per-sweep I(T;X) and I(T;Y) each span less than 1e-9 nats
+    A beta stops at the first of three events, read off kept sweeps only,
+    so a rejected step cannot trip them:
+
+    - ``converged``: a sweep moves q(t|x) by less than ``tol`` in max-abs;
+    - ``stationary``: over the last 50 kept sweeps (``_STATIONARY_WINDOW``),
+      I(T;X) and I(T;Y) each span less than 1e-9 nats
       (``_STATIONARY_TOL``), so it never fires before sweep 50.  Near a
       cluster split q(t|x) can creep for thousands of sweeps while the
       information pair has settled;
     - neither: ``max_iter`` sweeps ran out.
+
+    ``residual`` is the max-abs change of the sweep that produced the
+    returned encoder.
     """
     if not (np.isfinite(beta) and beta > 0):
         raise ParameterError(f"beta must be finite and positive, got {beta}")
@@ -144,45 +184,76 @@ def ib_iterate(
     log_py = _log_floored(joint.p_y)
     log_floor = np.log(_Q_FLOOR)
 
-    q = np.eye(joint.n_x) if init is None else init.q_t_given_x.copy()
+    def decode(q):
+        qt, _, qyt = _decoder(q, px, pxy)
+        return _Iterate(q, qt, qyt, _log_floored(qt), _log_floored(qyt))
 
-    tx_hist, ty_hist = [], []
-    converged = stationary = False
-    qt, _, qyt = _decoder(q, px, pxy)
-    log_qt, log_qyt = _log_floored(qt), _log_floored(qyt)
-    for n_iter in range(1, max_iter + 1):
+    def sweep(it: _Iterate) -> _Iterate:
+        """F(it.q), with its information pair and max |Δq|."""
         # d[x,t] = KL(p(y|x) || q(y|t))
-        d = h_rows[:, None] - pyx @ log_qyt.T
-        q_new, log_q = _softmax(log_qt - beta * d, axis=1)
-        q_new[q_new < _Q_FLOOR] = 0.0
-        qt, qty, qyt = _decoder(q_new, px, pxy)
+        d = h_rows[:, None] - pyx @ it.log_qyt.T
+        q, log_q = _softmax(it.log_qt - beta * d, axis=1)
+        q[q < _Q_FLOOR] = 0.0
+        qt, qty, qyt = _decoder(q, px, pxy)
         log_qt, log_qyt = _log_floored(qt), _log_floored(qyt)
         # sum_x p(x) q(t|x) ln(q(t|x) / q(t)) and sum_t q(t) q(y|t) ln(q(y|t) / p(y))
-        i_tx = np.vdot(px[:, None] * q_new, np.maximum(log_q, log_floor) - log_qt)
+        i_tx = np.vdot(px[:, None] * q, np.maximum(log_q, log_floor) - log_qt)
         i_ty = np.vdot(qty, log_qyt - log_py)
-        tx_hist.append(float(i_tx))
-        ty_hist.append(float(i_ty))
+        delta = np.abs(q - it.q).max()
+        return _Iterate(q, qt, qyt, log_qt, log_qyt, float(i_tx), float(i_ty), delta)
 
-        delta = np.abs(q_new - q).max()
-        q = q_new
-        if delta < tol:
-            converged = True
-            break
-        if n_iter >= _STATIONARY_WINDOW and _spans_less(tx_hist) and _spans_less(ty_hist):
-            stationary = True
-            break
+    tx_hist, ty_hist = [], []
+
+    def keep(it: _Iterate) -> str:
+        """Record a kept sweep; the stop event it trips, if any."""
+        tx_hist.append(it.i_tx)
+        ty_hist.append(it.i_ty)
+        if it.delta < tol:
+            return "converged"
+        if len(tx_hist) >= _STATIONARY_WINDOW and _spans_less(tx_hist) and _spans_less(ty_hist):
+            return "stationary"
+        return ""
+
+    cur = decode(np.eye(joint.n_x) if init is None else init.q_t_given_x.copy())
+    n_iter, stop, step_max, cycle = 0, "", 1.0, []
+    while not stop and n_iter < max_iter:
+        if n_iter >= _PLAIN_SWEEPS:
+            cycle.append(cur.q)
+        cur = sweep(cur)
+        n_iter += 1
+        stop = keep(cur)
+        if len(cycle) < 2 or stop or n_iter == max_iter:
+            continue
+        (q0, q1), cycle = cycle, []
+        r = q1 - q0
+        v = cur.q - 2.0 * q1 + q0
+        sr, sv = np.linalg.norm(r), np.linalg.norm(v)
+        alpha = -min(step_max, max(1.0, sr / sv if sv > 0 else np.inf))
+        if alpha < -1.0:  # at alpha = -1 the step lands on q2
+            q = np.maximum(q0 - 2.0 * alpha * r + alpha * alpha * v, 0.0)
+            q /= q.sum(axis=1, keepdims=True)
+            trial = sweep(decode(q))
+            n_iter += 1
+            if trial.i_tx - beta * trial.i_ty > cur.i_tx - beta * cur.i_ty:
+                step_max = max(1.0, step_max / _STEP_FACTOR)
+                continue
+            cur = trial
+            stop = keep(cur)
+        if alpha == -step_max:
+            step_max *= _STEP_FACTOR
 
     return IBSolution(
-        q_t_given_x=q,
-        q_t=qt,
-        q_y_given_t=qyt,
+        q_t_given_x=cur.q,
+        q_t=cur.qt,
+        q_y_given_t=cur.qyt,
         beta=float(beta),
-        i_tx=_mi_rows(px, q, qt),
-        i_ty=_mi_rows(qt, qyt, joint.p_y),
-        converged=converged,
+        i_tx=_mi_rows(px, cur.q, cur.qt),
+        i_ty=_mi_rows(cur.qt, cur.qyt, joint.p_y),
+        converged=stop == "converged",
         n_iter=n_iter,
-        stationary=stationary,
+        stationary=stop == "stationary",
         lagrangian_trace=np.asarray(tx_hist) - beta * np.asarray(ty_hist),
+        residual=float(cur.delta),
     )
 
 

@@ -405,9 +405,12 @@ class TestCurve:
             "sweeps": sum(sol.n_iter for sol in diag["solutions"]),
             "stationary_betas": sum(sol.stationary for sol in diag["solutions"]),
             "unconverged_betas": sum(not (sol.converged or sol.stationary) for sol in diag["solutions"]),
+            "max_residual": max(sol.residual for sol in diag["solutions"]),
             "lifted_points": diag["lifted_points"].tolist(),
         }
         assert manifest["reference_solver"]["sweeps"] >= 60
+        assert manifest["reference_solver"]["unconverged_betas"] == 0
+        assert 0.0 <= manifest["reference_solver"]["max_residual"] < 1.0
         assert manifest["reference_pmf_mi_nats"] == pmf.mutual_information()
 
     def test_no_reference_on_csv_input(self, sample_csv, tmp_path):

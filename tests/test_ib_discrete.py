@@ -15,8 +15,8 @@ from gaussbound import (
     quadrature_discretize,
     reverse_anneal,
 )
-from gaussbound import ib_discrete
 from gaussbound.ib_discrete import (
+    _PLAIN_SWEEPS,
     _STATIONARY_TOL,
     _STATIONARY_WINDOW,
     _mi_rows,
@@ -108,6 +108,36 @@ def reference_sweep(joint: JointPmf, beta: float, q=None, tol=1e-9, max_iter=300
     return q, _mi_rows(px, q, qt), _mi_rows(qt, qyt, joint.p_y), n_iter, trace, flushed
 
 
+def assert_matches_plain(joint: JointPmf, solutions, check_trace=False):
+    """Each beta of a warm-started run against ``reference_sweep`` from the same start.
+
+    A beta the reference stops within ``_PLAIN_SWEEPS`` sweeps runs the same
+    sweeps: the same count and, to rounding, the same information pair (and
+    Lagrangian trace).  Any other beta is accelerated; it must sit within
+    1e-9 nats in Lagrangian, and 1e-6 nats in I_TX and I_TY, of the reference
+    run for up to 30,000 sweeps.  Returns the accelerated betas' indices.
+    """
+    accelerated = []
+    q = None
+    for k, sol in enumerate(solutions):
+        _, i_tx, i_ty, n_iter, trace, _ = reference_sweep(joint, sol.beta, q)
+        if n_iter <= _PLAIN_SWEEPS:
+            assert sol.n_iter == n_iter
+            assert abs(sol.i_tx - i_tx) <= 1e-12
+            assert abs(sol.i_ty - i_ty) <= 1e-12
+            if check_trace:
+                assert np.max(np.abs(sol.lagrangian_trace - trace)) <= 1e-12
+        else:
+            _, i_tx, i_ty, _, _, _ = reference_sweep(joint, sol.beta, q, max_iter=30_000)
+            lagrangian = sol.i_tx - sol.beta * sol.i_ty
+            assert abs(lagrangian - (i_tx - sol.beta * i_ty)) <= 1e-9
+            assert abs(sol.i_tx - i_tx) <= 1e-6
+            assert abs(sol.i_ty - i_ty) <= 1e-6
+            accelerated.append(k)
+        q = sol.q_t_given_x
+    return accelerated
+
+
 def dead_cluster_case():
     """Duplicated x rows, and a start encoder with one pooled and two empty clusters.
 
@@ -147,6 +177,15 @@ class TestIbIterate:
         rng = np.random.default_rng(1)
         pmf = JointPmf(rng.random((6, 5)))
         sol = ib_iterate(pmf, beta=3.0)
+        assert np.all(np.diff(sol.lagrangian_trace) <= 1e-9)
+        # an accelerated beta traces only the iterates it keeps: beta = 16.18
+        # of the random-6x5 anneal, which takes 1,145 plain sweeps
+        pmf = JointPmf(np.random.default_rng(11).random((6, 5)))
+        _, diag = reverse_anneal(pmf, beta_schedule=np.logspace(2.3, -0.1, 12))
+        sol = diag["solutions"][5]
+        assert round(sol.beta, 2) == 16.18
+        assert _PLAIN_SWEEPS < sol.n_iter < 1145 and sol.converged
+        assert len(sol.lagrangian_trace) <= sol.n_iter
         assert np.all(np.diff(sol.lagrangian_trace) <= 1e-9)
 
     def test_dpi_against_pmf_mi(self):
@@ -190,16 +229,10 @@ class TestIbIterate:
         ids=["symmetric-2x2", "random-6x5", "gm1d-m16"],
     )
     def test_matches_reference_sweep(self, pmf):
-        # a warm-started 12-beta reverse schedule: same sweep counts, same
-        # information pair and Lagrangian trace to rounding
+        # a warm-started 12-beta reverse schedule: the plain betas run the
+        # reference's sweeps, and the accelerated ones land on its long run
         _, diag = reverse_anneal(pmf, beta_schedule=np.logspace(2.3, -0.1, 12))
-        q = None
-        for sol in diag["solutions"]:
-            q, i_tx, i_ty, n_iter, trace, _ = reference_sweep(pmf, sol.beta, q)
-            assert sol.n_iter == n_iter
-            assert abs(sol.i_tx - i_tx) <= 1e-12
-            assert abs(sol.i_ty - i_ty) <= 1e-12
-            assert np.max(np.abs(sol.lagrangian_trace - trace)) <= 1e-12
+        assert_matches_plain(pmf, diag["solutions"], check_trace=True)
 
     def test_dead_clusters(self):
         # at beta = 1e3 the pooled mixture's weight underflows to 0
@@ -255,32 +288,27 @@ class TestFlushAndStop:
 
     def test_design_point_matches_reference_sweep(self, design_point_anneal):
         # the default 60-beta anneal, where betas near the cluster splits stop
-        # as stationary: the same sweep counts as the reference, and the same
-        # information pair to rounding
+        # as stationary or are accelerated
         pmf, diag = design_point_anneal
         assert any(sol.stationary for sol in diag["solutions"])
-        q = None
-        for sol in diag["solutions"]:
-            q, i_tx, i_ty, n_iter, _, _ = reference_sweep(pmf, sol.beta, q)
-            assert sol.n_iter == n_iter
-            assert abs(sol.i_tx - i_tx) <= 1e-12
-            assert abs(sol.i_ty - i_ty) <= 1e-12
+        assert assert_matches_plain(pmf, diag["solutions"])
 
     @pytest.mark.parametrize("beta", [1.69, 1.54])
-    def test_cluster_split_betas_stop_stationary(self, design_point_anneal, beta, monkeypatch):
+    def test_cluster_split_betas_stop_stationary(self, design_point_anneal, beta):
+        # accelerated, these betas still stop as stationary, well under the
+        # 2,250 sweeps once allowed and under the plain iteration's count from
+        # the same start (2,047 and 476 sweeps)
         pmf, diag = design_point_anneal
         sols = diag["solutions"]
         k = next(i for i, sol in enumerate(sols) if round(sol.beta, 2) == beta)
         sol = sols[k]
         assert sol.stationary and not sol.converged
-        assert _STATIONARY_WINDOW <= sol.n_iter <= 2250  # 3000 without the stop
-        # the same warm start without the stop runs out its sweeps, and ends
-        # within 1e-6 nats of where the stop left it
-        monkeypatch.setattr(ib_discrete, "_STATIONARY_WINDOW", 10**9)
-        full = ib_iterate(pmf, sol.beta, init=sols[k - 1])
-        assert full.n_iter == 3000 and not (full.converged or full.stationary)
-        assert abs(full.i_tx - sol.i_tx) <= 1e-6
-        assert abs(full.i_ty - sol.i_ty) <= 1e-6
+        # and they end where the plain iteration does, given 30,000 sweeps
+        _, i_tx, i_ty, n_plain, _, _ = reference_sweep(pmf, sol.beta, sols[k - 1].q_t_given_x, max_iter=30_000)
+        assert sol.n_iter <= 750 and sol.n_iter < n_plain
+        assert abs((sol.i_tx - sol.beta * sol.i_ty) - (i_tx - sol.beta * i_ty)) <= 1e-9
+        assert abs(sol.i_tx - i_tx) <= 1e-6
+        assert abs(sol.i_ty - i_ty) <= 1e-6
 
     def test_stop_never_fires_before_window(self, design_point_anneal):
         # restarted at its own fixed point with a tolerance no sweep can meet,
@@ -316,6 +344,47 @@ class TestFlushAndStop:
     def test_bad_max_iter_rejected(self, max_iter):
         with pytest.raises(ParameterError, match="max_iter"):
             ib_iterate(symmetric_2x2(0.1), beta=2.0, max_iter=max_iter)
+
+
+class TestAcceleration:
+    @pytest.fixture(scope="class")
+    def random_anneal(self):
+        pmf = JointPmf(np.random.default_rng(11).random((6, 5)))
+        _, diag = reverse_anneal(pmf, beta_schedule=np.logspace(2.3, -0.1, 12))
+        return pmf, diag["solutions"]
+
+    def test_residual_is_the_last_sweeps_change(self, random_anneal):
+        pmf = JointPmf(np.random.default_rng(1).random((6, 5)))
+        a = ib_iterate(pmf, 3.0, max_iter=10)
+        b = ib_iterate(pmf, 3.0, max_iter=11)
+        assert b.residual == np.abs(b.q_t_given_x - a.q_t_given_x).max()
+        _, sols = random_anneal
+        assert all(sol.converged and sol.residual < 1e-9 for sol in sols)
+
+    @pytest.mark.parametrize("max_iter", [_PLAIN_SWEEPS + 1, _PLAIN_SWEEPS + 2, 150, 151, 152])
+    def test_every_sweep_counts_against_max_iter(self, random_anneal, max_iter):
+        # beta = 16.18 is accelerated; a cut anywhere in a cycle spends
+        # exactly the budget, extrapolated and rejected steps included
+        pmf, sols = random_anneal
+        sol = ib_iterate(pmf, sols[5].beta, init=sols[4], max_iter=max_iter)
+        assert sol.n_iter == max_iter and not (sol.converged or sol.stationary)
+        assert len(sol.lagrangian_trace) <= max_iter
+        assert sol.residual > 1e-9
+
+    def test_slowest_design_point_converges(self):
+        # gm1d m = 32 at (9.25, 0.09): plainly, beta = 1.277 runs out its
+        # 3,000 sweeps 2.4e-3 nats off in I_TX
+        pmf, _ = quadrature_discretize(Gm1dModel(9.25, 0.09), m=32)
+        _, diag = reverse_anneal(pmf)
+        assert np.all(diag["converged"] | diag["stationary"])
+        sols = diag["solutions"]
+        k = next(i for i, sol in enumerate(sols) if round(sol.beta, 3) == 1.277)
+        sol = sols[k]
+        _, i_tx, i_ty, n_iter, _, _ = reference_sweep(pmf, sol.beta, sols[k - 1].q_t_given_x, max_iter=30_000)
+        assert 3000 < n_iter < 30_000
+        assert abs((sol.i_tx - sol.beta * sol.i_ty) - (i_tx - sol.beta * i_ty)) <= 1e-9
+        assert abs(sol.i_tx - i_tx) <= 1e-6
+        assert abs(sol.i_ty - i_ty) <= 1e-6
 
 
 class TestReverseAnneal:
