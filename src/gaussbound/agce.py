@@ -12,6 +12,7 @@ across optima.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,15 +42,25 @@ class FittedTransform:
 
     Stores the smoother built on the training block, the response values it
     regresses, and the monotone map fitted on the in-sample regression
-    values, so the transform can be evaluated on new points.
+    values, so the transform can be evaluated on new points.  A k-NN
+    transform keeps its response's window sums from its first call on, so a
+    call on a 1-D block sorts and sums nothing of the training sample.
     """
 
     smoother: KnnSmoother | KernelSmoother
     z_values: np.ndarray
     map: MonotoneMap
 
+    @cached_property
+    def _sums(self):
+        # made on the first call, not at construction: agce_step builds one
+        # transform per half-step and discards nearly all of them
+        return self.smoother.window_sums(self.z_values)
+
     def __call__(self, x_new):
-        return self.map(self.smoother.predict(x_new, self.z_values))
+        if isinstance(self.smoother, KernelSmoother):
+            return self.map(self.smoother.predict(x_new, self.z_values))
+        return self.map(self.smoother.predict(x_new, self.z_values, _sums=self._sums))
 
 
 @dataclass

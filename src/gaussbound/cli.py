@@ -88,33 +88,53 @@ def read_samples_csv(path: str) -> PairedSamples:
             f"{path}: line 1: header must be x0..x{{dx-1}},y0..y{{dy-1}}, got {lines[0]!r}",
             EXIT_CONFIG,
         )
+    arr = _parse_body(lines[1:], d_x + d_y)
+    if arr is None:
+        arr = _parse_lines(path, lines[1:], d_x + d_y)
+    if arr.shape[0] < 2:
+        raise CliError(f"{path}: need at least 2 data rows", EXIT_CONFIG)
+    return PairedSamples(arr[:, :d_x], arr[:, d_x:])
+
+
+def _parse_body(body: list[str], d: int) -> np.ndarray | None:
+    """The data lines as an (n, d) array in one numpy parse, which calls
+    ``float`` on each field; None if a line is blank, has the wrong column
+    count, or holds a bad or non-finite value."""
+    if not all(line.count(",") == d - 1 for line in body):
+        return None  # d >= 2, so this also catches blank lines
+    try:
+        arr = np.array(",".join(body).split(","), dtype=float)
+    except ValueError:
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    return arr.reshape(len(body), d)
+
+
+def _parse_lines(path: str, body: list[str], d: int) -> np.ndarray:
+    """The data lines parsed one at a time, skipping blank ones; raises at
+    the first bad line with its line number."""
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != d_x + d_y:
-            raise CliError(
-                f"{path}: line {lineno}: expected {d_x + d_y} columns, got {len(parts)}",
-                EXIT_CONFIG,
-            )
+        if len(parts) != d:
+            raise CliError(f"{path}: line {lineno}: expected {d} columns, got {len(parts)}", EXIT_CONFIG)
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise CliError(f"{path}: line {lineno}: {exc}", EXIT_CONFIG) from exc
         if not all(map(math.isfinite, rows[-1])):
             raise CliError(f"{path}: line {lineno}: non-finite value", EXIT_CONFIG)
-    if len(rows) < 2:
-        raise CliError(f"{path}: need at least 2 data rows", EXIT_CONFIG)
-    arr = np.asarray(rows)
-    return PairedSamples(arr[:, :d_x], arr[:, d_x:])
+    return np.asarray(rows)
 
 
 def write_samples_csv(path: Path, samples: PairedSamples) -> None:
     header = _expected_header(samples.d_x, samples.d_y)
-    data = np.hstack([samples.x, samples.y])
+    data = np.hstack([samples.x, samples.y]).tolist()  # Python floats, whose repr is the text
     lines = [header]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in data)
+    lines.extend(",".join(map(repr, row)) for row in data)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -6,15 +6,19 @@ and reused across the many response vectors an alternating fit produces)
 and a Nadaraya-Watson smoother with Gaussian weights.
 
 A point's k nearest neighbors in a 1-D block are a window of the sorted
-sample, so the block keeps its sort order and window starts, and ``smooth``
-and ``predict`` sum windows instead of gathering an (n, k) table.  All
-windows of one width share numpy's pairwise summation tree, so their sums
-take one vector add per tree node, O(n log k), and equal numpy's row sums
-bit for bit.  Wider blocks keep the table, from a kd-tree (Friedman,
-Bentley & Finkel, 1977).  Either way a row whose k-th neighbor is tied is
-re-selected over its full distance row, so tied data can still cost
-O(n^2 d).  ``predict`` takes only finite query points.
-``PairedSamples.smoothers`` memoizes the built pair per ``SmootherConfig``.
+sample, so the block sorts its sample once and keeps that sort and its
+window starts, and ``smooth`` and ``predict`` sum windows instead of
+gathering an (n, k) table.  ``predict`` reuses the sort: a query costs one
+binary search.  All windows of one width share numpy's pairwise summation
+tree, so their sums take one vector add per tree node, O(n log k), and
+equal numpy's row sums bit for bit; a caller that predicts one response
+many times keeps its ``window_sums``, as a fitted transform does from its
+first call on.  Wider blocks keep the table, from a kd-tree (Friedman,
+Bentley & Finkel, 1977), which ``predict`` rebuilds per call.  Either way
+a row whose k-th neighbor is tied is re-selected over its full distance
+row, so tied data can still cost O(n^2 d).  ``predict`` takes only finite
+query points.  ``PairedSamples.smoothers`` memoizes the built pair per
+``SmootherConfig``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 
@@ -115,36 +118,50 @@ def _reselect(rows: np.ndarray, distances, n: int, k: int, self_query: bool) -> 
     return out
 
 
-def _windows_1d(x: np.ndarray, q: np.ndarray, k: int, self_query: bool):
-    """``(order, lo, tied, rows)``: exact k nearest of queries q in the 1-D sample x.
+class _SortedSample:
+    """The build half of the 1-D k-nearest search: a sample's sort, once.
 
-    Query i's neighbors are the sorted window ``order[lo[i]:lo[i] + k]``,
-    unless i is in ``tied``; those queries' (distance, index) rows are
-    ``rows``.  The k nearest points of q form a window [l, l + k) of the
-    sorted sample.  The window moves right past l while xs[l + k] is
-    strictly nearer than xs[l], i.e. while xs[l] + xs[l + k] < 2 q, and that
-    sum is nondecreasing in l, so one searchsorted finds l.  A query whose
-    nearest outside point is no farther than the window radius has a tied
-    boundary and is re-selected over its full row.  With ``self_query`` the
-    queries are x itself and each point wins every tie at distance 0 to
-    itself; a window can miss its own point only when the window is all
-    copies of that value, so the point is an outside one at distance 0 and
-    the row is re-selected.
+    It keeps the stable sort order, the centre (a sample value, as in
+    ``sq_distances``), the pair sums ``xs[l] + xs[l + k]`` of the centred
+    sorted sample xs that place a window, and xs padded with -inf and inf,
+    so ``ends[l + 1]`` is xs[l].  ``windows`` is the query half.
     """
-    n = x.size
-    order = np.argsort(x, kind="stable")
-    centre = x[order[(n - 1) // 2]]  # a sample value, as in sq_distances
-    xc = x - centre
-    xs = xc[order]
-    qc = q - centre
-    lo = np.searchsorted(xs[: n - k] + xs[k:], 2.0 * qc)
-    radius = np.maximum(qc - xs[lo], xs[lo + k - 1] - qc)
-    # the nearest outside points; ends[l + 1] is xs[l], padded with -inf and inf
-    ends = np.concatenate([[-np.inf], xs, [np.inf]])
-    gap = np.minimum(qc - ends[lo], ends[lo + k + 1] - qc)
-    tied = np.flatnonzero(gap <= radius)
-    rows = _reselect(tied, lambda r: np.abs(xc[None, :] - qc[r, None]), n, k, self_query)
-    return order, lo, tied, rows
+
+    def __init__(self, x: np.ndarray, k: int):
+        n = x.size
+        self.x, self.k = x, k
+        self.order = np.argsort(x, kind="stable")
+        self.centre = x[self.order[(n - 1) // 2]]
+        xs = x[self.order] - self.centre
+        self.pairs = xs[: n - k] + xs[k:]
+        self.ends = np.concatenate([[-np.inf], xs, [np.inf]])
+
+    def windows(self, q: np.ndarray, self_query: bool):
+        """``(lo, tied, rows)``: the exact k nearest of queries q in the sample.
+
+        Query i's neighbors are the sorted window ``order[lo[i]:lo[i] + k]``,
+        unless i is in ``tied``; those queries' (distance, index) rows are
+        ``rows``.  The k nearest points of q form a window [l, l + k) of the
+        sorted sample.  The window moves right past l while xs[l + k] is
+        strictly nearer than xs[l], i.e. while xs[l] + xs[l + k] < 2 q, and
+        that sum is nondecreasing in l, so one searchsorted finds l.  A query
+        whose nearest outside point is no farther than the window radius has
+        a tied boundary and is re-selected over its full row.  With
+        ``self_query`` the queries are x itself and each point wins every tie
+        at distance 0 to itself; a window can miss its own point only when
+        the window is all copies of that value, so the point is an outside
+        one at distance 0 and the row is re-selected.
+        """
+        n, k, ends = self.x.size, self.k, self.ends
+        qc = q - self.centre
+        lo = np.searchsorted(self.pairs, 2.0 * qc)
+        radius = np.maximum(qc - ends[lo + 1], ends[lo + k] - qc)
+        gap = np.minimum(qc - ends[lo], ends[lo + k + 1] - qc)
+        tied = np.flatnonzero(gap <= radius)
+        rows = _reselect(
+            tied, lambda r: np.abs((self.x - self.centre)[None, :] - qc[r, None]), n, k, self_query
+        )
+        return lo, tied, rows
 
 
 def _pairwise_split(width: int) -> int:
@@ -200,17 +217,17 @@ def _window_sums(p: np.ndarray, k: int) -> np.ndarray:
     return sums[k] + 0.0
 
 
-def _window_means(z: np.ndarray, windows) -> np.ndarray:
-    """Mean of z over each query's ``_windows_1d`` neighbors.
+def _window_means(sums: np.ndarray, z: np.ndarray, windows) -> np.ndarray:
+    """Mean of z over each query's ``_SortedSample.windows`` neighbors.
 
-    A window sums the same values in the same order as its table row
-    (``_window_sums``), so this equals the table gather's mean bit for bit.
+    ``sums`` holds z's sum over every sorted window.  A window sums the same
+    values in the same order as its table row (``_window_sums``), so this
+    equals the table gather's mean bit for bit.
     """
-    order, lo, tied, rows = windows
-    k = rows.shape[1]
-    sums = _window_sums(z[order], k)[lo]
-    sums[tied] = z[rows].sum(axis=1)
-    return sums / k
+    lo, tied, rows = windows
+    out = sums[lo]
+    out[tied] = z[rows].sum(axis=1)
+    return out / rows.shape[1]
 
 
 def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
@@ -222,6 +239,8 @@ def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndar
     self-first rule of ``self_query``: a point's copies at distance 0 either
     all fit in its k nearest, itself included, or tie at the boundary.
     """
+    from scipy.spatial import cKDTree  # about 0.1 s of import that 1-D runs skip
+
     n, m = x.shape[0], q.shape[0]
     tree = cKDTree(x)
     idx = np.empty((m, k), dtype=np.intp)
@@ -250,8 +269,9 @@ def knn_indices(x_block, k: int) -> np.ndarray:
     x = as_block(x_block)
     if x.shape[1] > 1:
         return _knn_tree(x, x, k, self_query=True)
-    order, lo, tied, rows = _windows_1d(x[:, 0], x[:, 0], k, self_query=True)
-    idx = order[lo[:, None] + np.arange(k)]
+    sample = _SortedSample(x[:, 0], k)
+    lo, tied, rows = sample.windows(x[:, 0], self_query=True)
+    idx = sample.order[lo[:, None] + np.arange(k)]
     idx[tied] = rows
     return idx
 
@@ -268,28 +288,43 @@ class KnnSmoother:
         self.k = default_knn_k(self.n) if k is None else int(k)
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"k = {self.k} is outside [1, n = {self.n}]")
-        self._windows = None
+        self._sorted = None
         if self.x.shape[1] == 1:
-            self._windows = _windows_1d(self.x[:, 0], self.x[:, 0], self.k, self_query=True)
-            self.neighbors = self._windows[3]
+            self._sorted = _SortedSample(self.x[:, 0], self.k)
+            self._windows = self._sorted.windows(self.x[:, 0], self_query=True)
+            self.neighbors = self._windows[2]
         else:
             self.neighbors = knn_indices(self.x, self.k)
+
+    def window_sums(self, z) -> np.ndarray | None:
+        """z's sum over every sorted window of a 1-D block; None for a wider block.
+
+        These are what ``smooth`` and ``predict`` gather from.
+        """
+        if self._sorted is None:
+            return None
+        return _window_sums(np.asarray(z, dtype=float).ravel()[self._sorted.order], self.k)
 
     def smooth(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).ravel()
         if z.size != self.n:
             raise ParameterError("response length does not match the fitted block")
-        if self._windows is None:
+        if self._sorted is None:
             return z[self.neighbors].mean(axis=1)
-        return _window_means(z, self._windows)
+        return _window_means(self.window_sums(z), z, self._windows)
 
-    def predict(self, x_new, z) -> np.ndarray:
-        """k-NN regression of z at new query points (no self handling)."""
+    def predict(self, x_new, z, *, _sums=None) -> np.ndarray:
+        """k-NN regression of z at new query points (no self handling).
+
+        A caller that predicts one response many times passes its
+        ``window_sums`` as ``_sums``; a 1-D call then sorts and sums nothing.
+        """
         z = np.asarray(z, dtype=float).ravel()
         q = _query_block(x_new, self.x.shape[1])
-        if self._windows is None:
+        if self._sorted is None:
             return z[_knn_tree(self.x, q, self.k, self_query=False)].mean(axis=1)
-        return _window_means(z, _windows_1d(self.x[:, 0], q[:, 0], self.k, self_query=False))
+        sums = self.window_sums(z) if _sums is None else _sums
+        return _window_means(sums, z, self._sorted.windows(q[:, 0], self_query=False))
 
 
 class KernelSmoother:

@@ -16,6 +16,7 @@ from gaussbound import (
     naive_lower_1d,
     offshelf_lower_1d,
 )
+from gaussbound import smoother
 from gaussbound.agce import FittedTransform, pair_bound_nats
 from gaussbound.cca_ace import ace_fit, ace_upper_bound
 from gaussbound.stats_core import NATS_PER_BIT, rank_quantile_grid
@@ -155,6 +156,55 @@ class TestAgceFit1d:
         rho = ace_fit(samples, k=1).rho
         for pair in (agce_fit_1d(samples, n_restarts=2, seed=5), offshelf_lower_1d(samples, seed=5)):
             assert np.array_equal(pair.ace.rho, rho)
+
+
+class TestFittedTransformCalls:
+    """A fitted transform sums its response's windows once, on its first call."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        calls = {"sorts": 0, "window_sums": 0}
+        build, sums = smoother._SortedSample.__init__, smoother._window_sums
+
+        def counting_build(sample, x, k):
+            calls["sorts"] += 1
+            build(sample, x, k)
+
+        def counting_sums(p, k):
+            calls["window_sums"] += 1
+            return sums(p, k)
+
+        monkeypatch.setattr(smoother._SortedSample, "__init__", counting_build)
+        monkeypatch.setattr(smoother, "_window_sums", counting_sums)
+        return calls
+
+    def test_first_call_sums_later_calls_reuse(self, counts):
+        samples = gm1d_sample(800, 10, 0.1, seed=31).samples
+        pair = agce_fit_1d(samples, n_restarts=2, seed=32)
+        before = dict(counts)
+        grid = np.linspace(-12.0, 12.0, 101)
+        first = pair.phi(grid), pair.psi(grid)
+        assert counts == {"sorts": before["sorts"], "window_sums": before["window_sums"] + 2}
+        for _ in range(3):
+            again = pair.phi(grid), pair.psi(grid)
+            for a, b in zip(first, again):
+                assert a.tobytes() == b.tobytes()
+        assert counts == {"sorts": before["sorts"], "window_sums": before["window_sums"] + 2}
+
+    def test_equals_an_uncached_predict(self):
+        samples = gm1d_sample(600, 10, 0.1, seed=33).samples
+        pair = offshelf_lower_1d(samples, seed=34)
+        q = np.random.default_rng(35).normal(0.0, 6.0, 257)
+        for t in (pair.phi, pair.psi):
+            expected = t.map(t.smoother.predict(q, t.z_values))
+            assert t(q).tobytes() == expected.tobytes()
+
+    def test_kernel_transform(self):
+        samples = gm1d_sample(300, 10, 0.1, seed=36).samples
+        pair = offshelf_lower_1d(samples, SmootherConfig(kind="kernel", bandwidth=0.5), seed=37)
+        q = np.linspace(-8.0, 8.0, 33)
+        expected = pair.phi.map(pair.phi.smoother.predict(q, pair.phi.z_values))
+        assert pair.phi(q).tobytes() == expected.tobytes()
 
 
 class TestOffshelfAndNaive:

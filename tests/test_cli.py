@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussbound import (
     agce_fit_1d,
@@ -28,10 +30,15 @@ from gaussbound.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     METHODS,
+    CliError,
+    _parse_body,
+    _parse_lines,
     main,
+    read_samples_csv,
+    write_samples_csv,
 )
 from gaussbound.models import Gm1dModel
-from gaussbound.stats_core import NATS_PER_BIT
+from gaussbound.stats_core import NATS_PER_BIT, PairedSamples
 
 
 def run_cli(args):
@@ -84,6 +91,16 @@ class TestGen:
         assert meta["schema"] == 1
         assert abs(meta["true_mi_bits"] - 1.0) <= 1e-9
         assert meta["scramble"]["mirror"] == [-1.0, 1.0]
+
+    def test_write_matches_per_value_repr(self, tmp_path):
+        # the writer formats whole rows of Python floats; the text must be what
+        # repr(float(v)) gave value by value
+        x = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 3.0], [-2.0, 0.1], [1e16, -1e-300]])
+        y = np.array([7.0, -0.0, 2.0**53, -1.7976931348623157e308])
+        path = tmp_path / "w.csv"
+        write_samples_csv(path, PairedSamples(x, y))
+        rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.hstack([x, y[:, None]]))
+        assert path.read_bytes() == ("x0,x1,y0\n" + rows).encode()
 
     def test_unwritable_path(self, sample_csv):
         # a path below an existing *file* cannot be created
@@ -236,7 +253,60 @@ class TestBound:
             assert r["lower_bound_nats"] <= r["ace_upper_bound_nats"] + 0.02
 
 
+_GOOD_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["-0", "+.5", "5.", "1_000", " 2.5", "3 ", "\t-1e-3", "\uff11\uff12", "5e-324", "1e308"]),
+)
+_BAD_FIELDS = st.sampled_from(["", "oops", "nan", "-inf", "1e400", "0x10", "1__0"])
+
+
+@st.composite
+def csv_bodies(draw):
+    """Data lines of d columns, sometimes with one blank line, wrong column
+    count or bad field."""
+    d = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(_GOOD_FIELDS, min_size=d, max_size=d), max_size=12))
+    lines = [",".join(row) for row in rows]
+    defect = draw(st.sampled_from([None, None, "blank", "columns", "field"]))
+    if defect is not None:
+        at = draw(st.integers(0, len(lines)))
+        fields = draw(st.lists(_GOOD_FIELDS, min_size=d, max_size=d))
+        if defect == "blank":
+            line = draw(st.sampled_from(["", "  "]))
+        elif defect == "columns":
+            line = ",".join((fields * 2)[: draw(st.sampled_from([1, d - 1, d + 1]))])
+        else:
+            fields[draw(st.integers(0, d - 1))] = draw(_BAD_FIELDS)
+            line = ",".join(fields)
+        lines.insert(at, line)
+    return lines, d
+
+
 class TestCsvValidation:
+    @given(csv_bodies())
+    @settings(max_examples=200, deadline=None)
+    def test_one_parse_equals_the_per_line_parse(self, case):
+        lines, d = case
+        try:
+            slow = _parse_lines("s.csv", lines, d)
+        except CliError:
+            slow = None
+        fast = _parse_body(lines, d)
+        if fast is None:
+            # the per-line parse then raises its message, or skips blank lines
+            assert slow is None or not lines or any(not line.strip() for line in lines)
+        else:
+            assert slow is not None and slow.shape == fast.shape == (len(lines), d)
+            assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("x0,y0\n1.0,2.0\n\n  \n-0,3\n")
+        samples = read_samples_csv(str(path))
+        data = np.hstack([samples.x, samples.y])
+        assert np.array_equal(data.view(np.int64), np.array([[1.0, 2.0], [-0.0, 3.0]]).view(np.int64))
+
     def test_bad_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -621,3 +691,8 @@ def test_cli_import_leaves_out_scipy_stats():
 def test_cli_import_leaves_out_scipy_integrate():
     # scipy.integrate costs about 0.2 s of import; only the numeric gm1d MI uses it
     assert not _imported_by_cli("scipy.integrate")
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    # scipy.spatial costs about 0.1 s of import; only d > 1 kNN smoothers use it
+    assert not _imported_by_cli("scipy.spatial")

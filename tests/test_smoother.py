@@ -17,7 +17,8 @@ from gaussbound import (
     ParameterError,
     ace_fit,
 )
-from gaussbound.smoother import SmootherConfig, _window_sums, default_knn_k, knn_indices
+from gaussbound import smoother
+from gaussbound.smoother import SmootherConfig, _reselect, _window_sums, default_knn_k, knn_indices
 
 
 def brute_force_neighbors(x, k, queries=None):
@@ -140,25 +141,131 @@ class TestWindowSums:
         assert np.array_equal(_window_sums(z, k).view(np.int64), expected.view(np.int64))
 
     def test_smooth_leaves_no_garbage_for_the_collector(self):
-        # with the collector off, memory held by a reference cycle per call
-        # (say, a self-referencing closure) would pile up
         rng = np.random.default_rng(17)
         x, z = rng.standard_normal(10_000), rng.standard_normal(10_000)
         sm = KnnSmoother(x)
         sm.smooth(z)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(50):
-                sm.smooth(z)
-            growth = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-            if was_enabled:
-                gc.enable()
-        assert growth < 2e6
+        assert growth_with_collector_off(lambda: sm.smooth(z)) < 2e6
+
+
+def growth_with_collector_off(call, times=50):
+    """Traced memory growth over ``times`` calls with the collector off.
+
+    Memory held by a reference cycle per call (say, a self-referencing
+    closure) would pile up.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(times):
+            call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+
+
+def fresh_sort_predict(x, q, z, k):
+    """Reference: the 1-D ``predict`` that sorts the training sample and sums
+    its windows on every call, kept as it stood before the smoother kept its
+    sort."""
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    centre = x[order[(n - 1) // 2]]
+    xc = x - centre
+    xs = xc[order]
+    qc = q - centre
+    lo = np.searchsorted(xs[: n - k] + xs[k:], 2.0 * qc)
+    radius = np.maximum(qc - xs[lo], xs[lo + k - 1] - qc)
+    ends = np.concatenate([[-np.inf], xs, [np.inf]])
+    gap = np.minimum(qc - ends[lo], ends[lo + k + 1] - qc)
+    tied = np.flatnonzero(gap <= radius)
+    rows = _reselect(tied, lambda r: np.abs(xc[None, :] - qc[r, None]), n, k, False)
+    sums = _window_sums(z[order], k)[lo]
+    sums[tied] = z[rows].sum(axis=1)
+    return sums / k
+
+
+_CACHE_RNG = np.random.default_rng(19)
+CACHED_PREDICT_BLOCKS = {
+    "ties": _CACHE_RNG.integers(0, 6, 90).astype(float) * 0.5,
+    "duplicates": np.repeat(np.round(_CACHE_RNG.standard_normal(40) * 2.0**20) / 2.0**20, 3),
+    "integer-grid": np.arange(-30.0, 31.0),
+    "continuous": _CACHE_RNG.standard_normal(120),
+}
+
+
+def _cached_predict_cases():
+    for name, x in CACHED_PREDICT_BLOCKS.items():
+        n = x.size
+        for k in (1, 2, 17, n - 1, n):
+            yield pytest.param(x, k, id=f"{name}-k{k}")
+
+
+@pytest.mark.parametrize("x, k", list(_cached_predict_cases()))
+def test_cached_predict_equals_fresh_sort_bit_for_bit(x, k):
+    rng = np.random.default_rng(k)
+    z = rng.standard_normal(x.size) * 1e3
+    lo, hi = x.min(), x.max()
+    span = hi - lo + 1.0
+    queries = np.concatenate([
+        rng.uniform(lo, hi, 40),                            # inside the range
+        [lo - span, hi + span, lo - 1e-9, hi + 0.5],        # outside it
+        x,                                                  # on sample points
+        (x[:-1] + x[1:]) / 2.0,                             # midpoints, tied on a grid
+        np.repeat(x[:4], 3), np.repeat(rng.uniform(lo, hi, 2), 5),  # repeated
+    ])
+    sm = KnnSmoother(x, k)
+    expected = fresh_sort_predict(x, queries, z, k).view(np.int64)
+    cached = sm.window_sums(z)
+    for _ in range(2):
+        assert np.array_equal(sm.predict(queries, z, _sums=cached).view(np.int64), expected)
+    assert np.array_equal(sm.predict(queries, z).view(np.int64), expected)
+
+
+class TestSortedOnce:
+    """A 1-D smoother sorts its sample once; ``predict`` builds nothing."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        original = smoother._SortedSample.__init__
+
+        def counting(sample, x, k):
+            calls.append(x.size)
+            original(sample, x, k)
+
+        monkeypatch.setattr(smoother._SortedSample, "__init__", counting)
+        return calls
+
+    def test_one_build_per_smoother_none_per_predict(self, builds):
+        rng = np.random.default_rng(20)
+        x, z = rng.standard_normal(500), rng.standard_normal(500)
+        sm = KnnSmoother(x, 30)
+        assert builds == [500]
+        sums = sm.window_sums(z)
+        for m in (1, 7, 300):
+            sm.predict(rng.standard_normal(m), z)
+            sm.predict(rng.standard_normal(m), z, _sums=sums)
+        sm.smooth(z)
+        assert builds == [500]
+
+    def test_wider_block_builds_no_sort(self, builds):
+        sm = KnnSmoother(np.random.default_rng(21).standard_normal((50, 2)), 5)
+        assert sm.window_sums(np.zeros(50)) is None
+        assert builds == []
+
+    def test_predict_leaves_no_garbage_for_the_collector(self):
+        rng = np.random.default_rng(22)
+        x, z = rng.standard_normal(10_000), rng.standard_normal(10_000)
+        q = rng.standard_normal(10_000)
+        sm = KnnSmoother(x)
+        sums = sm.window_sums(z)
+        sm.predict(q, z, _sums=sums)
+        assert growth_with_collector_off(lambda: sm.predict(q, z, _sums=sums)) < 2e6
 
 
 _NON_FINITE_PATHS = {
