@@ -42,9 +42,15 @@ class FittedTransform:
 
     Stores the smoother built on the training block, the response values it
     regresses, and the monotone map fitted on the in-sample regression
-    values, so the transform can be evaluated on new points.  A k-NN
-    transform keeps its response's window sums from its first call on, so a
-    call on a 1-D block sorts and sums nothing of the training sample.
+    values, so the transform can be evaluated on new points.  On a 1-D k-NN
+    block the transform is a step function of the query's sorted window:
+    from its first call on it keeps the map of every window's mean, so a
+    call is one window search and one gather, and only a query whose window
+    boundary is tied is averaged and mapped on its own.  Each table entry is
+    the division and the map ``map(smoother.predict(x_new, z_values))``
+    applies, so the outputs are the same bit for bit.  The first call maps
+    all n - k + 1 windows, which costs more than mapping a small batch, so
+    the table pays off only over repeated calls on one transform.
     """
 
     smoother: KnnSmoother | KernelSmoother
@@ -52,15 +58,20 @@ class FittedTransform:
     map: MonotoneMap
 
     @cached_property
-    def _sums(self):
+    def _table(self) -> np.ndarray | None:
         # made on the first call, not at construction: agce_step builds one
         # transform per half-step and discards nearly all of them
-        return self.smoother.window_sums(self.z_values)
+        sums = self.smoother.window_sums(self.z_values)
+        return None if sums is None else self.map(sums / self.smoother.k)
 
     def __call__(self, x_new):
-        if isinstance(self.smoother, KernelSmoother):
+        if isinstance(self.smoother, KernelSmoother) or self._table is None:
             return self.map(self.smoother.predict(x_new, self.z_values))
-        return self.map(self.smoother.predict(x_new, self.z_values, _sums=self._sums))
+        lo, tied, rows = self.smoother.query_windows(x_new)
+        out = self._table[lo]
+        if tied.size:
+            out[tied] = self.map(self.z_values[rows].sum(axis=1) / self.smoother.k)
+        return out
 
 
 @dataclass

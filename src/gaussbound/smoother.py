@@ -11,10 +11,11 @@ window starts, and ``smooth`` and ``predict`` sum windows instead of
 gathering an (n, k) table.  ``predict`` reuses the sort: a query costs one
 binary search.  All windows of one width share numpy's pairwise summation
 tree, so their sums take one vector add per tree node, O(n log k), and
-equal numpy's row sums bit for bit; a caller that predicts one response
-many times keeps its ``window_sums``, as a fitted transform does from its
-first call on.  Wider blocks keep the table, from a kd-tree (Friedman,
-Bentley & Finkel, 1977), which ``predict`` rebuilds per call.  Either way
+equal numpy's row sums bit for bit.  A caller that predicts one response
+many times keeps what it needs of ``window_sums`` and gathers it at the
+``query_windows`` of each batch, as a fitted transform does.  Wider blocks
+keep the table, from a kd-tree (Friedman, Bentley & Finkel, 1977), which
+``predict`` rebuilds per call.  Either way
 a row whose k-th neighbor is tied is re-selected over its full distance
 row, so tied data can still cost O(n^2 d).  ``predict`` takes only finite
 query points.  ``PairedSamples.smoothers`` memoizes the built pair per
@@ -144,17 +145,24 @@ class _SortedSample:
         ``rows``.  The k nearest points of q form a window [l, l + k) of the
         sorted sample.  The window moves right past l while xs[l + k] is
         strictly nearer than xs[l], i.e. while xs[l] + xs[l + k] < 2 q, and
-        that sum is nondecreasing in l, so one searchsorted finds l.  A query
-        whose nearest outside point is no farther than the window radius has
-        a tied boundary and is re-selected over its full row.  With
-        ``self_query`` the queries are x itself and each point wins every tie
-        at distance 0 to itself; a window can miss its own point only when
-        the window is all copies of that value, so the point is an outside
-        one at distance 0 and the row is re-selected.
+        that sum is nondecreasing in l, so one searchsorted finds l.  It is
+        given the queries in sorted order: each binary search then narrows
+        from the last, where on unsorted queries nearly every branch is
+        mispredicted, and sorting costs less than that.  A query whose
+        nearest outside point is no farther than the window radius has a
+        tied boundary and is re-selected over its full row.  With
+        ``self_query`` the queries are x itself, already sorted by ``order``,
+        and each point wins every tie at distance 0 to itself; a window can
+        miss its own point only when the window is all copies of that value,
+        so the point is an outside one at distance 0 and the row is
+        re-selected.
         """
         n, k, ends = self.x.size, self.k, self.ends
         qc = q - self.centre
-        lo = np.searchsorted(self.pairs, 2.0 * qc)
+        key = 2.0 * qc
+        at = self.order if self_query else np.argsort(key)
+        lo = np.empty(q.size, dtype=np.intp)
+        lo[at] = np.searchsorted(self.pairs, key[at])
         radius = np.maximum(qc - ends[lo + 1], ends[lo + k] - qc)
         gap = np.minimum(qc - ends[lo], ends[lo + k + 1] - qc)
         tied = np.flatnonzero(gap <= radius)
@@ -305,6 +313,15 @@ class KnnSmoother:
             return None
         return _window_sums(np.asarray(z, dtype=float).ravel()[self._sorted.order], self.k)
 
+    def query_windows(self, x_new):
+        """``(lo, tied, rows)`` of finite query points in a 1-D block.
+
+        Query i's neighbors are the sorted window that starts at ``lo[i]``,
+        whose sum is ``window_sums(z)[lo[i]]``, unless i is in ``tied``; the
+        neighbors of those queries are ``rows``.  See ``_SortedSample.windows``.
+        """
+        return self._sorted.windows(_query_block(x_new, 1)[:, 0], self_query=False)
+
     def smooth(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).ravel()
         if z.size != self.n:
@@ -313,18 +330,13 @@ class KnnSmoother:
             return z[self.neighbors].mean(axis=1)
         return _window_means(self.window_sums(z), z, self._windows)
 
-    def predict(self, x_new, z, *, _sums=None) -> np.ndarray:
-        """k-NN regression of z at new query points (no self handling).
-
-        A caller that predicts one response many times passes its
-        ``window_sums`` as ``_sums``; a 1-D call then sorts and sums nothing.
-        """
+    def predict(self, x_new, z) -> np.ndarray:
+        """k-NN regression of z at new query points (no self handling)."""
         z = np.asarray(z, dtype=float).ravel()
         q = _query_block(x_new, self.x.shape[1])
         if self._sorted is None:
             return z[_knn_tree(self.x, q, self.k, self_query=False)].mean(axis=1)
-        sums = self.window_sums(z) if _sums is None else _sums
-        return _window_means(sums, z, self._sorted.windows(q[:, 0], self_query=False))
+        return _window_means(self.window_sums(z), z, self._sorted.windows(q[:, 0], self_query=False))
 
 
 class KernelSmoother:

@@ -199,6 +199,31 @@ class TestFittedTransformCalls:
             expected = t.map(t.smoother.predict(q, t.z_values))
             assert t(q).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("fit", [agce_fit_1d, offshelf_lower_1d])
+    def test_step_table_equals_map_of_predict_on_integer_fits(self, fit):
+        # integer-valued blocks tie nearly every query's window boundary, so
+        # both the table gather and the per-query row mean run
+        rng = np.random.default_rng(41)
+        x = rng.integers(0, 25, 700).astype(float)
+        y = np.round(x / 2.0 + rng.normal(0.0, 3.0, 700))
+        pair = fit(PairedSamples(x, y), seed=42)
+        tied = 0
+        for t in (pair.phi, pair.psi):
+            values = np.unique(t.smoother.x[:, 0])
+            lo, hi = values[0], values[-1]
+            q = np.concatenate([
+                values, t.smoother.x[:50, 0],                  # on sample values
+                (values[:-1] + values[1:]) / 2.0,              # midpoints
+                np.repeat(values[:3], 4), np.repeat([lo + 0.3], 5),  # repeated
+                [lo - 100.0, lo - 1e-9, hi + 1e-9, hi + 100.0],      # outside
+                rng.uniform(lo, hi, 200),
+            ])
+            expected = t.map(t.smoother.predict(q, t.z_values))
+            for _ in range(2):
+                assert t(q).tobytes() == expected.tobytes()
+            tied += t.smoother.query_windows(q)[1].size
+        assert 0 < tied < 2 * q.size
+
     def test_kernel_transform(self):
         samples = gm1d_sample(300, 10, 0.1, seed=36).samples
         pair = offshelf_lower_1d(samples, SmootherConfig(kind="kernel", bandwidth=0.5), seed=37)

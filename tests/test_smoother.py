@@ -17,7 +17,8 @@ from gaussbound import (
     ParameterError,
     ace_fit,
 )
-from gaussbound import smoother
+from gaussbound import marginal_gaussianize, smoother
+from gaussbound.agce import FittedTransform
 from gaussbound.smoother import SmootherConfig, _reselect, _window_sums, default_knn_k, knn_indices
 
 
@@ -220,10 +221,13 @@ def test_cached_predict_equals_fresh_sort_bit_for_bit(x, k):
     ])
     sm = KnnSmoother(x, k)
     expected = fresh_sort_predict(x, queries, z, k).view(np.int64)
-    cached = sm.window_sums(z)
     for _ in range(2):
-        assert np.array_equal(sm.predict(queries, z, _sums=cached).view(np.int64), expected)
-    assert np.array_equal(sm.predict(queries, z).view(np.int64), expected)
+        assert np.array_equal(sm.predict(queries, z).view(np.int64), expected)
+    # what a fitted transform gathers: the window sums at each window start
+    lo, tied, rows = sm.query_windows(queries)
+    gathered = sm.window_sums(z)[lo]
+    gathered[tied] = z[rows].sum(axis=1)
+    assert np.array_equal((gathered / k).view(np.int64), expected)
 
 
 class TestSortedOnce:
@@ -246,10 +250,9 @@ class TestSortedOnce:
         x, z = rng.standard_normal(500), rng.standard_normal(500)
         sm = KnnSmoother(x, 30)
         assert builds == [500]
-        sums = sm.window_sums(z)
         for m in (1, 7, 300):
             sm.predict(rng.standard_normal(m), z)
-            sm.predict(rng.standard_normal(m), z, _sums=sums)
+            sm.query_windows(rng.standard_normal(m))
         sm.smooth(z)
         assert builds == [500]
 
@@ -263,9 +266,22 @@ class TestSortedOnce:
         x, z = rng.standard_normal(10_000), rng.standard_normal(10_000)
         q = rng.standard_normal(10_000)
         sm = KnnSmoother(x)
-        sums = sm.window_sums(z)
-        sm.predict(q, z, _sums=sums)
-        assert growth_with_collector_off(lambda: sm.predict(q, z, _sums=sums)) < 2e6
+        sm.predict(q, z)
+        assert growth_with_collector_off(lambda: sm.predict(q, z)) < 2e6
+
+    def test_transform_table_leaves_no_garbage(self):
+        # each call builds a fresh transform: its step table would pile up
+        # if it sat in a reference cycle
+        rng = np.random.default_rng(23)
+        x, z = rng.standard_normal(10_000), rng.standard_normal(10_000)
+        q = rng.standard_normal(1_000)
+        sm = KnnSmoother(x)
+
+        def fresh_transform_call():
+            return FittedTransform(sm, z, marginal_gaussianize(sm.smooth(z), 0)[1])(q)
+
+        fresh_transform_call()
+        assert growth_with_collector_off(fresh_transform_call) < 2e6
 
 
 _NON_FINITE_PATHS = {
