@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, InsufficientDataError, ParameterError
 from .smoother import SmootherConfig, sq_distances
@@ -206,7 +205,8 @@ def kcca_fit(
         )
     if k is None:
         k = min(samples.d_x, samples.d_y)
-    # imported here: scipy.sparse.linalg adds about 35 ms to the package's import
+    # imported here: a 1-D bound loads no scipy
+    import scipy.linalg
     from scipy.sparse.linalg import ArpackError, svds
 
     rng = np.random.default_rng(seed)

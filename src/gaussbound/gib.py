@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, DomainError, InvalidCovarianceError, ParameterError
 from .stats_core import NATS_PER_BIT, joint_covariance
@@ -57,6 +56,8 @@ def gib_spectrum(cov, d_x: int) -> GibSpectrum:
     with C_{X|Y} = C_X - C_XY C_Y^{-1} C_XY^T; eigenvalues are clamped to
     [0, 1].
     """
+    import scipy.linalg  # imported here: a 1-D bound loads no scipy
+
     joint = joint_covariance(cov, d_x)
     c_x, c_y, c_xy = joint[:d_x, :d_x], joint[d_x:, d_x:], joint[:d_x, d_x:]
     # both checks are relative to the matrix's own scale

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError, ParameterError, UnsupportedModelError
 from .gib import IBCurve
@@ -76,6 +75,8 @@ class JointPmf:
         return float(np.sum(self.p[mask] * np.log(self.p[mask] / outer[mask])))
 
     def entropy_x(self) -> float:
+        from scipy.special import xlogy  # imported here: a 1-D bound loads no scipy
+
         px = self.p_x
         return float(-np.sum(xlogy(px, px)))
 

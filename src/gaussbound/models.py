@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .biterminal import random_rotation
 from .errors import DomainError, ParameterError
@@ -95,7 +94,7 @@ def gm1d_sample(n: int, mu_z: float = 10.0, eps: float = 0.1, seed=None) -> Mode
 
 def _entropy_quad(pdf, splits) -> float:
     """Differential entropy -int p ln p via adaptive quadrature over segments."""
-    # imported here: scipy.integrate is a quarter of the package's import time
+    # imported here: a 1-D bound loads no scipy
     from scipy.integrate import quad
 
     def integrand(t):
@@ -279,6 +278,8 @@ class ExpMirrorModel:
     """
 
     def __init__(self):
+        from scipy.special import gammainc  # imported here: a 1-D bound loads no scipy
+
         self._f2 = 1.0 - math.exp(-2.0)  # Exp(1) CDF at 2
         self._g2 = float(gammainc(2.0, 2.0))  # Gamma(2) CDF at 2
 
@@ -293,6 +294,8 @@ class ExpMirrorModel:
         return out
 
     def y_quantile(self, q):
+        from scipy.special import gammaincinv  # imported here: a 1-D bound loads no scipy
+
         q = np.asarray(q, dtype=float)
         out = np.empty_like(q)
         low = q <= self._g2

@@ -247,7 +247,7 @@ def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndar
     self-first rule of ``self_query``: a point's copies at distance 0 either
     all fit in its k nearest, itself included, or tie at the boundary.
     """
-    from scipy.spatial import cKDTree  # about 0.1 s of import that 1-D runs skip
+    from scipy.spatial import cKDTree  # imported here: a 1-D bound loads no scipy
 
     n, m = x.shape[0], q.shape[0]
     tree = cKDTree(x)

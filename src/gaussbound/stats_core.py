@@ -17,8 +17,9 @@ from functools import lru_cache, reduce
 from operator import add
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dsyevd
-from scipy.special import ndtr, ndtri
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import eigvalsh_lo, slogdet
 
 from .errors import (
     DomainError,
@@ -45,6 +46,69 @@ _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 _TWO_53 = float(2**53)
 
 
+# Cephes' ndtri, as scipy.special.ndtri ships it: a rational in (p - 1/2)^2
+# between exp(-2) and 1 - exp(-2), and in 1/x with x = sqrt(-2 ln y) on the
+# tails, x < 8 and x >= 8 apart.  The denominators' leading 1 is implicit.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
+    """Horner's rule from the highest power, as cephes' ``polevl``.
+
+    ``monic`` is cephes' ``p1evl``: a leading coefficient of 1 not stored.
+    """
+    acc = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _logs(v: np.ndarray) -> np.ndarray:
+    """Natural logs from libm, as cephes takes them; ``np.log`` differs in the last bit."""
+    return np.fromiter(map(math.log, v.tolist()), dtype=float, count=v.size)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF on (0, 1), bit for bit ``scipy.special.ndtri``."""
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    mid = y > _EXP_M2
+    out = np.empty_like(p)
+    c = y[mid] - 0.5
+    c2 = c * c
+    out[mid] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0, monic=True))) * _SQRT_2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _logs(y[tail]))
+    x0 = x - _logs(x) / x
+    z = 1.0 / x
+    x1 = np.empty_like(x)
+    for part, pn, qn in ((x < 8.0, _NDTRI_P1, _NDTRI_Q1), (x >= 8.0, _NDTRI_P2, _NDTRI_Q2)):
+        zp = z[part]
+        x1[part] = zp * _polevl(zp, pn) / _polevl(zp, qn, monic=True)
+    x0 -= x1
+    out[tail] = np.where(upper[tail], x0, -x0)
+    return out
+
+
 @lru_cache(maxsize=8)
 def rank_quantile_grid(n: int) -> np.ndarray:
     """Normal scores at the mid-rank plotting positions (i - 0.5) / n, i = 1..n.
@@ -53,7 +117,7 @@ def rank_quantile_grid(n: int) -> np.ndarray:
     """
     if n < 2:
         raise InsufficientDataError("need at least 2 samples for a rank grid")
-    grid = ndtri((np.arange(1, n + 1) - 0.5) / n)
+    grid = _ndtri((np.arange(1, n + 1) - 0.5) / n)
     grid.flags.writeable = False
     return grid
 
@@ -305,31 +369,23 @@ def joint_covariance(cov, d_u: int) -> np.ndarray:
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix from its lower triangle.
 
-    LAPACK ``dsyevd`` called directly, as ``numpy.linalg.eigvalsh`` calls it
-    but without its per-call dispatch.
+    The gufunc ``numpy.linalg.eigvalsh`` calls (LAPACK ``dsyevd``), without
+    that function's per-call checks.  LAPACK's failure to converge fills
+    the result with NaN, and raises ``LinAlgError`` here.
     """
-    w, _, info = dsyevd(m, 0, 1)  # no vectors, lower triangle
-    if info:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    w = eigvalsh_lo(m)
+    if math.isnan(w[0]):
+        raise LinAlgError("Eigenvalues did not converge")
     return w
 
 
 def _slogdet(m: np.ndarray) -> tuple[float, float]:
-    """``(sign, ln|det m|)`` from one LAPACK ``dgetrf``.
+    """``(sign, ln|det m|)``: the gufunc ``numpy.linalg.slogdet`` calls.
 
-    The arithmetic of ``numpy.linalg.slogdet``: the pivots' signs and row
-    swaps give the sign, and the logs of the pivots' magnitudes are summed
-    in diagonal order.  An exactly singular factor gives ``(0.0, -inf)``.
+    One LAPACK ``dgetrf``; an exactly singular factor gives ``(0.0, -inf)``.
     """
-    lu, piv, info = dgetrf(m)
-    if info:
-        return 0.0, -math.inf
-    sign, logdet = 1.0, 0.0
-    for i, (p, pivot) in enumerate(zip(piv.tolist(), lu.diagonal().tolist())):
-        if (p != i) != (pivot < 0.0):  # a row swap or a negative pivot, not both
-            sign = -sign
-        logdet += math.log(abs(pivot))
-    return sign, logdet
+    sign, logdet = slogdet(m)
+    return float(sign), float(logdet)
 
 
 def _mean_of(values: list[float]) -> float:
@@ -351,11 +407,11 @@ def gaussian_mi_bound(cov, d_u: int, *, details: bool = False):
     PSD to 1e-8 of its mean variance, and each ridged block's smallest
     eigenvalue must exceed 1e-12 of that block's mean variance.
 
-    The eigenvalues and determinants come from LAPACK ``dsyevd`` and
-    ``dgetrf`` called directly (``_eigvalsh``, ``_slogdet``), with the
-    arithmetic of ``numpy.linalg.eigvalsh`` and ``slogdet``; the traces
-    come from one read of the diagonal.  A bi-terminal Givens try calls
-    this once, so its cost is mostly per-call overhead.
+    The eigenvalues and determinants come from the LAPACK gufuncs behind
+    ``numpy.linalg.eigvalsh`` and ``slogdet`` (``_eigvalsh``, ``_slogdet``),
+    called without those functions' per-call checks; the traces come from
+    one read of the diagonal.  A bi-terminal Givens try calls this once, so
+    its cost is mostly per-call overhead.
 
     With ``details=True`` also returns a dict with a ``saturated`` flag
     (joint covariance numerically singular, i.e. correlation at 1).
@@ -430,6 +486,8 @@ def w2_to_normal(x) -> float:
 
 def ks_normal_stat(x) -> float:
     """One-sample Kolmogorov-Smirnov statistic against the standard normal."""
+    from scipy.special import ndtr  # imported here: a 1-D bound loads no scipy
+
     xs = np.sort(np.asarray(x, dtype=float).ravel())
     n = xs.size
     if n < 1:

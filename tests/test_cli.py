@@ -675,6 +675,47 @@ class TestAceFits:
         assert len(fits) == 3
 
 
+# Run in a fresh interpreter: the scipy modules loaded so far, after the
+# package's import and after each 1-D bound, then a d = 2 bound and a curve,
+# which do load scipy.
+_SCIPY_PROBE = """
+import sys
+from gaussbound import cli
+
+csv, out = sys.argv[1], sys.argv[2]
+loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print("import", loaded())
+for method in ("naive", "offshelf", "ace", "agce"):
+    code = cli.main(["bound", "--input", csv, "--method", method, "--restarts", "2",
+                     "--seed", "1", "--out", f"{out}/{method}.json"])
+    print(method, code, loaded())
+code = cli.main(["bound", "--model", "exp_gamma", "--d", "2", "--n", "400", "--method",
+                 "biterminal", "--seed", "1", "--out", f"{out}/biterminal.json"])
+print("biterminal", code)
+code = cli.main(["curve", "--model", "gm1d", "--n", "500", "--method", "naive", "--quad-m", "12",
+                 "--seed", "1", "--out-dir", f"{out}/curves"])
+print("curve", code)
+"""
+
+
+def test_one_d_bounds_load_no_scipy(tmp_path, sample_csv):
+    # scipy's first import costs 0.2-0.4 s, most of a 1-D bound's process
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(sample_csv), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
+    assert lines == [
+        "import []",
+        "naive 0 []",
+        "offshelf 0 []",
+        "ace 0 []",
+        "agce 0 []",
+        "biterminal 0",
+        "curve 0",
+    ]
+
+
 def _imported_by_cli(module: str) -> bool:
     code = f"import sys, gaussbound.cli; print({module!r} in sys.modules)"
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -21,9 +21,13 @@ from gaussbound import (
     mi_from_correlations,
     w2_to_normal,
 )
+from gaussbound import stats_core
 from gaussbound.stats_core import (
     COV_RIDGE,
     NATS_PER_BIT,
+    _eigvalsh,
+    _ndtri,
+    _slogdet,
     correlations_saturated,
     ks_normal_stat,
     rank_order,
@@ -64,6 +68,30 @@ class TestNormalQuantile:
         assert grid is rank_quantile_grid(6)
         with pytest.raises(ValueError):
             grid[0] = 0.0
+
+    def test_grid_is_scipy_ndtri_bit_for_bit(self):
+        for n in [*range(2, 3001), 10**4, 10**5, 10**6]:
+            expected = ndtri((np.arange(1, n + 1) - 0.5) / n)
+            assert rank_quantile_grid(n).tobytes() == expected.tobytes(), n
+
+    @pytest.mark.parametrize(
+        "edge",
+        # the central rational's ends, and where the tails' x = sqrt(-2 ln y) crosses 8
+        [np.exp(-2.0), 1.0 - np.exp(-2.0), stats_core._EXP_M2, 1.0 - stats_core._EXP_M2,
+         np.exp(-32.0), 1.0 - np.exp(-32.0)],
+    )
+    def test_ndtri_bit_for_bit_at_branch_edges(self, edge):
+        # every double within 200 ulps of the edge, short of 1
+        p = (np.float64(edge).view(np.int64) + np.arange(-200, 201)).view(np.float64)
+        p = p[p < 1.0]
+        assert _ndtri(p).tobytes() == ndtri(p).tobytes()
+
+    def test_ndtri_bit_for_bit_on_random_levels(self):
+        rng = np.random.default_rng(26)
+        tails = np.exp(-rng.uniform(0.0, 700.0, 100_000))
+        for p in (rng.random(200_000), tails, 1.0 - tails):
+            p = p[(p > 0.0) & (p < 1.0)]
+            assert _ndtri(p).tobytes() == ndtri(p).tobytes()
 
 
 def lexsort_gaussianize(x, rng):
@@ -417,7 +445,8 @@ class TestGaussianMiBound:
 def reference_gaussian_mi_bound(cov, d_u):
     """The bound through ``numpy.linalg``: the checks, ridge and
     scale-relative thresholds of ``gaussian_mi_bound``, with ``eigvalsh``,
-    ``slogdet`` and ``np.trace`` in place of its direct LAPACK calls."""
+    ``slogdet`` and ``np.trace`` in place of its gufunc calls and its sums
+    of the diagonal."""
     c = np.atleast_2d(np.asarray(cov, dtype=float))
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise InvalidCovarianceError("not square")
@@ -487,12 +516,36 @@ def _joint_case(kind, seed, du, dv):
 JOINT_KINDS = ["valid", "not_psd", "asymmetric", "singular_block", "saturated"]
 
 
-class TestLeanBound:
-    """gaussian_mi_bound calls LAPACK directly; numpy.linalg is the reference.
+class TestLapackCalls:
+    """``_eigvalsh`` and ``_slogdet`` are the gufuncs behind numpy.linalg's."""
 
-    numpy and scipy may link different LAPACK builds, whose factorizations
-    can differ in the last bits (on larger joints even when the versions
-    are close), so the tests allow 1e-13 relative.
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_match_numpy_linalg_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            a = rng.standard_normal((d + 2, d + 5))
+            psd = a @ a.T
+            # a leading block is a strided view, as gaussian_mi_bound passes them
+            for m in (psd, psd[:d, :d]):
+                assert _eigvalsh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+                sign, logdet = np.linalg.slogdet(m)
+                assert np.array(_slogdet(m)).tobytes() == np.array([sign, logdet]).tobytes()
+
+    @pytest.mark.parametrize("m", [np.zeros((3, 3)), np.ones((2, 2)), np.diag([1.0, 0.0, 2.0])])
+    def test_singular_matrix(self, m):
+        assert _slogdet(m) == (0.0, -np.inf)
+
+    def test_eigenvalue_failure_raises(self, monkeypatch):
+        # LAPACK's failure to converge leaves NaN eigenvalues
+        monkeypatch.setattr(stats_core, "eigvalsh_lo", lambda m: np.full(m.shape[0], np.nan))
+        with pytest.raises(np.linalg.LinAlgError):
+            gaussian_mi_bound(np.eye(2), 1)
+
+
+class TestLeanBound:
+    """gaussian_mi_bound calls numpy's LAPACK gufuncs directly; the public
+    numpy.linalg functions, which call the same gufuncs, are the reference,
+    so the two agree exactly.
     """
 
     @given(st.sampled_from(JOINT_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
@@ -505,8 +558,7 @@ class TestLeanBound:
             with pytest.raises(type(exc)):
                 gaussian_mi_bound(joint, d_u)
             return
-        got = gaussian_mi_bound(joint, d_u)
-        assert abs(got - expected) <= 1e-13 * max(abs(expected), 1e-300)
+        assert gaussian_mi_bound(joint, d_u) == expected
         if kind == "saturated":
             assert gaussian_mi_bound(joint, d_u, details=True)[1]["saturated"]
 
