@@ -24,45 +24,68 @@ from .stats_core import (
     PairedSamples,
     marginal_gaussianize,
     mi_from_correlations,
+    normal_scores,
 )
 
 _MAX_ITER = 100  # alternation rounds per restart
 
 
-def _corr(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = a.std(), b.std()
+def _moments(a: np.ndarray) -> tuple[float, float]:
+    """``(mean, std)`` of a column, as ``_corr`` reads them."""
+    return a.mean(), a.std()
+
+
+def _corr(a: np.ndarray, b: np.ndarray, ma=None, mb=None) -> float:
+    """Correlation of two columns; ``ma``, ``mb`` are their ``_moments`` if known."""
+    (a_mean, sa), (b_mean, sb) = ma or _moments(a), mb or _moments(b)
     if sa <= _DEGENERATE_STD or sb <= _DEGENERATE_STD:
         return 0.0
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    return float(np.mean((a - a_mean) * (b - b_mean)) / (sa * sb))
 
 
 @dataclass(frozen=True)
 class FittedTransform:
     """phi(x) = normal-scores map applied to a smoothed regression at x.
 
-    Stores the smoother built on the training block, the response values it
-    regresses, and the monotone map fitted on the in-sample regression
-    values, so the transform can be evaluated on new points.  On a 1-D k-NN
-    block the transform is a step function of the query's sorted window:
-    from its first call on it keeps the map of every window's mean, so a
-    call is one window search and one gather, and only a query whose window
-    boundary is tied is averaged and mapped on its own.  Each table entry is
-    the division and the map ``map(smoother.predict(x_new, z_values))``
-    applies, so the outputs are the same bit for bit.  The first call maps
-    all n - k + 1 windows, which costs more than mapping a small batch, so
-    the table pays off only over repeated calls on one transform.
+    Stores the smoother built on the training block and the response values
+    it regresses, so the transform can be evaluated on new points.  Its
+    ``map`` is the normal-scores map of the in-sample regression,
+    ``marginal_gaussianize(smoother.smooth(z_values), 0)[1]``, derived on
+    first read: building a transform costs nothing, and AGCE builds one at
+    every half-step and reads almost none.  The knots do not depend on the
+    tie-break draw (bar the sign of a zero knot, which the fixed seed 0
+    pins), so this is the map the fit's own rank step would have built.  A
+    failed knot check is not cached: it raises ``DomainError`` on every
+    call.  On a 1-D k-NN block the transform is a step function of the
+    query's sorted window: from its first call on it keeps the map of every
+    window's mean, so a call is one window search and one gather, and only a
+    query whose window boundary is tied is averaged and mapped on its own.
+    Each table entry is the division and the map
+    ``map(smoother.predict(x_new, z_values))`` applies, so the outputs are
+    the same bit for bit.  The first call smooths and ranks the sample and
+    maps all n - k + 1 windows, which costs more than mapping a small batch,
+    so the table pays off only over repeated calls on one transform.
     """
 
     smoother: KnnSmoother | KernelSmoother
     z_values: np.ndarray
-    map: MonotoneMap
+
+    @cached_property
+    def _sums(self) -> np.ndarray | None:
+        # z's sorted-window sums on a 1-D k-NN block, shared by the map and the table
+        if isinstance(self.smoother, KernelSmoother):
+            return None
+        return self.smoother.window_sums(self.z_values)
+
+    @cached_property
+    def map(self) -> MonotoneMap:
+        z, sums = self.z_values, self._sums
+        xbar = self.smoother.smooth(z) if sums is None else self.smoother.smooth(z, sums)
+        return marginal_gaussianize(xbar, 0)[1]
 
     @cached_property
     def _table(self) -> np.ndarray | None:
-        # made on the first call, not at construction: agce_step builds one
-        # transform per half-step and discards nearly all of them
-        sums = self.smoother.window_sums(self.z_values)
-        return None if sums is None else self.map(sums / self.smoother.k)
+        return None if self._sums is None else self.map(self._sums / self.smoother.k)
 
     def __call__(self, x_new):
         if isinstance(self.smoother, KernelSmoother) or self._table is None:
@@ -95,13 +118,18 @@ class AgcePair:
 def _gaussianized_pair(a, b, rng, **fields) -> AgcePair:
     """Normal scores of ``a`` and ``b`` and their correlation, as one pair.
 
-    phi/psi default to the two normal-scores maps; ``fields`` overrides any
-    AgcePair field.
+    phi/psi default to the two normal-scores maps, which are built only when
+    ``fields`` does not supply both; ``fields`` overrides any AgcePair field.
     """
-    u, map_u = marginal_gaussianize(a, rng)
-    v, map_v = marginal_gaussianize(b, rng)
+    if "phi" in fields and "psi" in fields:
+        u, v = normal_scores(a, rng), normal_scores(b, rng)
+        maps = {}
+    else:
+        u, map_u = marginal_gaussianize(a, rng)
+        v, map_v = marginal_gaussianize(b, rng)
+        maps = dict(phi=map_u, psi=map_v)
     rho = _corr(u, v)
-    base = dict(phi=map_u, psi=map_v, u=u, v=v, rho=rho, trace=np.asarray([rho]), converged=True)
+    base = dict(u=u, v=v, rho=rho, trace=np.asarray([rho]), converged=True, **maps)
     return AgcePair(**{**base, **fields})
 
 
@@ -110,7 +138,8 @@ class StepResult:
     """Outcome of one projection step.
 
     ``transform`` regresses the response this step smoothed; it is ``None``
-    when the step kept its previous value.
+    when the step kept its previous value.  ``moments`` are ``u``'s
+    ``(mean, std)``, for the caller's next step.
     """
 
     u: np.ndarray
@@ -118,9 +147,10 @@ class StepResult:
     kept_previous: bool
     independent: bool
     transform: FittedTransform | None
+    moments: tuple[float, float] | None = None
 
 
-def agce_step(v_fixed, smoother, seed=None, prev_u=None) -> StepResult:
+def agce_step(v_fixed, smoother, seed=None, prev_u=None, v_moments=None, prev_moments=None) -> StepResult:
     """One optimal-transport projection: Gaussianize E[v | X].
 
     Smooths the fixed (standardized) side with ``smoother``, built on the X
@@ -128,38 +158,46 @@ def agce_step(v_fixed, smoother, seed=None, prev_u=None) -> StepResult:
     new candidate correlates worse with ``v_fixed``, the previous transform
     is kept, which makes repeated stepping a monotone ascent.  A degenerate
     conditional expectation (all ties) is flagged as an independent fit with
-    rho = 0.
+    rho = 0.  ``v_moments`` and ``prev_moments`` are the ``(mean, std)`` of
+    ``v_fixed`` and ``prev_u`` when the caller has them.
     """
     v = np.asarray(v_fixed, dtype=float).ravel()
     xbar = smoother.smooth(v)
-    u, gmap = marginal_gaussianize(xbar, seed)
-    transform = FittedTransform(smoother, v, gmap)
+    u = normal_scores(xbar, seed)
+    transform = FittedTransform(smoother, v)
     if xbar.std() <= _DEGENERATE_STD * (1.0 + np.abs(xbar.mean())):
         return StepResult(u, 0.0, False, True, transform)
-    rho = _corr(u, v)
+    mu, mv = _moments(u), v_moments or _moments(v)
+    rho = _corr(u, v, mu, mv)
     if prev_u is not None:
-        rho_prev = _corr(np.asarray(prev_u, dtype=float), v)
+        prev_u = np.asarray(prev_u, dtype=float)
+        prev_moments = prev_moments or _moments(prev_u)
+        rho_prev = _corr(prev_u, v, prev_moments, mv)
         if rho_prev > rho:
             # keep the previous transform per the monotone convergence argument
-            return StepResult(np.asarray(prev_u, dtype=float), rho_prev, True, False, None)
-    return StepResult(u, rho, False, False, transform)
+            return StepResult(prev_u, rho_prev, True, False, None, prev_moments)
+    return StepResult(u, rho, False, False, transform, mu)
 
 
 def _alternate(u, v, phi, psi, sm_x, sm_y, tol: float, rng: np.random.Generator) -> AgcePair:
     """Run one AGCE restart from normal-scores start values and transforms.
 
     ``u`` may be ``None`` (a random restart starts from ``v`` alone).  A side
-    keeps its start transform until a step replaces it.
+    keeps its start transform until a step replaces it.  Each side's
+    ``(mean, std)`` rides along with it, so no column's moments are computed
+    twice.
     """
-    rho = _corr(u, v) if u is not None else 0.0
+    mu = _moments(u) if u is not None else None
+    mv = _moments(v)
+    rho = _corr(u, v, mu, mv) if u is not None else 0.0
     trace = [rho] if u is not None else []
     for _ in range(_MAX_ITER):
-        step = agce_step(v, sm_x, rng, prev_u=u)
-        u, phi = step.u, step.transform or phi
+        step = agce_step(v, sm_x, rng, prev_u=u, v_moments=mv, prev_moments=mu)
+        u, phi, mu = step.u, step.transform or phi, step.moments
         trace.append(step.rho)
         if not step.independent:
-            step = agce_step(u, sm_y, rng, prev_u=v)
-            v, psi = step.u, step.transform or psi
+            step = agce_step(u, sm_y, rng, prev_u=v, v_moments=mu, prev_moments=mv)
+            v, psi, mv = step.u, step.transform or psi, step.moments
             trace.append(step.rho)
         # an independent step reports rho = 0 and ends the restart unconverged
         converged = not step.independent and abs(step.rho - rho) < tol
@@ -167,25 +205,19 @@ def _alternate(u, v, phi, psi, sm_x, sm_y, tol: float, rng: np.random.Generator)
         if converged or step.independent:
             break
     # a random restart whose v-steps all kept the start scores fitted no psi
-    psi = psi or _ace_transform(sm_y, v)
+    psi = psi or FittedTransform(sm_y, v)
     return AgcePair(phi, psi, u, v, rho, np.asarray(trace), converged, step.independent)
 
 
-def _random_smooth_init(y_col: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Normal scores of a random cubic polynomial in the standardized input."""
-    ys = _standardize(y_col)[0]
-    coef = rng.standard_normal(4)
-    vals = coef[0] + coef[1] * ys + coef[2] * ys ** 2 + coef[3] * ys ** 3
-    return marginal_gaussianize(vals, rng)[0]
+def _random_smooth_init(powers, rng: np.random.Generator) -> np.ndarray:
+    """Normal scores of a random cubic polynomial in the standardized input.
 
-
-def _ace_transform(sm, target) -> FittedTransform:
-    """Regress an ACE column with ``sm``; normal scores of the regression.
-
-    The normal-scores map does not depend on the tie-breaking draw, so a
-    fixed seed leaves the caller's generator untouched.
+    ``powers`` is ``(ys, ys ** 2, ys ** 3)`` of the standardized column.
     """
-    return FittedTransform(sm, target, marginal_gaussianize(sm.smooth(target), 0)[1])
+    ys, ys2, ys3 = powers
+    coef = rng.standard_normal(4)
+    vals = coef[0] + coef[1] * ys + coef[2] * ys2 + coef[3] * ys3
+    return normal_scores(vals, rng)
 
 
 def agce_fit_1d(
@@ -210,8 +242,10 @@ def agce_fit_1d(
     sm_x, sm_y = samples.smoothers(smoother)
 
     best = _alternate(off.u, off.v, off.phi, off.psi, sm_x, sm_y, tol, rng)
+    ys = _standardize(samples.y[:, 0])[0]
+    powers = (ys, ys ** 2, ys ** 3)
     for _ in range(1, n_restarts):
-        v_init = _random_smooth_init(samples.y[:, 0], rng)
+        v_init = _random_smooth_init(powers, rng)
         fit = _alternate(None, v_init, None, None, sm_x, sm_y, tol, rng)
         if fit.rho > best.rho:
             best = fit
@@ -240,7 +274,7 @@ def offshelf_lower_1d(
     # normal-scores map fitted on that regression's own in-sample scale
     return _gaussianized_pair(
         ace.u[:, 0], ace.v[:, 0], rng,
-        phi=_ace_transform(sm_x, ace.v[:, 0]), psi=_ace_transform(sm_y, ace.u[:, 0]),
+        phi=FittedTransform(sm_x, ace.v[:, 0]), psi=FittedTransform(sm_y, ace.u[:, 0]),
         converged=bool(ace.converged[0]), ace=ace,
     )
 

@@ -77,7 +77,7 @@ def _rank_rows(rotated: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     grid = rank_quantile_grid(rotated.shape[1])
     out = np.empty_like(rotated)
     for row, x in zip(out, rotated):
-        row[rank_order(x, rng)[0]] = grid
+        row[rank_order(x, rng)] = grid
     return out
 
 

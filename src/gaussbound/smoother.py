@@ -15,15 +15,17 @@ equal numpy's row sums bit for bit.  A caller that predicts one response
 many times keeps what it needs of ``window_sums`` and gathers it at the
 ``query_windows`` of each batch, as a fitted transform does.  Wider blocks
 keep the table, from a kd-tree (Friedman, Bentley & Finkel, 1977), which
-``predict`` rebuilds per call.  Either way
-a row whose k-th neighbor is tied is re-selected over its full distance
-row, so tied data can still cost O(n^2 d).  ``predict`` takes only finite
+``predict`` rebuilds per call.  A row whose k-th neighbor is tied takes the
+exact (distance, index) selection: in a 1-D block it is read off the
+sorted sample in O(k + run length), in a wider one from its full distance
+row, so tied wide data can still cost O(n^2 d).  ``predict`` takes only finite
 query points.  ``PairedSamples.smoothers`` memoizes the built pair per
 ``SmootherConfig``.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -150,7 +152,7 @@ class _SortedSample:
         from the last, where on unsorted queries nearly every branch is
         mispredicted, and sorting costs less than that.  A query whose
         nearest outside point is no farther than the window radius has a
-        tied boundary and is re-selected over its full row.  With
+        tied boundary and is re-selected exactly (``_tied_rows``).  With
         ``self_query`` the queries are x itself, already sorted by ``order``,
         and each point wins every tie at distance 0 to itself; a window can
         miss its own point only when the window is all copies of that value,
@@ -166,10 +168,63 @@ class _SortedSample:
         radius = np.maximum(qc - ends[lo + 1], ends[lo + k] - qc)
         gap = np.minimum(qc - ends[lo], ends[lo + k + 1] - qc)
         tied = np.flatnonzero(gap <= radius)
-        rows = _reselect(
-            tied, lambda r: np.abs((self.x - self.centre)[None, :] - qc[r, None]), n, k, self_query
-        )
-        return lo, tied, rows
+        return lo, tied, self._tied_rows(tied, qc, self_query)
+
+    def _tied_rows(self, tied: np.ndarray, qc: np.ndarray, self_query: bool) -> np.ndarray:
+        """The (distance, index) rows of the ``tied`` queries, one query value at a time.
+
+        Along the sorted sample a query's distances |xs - qc| fall, then
+        rise, so those below the k-th smallest, D, are one sorted range within
+        k places of the query, and those equal to D are at most two runs
+        beside it.  ``_select_k_smallest`` picks the range's indices in index
+        order, then the runs' smallest indices in index order; this builds
+        that row in O(k + run length), not from a full distance row.  Queries
+        of one value share a row, except that with ``self_query`` and D = 0
+        each point leads its own.  When exactly k distances are <= D,
+        ``_select_k_smallest`` keeps ``argpartition``'s order, so those rows
+        are still selected over their full distance rows.
+        """
+        n, k, order, xs = self.x.size, self.k, self.order, self.ends[1:-1]
+        rows = np.empty((tied.size, k), dtype=np.intp)
+        if not tied.size:
+            return rows
+        values, group = np.unique(qc[tied], return_inverse=True)
+        by = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[by], np.arange(values.size + 1))
+        full = []
+        for g, v in enumerate(values):
+            at = by[bounds[g] : bounds[g + 1]]
+            p = int(np.searchsorted(xs, v))
+            lo, hi = max(0, p - k), min(n, p + k)
+            d = np.abs(xs[lo:hi] - v)
+            cut = np.partition(d, k - 1)[k - 1]
+            within = (d <= cut).nonzero()[0]
+            la, rb = lo + int(within[0]), lo + int(within[-1]) + 1
+            # a run at D can reach past the k places on either side
+            if la == lo:
+                la = bisect.bisect_left(range(lo), True, key=lambda j: abs(xs[j] - v) <= cut)
+            if rb == hi:
+                rb = hi + bisect.bisect_left(range(hi, n), True, key=lambda j: abs(xs[j] - v) > cut)
+            if rb - la == k:
+                full.append(at)
+            elif self_query and cut == 0.0:
+                # at least k copies of the point: itself, then the other copies
+                run = np.sort(order[la:rb])
+                me = tied[at]
+                skip = np.arange(k - 1)
+                rows[at, 0] = me
+                rows[at, 1:] = run[skip + (skip >= np.searchsorted(run, me)[:, None])]
+            else:
+                strict = (d < cut).nonzero()[0]
+                a, b = (lo + int(strict[0]), lo + int(strict[-1]) + 1) if strict.size else (la, la)
+                ties = np.sort(np.concatenate([order[la:a], order[b:rb]]))
+                rows[at] = np.concatenate([np.sort(order[a:b]), ties[: k - (b - a)]])
+        if full:
+            at = np.concatenate(full)
+            rows[at] = _reselect(
+                tied[at], lambda r: np.abs((self.x - self.centre)[None, :] - qc[r, None]), n, k, self_query
+            )
+        return rows
 
 
 def _pairwise_split(width: int) -> int:
@@ -270,8 +325,8 @@ def knn_indices(x_block, k: int) -> np.ndarray:
 
     Ties at the k-th distance go to the smaller index, and a point beats
     every other point at distance 0 to itself.  A 1-D block's rows are its
-    sorted windows, O(n log n + n k); wider blocks query a kd-tree.  Only
-    rows with a tied k-th neighbor take a full distance row.  ``KnnSmoother``
+    sorted windows, O(n log n + n k); wider blocks query a kd-tree, and
+    only their rows with a tied k-th neighbor take a full distance row.  ``KnnSmoother``
     builds this table only for blocks wider than one column.
     """
     x = as_block(x_block)
@@ -322,13 +377,17 @@ class KnnSmoother:
         """
         return self._sorted.windows(_query_block(x_new, 1)[:, 0], self_query=False)
 
-    def smooth(self, z) -> np.ndarray:
+    def smooth(self, z, sums=None) -> np.ndarray:
+        """k-NN regression of z at the sample's own points.
+
+        ``sums`` is ``window_sums(z)`` of a 1-D block, when the caller has it.
+        """
         z = np.asarray(z, dtype=float).ravel()
         if z.size != self.n:
             raise ParameterError("response length does not match the fitted block")
         if self._sorted is None:
             return z[self.neighbors].mean(axis=1)
-        return _window_means(self.window_sums(z), z, self._windows)
+        return _window_means(self.window_sums(z) if sums is None else sums, z, self._windows)
 
     def predict(self, x_new, z) -> np.ndarray:
         """k-NN regression of z at new query points (no self handling)."""

@@ -204,32 +204,41 @@ def _descent_runs(near: np.ndarray, descent: np.ndarray, size: int) -> np.ndarra
     return member.nonzero()[0]
 
 
-def rank_order(xs: np.ndarray, rng: np.random.Generator):
+def _group_starts(xs_sorted: np.ndarray) -> np.ndarray:
+    """True where a sorted column's value differs from the one before."""
+    first = np.empty(xs_sorted.size, dtype=bool)
+    first[0] = True
+    np.not_equal(xs_sorted[1:], xs_sorted[:-1], out=first[1:])
+    return first
+
+
+def rank_order(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Sort order of a finite column, ties broken by one uniform per sample.
 
-    The tie-break rank step of every normal-scores map.  The column is
+    The tie-break rank step of every normal-scores transform.  The column is
     ranked by one sort of int64 keys: each value's order-preserving bit
     pattern (``-0.0`` read as ``0.0``) with its low ``ceil(log2 n)`` bits
     replaced by the sample's index.  Keys whose kept bits differ are in
-    value order; only runs of keys whose kept bits clash can hold distinct
-    values out of order, and only those runs are re-sorted exactly, by
-    (value, index).  When the column has ties (``-0.0`` ties ``0.0``)
+    value order, so a key order with no clash at all is the value order.
+    Otherwise one adjacent comparison of the gathered sorted values finds
+    whether any clash run holds distinct values out of order; only then are
+    the clashes located and those runs re-sorted exactly, by (value,
+    index).  When the column has ties (``-0.0`` ties ``0.0``)
     ``rng.random(n)`` is drawn and the members of tied groups, by then in
     (value, index) order, are re-sorted by one more int64 sort.  Its keys
     pack, from the high bits down, a member's group number, ``floor(draw
     2^53)`` shifted right as far as the key's 63 bits need, and its
     position; clashing runs out of draw order are again re-sorted exactly,
-    by (group, draw, position).  So ``order`` is the ``lexsort((draw, xs))``
-    permutation.  A column without ties reads no draw and skips it (see
-    ``_skip_uniforms``): the generator ends in the same state either way,
-    so its stream never depends on the data.
+    by (group, draw, position).  So the result is the ``lexsort((draw,
+    xs))`` permutation.  A column without ties reads no draw and skips it
+    (see ``_skip_uniforms``): the generator ends in the same state either
+    way, so its stream never depends on the data.
 
-    Returns ``(order, knots_in, knots_out)``: ``u[order] = rank_quantile_grid(n)``
-    gives the normal scores, and each tied group has one knot, its first
-    sorted value mapped to the mean of its grid scores.
+    Returns only ``order``: ``u[order] = rank_quantile_grid(n)`` gives the
+    normal scores, and ``marginal_gaussianize`` builds a map's knots from
+    ``xs[order]``.
     """
     n = xs.size
-    grid = rank_quantile_grid(n)
     shift = (n - 1).bit_length()
     low = (1 << shift) - 1
     keys = (xs + 0.0).view(np.int64)
@@ -240,24 +249,22 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator):
     keys |= _sample_indices(n)
     keys.sort()
     order = keys & low
-    near = _clashes(keys, shift)  # ties always clash
-    if not near.size:
+    if (keys[1:] - keys[:-1]).min() > low:  # no clash, so no tie either
         _skip_uniforms(rng, n)
-        return order, xs[order], grid
+        return order
 
     xs_sorted = xs[order]
-    descent = xs_sorted[near + 1] < xs_sorted[near]
-    if descent.any():
+    if (xs_sorted[1:] < xs_sorted[:-1]).any():  # a descent, inside some clash run
+        near = _clashes(keys, shift)
+        descent = xs_sorted[near + 1] < xs_sorted[near]
         at = _descent_runs(near, descent, n)
         sub = order[at]
         order[at] = sub[np.lexsort((sub, xs[sub]))]
         xs_sorted = xs[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(xs_sorted[1:], xs_sorted[:-1], out=first[1:])
+    first = _group_starts(xs_sorted)
     if first.all():
         _skip_uniforms(rng, n)
-        return order, xs_sorted, grid
+        return order
 
     # Order the tied groups' members, now in (x, index) order, by (x, r, index).
     r = rng.random(n)
@@ -286,16 +293,29 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator):
             sub = pos[at]
             pos[at] = sub[np.lexsort((sub, draws[sub], group_of[sub]))]
     order[tied] = members[pos]
-    # each group's knot: its first sorted value, and the mean of its scores
-    starts = first.nonzero()[0]
-    counts = np.empty_like(starts)
-    counts[:-1] = starts[1:] - starts[:-1]
-    counts[-1] = n - starts[-1]
-    knots_out = grid[starts]  # a lone value's own score
-    group = counts > 1
-    sizes = counts[group]
-    knots_out[group] = np.add.reduceat(grid[tied], np.cumsum(sizes) - sizes) / sizes
-    return order, xs[order[starts]], knots_out
+    return order
+
+
+def _ranked_column(x, seed) -> tuple[np.ndarray, np.ndarray]:
+    """A checked finite column and its ``rank_order`` with ``seed``'s generator."""
+    xs = np.asarray(x, dtype=float).ravel()
+    if xs.size < 2:
+        raise InsufficientDataError("marginal_gaussianize needs at least 2 samples")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("marginal_gaussianize requires finite inputs")
+    return xs, rank_order(xs, np.random.default_rng(seed))
+
+
+def normal_scores(x, seed=None) -> np.ndarray:
+    """The normal scores of ``marginal_gaussianize``, without its map.
+
+    Same checks, same draws and the same output bit for bit; for callers
+    that never read the map.
+    """
+    xs, order = _ranked_column(x, seed)
+    u = np.empty(xs.size)
+    u[order] = rank_quantile_grid(xs.size)
+    return u
 
 
 def marginal_gaussianize(x, seed=None):
@@ -304,6 +324,14 @@ def marginal_gaussianize(x, seed=None):
     Ranks are mapped to the fixed grid ``Phi^{-1}((i - 0.5) / n)``; ties are
     broken by seeded uniform randomization (``rank_order``), so atomic or
     mixed inputs still produce an exact draw-free normal-scores sample.
+
+    The map's knots come from the sorted column ``xs[order]``: group starts
+    from one adjacent comparison, and each group's knot is its first sorted
+    value mapped to the mean of its grid scores (one ``reduceat``).  Only
+    which member of a group sorts first depends on the draw, so the knots do
+    not, except for the sign of a zero knot where ``-0.0`` ties ``0.0``: it
+    is the sign of the member the draw puts first.  Callers that need only
+    the scores call ``normal_scores``.
 
     Parameters
     ----------
@@ -319,16 +347,15 @@ def marginal_gaussianize(x, seed=None):
         Increasing map from input values to normal scores (tied inputs get
         their group-average score), evaluable on new points.
     """
-    xs = np.asarray(x, dtype=float).ravel()
+    xs, order = _ranked_column(x, seed)
     n = xs.size
-    if n < 2:
-        raise InsufficientDataError("marginal_gaussianize needs at least 2 samples")
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("marginal_gaussianize requires finite inputs")
-    order, knots_in, knots_out = rank_order(xs, np.random.default_rng(seed))
+    grid = rank_quantile_grid(n)
     u = np.empty(n)
-    u[order] = rank_quantile_grid(n)
-    return u, MonotoneMap(knots_in, knots_out)
+    u[order] = grid
+    xs_sorted = xs[order]
+    starts = _group_starts(xs_sorted).nonzero()[0]
+    counts = np.diff(starts, append=n)
+    return u, MonotoneMap(xs_sorted[starts], np.add.reduceat(grid, starts) / counts)
 
 
 def covariance(samples) -> np.ndarray:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussbound import (
+    DomainError,
+    MonotoneMap,
     PairedSamples,
     ParameterError,
     SmootherConfig,
@@ -230,6 +232,98 @@ class TestFittedTransformCalls:
         q = np.linspace(-8.0, 8.0, 33)
         expected = pair.phi.map(pair.phi.smoother.predict(q, pair.phi.z_values))
         assert pair.phi(q).tobytes() == expected.tobytes()
+
+
+def _integer_pair(seed=41, n=700):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 25, n).astype(float)
+    return PairedSamples(x, np.round(x / 2.0 + rng.normal(0.0, 3.0, n)))
+
+
+class TestDerivedMap:
+    """A transform's map, derived on first read, is the map the rank step builds."""
+
+    @pytest.mark.parametrize("fit", [agce_fit_1d, offshelf_lower_1d])
+    @pytest.mark.parametrize("data", ["continuous", "integer"])
+    def test_knots_are_the_rank_steps_for_any_draw(self, fit, data):
+        samples = gm1d_sample(900, 10, 0.1, seed=51).samples if data == "continuous" else _integer_pair()
+        pair = fit(samples, seed=52)
+        for t in (pair.phi, pair.psi):
+            column = t.smoother.smooth(t.z_values)
+            for s in (0, 1, 2):
+                ref = marginal_gaussianize(column, s)[1]
+                assert t.map.knots_in.tobytes() == ref.knots_in.tobytes()
+                assert t.map.knots_out.tobytes() == ref.knots_out.tobytes()
+
+    def test_signed_zero_knot_is_seed_zeros(self):
+        # windows of two subnormals average to -0.0 or +0.0, one tie group;
+        # only which member the draw puts first, and so the zero knot's sign,
+        # depends on the draw: the derived map pins it with seed 0
+        n = 400
+        z = np.random.default_rng(5).choice([-5e-324, 0.0, 5e-324, 1.0, -1.0], n)
+        sm = smoother.KnnSmoother(np.arange(n, dtype=float), 2)
+        column = sm.smooth(z)
+        assert (np.signbit(column) & (column == 0.0)).any() and (~np.signbit(column) & (column == 0.0)).any()
+        t = FittedTransform(sm, z)
+        q = np.array([-0.0, 0.0, 5e-324, -5e-324, 0.3, -0.3])
+        signs = set()
+        for s in (0, 1, 2):
+            ref = marginal_gaussianize(column, s)[1]
+            assert np.array_equal(t.map.knots_in, ref.knots_in)
+            assert t.map.knots_out.tobytes() == ref.knots_out.tobytes()
+            assert t.map(q).tobytes() == ref(q).tobytes()
+            signs.add(bool(np.signbit(ref.knots_in[ref.knots_in == 0.0])[0]))
+        assert signs == {True, False}  # the draw does move the sign
+        assert t.map.knots_in.tobytes() == marginal_gaussianize(column, 0)[1].knots_in.tobytes()
+
+    def test_failed_knot_check_raises_on_every_call(self, monkeypatch):
+        samples = gm1d_sample(300, 10, 0.1, seed=53).samples
+        t = offshelf_lower_1d(samples, seed=54).phi
+
+        def reject(self):
+            raise DomainError("MonotoneMap knots must be strictly increasing")
+
+        monkeypatch.setattr(MonotoneMap, "__post_init__", reject)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                t(samples.x)
+        monkeypatch.undo()
+        assert np.isfinite(t(samples.x)).all()
+
+
+class TestNoUnreadMaps:
+    """An AGCE fit builds no normal-scores map; a transform builds its own once."""
+
+    @pytest.fixture()
+    def maps_built(self, monkeypatch):
+        built = [0]
+        check = MonotoneMap.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            check(self)
+
+        monkeypatch.setattr(MonotoneMap, "__post_init__", counting)
+        return built
+
+    def test_agce_fit_builds_none_and_a_call_builds_one(self, maps_built):
+        samples = gm1d_sample(1000, 10, 0.1, seed=55).samples
+        pair = agce_fit_1d(samples, n_restarts=3, seed=56)
+        assert maps_built[0] == 0
+        pair.phi(samples.x)
+        assert maps_built[0] == 1
+        pair.phi(samples.x[:10])
+        assert maps_built[0] == 1
+        pair.psi(samples.y)
+        assert maps_built[0] == 2
+
+    def test_agce_bound_builds_none(self, maps_built, tmp_path, capsys):
+        from gaussbound import cli
+
+        path = tmp_path / "gm1d.csv"
+        assert cli.main(["gen", "--model", "gm1d", "--n", "1000", "--seed", "1", "--out", str(path)]) == 0
+        assert cli.main(["bound", "--input", str(path), "--method", "agce", "--restarts", "3"]) == 0
+        assert maps_built[0] == 0
 
 
 class TestOffshelfAndNaive:

@@ -300,6 +300,37 @@ class TestCsvValidation:
             assert slow is not None and slow.shape == fast.shape == (len(lines), d)
             assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("x0,y0\r\n1.5,2\r\n-0,3e-2\r\n", [[1.5, 2.0], [-0.0, 0.03]]),
+            ("x0,y0\n1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("x0,y0\n1,2\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("x0,y0\n1,2\n3\n5,6\n", "line 3: expected 2 columns, got 1"),
+            ("x0,y0\n1,2\n3,4,5\n", "line 3: expected 2 columns, got 3"),
+            ("x0,y0\n1,2,\n3,4\n", "line 2: expected 2 columns, got 3"),
+            ("x0,y0\n1,2\n3,\u00e9\n", "line 3: could not convert string to float: '\u00e9'"),
+            ("x0,y0\n\uff11,2\n3,\u0664\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("x0,y0\n1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),
+            ("x0,y0\n1,2\nnan,4\n", "line 3: non-finite value"),
+        ],
+        ids=["crlf", "blank-inside", "trailing-blank", "short-line", "long-line", "trailing-comma",
+             "non-ascii", "non-ascii-digits", "underscore", "nan"],
+    )
+    def test_reader_arrays_and_messages(self, tmp_path, text, expected):
+        # the comma count reads the encoded body; multi-byte characters and
+        # every line end splitlines knows must not move a line or its number
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(CliError) as info:
+                read_samples_csv(str(path))
+            assert str(info.value) == f"{path}: {expected}"
+            assert info.value.code == EXIT_CONFIG
+        else:
+            samples = read_samples_csv(str(path))
+            assert np.hstack([samples.x, samples.y]).tobytes() == np.array(expected).tobytes()
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("x0,y0\n1.0,2.0\n\n  \n-0,3\n")

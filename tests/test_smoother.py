@@ -17,7 +17,7 @@ from gaussbound import (
     ParameterError,
     ace_fit,
 )
-from gaussbound import marginal_gaussianize, smoother
+from gaussbound import smoother
 from gaussbound.agce import FittedTransform
 from gaussbound.smoother import SmootherConfig, _reselect, _window_sums, default_knn_k, knn_indices
 
@@ -91,6 +91,58 @@ class TestKnn1dWindows:
         z = np.random.default_rng(k).standard_normal(x.size) * 1e3
         sm = KnnSmoother(x, k)
         assert np.array_equal(sm.smooth(z), z[knn_indices(x, k)].mean(axis=1))
+
+
+@st.composite
+def tied_blocks(draw):
+    """A 1-D block with repeated values, a k, and queries on and between them."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["few-values", "halves", "signed-zeros", "big-offset", "constant"]))
+    if kind == "few-values":
+        x = rng.integers(0, draw(st.integers(1, 20)), n).astype(float)
+    elif kind == "halves":
+        x = np.round(rng.standard_normal(n) * 3.0) / 2.0
+    elif kind == "signed-zeros":
+        x = rng.integers(0, 3, n) + np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    elif kind == "big-offset":
+        # distinct values whose distances round to the same double
+        x = 1e16 + 2.0 * rng.integers(0, 8, n)
+    else:
+        x = np.full(n, 1.25)
+    k = draw(st.one_of(st.sampled_from([1, 2, 3, n // 2, n]), st.integers(1, n)).filter(lambda k: 1 <= k <= n))
+    q = np.concatenate([x, rng.choice(x, 20) + rng.choice([0.0, 0.5, -0.5, 1.0], 20), (x[:-1] + x[1:]) / 2.0])
+    return x, k, q
+
+
+class TestTiedRows:
+    """A tied 1-D row comes from the sorted sample, not a full distance row."""
+
+    @given(tied_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_full_row_selection(self, case):
+        # order included: a smooth sums each row in its order
+        x, k, q = case
+        sample = smoother._SortedSample(x, k)
+        for self_query, queries in ((True, x), (False, q)):
+            qc = queries - sample.centre
+            _, tied, rows = sample.windows(queries, self_query)
+            expected = _reselect(tied, lambda r: np.abs((x - sample.centre)[None, :] - qc[r, None]), x.size, k, self_query)
+            assert rows.tobytes() == expected.tobytes()
+
+    def test_integer_block_reads_no_full_row(self, monkeypatch):
+        # every row of an integer block is tied; each is O(k + run length)
+        x = np.random.default_rng(1).integers(0, 50, 10_000).astype(float)
+        full_rows = [0]
+
+        def counting(rows, *args):
+            full_rows[0] += rows.size
+            return _reselect(rows, *args)
+
+        monkeypatch.setattr(smoother, "_reselect", counting)
+        sm = KnnSmoother(x, default_knn_k(x.size))
+        assert sm.neighbors.shape == (x.size, sm.k)
+        assert full_rows[0] == 0
 
 
 def reference_window_sums(z, k):
@@ -278,7 +330,7 @@ class TestSortedOnce:
         sm = KnnSmoother(x)
 
         def fresh_transform_call():
-            return FittedTransform(sm, z, marginal_gaussianize(sm.smooth(z), 0)[1])(q)
+            return FittedTransform(sm, z)(q)
 
         fresh_transform_call()
         assert growth_with_collector_off(fresh_transform_call) < 2e6

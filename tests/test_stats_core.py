@@ -30,6 +30,7 @@ from gaussbound.stats_core import (
     _slogdet,
     correlations_saturated,
     ks_normal_stat,
+    normal_scores,
     rank_order,
     rank_quantile_grid,
 )
@@ -210,14 +211,23 @@ class TestRankOrder:
         # bits, which RANK_COLUMNS' short columns rarely make them do
         self.check_against_lexsort(_tied_column(), lambda: _make_draws(draws, 20))
 
+    @pytest.mark.parametrize("n", [300, 512, 513])
+    def test_descent_inside_a_clash_run(self, n):
+        # values that differ only in the low ceil(log2 n) bits, in reverse
+        # index order: every key clashes, and the index bits put each
+        # adjacent pair out of value order
+        shift = (n - 1).bit_length()
+        bits = np.float64(3.75).view(np.int64) & ~np.int64((1 << shift) - 1)
+        xs = (bits | np.arange(n - 1, -1, -1, dtype=np.int64)).view(np.float64)
+        assert np.all(np.diff(xs) < 0)
+        self.check_against_lexsort(xs, lambda: np.random.default_rng(n))
+        assert np.array_equal(rank_order(xs, np.random.default_rng(0)), np.arange(n)[::-1])
+
     @staticmethod
     def check_against_lexsort(xs, make):
         rng, ref_rng = make(), make()
-        order, knots_in, knots_out = rank_order(xs, rng)
+        order = rank_order(xs, rng)
         assert np.array_equal(order, np.lexsort((ref_rng.random(xs.size), xs)))
-        _, ref_in, ref_out = lexsort_gaussianize(xs, make())
-        assert knots_in.tobytes() == ref_in.tobytes()
-        assert knots_out.tobytes() == ref_out.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_untied_column_leaves_the_draws_state_on_pcg64(self):
@@ -263,6 +273,29 @@ class TestMarginalGaussianize:
         assert fitted.knots_out.tobytes() == ref_out.tobytes()
         # one rng.random(n) per call, tied or not
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("draws", list(_DRAWS))
+    def test_large_tied_column_knots(self, draws):
+        xs = _tied_column()
+        _, fitted = marginal_gaussianize(xs, _make_draws(draws, 20))
+        _, ref_in, ref_out = lexsort_gaussianize(xs, _make_draws(draws, 20))
+        assert fitted.knots_in.tobytes() == ref_in.tobytes()
+        assert fitted.knots_out.tobytes() == ref_out.tobytes()
+
+    @given(RANK_COLUMNS, st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_normal_scores_are_its_scores(self, x, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = normal_scores(x, rng)
+        assert u.tobytes() == marginal_gaussianize(x, ref_rng)[0].tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("entry", [normal_scores, marginal_gaussianize])
+    def test_rejects_short_or_non_finite_columns(self, entry):
+        with pytest.raises(InsufficientDataError):
+            entry([1.0], seed=0)
+        with pytest.raises(DomainError):
+            entry([1.0, np.nan, 2.0], seed=0)
 
     def test_three_point_rank_formula(self):
         u, _ = marginal_gaussianize([13.0, -4.0, 7.0], seed=0)
