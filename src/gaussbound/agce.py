@@ -56,45 +56,28 @@ class FittedTransform:
     tie-break draw (bar the sign of a zero knot, which the fixed seed 0
     pins), so this is the map the fit's own rank step would have built.  A
     failed knot check is not cached: it raises ``DomainError`` on every
-    call.  On a 1-D k-NN block the transform is a step function of the
-    query's sorted window: from its first call on it keeps the map of every
-    window's mean, so a call is one window search and one gather, and only a
-    query whose window boundary is tied is averaged and mapped on its own.
-    Each table entry is the division and the map
-    ``map(smoother.predict(x_new, z_values))`` applies, so the outputs are
-    the same bit for bit.  The first call smooths and ranks the sample and
-    maps all n - k + 1 windows, which costs more than mapping a small batch,
-    so the table pays off only over repeated calls on one transform.
+    call.  A call is ``map(smoother.predict(x_new, z_values))`` bit for bit,
+    through the smoother's ``predictor``: on a 1-D k-NN block that keeps the
+    map of every sorted window's mean, built on the first call, so later
+    calls are one window search and one gather.  The first call sums z's
+    windows twice, once for the map and once for the predictor, and maps all
+    n - k + 1 windows, so the table pays off only over repeated calls on one
+    transform.
     """
 
     smoother: KnnSmoother | KernelSmoother
     z_values: np.ndarray
 
     @cached_property
-    def _sums(self) -> np.ndarray | None:
-        # z's sorted-window sums on a 1-D k-NN block, shared by the map and the table
-        if isinstance(self.smoother, KernelSmoother):
-            return None
-        return self.smoother.window_sums(self.z_values)
-
-    @cached_property
     def map(self) -> MonotoneMap:
-        z, sums = self.z_values, self._sums
-        xbar = self.smoother.smooth(z) if sums is None else self.smoother.smooth(z, sums)
-        return marginal_gaussianize(xbar, 0)[1]
+        return marginal_gaussianize(self.smoother.smooth(self.z_values), 0)[1]
 
     @cached_property
-    def _table(self) -> np.ndarray | None:
-        return None if self._sums is None else self.map(self._sums / self.smoother.k)
+    def _predict(self):
+        return self.smoother.predictor(self.z_values, self.map)
 
     def __call__(self, x_new):
-        if isinstance(self.smoother, KernelSmoother) or self._table is None:
-            return self.map(self.smoother.predict(x_new, self.z_values))
-        lo, tied, rows = self.smoother.query_windows(x_new)
-        out = self._table[lo]
-        if tied.size:
-            out[tied] = self.map(self.z_values[rows].sum(axis=1) / self.smoother.k)
-        return out
+        return self._predict(x_new)
 
 
 @dataclass

@@ -114,31 +114,6 @@ def projection_coefficients(spec: GibSpectrum, beta: float):
     return a, active, saturated
 
 
-def gib_projection(spec: GibSpectrum, beta: float) -> np.ndarray:
-    """Projection matrix A(beta); one row per active component (possibly none)."""
-    a, active, _ = projection_coefficients(spec, beta)
-    return a[active, None] * spec.vectors[active]
-
-
-def gib_point_info(a_mat, c_x, c_x_given_y) -> tuple[float, float]:
-    """(I(T;X), I(T;Y)) in nats for T = A X + unit-covariance Gaussian noise.
-
-    I(T;X) = 0.5 ln det(I + A C_X A^T) and
-    I(T;Y) = I(T;X) - 0.5 ln det(I + A C_{X|Y} A^T).
-    """
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    if a_mat.size == 0 or a_mat.shape[0] == 0:
-        return 0.0, 0.0
-    c_x = np.atleast_2d(np.asarray(c_x, dtype=float))
-    c_x_given_y = np.atleast_2d(np.asarray(c_x_given_y, dtype=float))
-    m = a_mat.shape[0]
-    eye = np.eye(m)
-    _, ld_x = np.linalg.slogdet(eye + a_mat @ c_x @ a_mat.T)
-    _, ld_res = np.linalg.slogdet(eye + a_mat @ c_x_given_y @ a_mat.T)
-    i_tx = 0.5 * ld_x
-    return float(i_tx), float(i_tx - 0.5 * ld_res)
-
-
 @dataclass(frozen=True)
 class IBCurve:
     """Ordered (beta, I_TX, I_TY) points of an information trade-off curve."""

@@ -465,19 +465,3 @@ def quadrature_discretize(model, m: int = 32):
     )
     pmf = JointPmf(_softmax(log_p)[0], x_labels=xn)
     return pmf, diagnostics
-
-
-def discretize_samples(u, v, bins: int = 24) -> JointPmf:
-    """Histogram a sample pair on per-axis equal-probability (quantile) bins."""
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if bins * bins > 4096:
-        raise ParameterError("total bins exceed 4096; lower bins")
-    qu = np.quantile(u, np.linspace(0, 1, bins + 1))
-    qv = np.quantile(v, np.linspace(0, 1, bins + 1))
-    qu[0], qu[-1] = -np.inf, np.inf
-    qv[0], qv[-1] = -np.inf, np.inf
-    qu = np.unique(qu)
-    qv = np.unique(qv)
-    counts, _, _ = np.histogram2d(u, v, bins=[qu, qv])
-    return JointPmf(counts / counts.sum())

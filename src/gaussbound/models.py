@@ -145,19 +145,12 @@ def _gm1d_mi_numeric(mu_z: float, eps: float, p_noise: float = 0.5) -> float:
     return h_y - h_y_given_x
 
 
-def gm1d_mi_closed_form(mu_z: float, eps: float) -> float:
-    """Non-overlap approximation: 0.25 ln(1 + eps^2) - 0.5 ln eps, in nats."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    return 0.25 * math.log1p(eps * eps) - 0.5 * math.log(eps)
-
-
 def gm1d_true_mi(mu_z: float, eps: float) -> float:
     """Exact (numeric) MI of the Gaussian-mixture pair, in nats.
 
-    Integrates the exact mixture densities; ``gm1d_mi_closed_form`` is the
-    non-overlap approximation, trustworthy only once the two components
-    barely overlap.
+    Integrates the exact mixture densities.  The closed form
+    0.25 ln(1 + eps^2) - 0.5 ln eps is only the non-overlap approximation,
+    trustworthy once the two components barely overlap.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -218,28 +211,6 @@ def expgamma_sample(n: int, d: int, seed=None) -> ModelSample:
 # ---------------------------------------------------------------------------
 # Discretizable analytic joints (for the quadrature path of the discrete IB)
 # ---------------------------------------------------------------------------
-
-
-class BivariateGaussianModel:
-    """Standard bivariate normal with correlation rho."""
-
-    def __init__(self, rho: float):
-        if not -1.0 < rho < 1.0:
-            raise DomainError("rho must lie strictly inside (-1, 1)")
-        self.rho = float(rho)
-
-    def x_gaussian_components(self):
-        return [(1.0, 0.0, 1.0)]
-
-    def y_gaussian_components(self):
-        return [(1.0, 0.0, 1.0)]
-
-    def joint_log_density(self, x, y):
-        r = self.rho
-        det = 1.0 - r * r
-        q = (x * x - 2.0 * r * x * y + y * y) / det
-        return -0.5 * q - math.log(2.0 * math.pi * math.sqrt(det))
-
 
 
 class Gm1dModel:

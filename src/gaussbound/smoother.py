@@ -11,15 +11,16 @@ window starts, and ``smooth`` and ``predict`` sum windows instead of
 gathering an (n, k) table.  ``predict`` reuses the sort: a query costs one
 binary search.  All windows of one width share numpy's pairwise summation
 tree, so their sums take one vector add per tree node, O(n log k), and
-equal numpy's row sums bit for bit.  A caller that predicts one response
-many times keeps what it needs of ``window_sums`` and gathers it at the
-``query_windows`` of each batch, as a fitted transform does.  Wider blocks
-keep the table, from a kd-tree (Friedman, Bentley & Finkel, 1977), which
-``predict`` rebuilds per call.  A row whose k-th neighbor is tied takes the
-exact (distance, index) selection: in a 1-D block it is read off the
-sorted sample in O(k + run length), in a wider one from its full distance
-row, so tied wide data can still cost O(n^2 d).  ``predict`` takes only finite
-query points.  ``PairedSamples.smoothers`` memoizes the built pair per
+equal numpy's row sums bit for bit.  ``predictor(z, f)`` serves a response
+that is predicted many times, as a fitted transform's is: on a 1-D block it
+keeps f of z's mean over every sorted window and gathers it at each batch's
+windows.  Wider blocks keep the table, from a kd-tree (Friedman, Bentley &
+Finkel, 1977), which ``predict`` rebuilds per call.  A row whose k-th
+neighbor is tied takes the exact (distance, index) selection: in a 1-D
+block it is read off the sorted sample in O(k + run length), in a wider one
+from its full distance row, so tied wide data can still cost O(n^2 d).  A
+smoother is built only on a finite block, and takes only finite query
+points.  ``PairedSamples.smoothers`` memoizes the built pair per
 ``SmootherConfig``.
 """
 
@@ -58,13 +59,19 @@ def as_block(x) -> np.ndarray:
     return a
 
 
+def _finite_block(x, what: str) -> np.ndarray:
+    """``x`` as an (n, d) block of finite values; ``what`` names it in the error."""
+    a = as_block(x)
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{what} must be finite")
+    return a
+
+
 def _query_block(x_new, d: int) -> np.ndarray:
     """``x_new`` as an (m, d) block of finite query points."""
-    q = as_block(x_new)
+    q = _finite_block(x_new, "query points")
     if q.shape[1] != d:
         raise ParameterError("query points do not match the fitted block's dimension")
-    if not np.isfinite(q).all():
-        raise ParameterError("query points must be finite")
     return q
 
 
@@ -329,7 +336,7 @@ def knn_indices(x_block, k: int) -> np.ndarray:
     only their rows with a tied k-th neighbor take a full distance row.  ``KnnSmoother``
     builds this table only for blocks wider than one column.
     """
-    x = as_block(x_block)
+    x = _finite_block(x_block, "predictor block")
     if x.shape[1] > 1:
         return _knn_tree(x, x, k, self_query=True)
     sample = _SortedSample(x[:, 0], k)
@@ -346,7 +353,7 @@ class KnnSmoother:
     """
 
     def __init__(self, x_block, k: int | None = None):
-        self.x = as_block(x_block)
+        self.x = _finite_block(x_block, "predictor block")
         self.n = self.x.shape[0]
         self.k = default_knn_k(self.n) if k is None else int(k)
         if not 1 <= self.k <= self.n:
@@ -359,35 +366,14 @@ class KnnSmoother:
         else:
             self.neighbors = knn_indices(self.x, self.k)
 
-    def window_sums(self, z) -> np.ndarray | None:
-        """z's sum over every sorted window of a 1-D block; None for a wider block.
-
-        These are what ``smooth`` and ``predict`` gather from.
-        """
-        if self._sorted is None:
-            return None
-        return _window_sums(np.asarray(z, dtype=float).ravel()[self._sorted.order], self.k)
-
-    def query_windows(self, x_new):
-        """``(lo, tied, rows)`` of finite query points in a 1-D block.
-
-        Query i's neighbors are the sorted window that starts at ``lo[i]``,
-        whose sum is ``window_sums(z)[lo[i]]``, unless i is in ``tied``; the
-        neighbors of those queries are ``rows``.  See ``_SortedSample.windows``.
-        """
-        return self._sorted.windows(_query_block(x_new, 1)[:, 0], self_query=False)
-
-    def smooth(self, z, sums=None) -> np.ndarray:
-        """k-NN regression of z at the sample's own points.
-
-        ``sums`` is ``window_sums(z)`` of a 1-D block, when the caller has it.
-        """
+    def smooth(self, z) -> np.ndarray:
+        """k-NN regression of z at the sample's own points."""
         z = np.asarray(z, dtype=float).ravel()
         if z.size != self.n:
             raise ParameterError("response length does not match the fitted block")
         if self._sorted is None:
             return z[self.neighbors].mean(axis=1)
-        return _window_means(self.window_sums(z) if sums is None else sums, z, self._windows)
+        return _window_means(_window_sums(z[self._sorted.order], self.k), z, self._windows)
 
     def predict(self, x_new, z) -> np.ndarray:
         """k-NN regression of z at new query points (no self handling)."""
@@ -395,7 +381,31 @@ class KnnSmoother:
         q = _query_block(x_new, self.x.shape[1])
         if self._sorted is None:
             return z[_knn_tree(self.x, q, self.k, self_query=False)].mean(axis=1)
-        return _window_means(self.window_sums(z), z, self._sorted.windows(q[:, 0], self_query=False))
+        sums = _window_sums(z[self._sorted.order], self.k)
+        return _window_means(sums, z, self._sorted.windows(q[:, 0], self_query=False))
+
+    def predictor(self, z, f):
+        """``x_new -> f(predict(x_new, z))``, for an elementwise f, bit for bit.
+
+        On a 1-D block the callable keeps f of z's mean over every sorted
+        window, each the division ``predict`` makes, so a call is one window
+        search and one gather; only a query whose window boundary is tied is
+        averaged and mapped on its own.  Wider blocks call ``predict``.
+        """
+        z = np.asarray(z, dtype=float).ravel()
+        if self._sorted is None:
+            return lambda x_new: f(self.predict(x_new, z))
+        sample, k = self._sorted, self.k
+        table = f(_window_sums(z[sample.order], k) / k)
+
+        def call(x_new):
+            lo, tied, rows = sample.windows(_query_block(x_new, 1)[:, 0], self_query=False)
+            out = table[lo]
+            if tied.size:
+                out[tied] = f(z[rows].sum(axis=1) / k)
+            return out
+
+        return call
 
 
 class KernelSmoother:
@@ -413,7 +423,7 @@ class KernelSmoother:
             raise ParameterError(
                 f"bandwidth must be positive with 2h^2 finite and > 0, got {bandwidth}"
             )
-        self.x = as_block(x_block)
+        self.x = _finite_block(x_block, "predictor block")
         self.n = self.x.shape[0]
         self.fallback_count = 0
         self._fallback_k = min(max(3, math.ceil(self.n ** 0.8 / 10.0)), self.n)
@@ -452,6 +462,11 @@ class KernelSmoother:
     def predict(self, x_new, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).ravel()
         return self._weights_apply(_query_block(x_new, self.x.shape[1]), z, selfq=False)
+
+    def predictor(self, z, f):
+        """``x_new -> f(predict(x_new, z))``."""
+        z = np.asarray(z, dtype=float).ravel()
+        return lambda x_new: f(self.predict(x_new, z))
 
 
 @dataclass(frozen=True)

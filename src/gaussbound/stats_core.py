@@ -490,12 +490,6 @@ def mi_from_correlations(rho) -> float:
     return float(-0.5 * np.log1p(-r * r).sum())
 
 
-def correlations_saturated(rho) -> bool:
-    """True when any correlation had to be clamped in mi_from_correlations."""
-    r = np.atleast_1d(np.asarray(rho, dtype=float))
-    return bool(np.any(np.abs(r) >= SATURATION_RHO))
-
-
 def w2_to_normal(x) -> float:
     """Squared 2-Wasserstein distance of a sample to the standard normal.
 

@@ -13,12 +13,8 @@ import pytest
 
 from gaussbound import reproduce as repro
 from gaussbound.gib import gib_curve, gib_spectrum
-from gaussbound.ib_discrete import (
-    discretize_samples,
-    quadrature_discretize,
-    reverse_anneal,
-)
-from gaussbound.models import BivariateGaussianModel
+from gaussbound.ib_discrete import quadrature_discretize, reverse_anneal
+from reference import BivariateGaussianModel, discretize_samples
 
 TIME_BUDGETS = {
     "corr-xy": 1.0,

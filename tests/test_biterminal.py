@@ -21,8 +21,8 @@ from gaussbound.biterminal import (
     random_rotation,
 )
 from gaussbound.errors import DomainError, InvalidCovarianceError, ParameterError
-from gaussbound.ib_discrete import discretize_samples
 from gaussbound.stats_core import ks_normal_stat, rank_quantile_grid
+from reference import discretize_samples
 
 
 def is_rank_exact(col):

@@ -5,14 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gaussbound import ConditioningError, DomainError, gib_curve, gib_spectrum
-from gaussbound.gib import (
-    IBCurve,
-    default_beta_grid,
-    gib_point_info,
-    gib_projection,
-    projection_coefficients,
-)
+from gaussbound.gib import IBCurve, default_beta_grid, projection_coefficients
 from gaussbound.stats_core import NATS_PER_BIT
+from reference import gib_point_info, gib_projection
 
 # frozen plug-in arithmetic: beta = 2 / 0.36 on the rho = 0.6 scalar pair
 SCALAR_BETA = 2.0 / 0.36

@@ -21,10 +21,10 @@ from gaussbound.ib_discrete import (
     _STATIONARY_WINDOW,
     _mi_rows,
     _spans_less,
-    discretize_samples,
     upper_concave_envelope,
 )
-from gaussbound.models import BivariateGaussianModel, ExpMirrorModel, Gm1dModel
+from gaussbound.models import ExpMirrorModel, Gm1dModel
+from reference import BivariateGaussianModel, discretize_samples
 
 
 def symmetric_2x2(flip: float) -> JointPmf:

@@ -23,10 +23,10 @@ from gaussbound.models import (
     Gm1dModel,
     _gm1d_mi_numeric,
     discretizable_from_spec,
-    gm1d_mi_closed_form,
     sample_from_spec,
 )
 from gaussbound.stats_core import NATS_PER_BIT, ks_normal_stat
+from reference import gm1d_mi_closed_form
 
 
 class TestGm1d:

@@ -275,11 +275,39 @@ def test_cached_predict_equals_fresh_sort_bit_for_bit(x, k):
     expected = fresh_sort_predict(x, queries, z, k).view(np.int64)
     for _ in range(2):
         assert np.array_equal(sm.predict(queries, z).view(np.int64), expected)
-    # what a fitted transform gathers: the window sums at each window start
-    lo, tied, rows = sm.query_windows(queries)
-    gathered = sm.window_sums(z)[lo]
-    gathered[tied] = z[rows].sum(axis=1)
-    assert np.array_equal((gathered / k).view(np.int64), expected)
+    # what a fitted transform calls: the window means, gathered per query
+    predictor = sm.predictor(z, lambda a: a)
+    for _ in range(2):
+        assert np.array_equal(predictor(queries).view(np.int64), expected)
+
+
+def _predictor_cases():
+    for name in ("continuous", "duplicates", "integer-grid"):
+        x = CACHED_PREDICT_BLOCKS[name]
+        for k in (1, x.size):
+            yield pytest.param(lambda x=x, k=k: KnnSmoother(x, k), id=f"knn-{name}-k{k}")
+    d2 = np.random.default_rng(25).standard_normal((60, 2))
+    yield pytest.param(lambda: KnnSmoother(d2, 7), id="knn-d2")
+    yield pytest.param(lambda: KernelSmoother(CACHED_PREDICT_BLOCKS["continuous"], 0.3), id="kernel")
+
+
+@pytest.mark.parametrize("make", list(_predictor_cases()))
+def test_predictor_equals_f_of_predict_bit_for_bit(make):
+    sm = make()
+    rng = np.random.default_rng(sm.n)
+    z = rng.standard_normal(sm.n) * 1e3
+    x, d = sm.x, sm.x.shape[1]
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    queries = np.concatenate([
+        rng.uniform(lo, hi, (40, d)),
+        [2.0 * lo - hi - 1.0, 2.0 * hi - lo + 1.0],  # outside the range
+        x, (x[:-1] + x[1:]) / 2.0,                  # on sample points, midpoints
+        np.repeat(x[:4], 3, axis=0),                # repeated
+    ])
+    predictor = sm.predictor(z, np.arctan)
+    expected = np.arctan(sm.predict(queries, z)).tobytes()
+    for _ in range(2):
+        assert predictor(queries).tobytes() == expected
 
 
 class TestSortedOnce:
@@ -302,15 +330,18 @@ class TestSortedOnce:
         x, z = rng.standard_normal(500), rng.standard_normal(500)
         sm = KnnSmoother(x, 30)
         assert builds == [500]
+        predictor = sm.predictor(z, np.tanh)
         for m in (1, 7, 300):
             sm.predict(rng.standard_normal(m), z)
-            sm.query_windows(rng.standard_normal(m))
+            predictor(rng.standard_normal(m))
         sm.smooth(z)
         assert builds == [500]
 
     def test_wider_block_builds_no_sort(self, builds):
-        sm = KnnSmoother(np.random.default_rng(21).standard_normal((50, 2)), 5)
-        assert sm.window_sums(np.zeros(50)) is None
+        rng = np.random.default_rng(21)
+        sm = KnnSmoother(rng.standard_normal((50, 2)), 5)
+        z, q = rng.standard_normal(50), rng.standard_normal((20, 2))
+        assert sm.predictor(z, np.tanh)(q).tobytes() == np.tanh(sm.predict(q, z)).tobytes()
         assert builds == []
 
     def test_predict_leaves_no_garbage_for_the_collector(self):
@@ -354,6 +385,35 @@ def test_non_finite_query_rejected(path, bad):
     queries[1, -1] = bad
     with pytest.raises(ParameterError):
         sm.predict(queries, z)
+    with pytest.raises(ParameterError):
+        sm.predictor(z, np.tanh)(queries)
+
+
+@pytest.mark.parametrize("path", list(_NON_FINITE_PATHS))
+def test_query_of_wrong_width_rejected(path):
+    make, d = _NON_FINITE_PATHS[path]
+    rng = np.random.default_rng(24)
+    sm, z = make(rng.standard_normal((40, 2))), rng.standard_normal(40)
+    queries = np.zeros((3, d + 1))
+    with pytest.raises(ParameterError, match="do not match"):
+        sm.predict(queries, z)
+    with pytest.raises(ParameterError, match="do not match"):
+        sm.predictor(z, np.tanh)(queries)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [KnnSmoother, lambda x: KernelSmoother(x, 0.5), lambda x: knn_indices(x, 3)],
+    ids=["knn", "kernel", "knn_indices"],
+)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_block_rejected(make, d, bad):
+    # a 1-D k-NN block would otherwise sort the nan anywhere and smooth wrong
+    x = np.tile(np.arange(10.0)[:, None], (1, d))
+    x[3, -1] = bad
+    with pytest.raises(ParameterError, match="predictor block must be finite"):
+        make(x[:, 0] if d == 1 else x)
 
 
 _GRID = 2.0**20

@@ -28,12 +28,12 @@ from gaussbound.stats_core import (
     _eigvalsh,
     _ndtri,
     _slogdet,
-    correlations_saturated,
     ks_normal_stat,
     normal_scores,
     rank_order,
     rank_quantile_grid,
 )
+from reference import correlations_saturated
 
 # frozen from a 30-digit mpmath bisection on the erf-based normal CDF
 MPMATH_Q_975 = 1.959963984540054
