@@ -99,17 +99,11 @@ def read_samples_csv(path: str) -> PairedSamples:
 def _parse_body(body: list[str], d: int) -> np.ndarray | None:
     """The data lines as an (n, d) array in one numpy parse, which calls
     ``float`` on each field; None if a line is blank, has the wrong column
-    count, or holds a bad or non-finite value.  Every line's comma count
-    comes from one pass over the encoded body, whose newlines are the line
-    ends: no byte of a multi-byte UTF-8 character is ``,`` or ``\n``."""
-    text = "\n".join(body)
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    line_ends = np.append((raw == 10).nonzero()[0], raw.size)
-    commas = np.searchsorted((raw == 44).nonzero()[0], line_ends)
-    if not (np.diff(commas, prepend=0) == d - 1).all():
+    count, or holds a bad or non-finite value."""
+    if not all(line.count(",") == d - 1 for line in body):
         return None  # d >= 2, so this also catches blank lines
     try:
-        arr = np.array(text.replace("\n", ",").split(","), dtype=float)
+        arr = np.array(",".join(body).split(","), dtype=float)
     except ValueError:
         return None
     if not np.isfinite(arr).all():

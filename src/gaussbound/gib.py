@@ -41,12 +41,6 @@ class GibSpectrum:
     c_x: np.ndarray
     c_x_given_y: np.ndarray
 
-    @property
-    def mi_nats(self) -> float:
-        """I(X;Y) of the Gaussian pair: -0.5 sum ln lambda_i (over lambda < 1)."""
-        lam = np.clip(self.lam, _LAMBDA_FLOOR, 1.0)
-        return float(-0.5 * np.log(lam).sum())
-
 
 def gib_spectrum(cov, d_x: int) -> GibSpectrum:
     """Eigen-decomposition driving the Gaussian bottleneck.

@@ -74,12 +74,6 @@ class JointPmf:
         mask = self.p > 0
         return float(np.sum(self.p[mask] * np.log(self.p[mask] / outer[mask])))
 
-    def entropy_x(self) -> float:
-        from scipy.special import xlogy  # imported here: a 1-D bound loads no scipy
-
-        px = self.p_x
-        return float(-np.sum(xlogy(px, px)))
-
 
 def _mi_rows(weights: np.ndarray, rows: np.ndarray, marginal: np.ndarray) -> float:
     """sum_i w_i KL(rows_i || marginal), the MI of a channel with input weights."""

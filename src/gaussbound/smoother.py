@@ -3,25 +3,26 @@
 Two estimators of E[Z | X]: a k-nearest-neighbor average (the default; its
 neighbor sets depend only on the predictor block, so they are computed once
 and reused across the many response vectors an alternating fit produces)
-and a Nadaraya-Watson smoother with Gaussian weights.
+and a Nadaraya-Watson smoother with Gaussian weights, taken relative to
+each query's nearest sample point so that no weight row underflows.
 
 A point's k nearest neighbors in a 1-D block are a window of the sorted
 sample, so the block sorts its sample once and keeps that sort and its
-window starts, and ``smooth`` and ``predict`` sum windows instead of
-gathering an (n, k) table.  ``predict`` reuses the sort: a query costs one
-binary search.  All windows of one width share numpy's pairwise summation
-tree, so their sums take one vector add per tree node, O(n log k), and
-equal numpy's row sums bit for bit.  ``predictor(z, f)`` serves a response
-that is predicted many times, as a fitted transform's is: on a 1-D block it
-keeps f of z's mean over every sorted window and gathers it at each batch's
-windows.  Wider blocks keep the table, from a kd-tree (Friedman, Bentley &
-Finkel, 1977), which ``predict`` rebuilds per call.  A row whose k-th
-neighbor is tied takes the exact (distance, index) selection: in a 1-D
-block it is read off the sorted sample in O(k + run length), in a wider one
-from its full distance row, so tied wide data can still cost O(n^2 d).  A
-smoother is built only on a finite block, and takes only finite query
-points.  ``PairedSamples.smoothers`` memoizes the built pair per
-``SmootherConfig``.
+window starts.  All windows of one width share numpy's pairwise summation
+tree, so z's mean over every window is one table, O(n log k), equal to
+numpy's row means bit for bit, and ``smooth``, ``predict`` and
+``predictor`` each gather it at their windows (``_gather``); a query costs
+one binary search.  ``predictor(z, f)`` serves a response that is predicted
+many times, as a fitted transform's is: it keeps f of the table, and
+``predict`` is ``predictor(z, identity)``.  Wider blocks keep the table of
+neighbors from a kd-tree (Friedman, Bentley & Finkel, 1977), which a
+prediction queries per call.  A row whose k-th neighbor is tied takes the
+exact (distance, index) selection: in a 1-D block it is read off the sorted
+sample in O(k + run length), in a wider one from its full distance row, so
+tied wide data can still cost O(n^2 d).  A smoother is built only on a
+finite block, and takes only finite query points and a response of the
+block's length.  A call changes no state of the smoother.
+``PairedSamples.smoothers`` memoizes the built pair per ``SmootherConfig``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,18 @@ def _finite_block(x, what: str) -> np.ndarray:
     return a
 
 
+def _response(z, n: int) -> np.ndarray:
+    """``z`` as a flat float vector of the fitted block's length n."""
+    z = np.asarray(z, dtype=float).ravel()
+    if z.size != n:
+        raise ParameterError("response length does not match the fitted block")
+    return z
+
+
+def _identity(a):
+    return a
+
+
 def _query_block(x_new, d: int) -> np.ndarray:
     """``x_new`` as an (m, d) block of finite query points."""
     q = _finite_block(x_new, "query points")
@@ -87,7 +100,7 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     centre = np.partition(b, mid, axis=0)[mid]
     a = a - centre
     b = b - centre
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - (2.0 * a) @ b.T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -287,17 +300,19 @@ def _window_sums(p: np.ndarray, k: int) -> np.ndarray:
     return sums[k] + 0.0
 
 
-def _window_means(sums: np.ndarray, z: np.ndarray, windows) -> np.ndarray:
-    """Mean of z over each query's ``_SortedSample.windows`` neighbors.
+def _gather(table: np.ndarray, z: np.ndarray, windows, f) -> np.ndarray:
+    """f of z's mean over each query's ``_SortedSample.windows`` neighbors.
 
-    ``sums`` holds z's sum over every sorted window.  A window sums the same
-    values in the same order as its table row (``_window_sums``), so this
-    equals the table gather's mean bit for bit.
+    ``table`` holds f of z's mean over every sorted window.  A window sums the
+    same values in the same order as its table row (``_window_sums``), so
+    this equals f of the table gather's mean bit for bit; only a query whose
+    window boundary is tied is averaged and mapped on its own.
     """
     lo, tied, rows = windows
-    out = sums[lo]
-    out[tied] = z[rows].sum(axis=1)
-    return out / rows.shape[1]
+    out = table[lo]
+    if tied.size:
+        out[tied] = f(z[rows].sum(axis=1) / rows.shape[1])
+    return out
 
 
 def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
@@ -358,115 +373,82 @@ class KnnSmoother:
         self.k = default_knn_k(self.n) if k is None else int(k)
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"k = {self.k} is outside [1, n = {self.n}]")
-        self._sorted = None
-        if self.x.shape[1] == 1:
-            self._sorted = _SortedSample(self.x[:, 0], self.k)
+        self._sorted = _SortedSample(self.x[:, 0], self.k) if self.x.shape[1] == 1 else None
+        if self._sorted is None:
+            self.neighbors = knn_indices(self.x, self.k)
+        else:
             self._windows = self._sorted.windows(self.x[:, 0], self_query=True)
             self.neighbors = self._windows[2]
-        else:
-            self.neighbors = knn_indices(self.x, self.k)
 
     def smooth(self, z) -> np.ndarray:
         """k-NN regression of z at the sample's own points."""
-        z = np.asarray(z, dtype=float).ravel()
-        if z.size != self.n:
-            raise ParameterError("response length does not match the fitted block")
+        z = _response(z, self.n)
         if self._sorted is None:
             return z[self.neighbors].mean(axis=1)
-        return _window_means(_window_sums(z[self._sorted.order], self.k), z, self._windows)
+        return _gather(_window_sums(z[self._sorted.order], self.k) / self.k, z, self._windows, _identity)
 
     def predict(self, x_new, z) -> np.ndarray:
         """k-NN regression of z at new query points (no self handling)."""
-        z = np.asarray(z, dtype=float).ravel()
-        q = _query_block(x_new, self.x.shape[1])
-        if self._sorted is None:
-            return z[_knn_tree(self.x, q, self.k, self_query=False)].mean(axis=1)
-        sums = _window_sums(z[self._sorted.order], self.k)
-        return _window_means(sums, z, self._sorted.windows(q[:, 0], self_query=False))
+        return self.predictor(z, _identity)(x_new)
 
     def predictor(self, z, f):
         """``x_new -> f(predict(x_new, z))``, for an elementwise f, bit for bit.
 
-        On a 1-D block the callable keeps f of z's mean over every sorted
-        window, each the division ``predict`` makes, so a call is one window
-        search and one gather; only a query whose window boundary is tied is
-        averaged and mapped on its own.  Wider blocks call ``predict``.
+        On a 1-D block the callable keeps f of z's window means, so a call is
+        one window search and one ``_gather``.  On a wider block a call
+        queries the kd-tree.
         """
-        z = np.asarray(z, dtype=float).ravel()
-        if self._sorted is None:
-            return lambda x_new: f(self.predict(x_new, z))
-        sample, k = self._sorted, self.k
+        z, x, k, sample = _response(z, self.n), self.x, self.k, self._sorted
+        if sample is None:
+            return lambda x_new: f(z[_knn_tree(x, _query_block(x_new, x.shape[1]), k, False)].mean(axis=1))
         table = f(_window_sums(z[sample.order], k) / k)
-
-        def call(x_new):
-            lo, tied, rows = sample.windows(_query_block(x_new, 1)[:, 0], self_query=False)
-            out = table[lo]
-            if tied.size:
-                out[tied] = f(z[rows].sum(axis=1) / k)
-            return out
-
-        return call
+        return lambda x_new: _gather(table, z, sample.windows(_query_block(x_new, 1)[:, 0], False), f)
 
 
 class KernelSmoother:
     """Nadaraya-Watson smoother with Gaussian weights exp(-||dx||^2 / 2h^2).
 
-    Weight rows that underflow entirely fall back to a k-NN average with
-    k = max(3, ceil(n^(4/5) / 10)); the count of such points is kept in
-    ``fallback_count``.
+    A query's weights are taken relative to its nearest sample point,
+    exp(-(||dx||^2 - min ||dx||^2) / 2h^2), which leaves their ratios, and so
+    the estimate, unchanged (Nadaraya 1964; Watson 1964).  The nearest point
+    weighs exactly 1, so no row underflows and nothing falls back to another
+    estimator, at any bandwidth or distance: a query far beyond the bandwidth
+    tends to z's mean at its nearest points.  ``predict`` is
+    ``predictor(z, identity)``.
     """
 
     def __init__(self, x_block, bandwidth: float):
-        # 2h^2 that overflows or underflows to 0 would turn every weight into 0/0
+        # a 2h^2 that underflows to 0 would give the nearest point the weight exp(0/0)
         self._h2 = 2.0 * bandwidth * bandwidth
         if not (bandwidth > 0 and 0 < self._h2 < math.inf):
-            raise ParameterError(
-                f"bandwidth must be positive with 2h^2 finite and > 0, got {bandwidth}"
-            )
+            raise ParameterError(f"bandwidth must be positive with 2h^2 finite and > 0, got {bandwidth}")
         self.x = _finite_block(x_block, "predictor block")
         self.n = self.x.shape[0]
-        self.fallback_count = 0
-        self._fallback_k = min(max(3, math.ceil(self.n ** 0.8 / 10.0)), self.n)
-        self._fallback: KnnSmoother | None = None
 
-    def _weights_apply(self, q: np.ndarray, z: np.ndarray, selfq: bool) -> np.ndarray:
+    def _weights_apply(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
         out = np.empty(q.shape[0])
-        dead = []
-        chunk = max(1, _CHUNK_BUDGET // self.n)
+        # row blocks of about 1 MB stay in cache through the elementwise passes
+        chunk, block = max(1, _CHUNK_BUDGET // self.n), max(1, 131_072 // self.n)
         for start in range(0, q.shape[0], chunk):
-            stop = min(start + chunk, q.shape[0])
-            w = np.exp(-sq_distances(q[start:stop], self.x) / self._h2)
-            den = w.sum(axis=1)
-            num = w @ z
-            bad = den <= 0.0
-            den[bad] = 1.0
-            out[start:stop] = num / den
-            dead.extend(start + i for i in np.flatnonzero(bad))
-        if dead:
-            self.fallback_count += len(dead)
-            if self._fallback is None:
-                self._fallback = KnnSmoother(self.x, self._fallback_k)
-            dead = np.asarray(dead, dtype=np.intp)
-            if selfq:
-                out[dead] = self._fallback.smooth(z)[dead]
-            else:
-                out[dead] = self._fallback.predict(q[dead], z)
+            w = sq_distances(q[start : start + chunk], self.x)
+            for b in (w[r : r + block] for r in range(0, w.shape[0], block)):
+                b -= b.min(axis=1, keepdims=True)
+                # divide: a subnormal 2h^2 has an infinite reciprocal, and 0 * inf is nan
+                np.divide(b, -self._h2, out=b)
+                np.exp(b, out=b)
+            out[start : start + chunk] = (w @ z) / w.sum(axis=1)
         return out
 
     def smooth(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        if z.size != self.n:
-            raise ParameterError("response length does not match the fitted block")
-        return self._weights_apply(self.x, z, selfq=True)
+        return self._weights_apply(self.x, _response(z, self.n))
 
     def predict(self, x_new, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        return self._weights_apply(_query_block(x_new, self.x.shape[1]), z, selfq=False)
+        return self.predictor(z, _identity)(x_new)
 
     def predictor(self, z, f):
         """``x_new -> f(predict(x_new, z))``."""
-        z = np.asarray(z, dtype=float).ravel()
-        return lambda x_new: f(self.predict(x_new, z))
+        z = _response(z, self.n)
+        return lambda x_new: f(self._weights_apply(_query_block(x_new, self.x.shape[1]), z))
 
 
 @dataclass(frozen=True)

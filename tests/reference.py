@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from gaussbound.errors import DomainError, ParameterError
-from gaussbound.gib import GibSpectrum, projection_coefficients
+from gaussbound.gib import _LAMBDA_FLOOR, GibSpectrum, projection_coefficients
 from gaussbound.ib_discrete import JointPmf
 from gaussbound.stats_core import SATURATION_RHO
 
@@ -19,6 +19,12 @@ def gib_projection(spec: GibSpectrum, beta: float) -> np.ndarray:
     """Projection matrix A(beta); one row per active component (possibly none)."""
     a, active, _ = projection_coefficients(spec, beta)
     return a[active, None] * spec.vectors[active]
+
+
+def gib_mi_nats(spec: GibSpectrum) -> float:
+    """I(X;Y) of the Gaussian pair: -0.5 sum ln lambda_i (over lambda < 1)."""
+    lam = np.clip(spec.lam, _LAMBDA_FLOOR, 1.0)
+    return float(-0.5 * np.log(lam).sum())
 
 
 def gib_point_info(a_mat, c_x, c_x_given_y) -> tuple[float, float]:
@@ -54,6 +60,14 @@ def discretize_samples(u, v, bins: int = 24) -> JointPmf:
     qv = np.unique(qv)
     counts, _, _ = np.histogram2d(u, v, bins=[qu, qv])
     return JointPmf(counts / counts.sum())
+
+
+def pmf_entropy_x(pmf: JointPmf) -> float:
+    """H(X) of the pmf, in nats."""
+    from scipy.special import xlogy
+
+    px = pmf.p_x
+    return float(-np.sum(xlogy(px, px)))
 
 
 def gm1d_mi_closed_form(mu_z: float, eps: float) -> float:

@@ -14,7 +14,7 @@ import pytest
 from gaussbound import reproduce as repro
 from gaussbound.gib import gib_curve, gib_spectrum
 from gaussbound.ib_discrete import quadrature_discretize, reverse_anneal
-from reference import BivariateGaussianModel, discretize_samples
+from reference import BivariateGaussianModel, discretize_samples, gib_mi_nats
 
 TIME_BUDGETS = {
     "corr-xy": 1.0,
@@ -155,7 +155,7 @@ class TestCriterion11PropertySuite:
         spec = gib_spectrum(np.block([[np.eye(2), c_xy], [c_xy, np.eye(2)]]), 2)
         curve = gib_curve(spec)
         assert np.all(curve.i_ty <= curve.i_tx + 1e-9)
-        assert np.all(curve.i_ty <= spec.mi_nats + 1e-9)
+        assert np.all(curve.i_ty <= gib_mi_nats(spec) + 1e-9)
         curve.validate(concavity_tol=1e-6)
         print("PASS property: IB curve DPI + concavity")
 

@@ -401,6 +401,18 @@ def test_query_of_wrong_width_rejected(path):
         sm.predictor(z, np.tanh)(queries)
 
 
+@pytest.mark.parametrize("path", list(_NON_FINITE_PATHS))
+@pytest.mark.parametrize("m", [39, 41])
+def test_response_of_wrong_length_rejected(path, m):
+    make, d = _NON_FINITE_PATHS[path]
+    rng = np.random.default_rng(26)
+    sm, z = make(rng.standard_normal((40, 2))), rng.standard_normal(m)
+    queries = np.zeros((3, d))
+    for call in (lambda: sm.smooth(z), lambda: sm.predict(queries, z), lambda: sm.predictor(z, np.tanh)):
+        with pytest.raises(ParameterError, match="response length does not match"):
+            call()
+
+
 @pytest.mark.parametrize(
     "make",
     [KnnSmoother, lambda x: KernelSmoother(x, 0.5), lambda x: knn_indices(x, 3)],
@@ -548,11 +560,40 @@ class TestKernel:
         x = rng.standard_normal(60)
         assert_allclose(KernelSmoother(x, 0.3).smooth(np.full(60, 2.5)), np.full(60, 2.5))
 
-    def test_underflow_fallback_on_predict(self):
+    def test_underflow_on_predict_takes_nearest_point(self):
+        # every absolute weight of this query underflows; relative to the
+        # nearest point the others still do, which leaves z at that point
         sm = KernelSmoother(np.linspace(0, 1, 30), 1e-3)
         out = sm.predict(np.array([500.0]), np.linspace(0, 1, 30))
-        assert np.isfinite(out).all()
-        assert sm.fallback_count == 1
+        assert np.array_equal(out, [1.0])
+
+    def test_scaled_block_smooth_returns_z(self):
+        # a self-distance of a wide block at scale 1e8 rounds above 0, far
+        # beyond h, yet each point stays nearest to itself
+        rng = np.random.default_rng(31)
+        x, z = rng.standard_normal((500, 2)) * 1e8, rng.standard_normal(500)
+        assert np.array_equal(KernelSmoother(x, 1e-3).smooth(z), z)
+
+    def test_far_query_approaches_the_maximum_point(self):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal(3000)
+        z = np.sin(x) + rng.standard_normal(3000)
+        out = KernelSmoother(x, 2.0).predict(x.max() + np.array([30.0, 100.0, 1e4]), z)
+        err = np.abs(out - z[x.argmax()])
+        assert err[0] >= err[1] >= err[2]
+        assert err[2] <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_subnormal_bandwidth_takes_nearest_point(self, d):
+        # 2h^2 = 2e-310 is subnormal, and its reciprocal is inf
+        rng = np.random.default_rng(33)
+        x, z = rng.standard_normal((200, d)), rng.standard_normal(200)
+        q = x[:20] + 1e-3
+        nearest = np.argmin(((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2), axis=1)
+        sm = KernelSmoother(x, 1e-155)
+        with np.errstate(over="ignore"):  # the far weights' exponents overflow to -inf
+            assert np.array_equal(sm.smooth(z), z)
+            assert np.array_equal(sm.predict(q, z), z[nearest])
 
     def test_bandwidth_validation(self):
         with pytest.raises(ParameterError):
