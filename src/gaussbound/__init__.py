@@ -21,7 +21,7 @@ from .biterminal import (
     joint_objective,
     separate_gaussianize,
 )
-from .cca_ace import CanonicalModel, ace_fit, ace_upper_bound, kcca_fit
+from .cca_ace import CanonicalModel, ace_fit, ace_upper_bound
 from .errors import (
     ConditioningError,
     DomainError,
@@ -48,7 +48,7 @@ from .models import (
     mirror_transform,
     mvg_scramble_sample,
 )
-from .smoother import KernelSmoother, KnnSmoother, SmootherConfig
+from .smoother import KnnSmoother, SmootherConfig
 from .stats_core import (
     MonotoneMap,
     PairedSamples,

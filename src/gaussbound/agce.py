@@ -18,7 +18,7 @@ import numpy as np
 
 from .cca_ace import _DEGENERATE_STD, CanonicalModel, _standardize, ace_fit
 from .errors import InsufficientDataError, ParameterError
-from .smoother import KernelSmoother, KnnSmoother, SmootherConfig
+from .smoother import KnnSmoother, SmootherConfig
 from .stats_core import (
     MonotoneMap,
     PairedSamples,
@@ -45,10 +45,10 @@ def _corr(a: np.ndarray, b: np.ndarray, ma=None, mb=None) -> float:
 
 @dataclass(frozen=True)
 class FittedTransform:
-    """phi(x) = normal-scores map applied to a smoothed regression at x.
+    """phi(x) = normal-scores map applied to a k-NN regression at x.
 
-    Stores the smoother built on the training block and the response values
-    it regresses, so the transform can be evaluated on new points.  Its
+    Stores the k-NN smoother built on the training block and the response
+    values it regresses, so the transform can be evaluated on new points.  Its
     ``map`` is the normal-scores map of the in-sample regression,
     ``marginal_gaussianize(smoother.smooth(z_values), 0)[1]``, derived on
     first read: building a transform costs nothing, and AGCE builds one at
@@ -57,15 +57,15 @@ class FittedTransform:
     pins), so this is the map the fit's own rank step would have built.  A
     failed knot check is not cached: it raises ``DomainError`` on every
     call.  A call is ``map(smoother.predict(x_new, z_values))`` bit for bit,
-    through the smoother's ``predictor``: on a 1-D k-NN block that keeps the
-    map of every sorted window's mean, built on the first call, so later
+    through the smoother's ``predictor``: on a 1-D block that keeps the map
+    of every sorted window's mean, built on the first call, so later
     calls are one window search and one gather.  The first call sums z's
     windows twice, once for the map and once for the predictor, and maps all
     n - k + 1 windows, so the table pays off only over repeated calls on one
     transform.
     """
 
-    smoother: KnnSmoother | KernelSmoother
+    smoother: KnnSmoother
     z_values: np.ndarray
 
     @cached_property

@@ -3,9 +3,7 @@
 ACE (Breiman & Friedman, 1985) maximizes corr(phi(X), psi(Y)) over arbitrary
 zero-mean unit-variance transforms by alternating smoothed conditional
 expectations; the resulting correlations upper-bound what any pair of
-marginally normal embeddings can achieve.  A regularized Gaussian-kernel CCA
-is provided as the fallback estimator when the predictor dimension makes
-neighborhood smoothing unreliable.
+marginally normal embeddings can achieve.
 """
 
 from __future__ import annotations
@@ -14,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, InsufficientDataError, ParameterError
-from .smoother import SmootherConfig, sq_distances
+from .errors import InsufficientDataError, ParameterError
+from .smoother import SmootherConfig
 from .stats_core import PairedSamples, mi_from_correlations
 
 _DEGENERATE_STD = 1e-12
@@ -47,13 +45,6 @@ def _pc1(block: np.ndarray) -> np.ndarray:
     return centered @ w
 
 
-def _noise_pair(rng: np.random.Generator, n: int, u_cols, v_cols):
-    """Independent standardized noise columns orthogonal to the earlier pairs."""
-    u, _ = _standardize(_orthogonalize(rng.standard_normal(n), u_cols))
-    v, _ = _standardize(_orthogonalize(rng.standard_normal(n), v_cols))
-    return u, v
-
-
 @dataclass
 class CanonicalModel:
     """Fitted transform pair: sample blocks U, V and their correlations."""
@@ -64,19 +55,6 @@ class CanonicalModel:
     phi_history: list[np.ndarray]
     converged: np.ndarray
     degenerate: np.ndarray
-
-
-def _sorted_model(u_cols, v_cols, rho, history, converged, degenerate):
-    """Assemble the fitted pairs into a CanonicalModel in decreasing-rho order."""
-    order = np.argsort(-rho, kind="stable")
-    return CanonicalModel(
-        u=np.column_stack([u_cols[i] for i in order]),
-        v=np.column_stack([v_cols[i] for i in order]),
-        rho=rho[order],
-        phi_history=[history[i] for i in order],
-        converged=converged[order],
-        degenerate=degenerate[order],
-    )
 
 
 def ace_fit(
@@ -140,15 +118,25 @@ def ace_fit(
                 break
             rho_j = rho_new
         if degenerate[j]:
-            # keep the invariants testable: emit an independent noise column
-            u, v = _noise_pair(rng, n, u_cols, v_cols)
+            # keep the invariants testable: emit independent standardized
+            # noise columns orthogonal to the earlier pairs
+            u, _ = _standardize(_orthogonalize(rng.standard_normal(n), u_cols))
+            v, _ = _standardize(_orthogonalize(rng.standard_normal(n), v_cols))
             rho_j = 0.0
             converged[j] = True
         u_cols.append(u)
         v_cols.append(v)
         rho[j] = rho_j
         history.append(np.asarray(trace))
-    return _sorted_model(u_cols, v_cols, rho, history, converged, degenerate)
+    order = np.argsort(-rho, kind="stable")  # pairs in decreasing-rho order
+    return CanonicalModel(
+        u=np.column_stack([u_cols[i] for i in order]),
+        v=np.column_stack([v_cols[i] for i in order]),
+        rho=rho[order],
+        phi_history=[history[i] for i in order],
+        converged=converged[order],
+        degenerate=degenerate[order],
+    )
 
 
 def ace_upper_bound(model: CanonicalModel) -> float:
@@ -158,106 +146,3 @@ def ace_upper_bound(model: CanonicalModel) -> float:
     above by this value; correlations at 1 are clamped before the log.
     """
     return mi_from_correlations(model.rho)
-
-
-def _median_heuristic_width(block: np.ndarray, rng: np.random.Generator) -> float:
-    m = min(block.shape[0], 1000)
-    idx = rng.choice(block.shape[0], size=m, replace=False)
-    d2 = sq_distances(block[idx], block[idx])
-    med = float(np.median(np.sqrt(d2[np.triu_indices(m, 1)])))
-    return med if med > 0 else 1.0
-
-
-def _centered_gaussian_gram(block: np.ndarray, width: float) -> np.ndarray:
-    g = np.exp(-sq_distances(block, block) / (2.0 * width ** 2))
-    g -= g.mean(axis=0, keepdims=True)
-    g -= g.mean(axis=1, keepdims=True)
-    return g
-
-
-def kcca_fit(
-    samples: PairedSamples,
-    k: int | None = None,
-    kernel_width: float | None = None,
-    ridge: float = 1e-3,
-    seed=None,
-) -> CanonicalModel:
-    """Regularized Gaussian-kernel CCA on dense centered Gram matrices.
-
-    Solves the ridge-regularized generalized eigenproblem through the
-    singular values of (K_x + c I)^{-1} K_x K_y (K_y + c I)^{-1}; output
-    columns are standardized like ace_fit's.  Intended for predictor
-    dimensions where neighborhood smoothing breaks down.
-    """
-    n = samples.n
-    if n > 10_000:
-        raise ParameterError("kcca_fit builds dense n x n kernels; n must be <= 10000")
-    if n < 50:
-        raise InsufficientDataError("kcca_fit needs at least 50 samples")
-    if not 0 < ridge < np.inf:
-        raise ParameterError(f"ridge must be finite and positive, got {ridge}")
-    # a width whose 2w^2 overflows or underflows to 0 leaves a Gram of NaNs
-    if kernel_width is not None and not (
-        kernel_width > 0 and 0 < 2.0 * kernel_width * kernel_width < np.inf
-    ):
-        raise ParameterError(
-            f"kernel_width must be positive with 2w^2 finite and > 0, got {kernel_width}"
-        )
-    if k is None:
-        k = min(samples.d_x, samples.d_y)
-    # imported here: a 1-D bound loads no scipy
-    import scipy.linalg
-    from scipy.sparse.linalg import ArpackError, svds
-
-    rng = np.random.default_rng(seed)
-    wx = kernel_width or _median_heuristic_width(samples.x, rng)
-    wy = kernel_width or _median_heuristic_width(samples.y, rng)
-    kx = _centered_gaussian_gram(samples.x, wx)
-    ky = _centered_gaussian_gram(samples.y, wy)
-
-    cur_ridge = ridge
-    for attempt in range(4):
-        reg = cur_ridge * n
-        try:
-            cx = scipy.linalg.cho_factor(kx + reg * np.eye(n))
-            cy = scipy.linalg.cho_factor(ky + reg * np.eye(n))
-            sx = scipy.linalg.cho_solve(cx, kx)
-            sy = scipy.linalg.cho_solve(cy, ky)
-            m = sx @ sy.T
-            # a kernel so wide that its centered Gram vanishes, or a ridge so
-            # large that the solved product underflows, leaves nothing to
-            # decompose; a larger ridge would only shrink it further
-            if not m.any():
-                raise ConditioningError(
-                    "kernel CCA cross-product is zero; the kernel width or ridge leaves no signal"
-                )
-            # only the k leading singular pairs are used; v0 keeps svds seeded
-            try:
-                left, sing, vt = svds(m, k=k, v0=rng.standard_normal(n))
-            except ArpackError as exc:
-                raise ConditioningError(f"kernel CCA decomposition failed: {exc}") from None
-            break
-        except np.linalg.LinAlgError:
-            if attempt == 3:
-                raise ConditioningError(
-                    "kernel CCA system stayed singular after ridge escalation"
-                ) from None
-            cur_ridge *= 10.0
-
-    order = np.argsort(sing)[::-1]
-    left, vt = left[:, order], vt[order]
-    u_cols, v_cols, rho = [], [], []
-    for j in range(k):
-        uj, dead_u = _standardize(_orthogonalize(sx @ left[:, j], u_cols))
-        vj, dead_v = _standardize(_orthogonalize(sy @ vt[j], v_cols))
-        if dead_u or dead_v:
-            uj, vj = _noise_pair(rng, n, u_cols, v_cols)
-        u_cols.append(uj)
-        v_cols.append(vj)
-        rho.append(max(0.0, float(uj @ vj / n)))
-
-    rho = np.asarray(rho)
-    history = [np.asarray([r]) for r in rho]
-    return _sorted_model(
-        u_cols, v_cols, rho, history, np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
-    )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .agce import agce_fit_1d, naive_lower_1d, offshelf_lower_1d
 from .biterminal import biterminal_gaussianize, joint_objective, separate_gaussianize
-from .cca_ace import ace_fit, ace_upper_bound, kcca_fit
+from .cca_ace import ace_fit, ace_upper_bound
 from .errors import GaussboundError, InsufficientDataError, ParameterError
 from .gib import default_beta_grid, gib_curve, gib_spectrum
 from .ib_discrete import quadrature_discretize, reverse_anneal
@@ -50,8 +50,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_CHECK_FAILED = 5
 
-METHODS = ("ace", "agce", "offshelf", "biterminal", "kcca", "naive")
-SMOOTHERS = ("knn", "kernel")
+METHODS = ("ace", "agce", "offshelf", "biterminal", "naive")
 UNITS = ("bits", "nats")
 _TRUE_WORDS, _FALSE_WORDS = ("1", "true", "yes"), ("0", "false", "no")
 
@@ -212,21 +211,17 @@ _SETTINGS = {
     "eps": (0.1, float, "correlated-branch noise scale (gm models)", None),
     "d": (1, int, "model dimension", None),
     "method": ("agce", str, "embedding method", METHODS),
-    "smoother": ("knn", str, "conditional-expectation estimator", SMOOTHERS),
     "k": (None, int, "neighbor count for the knn smoother", None),
-    "bandwidth": (None, float, "bandwidth for the kernel smoother", None),
     "restarts": (8, int, "AGCE restart count", None),
     "tol": (1e-4, float, "AGCE alternation tolerance (correlation change)", None),
     "units": ("bits", str, "output units", UNITS),
     "quad_m": (32, int, "quadrature nodes per component", None),
     "beta_points": (200, int, "curve grid size", None),
-    "kcca_ridge": (1e-3, float, "kernel CCA ridge", None),
-    "kcca_width": (None, float, "kernel CCA width", None),
     "reference": (True, _yes_no, "skip the discrete reference curve", None),
     "seed": (0, _seed, "RNG seed (default: GB_SEED or 0)", None),
 }
 _MODEL_KEYS = ("mu_z", "eps", "d", "n", "seed", "units")
-_METHOD_KEYS = ("method", "smoother", "k", "bandwidth", "restarts", "tol", "kcca_ridge", "kcca_width")
+_METHOD_KEYS = ("method", "k", "restarts", "tol")
 
 
 def _parse(key: str, text: str, source: str):
@@ -276,14 +271,10 @@ def _draw_model(args) -> tuple[object, dict]:
 
 
 def _smoother_config(args, samples) -> SmootherConfig:
-    if args.smoother == "kernel":
-        if args.bandwidth is None:
-            raise CliError("--bandwidth is required with --smoother kernel", EXIT_CONFIG)
-        return SmootherConfig(kind="kernel", bandwidth=args.bandwidth)
     k = args.k
     if k is None and max(samples.d_x, samples.d_y) > 1:
         k = experiment_knn_k(samples.n, max(samples.d_x, samples.d_y))
-    return SmootherConfig(kind="knn", k=k)
+    return SmootherConfig(k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +330,6 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
             "converged": chain_u.converged,
         }
         return bu, bv, None, extras
-    if method == "kcca":
-        model = kcca_fit(
-            samples, kernel_width=args.kcca_width, ridge=args.kcca_ridge, seed=seed
-        )
-        return *_separate_pair(model.u, model.v, seed + 1), model.rho, {}
     raise CliError(f"unknown method {method!r}", EXIT_CONFIG)
 
 
@@ -358,7 +344,7 @@ def bound_report(args) -> dict:
         if args.method == "biterminal":
             extras["saturated"] = info["saturated"]
 
-    # naive and kcca fit no ACE model of their own
+    # naive fits no ACE model of its own
     ace_model = extras.pop("model", None)
     if ace_model is None:
         ace_model = ace_fit(samples, smoother=cfg, seed=args.seed + 17)

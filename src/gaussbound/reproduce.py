@@ -10,8 +10,8 @@ row reads its curves in memory; rerun, it writes them under ``curves/``).
 A command's ``--seed`` is the seed of the sample it draws; the methods
 take the CLI's settings and seed offsets.  Only the two model checks of
 sec4.4 (``corr-xy``, ``true-mi``) call the library directly.  Rows flagged
-non-binding are informational context (e.g. kernel-CCA columns) whose
-values the qualitative figures do not pin down.
+non-binding are informational context (e.g. the sec6.1-exp curve checks)
+whose values the qualitative figures do not pin down.
 """
 
 from __future__ import annotations
@@ -143,17 +143,13 @@ def _gauss_shares(reports) -> tuple[str, bool]:
     return f"ace={100 * ace:.1f}%, naive={100 * naive:.1f}%", ace >= 0.90 and naive <= 0.40
 
 
-def _kcca_share(reports) -> tuple[str, bool]:
-    return f"{100 * _share(reports[0], 'lower_bound_nats'):.1f}%", True
-
-
 def sec54_gauss(n: int = 10_000, seed: int = 100) -> list[_Check]:
     """Scrambled jointly Gaussian model: ACE recovers, naive does not.
 
     A naive report carries both shares: its lower bound, and the upper bound
-    of the ACE fit it makes for it.  The kcca rows run at n = 2000.
+    of the ACE fit it makes for it.
     """
-    rows = [
+    return [
         _Check(f"gauss-d{d}", f"d={d}: ACE share of true MI vs naive Gaussianization share",
                "ace >= 90%, naive <= 40%",
                [_argv("bound", "mv_gaussian_scramble", n, seed + d, "naive", "--d", d,
@@ -161,14 +157,6 @@ def sec54_gauss(n: int = 10_000, seed: int = 100) -> list[_Check]:
                _gauss_shares)
         for d in range(1, 6)
     ]
-    rows += [
-        _Check(f"kcca-d{d}", f"d={d}: Gaussianized kernel-CCA share of true MI (n=2000)",
-               "informational (suboptimal fallback)",
-               [_argv("bound", "mv_gaussian_scramble", 2000, seed + d, "kcca", "--d", d, "--kcca-ridge", "1e-2")],
-               _kcca_share, binding=False)
-        for d in range(6, 11)
-    ]
-    return rows
 
 
 def _biterminal_wins(reports) -> tuple[str, bool]:

@@ -1,10 +1,9 @@
-"""Nonparametric conditional-expectation smoothers shared by the CCA fits.
+"""The k-nearest-neighbor conditional-expectation smoother shared by the CCA fits.
 
-Two estimators of E[Z | X]: a k-nearest-neighbor average (the default; its
-neighbor sets depend only on the predictor block, so they are computed once
-and reused across the many response vectors an alternating fit produces)
-and a Nadaraya-Watson smoother with Gaussian weights, taken relative to
-each query's nearest sample point so that no weight row underflows.
+It estimates E[Z | X] as z's mean over each point's k nearest neighbors.
+The neighbor sets depend only on the predictor block, so they are computed
+once and reused across the many response vectors an alternating fit
+produces.
 
 A point's k nearest neighbors in a 1-D block are a window of the sorted
 sample, so the block sorts its sample once and keeps that sort and its
@@ -405,66 +404,14 @@ class KnnSmoother:
         return lambda x_new: _gather(table, z, sample.windows(_query_block(x_new, 1)[:, 0], False), f)
 
 
-class KernelSmoother:
-    """Nadaraya-Watson smoother with Gaussian weights exp(-||dx||^2 / 2h^2).
-
-    A query's weights are taken relative to its nearest sample point,
-    exp(-(||dx||^2 - min ||dx||^2) / 2h^2), which leaves their ratios, and so
-    the estimate, unchanged (Nadaraya 1964; Watson 1964).  The nearest point
-    weighs exactly 1, so no row underflows and nothing falls back to another
-    estimator, at any bandwidth or distance: a query far beyond the bandwidth
-    tends to z's mean at its nearest points.  ``predict`` is
-    ``predictor(z, identity)``.
-    """
-
-    def __init__(self, x_block, bandwidth: float):
-        # a 2h^2 that underflows to 0 would give the nearest point the weight exp(0/0)
-        self._h2 = 2.0 * bandwidth * bandwidth
-        if not (bandwidth > 0 and 0 < self._h2 < math.inf):
-            raise ParameterError(f"bandwidth must be positive with 2h^2 finite and > 0, got {bandwidth}")
-        self.x = _finite_block(x_block, "predictor block")
-        self.n = self.x.shape[0]
-
-    def _weights_apply(self, q: np.ndarray, z: np.ndarray) -> np.ndarray:
-        out = np.empty(q.shape[0])
-        # row blocks of about 1 MB stay in cache through the elementwise passes
-        chunk, block = max(1, _CHUNK_BUDGET // self.n), max(1, 131_072 // self.n)
-        for start in range(0, q.shape[0], chunk):
-            w = sq_distances(q[start : start + chunk], self.x)
-            for b in (w[r : r + block] for r in range(0, w.shape[0], block)):
-                b -= b.min(axis=1, keepdims=True)
-                # divide: a subnormal 2h^2 has an infinite reciprocal, and 0 * inf is nan
-                np.divide(b, -self._h2, out=b)
-                np.exp(b, out=b)
-            out[start : start + chunk] = (w @ z) / w.sum(axis=1)
-        return out
-
-    def smooth(self, z) -> np.ndarray:
-        return self._weights_apply(self.x, _response(z, self.n))
-
-    def predict(self, x_new, z) -> np.ndarray:
-        return self.predictor(z, _identity)(x_new)
-
-    def predictor(self, z, f):
-        """``x_new -> f(predict(x_new, z))``."""
-        z = _response(z, self.n)
-        return lambda x_new: f(self._weights_apply(_query_block(x_new, self.x.shape[1]), z))
-
-
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Declarative smoother choice, resolved per predictor block via build()."""
+    """Declarative smoother choice, resolved per predictor block via build().
 
-    kind: str = "knn"
+    ``k`` is the neighbor count; None takes ``default_knn_k`` of the block.
+    """
+
     k: int | None = None
-    bandwidth: float | None = None
 
-    def build(self, x_block):
-        if self.kind == "knn":
-            return KnnSmoother(x_block, self.k)
-        if self.kind == "kernel":
-            if self.bandwidth is None:
-                raise ParameterError("kernel smoother needs an explicit bandwidth")
-            return KernelSmoother(x_block, self.bandwidth)
-        raise ParameterError(f"unknown smoother kind {self.kind!r}")
-
+    def build(self, x_block) -> KnnSmoother:
+        return KnnSmoother(x_block, self.k)

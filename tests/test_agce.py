@@ -227,13 +227,6 @@ class TestFittedTransformCalls:
             tied += _boundary_ties(t.smoother.x[:, 0], q, t.smoother.k)
         assert 0 < tied < 2 * q.size
 
-    def test_kernel_transform(self):
-        samples = gm1d_sample(300, 10, 0.1, seed=36).samples
-        pair = offshelf_lower_1d(samples, SmootherConfig(kind="kernel", bandwidth=0.5), seed=37)
-        q = np.linspace(-8.0, 8.0, 33)
-        expected = pair.phi.map(pair.phi.smoother.predict(q, pair.phi.z_values))
-        assert pair.phi(q).tobytes() == expected.tobytes()
-
 
 def _boundary_ties(x, q, k):
     """How many queries' k-th and (k+1)-th nearest sample distances tie.

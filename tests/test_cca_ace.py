@@ -1,4 +1,4 @@
-"""ACE fits, the correlation upper bound, and the kernel-CCA fallback."""
+"""ACE fits and the correlation upper bound."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from numpy.testing import assert_allclose
 from gaussbound import (
     InsufficientDataError,
     PairedSamples,
-    ParameterError,
     ace_fit,
     ace_upper_bound,
     covariance,
     gaussian_mi_bound,
     gm1d_true_mi,
-    kcca_fit,
     mvg_scramble_sample,
 )
 from gaussbound.cca_ace import CanonicalModel
@@ -95,13 +93,6 @@ class TestAceFit:
         assert not model.converged[0]
         assert 0.0 <= model.rho[0] <= 1.0
 
-    def test_kernel_smoother_backend(self, gaussian_pair_06):
-        from gaussbound import SmootherConfig
-
-        sub = PairedSamples(gaussian_pair_06.x[:1500], gaussian_pair_06.y[:1500])
-        model = ace_fit(sub, k=1, smoother=SmootherConfig(kind="kernel", bandwidth=0.4), seed=2)
-        assert abs(model.rho[0] - 0.6) <= 0.05
-
 
 class TestAceUpperBound:
     def test_known_value(self):
@@ -149,51 +140,3 @@ class TestAceUpperBound:
             degenerate=np.zeros(1, bool),
         )
         assert np.isfinite(ace_upper_bound(model))
-
-
-class TestKcca:
-    def test_linear_limit_matches_linear_cca(self):
-        rng = np.random.default_rng(10)
-        n = 1500
-        x = rng.standard_normal((n, 2))
-        y = x + 0.5 * rng.standard_normal((n, 2))
-        model = kcca_fit(PairedSamples(x, y), k=2, kernel_width=50.0, ridge=1e-3, seed=1)
-        analytic = 1.0 / np.sqrt(1.25)
-        assert np.all(np.abs(model.rho - analytic) <= 0.05)
-
-    def test_independent_is_small(self):
-        rng = np.random.default_rng(11)
-        samples = PairedSamples(rng.standard_normal((2000, 3)), rng.standard_normal((2000, 3)))
-        model = kcca_fit(samples, k=1, ridge=1e-2, seed=2)
-        assert model.rho[0] <= 0.15
-
-    def test_identity_dependence(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(800)
-        model = kcca_fit(PairedSamples(x, x.copy()), k=1, ridge=1e-3, seed=3)
-        assert model.rho[0] >= 0.99
-
-    def test_columns_standardized(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((500, 2))
-        y = x + rng.standard_normal((500, 2))
-        model = kcca_fit(PairedSamples(x, y), k=2, seed=4)
-        assert np.all(np.abs(model.u.mean(axis=0)) <= 1e-8)
-        assert_allclose(model.u.var(axis=0), 1.0, atol=1e-6)
-
-    def test_size_guards(self):
-        rng = np.random.default_rng(14)
-        with pytest.raises(ParameterError):
-            kcca_fit(
-                PairedSamples(rng.standard_normal(10_001), rng.standard_normal(10_001))
-            )
-        small = PairedSamples(rng.standard_normal(200), rng.standard_normal(200))
-        with pytest.raises(ParameterError):
-            kcca_fit(small, ridge=0.0)
-        for ridge in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ParameterError):
-                kcca_fit(small, ridge=ridge)
-        # 2w^2 must stay a finite, nonzero float
-        for width in (np.nan, np.inf, 1e200, 1e-300):
-            with pytest.raises(ParameterError):
-                kcca_fit(small, kernel_width=width)

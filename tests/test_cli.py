@@ -128,7 +128,7 @@ class TestBound:
                 tmp_path, ["bound", "--input", str(sample_csv), "--method", method, "--seed", "11"]
             )
 
-    @pytest.mark.parametrize("method", ["biterminal", "kcca"])
+    @pytest.mark.parametrize("method", ["biterminal"])
     def test_determinism_multivariate(self, tmp_path, method):
         csv = tmp_path / "exp.csv"
         assert run_cli(["gen", "--model", "exp_gamma", "--d", "2", "--n", "400", "--seed", "3", "--out", str(csv)]) == 0
@@ -157,6 +157,25 @@ class TestBound:
         assert report["no_lossless_gaussian_embedding"] is True
         assert report["true_mi_nats"] > 1.0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "kcca"], "argument --method: invalid choice: 'kcca'"),
+            (["--smoother", "knn"], "unrecognized arguments: --smoother knn"),
+            (["--bandwidth", "0.3"], "unrecognized arguments: --bandwidth 0.3"),
+            (["--kcca-ridge", "1e-3"], "unrecognized arguments: --kcca-ridge 1e-3"),
+            (["--kcca-width", "1"], "unrecognized arguments: --kcca-width 1"),
+        ],
+        ids=["method-kcca", "smoother", "bandwidth", "kcca-ridge", "kcca-width"],
+    )
+    def test_retired_flag_is_a_parser_error(self, tmp_path, capsys, flags, message):
+        # flags of kernel CCA and the kernel smoother: a script that still
+        # passes one must fail at the parser, not run without it
+        argv = ["bound", "--model", "gm1d", "--n", "500", "--restarts", "1", "--seed", "1", *flags,
+                "--out", str(tmp_path / "r.json")]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_multivariate_agce_rejected(self, tmp_path):
         code = run_cli(
             ["bound", "--model", "mv_gaussian_scramble", "--d", "2", "--n", "500", "--method", "agce"]
@@ -174,7 +193,7 @@ class TestBound:
         [
             ["bound", "--k", "0", "--n", "500"],
             ["bound", "--k", "501", "--n", "500"],
-            ["bound", "--method", "kcca", "--n", "10001"],
+            ["bound", "--method", "kcca", "--n", "10001"],  # a retired method, as below
             ["bound", "--method", "agce", "--restarts", "0", "--n", "500"],
             ["bound", "--method", "agce", "--restarts", "-3", "--n", "500"],
             ["bound", "--method", "agce", "--tol", "-1", "--n", "500"],
@@ -196,11 +215,10 @@ class TestBound:
             # gm1d is one-dimensional; gm_mv is its d-dimensional family
             ["bound", "--method", "naive", "--d", "2", "--n", "500"],
             ["gen", "--d", "2", "--n", "100"],
-            # a kernel width given must be positive
+            # retired kernel-CCA and kernel-smoother settings, whatever their value
             ["bound", "--method", "kcca", "--kcca-width", "0", "--n", "500"],
             ["bound", "--method", "kcca", "--kcca-width", "-1", "--n", "500"],
             ["bound", "--method", "kcca", "--kcca-width", "nan", "--n", "500"],
-            # non-finite kernel parameters, and kernel scales whose 2h^2 leaves the floats
             ["bound", "--method", "kcca", "--kcca-ridge", "nan", "--n", "500"],
             ["bound", "--method", "kcca", "--kcca-ridge", "inf", "--n", "500"],
             ["bound", "--method", "kcca", "--kcca-width", "inf", "--n", "500"],
@@ -383,22 +401,6 @@ class TestCsvValidation:
         code = run_cli(["curve", "--input", str(path), "--method", "naive", "--seed", "1", "--out-dir", str(out)])
         assert code == EXIT_NUMERIC
 
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--kcca-width", "1e10", "cross-product is zero"),
-         ("--kcca-ridge", "1e300", "cross-product is zero"),
-         ("--kcca-ridge", "1e150", "decomposition failed")],
-        ids=["wide-kernel-zero-gram", "huge-ridge-zero-product", "large-ridge-arpack"],
-    )
-    def test_degenerate_kcca_is_numerical_failure(self, tmp_path, capsys, flag, value, message):
-        # finite settings that leave kernel CCA nothing to decompose: a width
-        # that makes the centered Gram all zeros, a ridge whose solved product
-        # underflows to zero, or one that leaves it too small for ARPACK
-        argv = ["bound", "--model", "gm1d", "--n", "500", "--method", "kcca", flag, value,
-                "--seed", "1", "--out", str(tmp_path / "r.json")]
-        assert run_cli(argv) == EXIT_NUMERIC
-        assert f"numerical failure: kernel CCA {message}" in capsys.readouterr().err
-
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
@@ -432,11 +434,23 @@ class TestConfigFile:
         assert "line 2: unknown key 'restart'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, value", [("smoother", "knn"), ("bandwidth", "0.3"), ("kcca_ridge", "1e-3"), ("kcca_width", "1")]
+    )
+    def test_retired_config_key(self, tmp_path, capsys, key, value):
+        # settings of kernel CCA and the kernel smoother: a config file that
+        # still names one must fail, not run without it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 500\n{key} = {value}\n")
+        argv = ["bound", "--model", "gm1d", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "r.json")]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert f"line 2: unknown key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, line",
         [
             ("bound", "units = furlongs"),
             ("curve", "units = furlongs"),
-            ("bound", "smoother = kernal"),
+            ("bound", "k = many"),
             ("curve", "reference = maybe"),
             ("bound", "seed = -1"),
         ],

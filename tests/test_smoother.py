@@ -11,7 +11,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from gaussbound import (
-    KernelSmoother,
     KnnSmoother,
     PairedSamples,
     ParameterError,
@@ -288,7 +287,6 @@ def _predictor_cases():
             yield pytest.param(lambda x=x, k=k: KnnSmoother(x, k), id=f"knn-{name}-k{k}")
     d2 = np.random.default_rng(25).standard_normal((60, 2))
     yield pytest.param(lambda: KnnSmoother(d2, 7), id="knn-d2")
-    yield pytest.param(lambda: KernelSmoother(CACHED_PREDICT_BLOCKS["continuous"], 0.3), id="kernel")
 
 
 @pytest.mark.parametrize("make", list(_predictor_cases()))
@@ -370,7 +368,6 @@ class TestSortedOnce:
 _NON_FINITE_PATHS = {
     "knn-1d": (lambda x: KnnSmoother(x[:, 0], 5), 1),
     "knn-2d": (lambda x: KnnSmoother(x, 5), 2),
-    "kernel": (lambda x: KernelSmoother(x[:, 0], 0.5), 1),
 }
 
 
@@ -415,8 +412,8 @@ def test_response_of_wrong_length_rejected(path, m):
 
 @pytest.mark.parametrize(
     "make",
-    [KnnSmoother, lambda x: KernelSmoother(x, 0.5), lambda x: knn_indices(x, 3)],
-    ids=["knn", "kernel", "knn_indices"],
+    [KnnSmoother, lambda x: knn_indices(x, 3)],
+    ids=["knn", "knn_indices"],
 )
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -543,70 +540,8 @@ class TestTranslation:
         assert abs(shifted - rho) <= 1e-9
 
 
-class TestKernel:
-    def test_huge_bandwidth_gives_mean(self):
-        rng = np.random.default_rng(3)
-        x, z = rng.standard_normal(100), rng.standard_normal(100)
-        assert_allclose(KernelSmoother(x, 1e6).smooth(z), np.full(100, z.mean()), atol=1e-6)
-
-    def test_two_point_hand_value(self):
-        fitted = KernelSmoother(np.array([0.0, 1.0]), 1.0).smooth(np.array([0.0, 1.0]))
-        w = np.exp(-0.5)
-        assert_allclose(fitted, [w / (1 + w), 1 / (1 + w)], atol=1e-12)
-        assert abs(fitted[0] - 0.37754066879814546) <= 1e-12
-
-    def test_constant_response(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(60)
-        assert_allclose(KernelSmoother(x, 0.3).smooth(np.full(60, 2.5)), np.full(60, 2.5))
-
-    def test_underflow_on_predict_takes_nearest_point(self):
-        # every absolute weight of this query underflows; relative to the
-        # nearest point the others still do, which leaves z at that point
-        sm = KernelSmoother(np.linspace(0, 1, 30), 1e-3)
-        out = sm.predict(np.array([500.0]), np.linspace(0, 1, 30))
-        assert np.array_equal(out, [1.0])
-
-    def test_scaled_block_smooth_returns_z(self):
-        # a self-distance of a wide block at scale 1e8 rounds above 0, far
-        # beyond h, yet each point stays nearest to itself
-        rng = np.random.default_rng(31)
-        x, z = rng.standard_normal((500, 2)) * 1e8, rng.standard_normal(500)
-        assert np.array_equal(KernelSmoother(x, 1e-3).smooth(z), z)
-
-    def test_far_query_approaches_the_maximum_point(self):
-        rng = np.random.default_rng(32)
-        x = rng.standard_normal(3000)
-        z = np.sin(x) + rng.standard_normal(3000)
-        out = KernelSmoother(x, 2.0).predict(x.max() + np.array([30.0, 100.0, 1e4]), z)
-        err = np.abs(out - z[x.argmax()])
-        assert err[0] >= err[1] >= err[2]
-        assert err[2] <= 1e-12
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_subnormal_bandwidth_takes_nearest_point(self, d):
-        # 2h^2 = 2e-310 is subnormal, and its reciprocal is inf
-        rng = np.random.default_rng(33)
-        x, z = rng.standard_normal((200, d)), rng.standard_normal(200)
-        q = x[:20] + 1e-3
-        nearest = np.argmin(((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2), axis=1)
-        sm = KernelSmoother(x, 1e-155)
-        with np.errstate(over="ignore"):  # the far weights' exponents overflow to -inf
-            assert np.array_equal(sm.smooth(z), z)
-            assert np.array_equal(sm.predict(q, z), z[nearest])
-
-    def test_bandwidth_validation(self):
-        with pytest.raises(ParameterError):
-            KernelSmoother(np.arange(4.0), 0.0).smooth(np.arange(4.0))
-        # non-finite, and 2h^2 overflowing to inf or underflowing to 0
-        for bandwidth in (-1.0, np.nan, np.inf, 1e200, 1e-300):
-            with pytest.raises(ParameterError):
-                KernelSmoother(np.arange(4.0), bandwidth)
-        for bandwidth in (0.7, 1e-150, 1e150):
-            assert KernelSmoother(np.arange(4.0), bandwidth)._h2 == 2.0 * bandwidth ** 2
-
-
-@pytest.mark.parametrize("make", [lambda x: KnnSmoother(x, 5), lambda x: KernelSmoother(x, 0.7)])
+# the wide block's kd-tree table, and the 1-D block's sorted windows
+@pytest.mark.parametrize("make", [lambda x: KnnSmoother(x, 5), lambda x: KnnSmoother(x[:, 0], 5)])
 class TestSharedProperties:
     def test_linearity_in_z(self, make):
         rng = np.random.default_rng(5)
@@ -643,9 +578,8 @@ def test_default_k_window(n):
 def test_config_build_dispatch():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(30)
-    assert isinstance(SmootherConfig().build(x), KnnSmoother)
-    assert isinstance(SmootherConfig(kind="kernel", bandwidth=1.0).build(x), KernelSmoother)
+    default = SmootherConfig().build(x)
+    assert isinstance(default, KnnSmoother) and default.k == default_knn_k(30)
+    assert SmootherConfig(k=4).build(x).k == 4
     with pytest.raises(ParameterError):
-        SmootherConfig(kind="kernel").build(x)
-    with pytest.raises(ParameterError):
-        SmootherConfig(kind="nope").build(x)
+        SmootherConfig(k=31).build(x)
