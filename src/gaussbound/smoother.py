@@ -17,10 +17,11 @@ many times, as a fitted transform's is: it keeps f of the table, and
 neighbors from a kd-tree (Friedman, Bentley & Finkel, 1977), which a
 prediction queries per call.  A row whose k-th neighbor is tied takes the
 exact (distance, index) selection: in a 1-D block it is read off the sorted
-sample in O(k + run length), in a wider one from its full distance row, so
-tied wide data can still cost O(n^2 d).  A smoother is built only on a
-finite block, and takes only finite query points and a response of the
-block's length.  A call changes no state of the smoother.
+sample in O(k + run length) and kept once per distinct value, in a wider one
+from its full distance row, so tied wide data can still cost O(n^2 d).  A
+smoother is built only on a finite block, and takes only finite query points
+and a response of the block's length.  A call changes no state of the
+smoother.
 ``PairedSamples.smoothers`` memoizes the built pair per ``SmootherConfig``.
 """
 
@@ -121,20 +122,16 @@ def _select_k_smallest(d2_rows: np.ndarray, k: int) -> np.ndarray:
     return idx
 
 
-def _reselect(rows: np.ndarray, distances, n: int, k: int, self_query: bool) -> np.ndarray:
+def _reselect(rows: np.ndarray, distances, n: int, k: int) -> np.ndarray:
     """The exact (distance, index) selection of k neighbors for the queries ``rows``.
 
     ``distances(rows)`` returns the full distance rows of those queries; it is
-    called in row chunks.  With ``self_query`` query r is sample r, and it
-    beats every other point at distance 0 to itself.
+    called in row chunks.
     """
     out = np.empty((rows.size, k), dtype=np.intp)
     chunk = max(1, _CHUNK_BUDGET // n)
     for start in range(0, rows.size, chunk):
-        r = rows[start : start + chunk]
-        d = distances(r)
-        if self_query:
-            d[np.arange(r.size), r] = -1.0
+        d = distances(rows[start : start + chunk])
         out[start : start + chunk] = _select_k_smallest(d, k)
         del d  # free this chunk's rows before the next chunk is built
     return out
@@ -159,26 +156,23 @@ class _SortedSample:
         self.ends = np.concatenate([[-np.inf], xs, [np.inf]])
 
     def windows(self, q: np.ndarray, self_query: bool):
-        """``(lo, tied, rows)``: the exact k nearest of queries q in the sample.
+        """``(lo, tied, rows, group)``: the exact k nearest of queries q in the sample.
 
         Query i's neighbors are the sorted window ``order[lo[i]:lo[i] + k]``,
-        unless i is in ``tied``; those queries' (distance, index) rows are
-        ``rows``.  The k nearest points of q form a window [l, l + k) of the
-        sorted sample.  The window moves right past l while xs[l + k] is
-        strictly nearer than xs[l], i.e. while xs[l] + xs[l + k] < 2 q, and
-        that sum is nondecreasing in l, so one searchsorted finds l.  It is
-        given the queries in sorted order: each binary search then narrows
-        from the last, where on unsorted queries nearly every branch is
-        mispredicted, and sorting costs less than that.  A query whose
-        nearest outside point is no farther than the window radius has a
-        tied boundary and is re-selected exactly (``_tied_rows``).  With
-        ``self_query`` the queries are x itself, already sorted by ``order``,
-        and each point wins every tie at distance 0 to itself; a window can
-        miss its own point only when the window is all copies of that value,
-        so the point is an outside one at distance 0 and the row is
-        re-selected.
+        unless i is in ``tied``; tied query ``tied[j]`` takes the
+        (distance, index) row ``rows[group[j]]``.  The k nearest points of q
+        form a window [l, l + k) of the sorted sample.  The window moves right
+        past l while xs[l + k] is strictly nearer than xs[l], i.e. while
+        xs[l] + xs[l + k] < 2 q, and that sum is nondecreasing in l, so one
+        searchsorted finds l.  It is given the queries in sorted order: each
+        binary search then narrows from the last, where on unsorted queries
+        nearly every branch is mispredicted, and sorting costs less than that.
+        With ``self_query`` the queries are x itself, already sorted by
+        ``order``.  A query whose nearest outside point is no farther than the
+        window radius has a tied boundary and is re-selected exactly
+        (``_tied_rows``).
         """
-        n, k, ends = self.x.size, self.k, self.ends
+        k, ends = self.k, self.ends
         qc = q - self.centre
         key = 2.0 * qc
         at = self.order if self_query else np.argsort(key)
@@ -187,32 +181,28 @@ class _SortedSample:
         radius = np.maximum(qc - ends[lo + 1], ends[lo + k] - qc)
         gap = np.minimum(qc - ends[lo], ends[lo + k + 1] - qc)
         tied = np.flatnonzero(gap <= radius)
-        return lo, tied, self._tied_rows(tied, qc, self_query)
+        return (lo, tied, *self._tied_rows(qc[tied]))
 
-    def _tied_rows(self, tied: np.ndarray, qc: np.ndarray, self_query: bool) -> np.ndarray:
-        """The (distance, index) rows of the ``tied`` queries, one query value at a time.
+    def _tied_rows(self, qc: np.ndarray):
+        """``(rows, group)``: one (distance, index) row per distinct value of qc.
 
-        Along the sorted sample a query's distances |xs - qc| fall, then
-        rise, so those below the k-th smallest, D, are one sorted range within
-        k places of the query, and those equal to D are at most two runs
-        beside it.  ``_select_k_smallest`` picks the range's indices in index
-        order, then the runs' smallest indices in index order; this builds
-        that row in O(k + run length), not from a full distance row.  Queries
-        of one value share a row, except that with ``self_query`` and D = 0
-        each point leads its own.  When exactly k distances are <= D,
-        ``_select_k_smallest`` keeps ``argpartition``'s order, so those rows
-        are still selected over their full distance rows.
+        ``rows[group[j]]`` is the row of centred query ``qc[j]``.  Along the
+        sorted sample a query's distances |xs - qc| fall, then rise, so those
+        below the k-th smallest, D, are one sorted range within k places of
+        the query, and those equal to D are at most two runs beside it.
+        ``_select_k_smallest`` picks the range's indices in index order, then
+        the runs' smallest indices in index order; this builds that row in
+        O(k + run length), not from a full distance row.  When exactly k
+        distances are <= D, ``_select_k_smallest`` keeps ``argpartition``'s
+        order, so those rows are still selected over their full distance rows.
         """
         n, k, order, xs = self.x.size, self.k, self.order, self.ends[1:-1]
-        rows = np.empty((tied.size, k), dtype=np.intp)
-        if not tied.size:
-            return rows
-        values, group = np.unique(qc[tied], return_inverse=True)
-        by = np.argsort(group, kind="stable")
-        bounds = np.searchsorted(group[by], np.arange(values.size + 1))
+        if not qc.size:
+            return np.empty((0, k), dtype=np.intp), np.empty(0, dtype=np.intp)
+        values, group = np.unique(qc, return_inverse=True)
+        rows = np.empty((values.size, k), dtype=np.intp)
         full = []
         for g, v in enumerate(values):
-            at = by[bounds[g] : bounds[g + 1]]
             p = int(np.searchsorted(xs, v))
             lo, hi = max(0, p - k), min(n, p + k)
             d = np.abs(xs[lo:hi] - v)
@@ -225,25 +215,16 @@ class _SortedSample:
             if rb == hi:
                 rb = hi + bisect.bisect_left(range(hi, n), True, key=lambda j: abs(xs[j] - v) > cut)
             if rb - la == k:
-                full.append(at)
-            elif self_query and cut == 0.0:
-                # at least k copies of the point: itself, then the other copies
-                run = np.sort(order[la:rb])
-                me = tied[at]
-                skip = np.arange(k - 1)
-                rows[at, 0] = me
-                rows[at, 1:] = run[skip + (skip >= np.searchsorted(run, me)[:, None])]
-            else:
-                strict = (d < cut).nonzero()[0]
-                a, b = (lo + int(strict[0]), lo + int(strict[-1]) + 1) if strict.size else (la, la)
-                ties = np.sort(np.concatenate([order[la:a], order[b:rb]]))
-                rows[at] = np.concatenate([np.sort(order[a:b]), ties[: k - (b - a)]])
+                full.append(g)
+                continue
+            strict = (d < cut).nonzero()[0]
+            a, b = (lo + int(strict[0]), lo + int(strict[-1]) + 1) if strict.size else (la, la)
+            ties = np.sort(np.concatenate([order[la:a], order[b:rb]]))
+            rows[g] = np.concatenate([np.sort(order[a:b]), ties[: k - (b - a)]])
         if full:
-            at = np.concatenate(full)
-            rows[at] = _reselect(
-                tied[at], lambda r: np.abs((self.x - self.centre)[None, :] - qc[r, None]), n, k, self_query
-            )
-        return rows
+            full = np.array(full)
+            rows[full] = _reselect(full, lambda r: np.abs((self.x - self.centre)[None, :] - values[r, None]), n, k)
+        return rows, group
 
 
 def _pairwise_split(width: int) -> int:
@@ -304,24 +285,23 @@ def _gather(table: np.ndarray, z: np.ndarray, windows, f) -> np.ndarray:
 
     ``table`` holds f of z's mean over every sorted window.  A window sums the
     same values in the same order as its table row (``_window_sums``), so
-    this equals f of the table gather's mean bit for bit; only a query whose
-    window boundary is tied is averaged and mapped on its own.
+    this equals f of the table gather's mean bit for bit; only the rows of
+    queries whose window boundary is tied are averaged and mapped on their
+    own, each distinct row once.
     """
-    lo, tied, rows = windows
+    lo, tied, rows, group = windows
     out = table[lo]
     if tied.size:
-        out[tied] = f(z[rows].sum(axis=1) / rows.shape[1])
+        out[tied] = f(z[rows].sum(axis=1) / rows.shape[1])[group]
     return out
 
 
-def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndarray:
+def _knn_tree(x: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest of each query row among the rows of x, from a kd-tree.
 
     The tree gives each query's k + 1 nearest in row chunks.  A row whose
     k-th and (k+1)-th distances tie is re-selected over its full
-    ``sq_distances`` row by (distance, index).  That also keeps the
-    self-first rule of ``self_query``: a point's copies at distance 0 either
-    all fit in its k nearest, itself included, or tie at the boundary.
+    ``sq_distances`` row by (distance, index).
     """
     from scipy.spatial import cKDTree  # imported here: a 1-D bound loads no scipy
 
@@ -337,33 +317,36 @@ def _knn_tree(x: np.ndarray, q: np.ndarray, k: int, self_query: bool) -> np.ndar
         idx[start:stop] = nb[:, :k]
         tied.append(start + np.flatnonzero(dist[:, k - 1] == dist[:, k]))
     tied = np.concatenate(tied)
-    idx[tied] = _reselect(tied, lambda rows: sq_distances(q[rows], x), n, k, self_query)
+    idx[tied] = _reselect(tied, lambda rows: sq_distances(q[rows], x), n, k)
     return idx
 
 
 def knn_indices(x_block, k: int) -> np.ndarray:
-    """Exact k-nearest-neighbor table (1 <= k <= n), self always included.
+    """Exact k-nearest-neighbor table (1 <= k <= n) of a block's own points.
 
-    Ties at the k-th distance go to the smaller index, and a point beats
-    every other point at distance 0 to itself.  A 1-D block's rows are its
-    sorted windows, O(n log n + n k); wider blocks query a kd-tree, and
-    only their rows with a tied k-th neighbor take a full distance row.  ``KnnSmoother``
-    builds this table only for blocks wider than one column.
+    Row i holds point i's k nearest by (distance, index): ties at the k-th
+    distance go to the smaller index.  Copies of one point have the same
+    neighbors, so a point with more than k copies may not be among its own.
+    A 1-D block's rows are its sorted windows, O(n log n + n k); wider blocks
+    query a kd-tree, and only their rows with a tied k-th neighbor take a
+    full distance row.  ``KnnSmoother`` builds this table only for blocks
+    wider than one column.
     """
     x = _finite_block(x_block, "predictor block")
     if x.shape[1] > 1:
-        return _knn_tree(x, x, k, self_query=True)
+        return _knn_tree(x, x, k)
     sample = _SortedSample(x[:, 0], k)
-    lo, tied, rows = sample.windows(x[:, 0], self_query=True)
+    lo, tied, rows, group = sample.windows(x[:, 0], self_query=True)
     idx = sample.order[lo[:, None] + np.arange(k)]
-    idx[tied] = rows
+    idx[tied] = rows[group]
     return idx
 
 
 class KnnSmoother:
     """k-NN conditional-expectation estimator with precomputed neighborhoods.
 
-    ``neighbors`` is the (n, k) table, or for a 1-D block its tied rows only.
+    ``neighbors`` is the (n, k) table, or for a 1-D block only its tied rows,
+    one per distinct tied value.
     """
 
     def __init__(self, x_block, k: int | None = None):
@@ -399,7 +382,7 @@ class KnnSmoother:
         """
         z, x, k, sample = _response(z, self.n), self.x, self.k, self._sorted
         if sample is None:
-            return lambda x_new: f(z[_knn_tree(x, _query_block(x_new, x.shape[1]), k, False)].mean(axis=1))
+            return lambda x_new: f(z[_knn_tree(x, _query_block(x_new, x.shape[1]), k)].mean(axis=1))
         table = f(_window_sums(z[sample.order], k) / k)
         return lambda x_new: _gather(table, z, sample.windows(_query_block(x_new, 1)[:, 0], False), f)
 

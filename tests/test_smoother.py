@@ -24,17 +24,13 @@ from gaussbound.smoother import SmootherConfig, _reselect, _window_sums, default
 def brute_force_neighbors(x, k, queries=None):
     """Reference: per-query scan sorting by (distance, index).
 
-    Without ``queries`` every sample is a query and comes first among its
-    own neighbors.
+    Without ``queries`` every sample is a query.
     """
     x = np.asarray(x, float).reshape(len(x), -1)
-    own = queries is None
-    q = x if own else np.asarray(queries, float).reshape(-1, x.shape[1])
+    q = x if queries is None else np.asarray(queries, float).reshape(-1, x.shape[1])
     out = []
-    for i, point in enumerate(q):
+    for point in q:
         d = np.sum((x - point) ** 2, axis=1)
-        if own:
-            d[i] = -1.0
         out.append(sorted(range(len(x)), key=lambda j: (d[j], j))[:k])
     return out
 
@@ -125,12 +121,13 @@ class TestTiedRows:
         sample = smoother._SortedSample(x, k)
         for self_query, queries in ((True, x), (False, q)):
             qc = queries - sample.centre
-            _, tied, rows = sample.windows(queries, self_query)
-            expected = _reselect(tied, lambda r: np.abs((x - sample.centre)[None, :] - qc[r, None]), x.size, k, self_query)
-            assert rows.tobytes() == expected.tobytes()
+            _, tied, rows, group = sample.windows(queries, self_query)
+            expected = _reselect(tied, lambda r: np.abs((x - sample.centre)[None, :] - qc[r, None]), x.size, k)
+            assert rows[group].tobytes() == expected.tobytes()
 
     def test_integer_block_reads_no_full_row(self, monkeypatch):
-        # every row of an integer block is tied; each is O(k + run length)
+        # every row of an integer block is tied; each value's row is
+        # O(k + run length)
         x = np.random.default_rng(1).integers(0, 50, 10_000).astype(float)
         full_rows = [0]
 
@@ -140,7 +137,7 @@ class TestTiedRows:
 
         monkeypatch.setattr(smoother, "_reselect", counting)
         sm = KnnSmoother(x, default_knn_k(x.size))
-        assert sm.neighbors.shape == (x.size, sm.k)
+        assert sm.neighbors.shape == (50, sm.k)
         assert full_rows[0] == 0
 
 
@@ -235,7 +232,7 @@ def fresh_sort_predict(x, q, z, k):
     ends = np.concatenate([[-np.inf], xs, [np.inf]])
     gap = np.minimum(qc - ends[lo], ends[lo + k + 1] - qc)
     tied = np.flatnonzero(gap <= radius)
-    rows = _reselect(tied, lambda r: np.abs(xc[None, :] - qc[r, None]), n, k, False)
+    rows = _reselect(tied, lambda r: np.abs(xc[None, :] - qc[r, None]), n, k)
     sums = _window_sums(z[order], k)[lo]
     sums[tied] = z[rows].sum(axis=1)
     return sums / k
@@ -489,10 +486,11 @@ class TestKnn:
         for k in (1, 4, 11):
             assert_allclose(KnnSmoother(x, k).smooth(z), brute_force_knn_fit(x, z, k), atol=1e-14)
 
-    def test_duplicate_points_keep_self_at_k1(self):
+    def test_duplicate_points_share_the_first_copy_at_k1(self):
+        # the (distance, index) rule: every copy's nearest point is copy 0
         x = np.array([1.0, 1.0, 1.0])
         z = np.array([10.0, 20.0, 30.0])
-        assert np.array_equal(KnnSmoother(x, 1).smooth(z), z)
+        assert np.array_equal(KnnSmoother(x, 1).smooth(z), np.full(3, z[0]))
 
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):
@@ -510,6 +508,22 @@ class TestKnn:
             tracemalloc.stop()
         assert peak < 8e6
         assert sm.neighbors.shape == (0, sm.k)
+
+    def test_integer_block_keeps_one_row_per_value(self):
+        # a value's copies share one tied row, so 50 values at k = 793 keep
+        # at most 50 rows, where one row per point would take 63 MB
+        rng = np.random.default_rng(27)
+        x, z = rng.integers(0, 50, 10_000).astype(float), rng.standard_normal(10_000)
+        sm = KnnSmoother(x, 793)
+        assert sm.neighbors.shape[0] <= 50
+        sm.smooth(z)
+        tracemalloc.start()
+        try:
+            sm.smooth(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_predict_at_new_points(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
