@@ -48,7 +48,7 @@ from .models import (
     mirror_transform,
     mvg_scramble_sample,
 )
-from .smoother import KnnSmoother, SmootherConfig
+from .smoother import KnnSmoother
 from .stats_core import (
     MonotoneMap,
     PairedSamples,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cca_ace import _DEGENERATE_STD, CanonicalModel, _standardize, ace_fit
 from .errors import InsufficientDataError, ParameterError
-from .smoother import KnnSmoother, SmootherConfig
+from .smoother import KnnSmoother
 from .stats_core import (
     MonotoneMap,
     PairedSamples,
@@ -207,7 +207,7 @@ def agce_fit_1d(
     samples: PairedSamples,
     tol: float = 1e-4,
     n_restarts: int = 8,
-    smoother: SmootherConfig = SmootherConfig(),
+    knn_k: int | None = None,
     seed=None,
 ) -> AgcePair:
     """Best local optimum of the Gaussianized correlation over restarts.
@@ -216,13 +216,14 @@ def agce_fit_1d(
     result can never fall below the off-shelf lower bound); the remaining
     restarts start from normal scores of random cubic polynomials of y.
     ``tol`` is the alternation's tolerance; the off-shelf ACE fit keeps its
-    own, and the result carries that fit as ``ace``.
+    own, and the result carries that fit as ``ace``.  ``knn_k`` is as in
+    ``ace_fit``.
     """
     if n_restarts < 1 or not tol > 0:
         raise ParameterError("agce_fit_1d needs n_restarts >= 1 and tol > 0")
     rng = np.random.default_rng(seed)
-    off = offshelf_lower_1d(samples, smoother, seed=rng)
-    sm_x, sm_y = samples.smoothers(smoother)
+    off = offshelf_lower_1d(samples, knn_k, seed=rng)
+    sm_x, sm_y = samples.smoothers(knn_k)
 
     best = _alternate(off.u, off.v, off.phi, off.psi, sm_x, sm_y, tol, rng)
     ys = _standardize(samples.y[:, 0])[0]
@@ -236,23 +237,19 @@ def agce_fit_1d(
     return best
 
 
-def offshelf_lower_1d(
-    samples: PairedSamples,
-    smoother: SmootherConfig = SmootherConfig(),
-    seed=None,
-) -> AgcePair:
+def offshelf_lower_1d(samples: PairedSamples, knn_k: int | None = None, seed=None) -> AgcePair:
     """Off-shelf lower bound: ACE first, then Gaussianize both outputs.
 
     Cheaper than the alternating search and, when the search is seeded from
-    this point, never better than it.
+    this point, never better than it.  ``knn_k`` is as in ``ace_fit``.
     """
     if samples.d_x != 1 or samples.d_y != 1:
         raise ParameterError("the off-shelf pair requires univariate X and Y")
     if samples.n < 100:
         raise InsufficientDataError("the off-shelf pair needs at least 100 samples")
     rng = np.random.default_rng(seed)
-    ace = ace_fit(samples, k=1, smoother=smoother, seed=rng)
-    sm_x, sm_y = samples.smoothers(smoother)
+    ace = ace_fit(samples, k=1, knn_k=knn_k, seed=rng)
+    sm_x, sm_y = samples.smoothers(knn_k)
     # out-of-sample transforms regress the opposite ACE column and carry a
     # normal-scores map fitted on that regression's own in-sample scale
     return _gaussianized_pair(

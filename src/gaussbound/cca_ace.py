@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .smoother import SmootherConfig
 from .stats_core import PairedSamples, mi_from_correlations
 
 _DEGENERATE_STD = 1e-12
@@ -60,7 +59,7 @@ class CanonicalModel:
 def ace_fit(
     samples: PairedSamples,
     k: int | None = None,
-    smoother: SmootherConfig = SmootherConfig(),
+    knn_k: int | None = None,
     tol: float = 1e-5,
     max_iter: int = 200,
     seed=None,
@@ -71,7 +70,8 @@ def ace_fit(
     later pairs start from seeded random vectors Gram-Schmidt-orthogonalized
     against the earlier V columns, and both sides are re-orthogonalized after
     every smoothing step.  Non-convergence returns the best iterate with the
-    pair's ``converged`` flag cleared rather than raising.
+    pair's ``converged`` flag cleared rather than raising.  ``k`` counts pairs,
+    ``knn_k`` neighbors (None: ``PairedSamples.smoothers``' default).
     """
     y = samples.y
     n = samples.n
@@ -83,7 +83,7 @@ def ace_fit(
         raise ParameterError("k must be at least 1")
 
     rng = np.random.default_rng(seed)
-    sm_x, sm_y = samples.smoothers(smoother)
+    sm_x, sm_y = samples.smoothers(knn_k)
 
     u_cols: list[np.ndarray] = []
     v_cols: list[np.ndarray] = []

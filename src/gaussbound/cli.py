@@ -35,7 +35,6 @@ from .errors import GaussboundError, InsufficientDataError, ParameterError
 from .gib import default_beta_grid, gib_curve, gib_spectrum
 from .ib_discrete import quadrature_discretize, reverse_anneal
 from .models import MODEL_FAMILIES, discretizable_from_spec, sample_from_spec
-from .smoother import SmootherConfig, experiment_knn_k
 from .stats_core import (
     NATS_PER_BIT,
     PairedSamples,
@@ -270,13 +269,6 @@ def _draw_model(args) -> tuple[object, dict]:
     return ms, {key: ms.meta[key] for key in ("mu_z", "eps") if key in ms.meta}
 
 
-def _smoother_config(args, samples) -> SmootherConfig:
-    k = args.k
-    if k is None and max(samples.d_x, samples.d_y) > 1:
-        k = experiment_knn_k(samples.n, max(samples.d_x, samples.d_y))
-    return SmootherConfig(k=k)
-
-
 # ---------------------------------------------------------------------------
 # Method pipelines
 # ---------------------------------------------------------------------------
@@ -287,10 +279,11 @@ def _separate_pair(u, v, seed: int):
     return separate_gaussianize(u, seed=seed)[0], separate_gaussianize(v, seed=seed + 1)[0]
 
 
-def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
+def run_method(method: str, samples: PairedSamples, args):
     """Fit the chosen embedding; returns (u, v, rho array, extras dict).
 
-    A method that fits ACE passes the model as ``extras["model"]``.
+    A method that fits ACE passes the model as ``extras["model"]``.  Its
+    smoothers take ``args.k`` neighbors, or the samples' default if None.
     """
     seed = args.seed
     univariate = samples.d_x == 1 and samples.d_y == 1
@@ -300,13 +293,13 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
             return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), {}
         return *_separate_pair(samples.x, samples.y, seed), None, {}
     if method == "ace":
-        model = ace_fit(samples, smoother=cfg, seed=seed)
+        model = ace_fit(samples, knn_k=args.k, seed=seed)
         return model.u, model.v, model.rho, {"converged": model.converged, "model": model}
     if method == "offshelf":
         if univariate:
-            pair = offshelf_lower_1d(samples, smoother=cfg, seed=seed)
+            pair = offshelf_lower_1d(samples, knn_k=args.k, seed=seed)
             return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), {"model": pair.ace}
-        model = ace_fit(samples, smoother=cfg, seed=seed)
+        model = ace_fit(samples, knn_k=args.k, seed=seed)
         return *_separate_pair(model.u, model.v, seed + 1), None, {"model": model}
     if method == "agce":
         if not univariate:
@@ -316,12 +309,12 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
                 EXIT_CONFIG,
             )
         pair = agce_fit_1d(
-            samples, tol=args.tol, n_restarts=args.restarts, smoother=cfg, seed=seed
+            samples, tol=args.tol, n_restarts=args.restarts, knn_k=args.k, seed=seed
         )
         extras = {"trace": pair.trace, "converged": pair.converged, "model": pair.ace}
         return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), extras
     if method == "biterminal":
-        model = ace_fit(samples, smoother=cfg, seed=seed)
+        model = ace_fit(samples, knn_k=args.k, seed=seed)
         bu, bv, (chain_u, _), trace = biterminal_gaussianize(model.u, model.v, seed=seed + 1)
         extras = {
             "model": model,
@@ -335,9 +328,8 @@ def run_method(method: str, samples: PairedSamples, cfg: SmootherConfig, args):
 
 def bound_report(args) -> dict:
     samples, _, prov = _get_samples(args)
-    cfg = _smoother_config(args, samples)
     t0 = time.perf_counter()
-    u, v, rho, extras = run_method(args.method, samples, cfg, args)
+    u, v, rho, extras = run_method(args.method, samples, args)
     lower = None
     if args.method != "ace":
         lower, info = joint_objective(u, v, details=True)
@@ -347,7 +339,7 @@ def bound_report(args) -> dict:
     # naive fits no ACE model of its own
     ace_model = extras.pop("model", None)
     if ace_model is None:
-        ace_model = ace_fit(samples, smoother=cfg, seed=args.seed + 17)
+        ace_model = ace_fit(samples, knn_k=args.k, seed=args.seed + 17)
     upper = ace_upper_bound(ace_model)
     elapsed = time.perf_counter() - t0
 
@@ -382,9 +374,8 @@ def bound_report(args) -> dict:
 def curve_report(args) -> tuple[dict, dict]:
     """The curve manifest and its curves, keyed by the stem of each CSV."""
     samples, analytic, prov = _get_samples(args)
-    cfg = _smoother_config(args, samples)
     t0 = time.perf_counter()
-    u, v, rho, _ = run_method(args.method, samples, cfg, args)
+    u, v, rho, _ = run_method(args.method, samples, args)
     cov = covariance(np.hstack([u, v]))
     spec = gib_spectrum(cov, u.shape[1])
     grid = default_beta_grid(spec, num=args.beta_points)

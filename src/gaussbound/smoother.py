@@ -16,20 +16,19 @@ many times, as a fitted transform's is: it keeps f of the table, and
 ``predict`` is ``predictor(z, identity)``.  Wider blocks keep the table of
 neighbors from a kd-tree (Friedman, Bentley & Finkel, 1977), which a
 prediction queries per call.  A row whose k-th neighbor is tied takes the
-exact (distance, index) selection: in a 1-D block it is read off the sorted
-sample in O(k + run length) and kept once per distinct value, in a wider one
-from its full distance row, so tied wide data can still cost O(n^2 d).  A
-smoother is built only on a finite block, and takes only finite query points
-and a response of the block's length.  A call changes no state of the
-smoother.
-``PairedSamples.smoothers`` memoizes the built pair per ``SmootherConfig``.
+exact (distance, index) selection, built once per distinct value: in a 1-D
+block it is read off the sorted sample in O(k + run length), in a wider one
+from a full distance row, O(n d) per distinct tied point.  A smoother is built
+only on a finite block, and takes only finite query points and a response of
+the block's length.  A call changes no state of the smoother.  A smoother
+takes its k as given; ``PairedSamples.smoothers`` chooses the default and
+memoizes the built pair per k.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -301,7 +300,7 @@ def _knn_tree(x: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
 
     The tree gives each query's k + 1 nearest in row chunks.  A row whose
     k-th and (k+1)-th distances tie is re-selected over its full
-    ``sq_distances`` row by (distance, index).
+    ``sq_distances`` row by (distance, index), once per distinct tied point.
     """
     from scipy.spatial import cKDTree  # imported here: a 1-D bound loads no scipy
 
@@ -317,7 +316,10 @@ def _knn_tree(x: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
         idx[start:stop] = nb[:, :k]
         tied.append(start + np.flatnonzero(dist[:, k - 1] == dist[:, k]))
     tied = np.concatenate(tied)
-    idx[tied] = _reselect(tied, lambda rows: sq_distances(q[rows], x), n, k)
+    if tied.size:
+        points, group = np.unique(q[tied], axis=0, return_inverse=True)
+        rows = _reselect(np.arange(len(points)), lambda r: sq_distances(points[r], x), n, k)
+        idx[tied] = rows[group]
     return idx
 
 
@@ -328,9 +330,9 @@ def knn_indices(x_block, k: int) -> np.ndarray:
     distance go to the smaller index.  Copies of one point have the same
     neighbors, so a point with more than k copies may not be among its own.
     A 1-D block's rows are its sorted windows, O(n log n + n k); wider blocks
-    query a kd-tree, and only their rows with a tied k-th neighbor take a
-    full distance row.  ``KnnSmoother`` builds this table only for blocks
-    wider than one column.
+    query a kd-tree, and only their distinct points with a tied k-th
+    neighbor take a full distance row.  ``KnnSmoother`` builds this table
+    only for blocks wider than one column.
     """
     x = _finite_block(x_block, "predictor block")
     if x.shape[1] > 1:
@@ -345,14 +347,14 @@ def knn_indices(x_block, k: int) -> np.ndarray:
 class KnnSmoother:
     """k-NN conditional-expectation estimator with precomputed neighborhoods.
 
-    ``neighbors`` is the (n, k) table, or for a 1-D block only its tied rows,
-    one per distinct tied value.
+    ``k`` (1 <= k <= n) has no default.  ``neighbors`` is the (n, k) table,
+    or for a 1-D block only its tied rows, one per distinct tied value.
     """
 
-    def __init__(self, x_block, k: int | None = None):
+    def __init__(self, x_block, k: int):
         self.x = _finite_block(x_block, "predictor block")
         self.n = self.x.shape[0]
-        self.k = default_knn_k(self.n) if k is None else int(k)
+        self.k = int(k)
         if not 1 <= self.k <= self.n:
             raise ParameterError(f"k = {self.k} is outside [1, n = {self.n}]")
         self._sorted = _SortedSample(self.x[:, 0], self.k) if self.x.shape[1] == 1 else None
@@ -386,15 +388,3 @@ class KnnSmoother:
         table = f(_window_sums(z[sample.order], k) / k)
         return lambda x_new: _gather(table, z, sample.windows(_query_block(x_new, 1)[:, 0], False), f)
 
-
-@dataclass(frozen=True)
-class SmootherConfig:
-    """Declarative smoother choice, resolved per predictor block via build().
-
-    ``k`` is the neighbor count; None takes ``default_knn_k`` of the block.
-    """
-
-    k: int | None = None
-
-    def build(self, x_block) -> KnnSmoother:
-        return KnnSmoother(x_block, self.k)

@@ -19,7 +19,10 @@ from operator import add
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it lazily; load it with the package)
 from numpy.linalg import LinAlgError
-from numpy.linalg._umath_linalg import eigvalsh_lo, slogdet
+try:  # numpy's LAPACK gufuncs, without the public wrappers' checks
+    from numpy.linalg._umath_linalg import eigvalsh_lo, slogdet
+except ImportError:  # the same gufuncs, through the public wrappers
+    from numpy.linalg import eigvalsh as eigvalsh_lo, slogdet
 
 from .errors import (
     DomainError,
@@ -27,7 +30,7 @@ from .errors import (
     InvalidCovarianceError,
     ParameterError,
 )
-from .smoother import SmootherConfig, as_block
+from .smoother import KnnSmoother, as_block, default_knn_k, experiment_knn_k
 
 NATS_PER_BIT = float(np.log(2.0))
 
@@ -550,16 +553,20 @@ class PairedSamples:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def smoothers(self, cfg: SmootherConfig):
-        """``(cfg.build(x), cfg.build(y))``, built once per config.
+    def smoothers(self, knn_k: int | None = None):
+        """``(KnnSmoother(x, k), KnnSmoother(y, k))``, built once per k.
 
-        Every fit on these samples with the same config shares one neighbor
-        structure per block (sorted windows for a 1-D block, a kNN table for
-        a wider one) instead of building its own.
+        The one default k: ``default_knn_k(n)`` when both blocks are 1-D,
+        else ``experiment_knn_k(n, max(d_x, d_y))``.  Every fit on these
+        samples with the same k shares one neighbor structure per block
+        (sorted windows for a 1-D block, a kNN table for a wider one).
         """
-        if cfg not in self._smoothers:
-            self._smoothers[cfg] = (cfg.build(self.x), cfg.build(self.y))
-        return self._smoothers[cfg]
+        if knn_k is None:
+            d = max(self.d_x, self.d_y)
+            knn_k = default_knn_k(self.n) if d == 1 else experiment_knn_k(self.n, d)
+        if knn_k not in self._smoothers:
+            self._smoothers[knn_k] = (KnnSmoother(self.x, knn_k), KnnSmoother(self.y, knn_k))
+        return self._smoothers[knn_k]
 
     @property
     def n(self) -> int:

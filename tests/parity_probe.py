@@ -5,11 +5,15 @@
 Run it on two checkouts (each with its own ``PYTHONPATH``) and compare the
 printed lines: a change meant to keep answers byte-identical must print the
 same hash for every case.  Each hash covers a ``bound`` report or a ``curve``
-manifest and every curve CSV, all outside ``timing``, or the rows of a
-``reproduce`` bundle outside their elapsed time.  The ``rounded-*`` cases run
-on integer- and half-grid-rounded data, whose many duplicated values exercise
-the smoother's tied rows.  ``--quick`` leaves out the reproduce bundles.
-pytest does not collect this file; it takes a few minutes on two cores.
+manifest and every curve CSV, all outside ``timing``; the bytes of a k-NN
+smoother's ``smooth`` and ``predict``, or of a fitted pair's ``phi`` and
+``psi``, on in-range, tied, midpoint and out-of-range queries; or the rows of
+a ``reproduce`` bundle outside their elapsed time and commands, whose
+commands hash apart.  The ``rounded-*`` cases run on integer- and
+half-grid-rounded data, whose many duplicated values exercise the smoother's
+tied rows; ``mixed-*`` reads an (x0, x1, y0) sample, whose blocks differ in
+width.  ``--quick`` leaves out the reproduce bundles.  pytest does not collect
+this file; it takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -26,7 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from gaussbound import PairedSamples, cli, expgamma_sample
+from gaussbound import (
+    KnnSmoother,
+    PairedSamples,
+    agce_fit_1d,
+    cli,
+    expgamma_sample,
+    gm1d_sample,
+    offshelf_lower_1d,
+)
 from gaussbound import reproduce as repro
 
 BOUNDS = [
@@ -45,6 +57,8 @@ BOUNDS = [
       for m in ("offshelf", "agce", "biterminal")),
     *((f"rounded-expgamma-d2-{m}", ["--input", "rounded-expgamma-d2.csv", "--seed", "1", "--method", m])
       for m in ("offshelf", "biterminal")),
+    *((f"mixed-expgamma-{m}", ["--input", "mixed-expgamma.csv", "--seed", "1", "--method", m])
+      for m in ("naive", "ace", "offshelf", "biterminal")),
 ]
 CURVES = [
     *((f"curve-gm1d-{m}", ["--model", "gm1d", "--n", "10000", "--seed", "7", "--method", m])
@@ -65,6 +79,42 @@ def write_rounded_csvs() -> None:
     s = expgamma_sample(2000, 2, seed=1).samples
     halves = PairedSamples(np.round(2.0 * s.x) / 2.0, np.round(2.0 * s.y) / 2.0)
     cli.write_samples_csv(Path("rounded-expgamma-d2.csv"), halves)
+    cli.write_samples_csv(Path("mixed-expgamma.csv"), PairedSamples(s.x, s.y[:, :1]))
+
+
+def queries(x: np.ndarray) -> np.ndarray:
+    """Sample values (tied with the sample), a grid across the range, the
+    midpoints of neighbouring distinct values and points past either end."""
+    values = np.unique(x, axis=0)
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    grid = lo + np.linspace(-0.1, 1.1, 101)[:, None] * (hi - lo)
+    return np.concatenate([x[:200], grid, (values[:-1] + values[1:])[:200] / 2.0, [lo - 5.0, hi + 5.0]])
+
+
+def library_cases():
+    """(name, bytes) of smoothers on 1-D and d = 2 blocks, continuous and
+    tied, and of fitted off-shelf and AGCE transforms."""
+    rng = np.random.default_rng(3)
+    s = expgamma_sample(2000, 2, seed=1).samples.x
+    blocks = {
+        "1d": rng.standard_normal(3000)[:, None],
+        "1d-tied": np.round(rng.standard_normal(3000))[:, None],
+        "d2": s,
+        "d2-tied": np.round(2.0 * s) / 2.0,
+    }
+    for name, x in blocks.items():
+        z, q = rng.standard_normal(x.shape[0]), queries(x)
+        for k in (1, 7, 20, 150):
+            sm = KnnSmoother(x, k)
+            yield f"smoother-{name}-k{k}", sm.smooth(z).tobytes() + sm.predict(q, z).tobytes()
+    pairs = {"gm1d": gm1d_sample(3000, 10.0, 0.1, seed=7).samples}
+    x = rng.standard_normal(3000)
+    pairs["rounded"] = PairedSamples(np.round(x), np.round(x + rng.standard_normal(3000)))
+    for name, samples in pairs.items():
+        for fit, pair in (("offshelf", offshelf_lower_1d(samples, seed=5)),
+                          ("agce", agce_fit_1d(samples, n_restarts=2, seed=5))):
+            parts = [pair.phi(queries(samples.x)[:, 0]), pair.psi(queries(samples.y)[:, 0])]
+            yield f"transform-{name}-{fit}", b"".join(p.tobytes() for p in parts)
 
 
 def digest(*parts: bytes) -> str:
@@ -100,11 +150,15 @@ def main(argv: list[str]) -> None:
             out = Path(name)
             csvs = sorted(out.glob("*.csv"))
             print(name, digest(without_timing(out / "manifest.json"), *(p.read_bytes() for p in csvs)), flush=True)
+        for name, data in library_cases():
+            print(name, digest(data), flush=True)
         for bundle in () if quick else BUNDLES:
             rows = [dataclasses.asdict(row) for row in repro.run_experiment(bundle)]
+            commands = [row.pop("commands") for row in rows]
             for row in rows:
                 row.pop("elapsed_s")
             print(f"reproduce-{bundle}", digest(json.dumps(rows, sort_keys=True).encode()), flush=True)
+            print(f"reproduce-{bundle}-commands", digest(json.dumps(commands).encode()), flush=True)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from gaussbound import (
     MonotoneMap,
     PairedSamples,
     ParameterError,
-    SmootherConfig,
     agce_fit_1d,
     agce_step,
     gm1d_sample,
@@ -21,6 +20,7 @@ from gaussbound import (
 from gaussbound import smoother
 from gaussbound.agce import FittedTransform, pair_bound_nats
 from gaussbound.cca_ace import ace_fit, ace_upper_bound
+from gaussbound.smoother import KnnSmoother, default_knn_k
 from gaussbound.stats_core import NATS_PER_BIT, rank_quantile_grid
 
 
@@ -33,7 +33,7 @@ class TestAgceStep:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(500)
         psi = marginal_gaussianize(x, seed=1)[0]
-        step = agce_step(psi, SmootherConfig(k=1).build(x), seed=2)
+        step = agce_step(psi, KnnSmoother(x, 1), seed=2)
         assert np.array_equal(step.u, psi)
         assert abs(step.rho - 1.0) <= 1e-9
 
@@ -41,7 +41,7 @@ class TestAgceStep:
         x = gaussian_pair_06.x[:, 0]
         y = gaussian_pair_06.y[:, 0]
         psi = marginal_gaussianize(y, seed=3)[0]
-        step = agce_step(psi, SmootherConfig().build(x[:, None]), seed=4)
+        step = agce_step(psi, KnnSmoother(x[:, None], default_knn_k(x.size)), seed=4)
         assert abs(step.rho - 0.6) <= 0.03
         assert is_rank_exact(step.u)
 
@@ -50,7 +50,7 @@ class TestAgceStep:
         y = gaussian_pair_06.y[:, 0]
         psi = marginal_gaussianize(y, seed=5)[0]
         good_u = marginal_gaussianize(gaussian_pair_06.x[:, 0], seed=6)[0]
-        step = agce_step(psi, SmootherConfig(k=3).build(x), seed=7, prev_u=good_u)
+        step = agce_step(psi, KnnSmoother(x, 3), seed=7, prev_u=good_u)
         rho_prev = float(np.corrcoef(good_u, psi)[0, 1])
         assert step.rho >= rho_prev - 1e-12
 
@@ -58,14 +58,13 @@ class TestAgceStep:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(300)
         psi = marginal_gaussianize(rng.standard_normal(300), seed=9)[0]
-        step = agce_step(psi, SmootherConfig(k=300).build(x), seed=10)  # full window
+        step = agce_step(psi, KnnSmoother(x, 300), seed=10)  # full window
         assert step.independent
         assert step.rho == 0.0
 
     def test_converged_fixed_point_residual(self, gm_mix_samples, gm_mix_agce):
-        step = agce_step(
-            gm_mix_agce.v, SmootherConfig().build(gm_mix_samples.x), seed=11, prev_u=gm_mix_agce.u
-        )
+        sm = KnnSmoother(gm_mix_samples.x, default_knn_k(gm_mix_samples.n))
+        step = agce_step(gm_mix_agce.v, sm, seed=11, prev_u=gm_mix_agce.u)
         assert abs(step.rho - gm_mix_agce.rho) < 2e-4  # < 2 * tol
 
 
@@ -135,7 +134,7 @@ class TestAgceFit1d:
         else:
             samples = gm1d_sample(1500, 10, 0.1, seed=21).samples
             pair = agce_fit_1d(samples, n_restarts=3, seed=23)
-        sm_x, sm_y = samples.smoothers(SmootherConfig())
+        sm_x, sm_y = samples.smoothers()
         for t, sm, scores in ((pair.phi, sm_x, pair.u), (pair.psi, sm_y, pair.v)):
             fitted = t.map(sm.smooth(t.z_values))
             assert np.all(np.diff(fitted[np.argsort(scores)]) >= 0)

@@ -20,10 +20,8 @@ from gaussbound.stats_core import NATS_PER_BIT
 
 class TestAceFit:
     def test_gaussian_pair_recovers_linear_structure(self, gaussian_pair_06):
-        from gaussbound import SmootherConfig
-
         # moderate window: the default oversmooths the tails of a 1-D fit
-        model = ace_fit(gaussian_pair_06, k=1, smoother=SmootherConfig(k=400), seed=1)
+        model = ace_fit(gaussian_pair_06, k=1, knn_k=400, seed=1)
         assert abs(model.rho[0] - 0.6) <= 0.03
         # the optimal transforms are affine for jointly Gaussian data
         u = model.u[:, 0]

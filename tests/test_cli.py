@@ -18,6 +18,7 @@ from gaussbound import (
     cca_ace,
     expgamma_sample,
     gm1d_sample,
+    mvg_scramble_sample,
     offshelf_lower_1d,
     quadrature_discretize,
     reverse_anneal,
@@ -270,6 +271,18 @@ class TestBound:
             assert r["lower_bound_nats"] is None
         else:
             assert r["lower_bound_nats"] <= r["ace_upper_bound_nats"] + 0.02
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_library_ace_fit_picks_the_cli_k(self, tmp_path, seed):
+        # a fit without a neighbour count takes the k the CLI takes, here
+        # experiment_knn_k(2000, 2) = 20 for both d = 2 blocks
+        samples = mvg_scramble_sample(2000, 2, seed=seed).samples
+        csv, report = tmp_path / "s.csv", tmp_path / "r.json"
+        write_samples_csv(csv, samples)
+        argv = ["bound", "--input", str(csv), "--method", "ace", "--seed", str(seed), "--out", str(report)]
+        assert run_cli(argv) == 0
+        library = cca_ace.ace_upper_bound(cca_ace.ace_fit(samples, seed=seed))
+        assert library == read_json(report)["ace_upper_bound_nats"]
 
     @pytest.mark.parametrize(
         "data, method",
@@ -681,7 +694,7 @@ class TestNeighborTables:
         built = []
         original = smoother.KnnSmoother.__init__
 
-        def counting(sm, x_block, k=None):
+        def counting(sm, x_block, k):
             original(sm, x_block, k)
             built.append(sm.x.shape)
 
@@ -785,6 +798,33 @@ def test_one_d_bounds_load_no_scipy(tmp_path, sample_csv):
         "biterminal 0",
         "curve 0",
     ]
+
+
+# Run in a fresh interpreter with numpy's private LAPACK module blocked, as a
+# numpy release that moves it would leave it: the public wrappers stand in.
+# numpy.testing, and so scipy, import that module too, so only a 1-D bound,
+# which loads no scipy, can run this way.
+_NO_PRIVATE_LAPACK = """
+import sys
+import numpy  # numpy.linalg itself needs the module
+sys.modules["numpy.linalg._umath_linalg"] = None
+from gaussbound import cli, stats_core
+assert stats_core.slogdet is numpy.linalg.slogdet
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_bound_without_private_lapack_module(tmp_path, sample_csv):
+    argv = ["bound", "--input", str(sample_csv), "--method", "offshelf", "--seed", "1"]
+    assert run_cli([*argv, "--out", str(tmp_path / "normal.json")]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", _NO_PRIVATE_LAPACK, *argv, "--out", str(tmp_path / "blocked.json")],
+                   env=env, capture_output=True, text=True, check=True)
+    reports = [read_json(tmp_path / f"{name}.json") for name in ("normal", "blocked")]
+    for report in reports:
+        report.pop("timing")
+    assert reports[0] == reports[1]
 
 
 def _imported_by_cli(module: str) -> bool:

@@ -208,10 +208,10 @@ class TestLemmaFlagPipeline:
         assert true_mi > ace_upper_bound(gm_mix_ace)  # large, robust gap
 
     def test_scrambled_gaussian_recovers_mi(self):
-        from gaussbound import SmootherConfig, ace_fit, ace_upper_bound
+        from gaussbound import ace_fit, ace_upper_bound
 
         ms = mvg_scramble_sample(10_000, 1, seed=21)
-        model = ace_fit(ms.samples, smoother=SmootherConfig(k=200), seed=22)
+        model = ace_fit(ms.samples, knn_k=200, seed=22)
         # the bound reaches the analytic MI up to sampling/smooothing slack,
         # so there is no evidence against a lossless Gaussian embedding
         assert ace_upper_bound(model) >= 0.9 * ms.true_mi_nats

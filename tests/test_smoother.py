@@ -18,7 +18,7 @@ from gaussbound import (
 )
 from gaussbound import smoother
 from gaussbound.agce import FittedTransform
-from gaussbound.smoother import SmootherConfig, _reselect, _window_sums, default_knn_k, knn_indices
+from gaussbound.smoother import _reselect, _window_sums, default_knn_k, experiment_knn_k, knn_indices
 
 
 def brute_force_neighbors(x, k, queries=None):
@@ -140,6 +140,21 @@ class TestTiedRows:
         assert sm.neighbors.shape == (50, sm.k)
         assert full_rows[0] == 0
 
+    def test_tied_wide_block_reads_one_full_row_per_point(self, monkeypatch):
+        # 50 points, 8 copies each: every copy's k-th neighbour is tied, and
+        # a distinct point's full distance row serves all its copies
+        x = np.repeat(np.random.default_rng(2).standard_normal((50, 2)), 8, axis=0)
+        full_rows = [0]
+
+        def counting(rows, *args):
+            full_rows[0] += rows.size
+            return _reselect(rows, *args)
+
+        monkeypatch.setattr(smoother, "_reselect", counting)
+        table = knn_indices(x, 20)
+        assert 0 < full_rows[0] <= 50
+        assert [sorted(row) for row in table.tolist()] == [sorted(nb) for nb in brute_force_neighbors(x, 20)]
+
 
 def reference_window_sums(z, k):
     """numpy's own row sums of every length-k window of z."""
@@ -192,7 +207,7 @@ class TestWindowSums:
     def test_smooth_leaves_no_garbage_for_the_collector(self):
         rng = np.random.default_rng(17)
         x, z = rng.standard_normal(10_000), rng.standard_normal(10_000)
-        sm = KnnSmoother(x)
+        sm = KnnSmoother(x, default_knn_k(x.size))
         sm.smooth(z)
         assert growth_with_collector_off(lambda: sm.smooth(z)) < 2e6
 
@@ -343,7 +358,7 @@ class TestSortedOnce:
         rng = np.random.default_rng(22)
         x, z = rng.standard_normal(10_000), rng.standard_normal(10_000)
         q = rng.standard_normal(10_000)
-        sm = KnnSmoother(x)
+        sm = KnnSmoother(x, default_knn_k(x.size))
         sm.predict(q, z)
         assert growth_with_collector_off(lambda: sm.predict(q, z)) < 2e6
 
@@ -353,7 +368,7 @@ class TestSortedOnce:
         rng = np.random.default_rng(23)
         x, z = rng.standard_normal(10_000), rng.standard_normal(10_000)
         q = rng.standard_normal(1_000)
-        sm = KnnSmoother(x)
+        sm = KnnSmoother(x, default_knn_k(x.size))
 
         def fresh_transform_call():
             return FittedTransform(sm, z)(q)
@@ -409,7 +424,7 @@ def test_response_of_wrong_length_rejected(path, m):
 
 @pytest.mark.parametrize(
     "make",
-    [KnnSmoother, lambda x: knn_indices(x, 3)],
+    [lambda x: KnnSmoother(x, 3), lambda x: knn_indices(x, 3)],
     ids=["knn", "knn_indices"],
 )
 @pytest.mark.parametrize("d", [1, 2])
@@ -502,7 +517,7 @@ class TestKnn:
         x = np.random.default_rng(16).standard_normal(10_000)
         tracemalloc.start()
         try:
-            sm = KnnSmoother(x)
+            sm = KnnSmoother(x, default_knn_k(x.size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -589,11 +604,18 @@ def test_default_k_window(n):
     assert 3 <= k <= n
 
 
-def test_config_build_dispatch():
+@pytest.mark.parametrize(
+    "widths, k", [((1, 1), 456), ((2, 2), 37), ((2, 1), 37), ((1, 3), 17)], ids=["1-1", "2-2", "2-1", "1-3"]
+)
+def test_paired_samples_choose_the_default_k(widths, k):
+    # the one place a default is chosen, at n = 5000: default_knn_k for a
+    # 1-D pair, else experiment_knn_k of the wider block, for both blocks
+    assert k == (default_knn_k(5000) if max(widths) == 1 else experiment_knn_k(5000, max(widths)))
     rng = np.random.default_rng(8)
-    x = rng.standard_normal(30)
-    default = SmootherConfig().build(x)
-    assert isinstance(default, KnnSmoother) and default.k == default_knn_k(30)
-    assert SmootherConfig(k=4).build(x).k == 4
+    samples = PairedSamples(rng.standard_normal((5000, widths[0])), rng.standard_normal((5000, widths[1])))
+    pair = samples.smoothers()
+    assert [sm.k for sm in pair] == [k, k]
+    assert samples.smoothers() is pair
+    assert [sm.k for sm in samples.smoothers(4)] == [4, 4]
     with pytest.raises(ParameterError):
-        SmootherConfig(k=31).build(x)
+        samples.smoothers(5001)
