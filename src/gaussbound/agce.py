@@ -23,7 +23,6 @@ from .stats_core import (
     MonotoneMap,
     PairedSamples,
     marginal_gaussianize,
-    mi_from_correlations,
     normal_scores,
 )
 
@@ -98,22 +97,10 @@ class AgcePair:
     ace: CanonicalModel | None = None
 
 
-def _gaussianized_pair(a, b, rng, **fields) -> AgcePair:
-    """Normal scores of ``a`` and ``b`` and their correlation, as one pair.
-
-    phi/psi default to the two normal-scores maps, which are built only when
-    ``fields`` does not supply both; ``fields`` overrides any AgcePair field.
-    """
-    if "phi" in fields and "psi" in fields:
-        u, v = normal_scores(a, rng), normal_scores(b, rng)
-        maps = {}
-    else:
-        u, map_u = marginal_gaussianize(a, rng)
-        v, map_v = marginal_gaussianize(b, rng)
-        maps = dict(phi=map_u, psi=map_v)
+def _scored_pair(phi, psi, u, v, converged=True, ace=None) -> AgcePair:
+    """A pair of normal scores whose one-entry trace is their correlation."""
     rho = _corr(u, v)
-    base = dict(u=u, v=v, rho=rho, trace=np.asarray([rho]), converged=True, **maps)
-    return AgcePair(**{**base, **fields})
+    return AgcePair(phi, psi, u, v, rho, np.asarray([rho]), converged, ace=ace)
 
 
 @dataclass(frozen=True)
@@ -248,24 +235,21 @@ def offshelf_lower_1d(samples: PairedSamples, knn_k: int | None = None, seed=Non
     if samples.n < 100:
         raise InsufficientDataError("the off-shelf pair needs at least 100 samples")
     rng = np.random.default_rng(seed)
-    ace = ace_fit(samples, k=1, knn_k=knn_k, seed=rng)
+    ace = ace_fit(samples, knn_k=knn_k, seed=rng)
     sm_x, sm_y = samples.smoothers(knn_k)
+    u, v = ace.u[:, 0], ace.v[:, 0]
     # out-of-sample transforms regress the opposite ACE column and carry a
     # normal-scores map fitted on that regression's own in-sample scale
-    return _gaussianized_pair(
-        ace.u[:, 0], ace.v[:, 0], rng,
-        phi=FittedTransform(sm_x, ace.v[:, 0]), psi=FittedTransform(sm_y, ace.u[:, 0]),
-        converged=bool(ace.converged[0]), ace=ace,
-    )
+    phi, psi = FittedTransform(sm_x, v), FittedTransform(sm_y, u)
+    scores = normal_scores(u, rng), normal_scores(v, rng)
+    return _scored_pair(phi, psi, *scores, bool(ace.converged[0]), ace)
 
 
 def naive_lower_1d(samples: PairedSamples, seed=None) -> AgcePair:
     """Benchmark bound: Gaussianize the raw coordinates directly."""
     if samples.d_x != 1 or samples.d_y != 1:
         raise ParameterError("naive_lower_1d requires univariate X and Y")
-    return _gaussianized_pair(samples.x[:, 0], samples.y[:, 0], np.random.default_rng(seed))
-
-
-def pair_bound_nats(pair: AgcePair) -> float:
-    """Gaussian MI bound implied by a fitted pair's correlation."""
-    return mi_from_correlations([pair.rho])
+    rng = np.random.default_rng(seed)
+    u, phi = marginal_gaussianize(samples.x[:, 0], rng)
+    v, psi = marginal_gaussianize(samples.y[:, 0], rng)
+    return _scored_pair(phi, psi, u, v)

@@ -91,8 +91,8 @@ def joint_objective(u, v, *, details: bool = False):
     """Gaussian MI bound of the empirical joint covariance of (U, V), in nats.
 
     With ``details=True`` returns ``(value, info)`` as ``gaussian_mi_bound``
-    does; ``info["saturated"]`` is True when that covariance is numerically
-    singular, so the value is set by the ridge, not by the data.
+    does; ``info`` holds only ``saturated``, True when that covariance is
+    numerically singular, so the value is set by the ridge, not by the data.
     """
     u, v = as_block(u), as_block(v)
     if u.shape[0] <= u.shape[1] + v.shape[1]:

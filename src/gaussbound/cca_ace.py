@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError
 from .stats_core import PairedSamples, mi_from_correlations
 
 _DEGENERATE_STD = 1e-12
+_TOL = 1e-5  # ace_fit's convergence tolerance on rho
 
 
 def _standardize(col: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -58,29 +59,26 @@ class CanonicalModel:
 
 def ace_fit(
     samples: PairedSamples,
-    k: int | None = None,
     knn_k: int | None = None,
-    tol: float = 1e-5,
     max_iter: int = 200,
     seed=None,
 ) -> CanonicalModel:
-    """Alternating-conditional-expectation fit of k canonical pairs.
+    """Alternating-conditional-expectation fit of min(d_x, d_y) canonical pairs.
 
     Pair 1 starts from the standardized first principal component of Y;
     later pairs start from seeded random vectors Gram-Schmidt-orthogonalized
     against the earlier V columns, and both sides are re-orthogonalized after
-    every smoothing step.  Non-convergence returns the best iterate with the
-    pair's ``converged`` flag cleared rather than raising.  ``k`` counts pairs,
-    ``knn_k`` neighbors (None: ``PairedSamples.smoothers``' default).
+    every smoothing step.  A pair converges when one round moves its
+    correlation by less than 1e-5.  Non-convergence after ``max_iter`` rounds
+    returns the best iterate with the pair's ``converged`` flag cleared
+    rather than raising.  ``knn_k`` counts neighbors (None:
+    ``PairedSamples.smoothers``' default).
     """
     y = samples.y
     n = samples.n
     if n < 50:
         raise InsufficientDataError("ace_fit needs at least 50 samples")
-    if k is None:
-        k = min(samples.d_x, samples.d_y)
-    if k < 1:
-        raise ParameterError("k must be at least 1")
+    k = min(samples.d_x, samples.d_y)
 
     rng = np.random.default_rng(seed)
     sm_x, sm_y = samples.smoothers(knn_k)
@@ -112,7 +110,7 @@ def ace_fit(
                 break
             rho_new = float(u @ v / n)
             trace.append(rho_new)
-            if abs(rho_new - rho_j) < tol:
+            if abs(rho_new - rho_j) < _TOL:
                 rho_j = rho_new
                 converged[j] = True
                 break

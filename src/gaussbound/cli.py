@@ -247,11 +247,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _get_samples(args) -> tuple[PairedSamples, object, dict]:
-    """Samples plus (optional) analytic model and provenance from the args."""
+def _get_samples(args) -> tuple[PairedSamples, dict]:
+    """(samples, provenance) from ``--input`` or a ``--model`` draw; no analytic joint."""
     if args.input:
         samples = read_samples_csv(args.input)
-        return samples, None, {"input": args.input, "true_mi_nats": None}
+        return samples, {"input": args.input, "true_mi_nats": None}
     ms, params = _draw_model(args)
     prov = {
         "model": args.model,
@@ -260,7 +260,7 @@ def _get_samples(args) -> tuple[PairedSamples, object, dict]:
         "n": args.n,
         "true_mi_nats": ms.true_mi_nats,
     }
-    return ms.samples, discretizable_from_spec(args.model, args.d, args.mu_z, args.eps), prov
+    return ms.samples, prov
 
 
 def _draw_model(args) -> tuple[object, dict]:
@@ -327,7 +327,7 @@ def run_method(method: str, samples: PairedSamples, args):
 
 
 def bound_report(args) -> dict:
-    samples, _, prov = _get_samples(args)
+    samples, prov = _get_samples(args)
     t0 = time.perf_counter()
     u, v, rho, extras = run_method(args.method, samples, args)
     lower = None
@@ -373,7 +373,7 @@ def bound_report(args) -> dict:
 
 def curve_report(args) -> tuple[dict, dict]:
     """The curve manifest and its curves, keyed by the stem of each CSV."""
-    samples, analytic, prov = _get_samples(args)
+    samples, prov = _get_samples(args)
     t0 = time.perf_counter()
     u, v, rho, _ = run_method(args.method, samples, args)
     cov = covariance(np.hstack([u, v]))
@@ -385,8 +385,10 @@ def curve_report(args) -> tuple[dict, dict]:
         "raw_gib_curve": gib_curve(raw_spec, beta_grid=grid),
     }
 
-    reference_mi = reference_solver = None
-    if args.reference and analytic is not None:
+    reference_mi = reference_solver = analytic = None
+    if args.reference and not args.input:
+        analytic = discretizable_from_spec(args.model, args.d, args.mu_z, args.eps)
+    if analytic is not None:
         pmf, _ = quadrature_discretize(analytic, m=args.quad_m)
         curves["reference_curve"], diag = reverse_anneal(pmf)
         reference_mi = pmf.mutual_information()

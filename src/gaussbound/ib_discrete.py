@@ -29,10 +29,9 @@ _STEP_FACTOR = 4.0
 
 @dataclass(frozen=True)
 class JointPmf:
-    """Finite joint distribution with zero-probability x bins pruned."""
+    """Finite joint distribution p[x, y], renormalized, with zero-probability x rows pruned."""
 
     p: np.ndarray
-    x_labels: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -45,12 +44,9 @@ class JointPmf:
             raise DomainError("JointPmf must have positive mass")
         if abs(total - 1.0) > 1e-12:
             p = p / total
-        keep = p.sum(axis=1) > 0.0
-        p = p[keep]
+        p = p[p.sum(axis=1) > 0.0]
         p = p / p.sum()
         object.__setattr__(self, "p", p)
-        if self.x_labels is not None:
-            object.__setattr__(self, "x_labels", np.asarray(self.x_labels)[keep])
 
     @property
     def n_x(self) -> int:
@@ -323,10 +319,11 @@ def reverse_anneal(joint: JointPmf, beta_schedule=None):
     Each solution seeds the next (smaller) beta; the default schedule is 60
     log-spaced betas from 200 down to 0.8.  Points that violate
     concavity by more than 1e-6 (local-optimum artifacts) get their I_TY
-    replaced by the upper concave envelope; raw points are returned in the
-    diagnostics dict.  So are each beta's ``converged`` and ``stationary``
-    flags (see ``ib_iterate``), in curve order; a beta with neither stopped
-    at the sweep limit.
+    replaced by the upper concave envelope, and their indices are the
+    diagnostics' ``lifted_points``.  The diagnostics also hold each beta's
+    ``converged`` and ``stationary`` flags (see ``ib_iterate``), in curve
+    order, so a beta with neither stopped at the sweep limit, and the
+    ``solutions`` in schedule order.
 
     Returns ``(curve, diagnostics)``.
     """
@@ -348,14 +345,12 @@ def reverse_anneal(joint: JointPmf, beta_schedule=None):
         init = sol
 
     betas = np.asarray([s.beta for s in solutions])[::-1]
-    tx_raw = np.asarray([s.i_tx for s in solutions])[::-1]
-    ty_raw = np.asarray([s.i_ty for s in solutions])[::-1]
     conv = np.asarray([s.converged for s in solutions])[::-1]
     stationary = np.asarray([s.stationary for s in solutions])[::-1]
 
     # cleanup: clip coordinate backtracking, then lift concavity violations
-    tx = np.maximum.accumulate(tx_raw)
-    ty = np.maximum.accumulate(ty_raw)
+    tx = np.maximum.accumulate(np.asarray([s.i_tx for s in solutions])[::-1])
+    ty = np.maximum.accumulate(np.asarray([s.i_ty for s in solutions])[::-1])
     env = upper_concave_envelope(tx, ty)
     lifted = env > ty + 1e-6
     ty = np.where(lifted, env, ty)
@@ -363,8 +358,6 @@ def reverse_anneal(joint: JointPmf, beta_schedule=None):
     curve = IBCurve(betas, tx, ty, "nats")
     curve.validate(concavity_tol=2e-6)
     diagnostics = {
-        "raw_i_tx": tx_raw,
-        "raw_i_ty": ty_raw,
         "converged": conv,
         "stationary": stationary,
         "lifted_points": np.flatnonzero(lifted),
@@ -419,7 +412,7 @@ def quadrature_discretize(model, m: int = 32):
     exaggerate dependence when a conditional scale is finer than the node
     spacing.
 
-    Returns ``(JointPmf, diagnostics)``.
+    Returns ``(JointPmf, diagnostics)``, the pmf's axes in ascending node order.
     """
     if not 8 <= m <= 64:
         raise ParameterError("nodes per dimension must lie in [8, 64]")
@@ -457,5 +450,4 @@ def quadrature_discretize(model, m: int = 32):
         + logw[0][:, None]
         + logw[1][None, :]
     )
-    pmf = JointPmf(_softmax(log_p)[0], x_labels=xn)
-    return pmf, diagnostics
+    return JointPmf(_softmax(log_p)[0]), diagnostics

@@ -443,8 +443,9 @@ def gaussian_mi_bound(cov, d_u: int, *, details: bool = False):
     one read of the diagonal.  A bi-terminal Givens try calls this once, so
     its cost is mostly per-call overhead.
 
-    With ``details=True`` also returns a dict with a ``saturated`` flag
-    (joint covariance numerically singular, i.e. correlation at 1).
+    With ``details=True`` returns ``(value, info)``, where ``info`` holds
+    only a ``saturated`` flag: the ridged joint covariance is numerically
+    singular, i.e. a correlation sits at 1.
     """
     jnt = joint_covariance(cov, d_u)
     d = jnt.shape[0]
@@ -458,9 +459,8 @@ def gaussian_mi_bound(cov, d_u: int, *, details: bool = False):
         )
 
     var_u, var_v = _mean_of(diag[:du]), _mean_of(diag[du:])
-    ridge_u, ridge_v = COV_RIDGE * var_u, COV_RIDGE * var_v
     diagonal = jnt.reshape(-1)[:: d + 1]  # a view: jnt is a fresh C-contiguous copy
-    diagonal += [ridge_u] * du + [ridge_v] * dv
+    diagonal += [COV_RIDGE * var_u] * du + [COV_RIDGE * var_v] * dv
     cu, cv = jnt[:du, :du], jnt[du:, du:]
 
     for name, m, var in (("C_U", cu, var_u), ("C_V", cv, var_v)):
@@ -476,14 +476,7 @@ def gaussian_mi_bound(cov, d_u: int, *, details: bool = False):
 
     if not details:
         return value
-    eig_after = _eigvalsh(jnt)[0]
-    info = {
-        "saturated": bool(eig_after <= 1e-8 * scale * 10.0),
-        "ridge_u": ridge_u,
-        "ridge_v": ridge_v,
-        "min_joint_eigenvalue": float(eig_joint[0]),
-    }
-    return value, info
+    return value, {"saturated": bool(_eigvalsh(jnt)[0] <= 1e-8 * scale * 10.0)}
 
 
 def mi_from_correlations(rho) -> float:

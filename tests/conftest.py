@@ -20,7 +20,7 @@ def gm_mix_samples():
 
 @pytest.fixture(scope="session")
 def gm_mix_ace(gm_mix_samples):
-    return ace_fit(gm_mix_samples, k=1, seed=9)
+    return ace_fit(gm_mix_samples, seed=9)
 
 
 @pytest.fixture(scope="session")

@@ -14,11 +14,12 @@ from gaussbound import (
     agce_step,
     gm1d_sample,
     marginal_gaussianize,
+    mi_from_correlations,
     naive_lower_1d,
     offshelf_lower_1d,
 )
 from gaussbound import smoother
-from gaussbound.agce import FittedTransform, pair_bound_nats
+from gaussbound.agce import FittedTransform
 from gaussbound.cca_ace import ace_fit, ace_upper_bound
 from gaussbound.smoother import KnnSmoother, default_knn_k
 from gaussbound.stats_core import NATS_PER_BIT, rank_quantile_grid
@@ -71,19 +72,19 @@ class TestAgceStep:
 class TestAgceFit1d:
     def test_mixture_model(self, gm_mix_ace, gm_mix_agce):
         assert gm_mix_agce.rho >= 0.60
-        assert pair_bound_nats(gm_mix_agce) / NATS_PER_BIT >= 0.36
+        assert mi_from_correlations([gm_mix_agce.rho]) / NATS_PER_BIT >= 0.36
         assert gm_mix_agce.rho <= gm_mix_ace.rho[0] + 0.02
 
     def test_gaussian_model_self_optimum(self, gaussian_pair_06):
         pair = agce_fit_1d(gaussian_pair_06, n_restarts=3, seed=12)
         assert abs(pair.rho - 0.6) <= 0.03
-        bits = pair_bound_nats(pair) / NATS_PER_BIT
+        bits = mi_from_correlations([pair.rho]) / NATS_PER_BIT
         assert abs(bits - (-0.5 * np.log2(1 - 0.36))) <= 0.05
 
     def test_independent_pair(self, independent_pair):
         pair = agce_fit_1d(independent_pair, n_restarts=2, seed=13)
         assert pair.rho <= 0.1
-        assert pair_bound_nats(pair) / NATS_PER_BIT <= 0.01
+        assert mi_from_correlations([pair.rho]) / NATS_PER_BIT <= 0.01
 
     def test_trace_monotone(self, gm_mix_agce):
         assert np.all(np.diff(gm_mix_agce.trace) >= -1e-4)
@@ -154,7 +155,7 @@ class TestAgceFit1d:
 
     def test_pairs_carry_their_ace_fit(self):
         samples = gm1d_sample(600, 10, 0.1, seed=4).samples
-        rho = ace_fit(samples, k=1).rho
+        rho = ace_fit(samples).rho
         for pair in (agce_fit_1d(samples, n_restarts=2, seed=5), offshelf_lower_1d(samples, seed=5)):
             assert np.array_equal(pair.ace.rho, rho)
 
@@ -333,7 +334,7 @@ class TestNoUnreadMaps:
 class TestOffshelfAndNaive:
     def test_mixture_values(self, gm_mix_offshelf):
         assert abs(gm_mix_offshelf.rho - 0.646) <= 0.03
-        bits = pair_bound_nats(gm_mix_offshelf) / NATS_PER_BIT
+        bits = mi_from_correlations([gm_mix_offshelf.rho]) / NATS_PER_BIT
         assert abs(bits - 0.389) <= 0.05
 
     def test_sandwich(self, gm_mix_offshelf, gm_mix_agce, gm_mix_ace):
@@ -341,14 +342,14 @@ class TestOffshelfAndNaive:
         assert gm_mix_agce.rho <= gm_mix_ace.rho[0] + 0.02
 
     def test_monotone_affine_gaussian_noop(self, gaussian_pair_06):
-        ace = ace_fit(gaussian_pair_06, k=1, seed=15)
+        ace = ace_fit(gaussian_pair_06, seed=15)
         off = offshelf_lower_1d(gaussian_pair_06, seed=15)
         assert abs(off.rho - ace.rho[0]) <= 0.02
 
     def test_naive_mixture_benchmark(self, gm_mix_samples):
         pair = naive_lower_1d(gm_mix_samples, seed=16)
         assert abs(pair.rho - 0.288) <= 0.03
-        assert abs(pair_bound_nats(pair) / NATS_PER_BIT - 0.0628) <= 0.02
+        assert abs(mi_from_correlations([pair.rho]) / NATS_PER_BIT - 0.0628) <= 0.02
 
     @given(
         st.integers(0, 10_000),
@@ -363,7 +364,8 @@ class TestOffshelfAndNaive:
         # 1-D neighbour window up to rounding of the distances
         s = gm1d_sample(400, 10.0, 0.1, seed=seed).samples
         t = PairedSamples(a * s.x + b, c * s.y + e)
-        assert pair_bound_nats(naive_lower_1d(s, seed=1)) == pair_bound_nats(naive_lower_1d(t, seed=1))
+        naive = [mi_from_correlations([naive_lower_1d(p, seed=1).rho]) for p in (s, t)]
+        assert naive[0] == naive[1]
         upper = [ace_upper_bound(ace_fit(p, seed=2)) for p in (s, t)]
         assert abs(upper[0] - upper[1]) <= 1e-12
 

@@ -21,7 +21,7 @@ from gaussbound.stats_core import NATS_PER_BIT
 class TestAceFit:
     def test_gaussian_pair_recovers_linear_structure(self, gaussian_pair_06):
         # moderate window: the default oversmooths the tails of a 1-D fit
-        model = ace_fit(gaussian_pair_06, k=1, knn_k=400, seed=1)
+        model = ace_fit(gaussian_pair_06, knn_k=400, seed=1)
         assert abs(model.rho[0] - 0.6) <= 0.03
         # the optimal transforms are affine for jointly Gaussian data
         u = model.u[:, 0]
@@ -40,7 +40,7 @@ class TestAceFit:
         assert true_bits > upper_bits  # 1.66 > ~0.49: no lossless Gaussian embedding
 
     def test_independent_pair(self, independent_pair):
-        model = ace_fit(independent_pair, k=1, seed=2)
+        model = ace_fit(independent_pair, seed=2)
         assert model.rho[0] <= 0.1
 
     def test_model_invariants(self, gm_mix_ace):
@@ -63,8 +63,8 @@ class TestAceFit:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(600)
         y = 0.7 * x + rng.standard_normal(600)
-        base = ace_fit(PairedSamples(x, y), k=1, seed=3)
-        moved = ace_fit(PairedSamples(3.0 * x - 2.0, -0.5 * y + 4.0), k=1, seed=3)
+        base = ace_fit(PairedSamples(x, y), seed=3)
+        moved = ace_fit(PairedSamples(3.0 * x - 2.0, -0.5 * y + 4.0), seed=3)
         assert abs(base.rho[0] - moved.rho[0]) <= 1e-6
 
     def test_bound_matches_covariance_formula(self, gm_mix_ace):
@@ -87,7 +87,7 @@ class TestAceFit:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(500)
         y = np.sin(3 * x) + 0.3 * rng.standard_normal(500)
-        model = ace_fit(PairedSamples(x, y), k=1, max_iter=1, seed=1)
+        model = ace_fit(PairedSamples(x, y), max_iter=1, seed=1)
         assert not model.converged[0]
         assert 0.0 <= model.rho[0] <= 1.0
 

@@ -773,6 +773,10 @@ for method in ("naive", "offshelf", "ace", "agce"):
     code = cli.main(["bound", "--input", csv, "--method", method, "--restarts", "2",
                      "--seed", "1", "--out", f"{out}/{method}.json"])
     print(method, code, loaded())
+for model in ("exp_gamma", "mv_gaussian_scramble"):
+    code = cli.main(["bound", "--model", model, "--n", "400", "--method", "naive",
+                     "--seed", "1", "--out", f"{out}/{model}.json"])
+    print(model, code, loaded())
 code = cli.main(["bound", "--model", "exp_gamma", "--d", "2", "--n", "400", "--method",
                  "biterminal", "--seed", "1", "--out", f"{out}/biterminal.json"])
 print("biterminal", code)
@@ -795,6 +799,8 @@ def test_one_d_bounds_load_no_scipy(tmp_path, sample_csv):
         "offshelf 0 []",
         "ace 0 []",
         "agce 0 []",
+        "exp_gamma 0 []",
+        "mv_gaussian_scramble 0 []",
         "biterminal 0",
         "curve 0",
     ]

@@ -1,5 +1,6 @@
-"""Every top-level function and class in the package has a caller or a test,
-and every name the package re-exports has a caller in the package itself."""
+"""Every top-level function and class in the package, and every name the
+package re-exports, has a caller in the package itself: a name that only
+tests reach is dead code."""
 
 import ast
 import re
@@ -18,7 +19,6 @@ def _count(name: str, texts: list[str]) -> int:
 
 def test_every_top_level_name_is_used():
     texts = [p.read_text(encoding="utf-8") for p in SOURCES]
-    texts += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))]
     unused = []
     for path in SOURCES:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:

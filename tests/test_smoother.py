@@ -564,8 +564,8 @@ class TestTranslation:
         rng = np.random.default_rng(15)
         x = rng.standard_normal(2000)
         y = np.sin(2.0 * x) + 0.5 * rng.standard_normal(2000)
-        rho = ace_fit(PairedSamples(x, y), k=1, seed=1).rho[0]
-        shifted = ace_fit(PairedSamples(x + 1e8, y), k=1, seed=1).rho[0]
+        rho = ace_fit(PairedSamples(x, y), seed=1).rho[0]
+        shifted = ace_fit(PairedSamples(x + 1e8, y), seed=1).rho[0]
         assert abs(shifted - rho) <= 1e-9
 
 
