@@ -27,6 +27,7 @@ from .stats_core import (
 )
 
 _MAX_ITER = 100  # alternation rounds per restart
+_TOL = 1e-4  # a restart converges when a round moves rho by less than this
 
 
 def _moments(a: np.ndarray) -> tuple[float, float]:
@@ -149,7 +150,7 @@ def agce_step(v_fixed, smoother, seed=None, prev_u=None, v_moments=None, prev_mo
     return StepResult(u, rho, False, False, transform, mu)
 
 
-def _alternate(u, v, phi, psi, sm_x, sm_y, tol: float, rng: np.random.Generator) -> AgcePair:
+def _alternate(u, v, phi, psi, sm_x, sm_y, rng: np.random.Generator) -> AgcePair:
     """Run one AGCE restart from normal-scores start values and transforms.
 
     ``u`` may be ``None`` (a random restart starts from ``v`` alone).  A side
@@ -170,7 +171,7 @@ def _alternate(u, v, phi, psi, sm_x, sm_y, tol: float, rng: np.random.Generator)
             v, psi, mv = step.u, step.transform or psi, step.moments
             trace.append(step.rho)
         # an independent step reports rho = 0 and ends the restart unconverged
-        converged = not step.independent and abs(step.rho - rho) < tol
+        converged = not step.independent and abs(step.rho - rho) < _TOL
         rho = step.rho
         if converged or step.independent:
             break
@@ -192,7 +193,6 @@ def _random_smooth_init(powers, rng: np.random.Generator) -> np.ndarray:
 
 def agce_fit_1d(
     samples: PairedSamples,
-    tol: float = 1e-4,
     n_restarts: int = 8,
     knn_k: int | None = None,
     seed=None,
@@ -202,22 +202,22 @@ def agce_fit_1d(
     Restart 0 starts from the off-shelf pair and its transforms (so the
     result can never fall below the off-shelf lower bound); the remaining
     restarts start from normal scores of random cubic polynomials of y.
-    ``tol`` is the alternation's tolerance; the off-shelf ACE fit keeps its
-    own, and the result carries that fit as ``ace``.  ``knn_k`` is as in
-    ``ace_fit``.
+    A restart alternates until a round moves rho by less than a fixed 1e-4;
+    the off-shelf ACE fit keeps its own tolerance, and the result carries
+    that fit as ``ace``.  ``knn_k`` is as in ``ace_fit``.
     """
-    if n_restarts < 1 or not tol > 0:
-        raise ParameterError("agce_fit_1d needs n_restarts >= 1 and tol > 0")
+    if n_restarts < 1:
+        raise ParameterError("agce_fit_1d needs n_restarts >= 1")
     rng = np.random.default_rng(seed)
     off = offshelf_lower_1d(samples, knn_k, seed=rng)
     sm_x, sm_y = samples.smoothers(knn_k)
 
-    best = _alternate(off.u, off.v, off.phi, off.psi, sm_x, sm_y, tol, rng)
+    best = _alternate(off.u, off.v, off.phi, off.psi, sm_x, sm_y, rng)
     ys = _standardize(samples.y[:, 0])[0]
     powers = (ys, ys ** 2, ys ** 3)
     for _ in range(1, n_restarts):
         v_init = _random_smooth_init(powers, rng)
-        fit = _alternate(None, v_init, None, None, sm_x, sm_y, tol, rng)
+        fit = _alternate(None, v_init, None, None, sm_x, sm_y, rng)
         if fit.rho > best.rho:
             best = fit
     best.ace = off.ace

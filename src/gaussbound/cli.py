@@ -51,7 +51,6 @@ EXIT_CHECK_FAILED = 5
 
 METHODS = ("ace", "agce", "offshelf", "biterminal", "naive")
 UNITS = ("bits", "nats")
-_TRUE_WORDS, _FALSE_WORDS = ("1", "true", "yes"), ("0", "false", "no")
 
 
 class CliError(Exception):
@@ -197,13 +196,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _yes_no(text: str) -> bool:
-    return _one_of(_TRUE_WORDS + _FALSE_WORDS, text.lower()) in _TRUE_WORDS
-
-
 # key -> (default, parser, help, choices).  Each key is the flag --key (with
-# "_" as "-"); a yes/no setting is the switch --no-key.  A config-file value
-# and GB_SEED go through the parser and choices of the flag they stand for.
+# "_" as "-").  A config-file value and GB_SEED go through the parser and
+# choices of the flag they stand for.
 _SETTINGS = {
     "n": (10_000, int, "sample count", None),
     "mu_z": (10.0, float, "mixture offset (gm models)", None),
@@ -212,15 +207,12 @@ _SETTINGS = {
     "method": ("agce", str, "embedding method", METHODS),
     "k": (None, int, "neighbor count for the knn smoother", None),
     "restarts": (8, int, "AGCE restart count", None),
-    "tol": (1e-4, float, "AGCE alternation tolerance (correlation change)", None),
     "units": ("bits", str, "output units", UNITS),
     "quad_m": (32, int, "quadrature nodes per component", None),
-    "beta_points": (200, int, "curve grid size", None),
-    "reference": (True, _yes_no, "skip the discrete reference curve", None),
     "seed": (0, _seed, "RNG seed (default: GB_SEED or 0)", None),
 }
-_MODEL_KEYS = ("mu_z", "eps", "d", "n", "seed", "units")
-_METHOD_KEYS = ("method", "k", "restarts", "tol")
+_MODEL_KEYS = ("mu_z", "eps", "d", "n", "seed")
+_METHOD_KEYS = ("method", "k", "restarts")
 
 
 def _parse(key: str, text: str, source: str):
@@ -308,9 +300,7 @@ def run_method(method: str, samples: PairedSamples, args):
                 "use biterminal for multivariate data",
                 EXIT_CONFIG,
             )
-        pair = agce_fit_1d(
-            samples, tol=args.tol, n_restarts=args.restarts, knn_k=args.k, seed=seed
-        )
+        pair = agce_fit_1d(samples, n_restarts=args.restarts, knn_k=args.k, seed=seed)
         extras = {"trace": pair.trace, "converged": pair.converged, "model": pair.ace}
         return pair.u[:, None], pair.v[:, None], np.asarray([pair.rho]), extras
     if method == "biterminal":
@@ -375,21 +365,21 @@ def curve_report(args) -> tuple[dict, dict]:
     """The curve manifest and its curves, keyed by the stem of each CSV."""
     samples, prov = _get_samples(args)
     t0 = time.perf_counter()
+    # the quadrature draws nothing, so a --quad-m the model cannot take fails before the fit
+    analytic = None if args.input else discretizable_from_spec(args.model, args.d, args.mu_z, args.eps)
+    pmf = None if analytic is None else quadrature_discretize(analytic, m=args.quad_m)[0]
     u, v, rho, _ = run_method(args.method, samples, args)
     cov = covariance(np.hstack([u, v]))
     spec = gib_spectrum(cov, u.shape[1])
-    grid = default_beta_grid(spec, num=args.beta_points)
+    grid = default_beta_grid(spec)
     raw_spec = gib_spectrum(covariance(np.hstack([samples.x, samples.y])), samples.d_x)
     curves = {
         "method_curve": gib_curve(spec, beta_grid=grid),
         "raw_gib_curve": gib_curve(raw_spec, beta_grid=grid),
     }
 
-    reference_mi = reference_solver = analytic = None
-    if args.reference and not args.input:
-        analytic = discretizable_from_spec(args.model, args.d, args.mu_z, args.eps)
-    if analytic is not None:
-        pmf, _ = quadrature_discretize(analytic, m=args.quad_m)
+    reference_mi = reference_solver = None
+    if pmf is not None:
         curves["reference_curve"], diag = reverse_anneal(pmf)
         reference_mi = pmf.mutual_information()
         reference_solver = {
@@ -486,11 +476,7 @@ def _add_command(sub, name: str, help_text: str, keys: tuple, with_input: bool =
     p.add_argument("--config", help="key = value file supplying unset flags")
     for key in keys:
         _, parse, text, choices = _SETTINGS[key]
-        flag = key.replace("_", "-")
-        if parse is _yes_no:
-            p.add_argument(f"--no-{flag}", dest=key, action="store_false", default=None, help=text)
-        else:
-            p.add_argument(f"--{flag}", dest=key, type=parse, choices=choices, help=text)
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parse, choices=choices, help=text)
     return p
 
 
@@ -501,10 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = _add_command(sub, "bound", "compute MI bounds for one pair", _MODEL_KEYS + _METHOD_KEYS)
+    bound_keys = _MODEL_KEYS + _METHOD_KEYS + ("units",)
+    p_bound = _add_command(sub, "bound", "compute MI bounds for one pair", bound_keys)
     p_bound.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    curve_keys = _MODEL_KEYS + _METHOD_KEYS + ("quad_m", "beta_points", "reference")
+    curve_keys = bound_keys + ("quad_m",)
     p_curve = _add_command(sub, "curve", "emit trade-off curves as CSV", curve_keys)
     p_curve.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
 

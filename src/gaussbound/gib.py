@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, InvalidCovarianceError, ParameterError
+from .errors import ConditioningError, DomainError, InvalidCovarianceError
 from .stats_core import NATS_PER_BIT, joint_covariance
 
 # Components with lambda at or below this are treated as deterministic; their
@@ -160,14 +160,13 @@ class IBCurve:
         return np.interp(np.asarray(i_tx_query, dtype=float), self.i_tx[order], self.i_ty[order])
 
 
-def default_beta_grid(spec: GibSpectrum, num: int = 200) -> np.ndarray:
-    """200 log-spaced trade-off values from 0.9 x first activation to 100 x."""
-    if num < 1:
-        raise ParameterError("a beta grid needs at least one point")
+def default_beta_grid(spec: GibSpectrum) -> np.ndarray:
+    """200 log-spaced trade-off values from 0.9 x first activation to 100 x,
+    or from 1 to 10 when no component activates."""
     b1 = spec.beta_crit[0]
     if not np.isfinite(b1):
-        return np.logspace(0.0, 1.0, num)
-    return np.logspace(np.log10(0.9 * b1), np.log10(100.0 * b1), num)
+        return np.logspace(0.0, 1.0, 200)
+    return np.logspace(np.log10(0.9 * b1), np.log10(100.0 * b1), 200)
 
 
 def gib_curve(spec: GibSpectrum, beta_grid=None, units: str = "nats") -> IBCurve:

@@ -1,6 +1,6 @@
 """Parity probe: one sha256 per output of a fixed set of CLI runs.
 
-    PYTHONPATH=src python tests/parity_probe.py [--quick]
+    PYTHONPATH=src python tests/parity_probe.py [--quick] [--update]
 
 Run it on two checkouts (each with its own ``PYTHONPATH``) and compare the
 printed lines: a change meant to keep answers byte-identical must print the
@@ -16,6 +16,13 @@ width; ``*expgamma-d1-*`` draw a d = 1 exp_gamma sample, whose analytic
 joint only ``curve`` builds, for its discrete reference.  ``--quick``
 leaves out the reproduce bundles.  pytest does not collect this file; the
 full run takes about 6 s on a 2-vCPU machine.
+
+``tests/answers.json`` is the answer ledger: for every case but the bundles,
+its sha256 and headline numbers (a bound's lower and upper bounds in nats and
+its rho; a curve's embedding bound and reference pmf MI; a library case's
+L2 norm), with the numpy, scipy and BLAS versions it was made with.
+``test_answers.py`` checks every run against it.  ``--update`` rewrites the
+ledger and prints the cases whose hash changed.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ CURVES = [
      ["--model", "exp_gamma", "--d", "1", "--n", "3000", "--seed", "7", "--method", "naive", "--quad-m", "16"]),
 ]
 BUNDLES = ("sec4.4", "sec5.4-gauss", "sec6.1-gm")
+LEDGER = Path(__file__).resolve().with_name("answers.json")
 
 
 def write_rounded_csvs() -> None:
@@ -98,8 +106,8 @@ def queries(x: np.ndarray) -> np.ndarray:
 
 
 def library_cases():
-    """(name, bytes) of smoothers on 1-D and d = 2 blocks, continuous and
-    tied, and of fitted off-shelf and AGCE transforms."""
+    """(name, output arrays) of smoothers on 1-D and d = 2 blocks, continuous
+    and tied, and of fitted off-shelf and AGCE transforms."""
     rng = np.random.default_rng(3)
     s = expgamma_sample(2000, 2, seed=1).samples.x
     blocks = {
@@ -112,15 +120,15 @@ def library_cases():
         z, q = rng.standard_normal(x.shape[0]), queries(x)
         for k in (1, 7, 20, 150):
             sm = KnnSmoother(x, k)
-            yield f"smoother-{name}-k{k}", sm.smooth(z).tobytes() + sm.predict(q, z).tobytes()
+            yield f"smoother-{name}-k{k}", [sm.smooth(z), sm.predict(q, z)]
     pairs = {"gm1d": gm1d_sample(3000, 10.0, 0.1, seed=7).samples}
     x = rng.standard_normal(3000)
     pairs["rounded"] = PairedSamples(np.round(x), np.round(x + rng.standard_normal(3000)))
     for name, samples in pairs.items():
         for fit, pair in (("offshelf", offshelf_lower_1d(samples, seed=5)),
                           ("agce", agce_fit_1d(samples, n_restarts=2, seed=5))):
-            parts = [pair.phi(queries(samples.x)[:, 0]), pair.psi(queries(samples.y)[:, 0])]
-            yield f"transform-{name}-{fit}", b"".join(p.tobytes() for p in parts)
+            yield f"transform-{name}-{fit}", [pair.phi(queries(samples.x)[:, 0]),
+                                              pair.psi(queries(samples.y)[:, 0])]
 
 
 def digest(*parts: bytes) -> str:
@@ -130,10 +138,12 @@ def digest(*parts: bytes) -> str:
     return h.hexdigest()
 
 
-def without_timing(path: Path) -> bytes:
-    report = json.loads(path.read_text(encoding="utf-8"))
-    report.pop("timing")
-    return json.dumps(report, sort_keys=True).encode()
+def without_timing(report: dict) -> bytes:
+    return json.dumps({key: value for key, value in report.items() if key != "timing"}, sort_keys=True).encode()
+
+
+def read_json(path: Path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def run(argv: list[str]) -> None:
@@ -143,21 +153,57 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"exit code {code}: {' '.join(argv)}")
 
 
+def quick_cases():
+    """(name, sha256, headline numbers) of every case but the bundles; writes
+    its inputs and outputs to the working directory."""
+    write_rounded_csvs()
+    for name, args in BOUNDS:
+        run(["bound", *args, "--out", f"{name}.json"])
+        report = read_json(Path(f"{name}.json"))
+        yield name, digest(without_timing(report)), {
+            "lower": report["lower_bound_nats"], "upper": report["ace_upper_bound_nats"], "rho": report["rho"]}
+    for name, args in CURVES:
+        run(["curve", *args, "--out-dir", name])
+        out = Path(name)
+        manifest = read_json(out / "manifest.json")
+        csvs = sorted(out.glob("*.csv"))
+        yield name, digest(without_timing(manifest), *(p.read_bytes() for p in csvs)), {
+            "embedding": manifest["embedding_bound_nats"], "reference": manifest["reference_pmf_mi_nats"]}
+    for name, arrays in library_cases():
+        norm = float(np.linalg.norm(np.concatenate(arrays)))
+        yield name, digest(*(a.tobytes() for a in arrays)), {"norm": norm}
+
+
+def versions() -> dict:
+    """The versions of the libraries whose arithmetic a hash depends on."""
+    import scipy
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        openblas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, AttributeError):
+        openblas = "unknown"
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": openblas}
+
+
+def update_ledger(cases: dict) -> None:
+    """Rewrite the ledger with cases, printing each case whose hash changed."""
+    old = read_json(LEDGER)["cases"] if LEDGER.exists() else {}
+    for name in {**old, **cases}:
+        if old.get(name, {}).get("sha256") != cases.get(name, {}).get("sha256"):
+            print("changed", name, flush=True)
+    text = json.dumps({"versions": versions(), "cases": cases}, indent=1)
+    LEDGER.write_text(text + "\n", encoding="utf-8")
+
+
 def main(argv: list[str]) -> None:
     quick = "--quick" in argv
+    cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        write_rounded_csvs()
-        for name, args in BOUNDS:
-            run(["bound", *args, "--out", f"{name}.json"])
-            print(name, digest(without_timing(Path(f"{name}.json"))), flush=True)
-        for name, args in CURVES:
-            run(["curve", *args, "--out-dir", name])
-            out = Path(name)
-            csvs = sorted(out.glob("*.csv"))
-            print(name, digest(without_timing(out / "manifest.json"), *(p.read_bytes() for p in csvs)), flush=True)
-        for name, data in library_cases():
-            print(name, digest(data), flush=True)
+        for name, sha, headline in quick_cases():
+            print(name, sha, flush=True)
+            cases[name] = {"sha256": sha, **headline}
         for bundle in () if quick else BUNDLES:
             rows = [dataclasses.asdict(row) for row in repro.run_experiment(bundle)]
             commands = [row.pop("commands") for row in rows]
@@ -165,6 +211,8 @@ def main(argv: list[str]) -> None:
                 row.pop("elapsed_s")
             print(f"reproduce-{bundle}", digest(json.dumps(rows, sort_keys=True).encode()), flush=True)
             print(f"reproduce-{bundle}-commands", digest(json.dumps(commands).encode()), flush=True)
+    if "--update" in argv:
+        update_ledger(cases)
 
 
 if __name__ == "__main__":

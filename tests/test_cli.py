@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from gaussbound import (
     agce_fit_1d,
     cca_ace,
+    cli,
     expgamma_sample,
     gm1d_sample,
     mvg_scramble_sample,
@@ -160,21 +162,32 @@ class TestBound:
         assert report["true_mi_nats"] > 1.0
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "command, flags, message",
         [
-            (["--method", "kcca"], "argument --method: invalid choice: 'kcca'"),
-            (["--smoother", "knn"], "unrecognized arguments: --smoother knn"),
-            (["--bandwidth", "0.3"], "unrecognized arguments: --bandwidth 0.3"),
-            (["--kcca-ridge", "1e-3"], "unrecognized arguments: --kcca-ridge 1e-3"),
-            (["--kcca-width", "1"], "unrecognized arguments: --kcca-width 1"),
+            ("bound", ["--method", "kcca"], "argument --method: invalid choice: 'kcca'"),
+            ("bound", ["--smoother", "knn"], "unrecognized arguments: --smoother knn"),
+            ("bound", ["--bandwidth", "0.3"], "unrecognized arguments: --bandwidth 0.3"),
+            ("bound", ["--kcca-ridge", "1e-3"], "unrecognized arguments: --kcca-ridge 1e-3"),
+            ("bound", ["--kcca-width", "1"], "unrecognized arguments: --kcca-width 1"),
+            ("bound", ["--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
+            ("bound", ["--method", "agce", "--tol", "-1"], "unrecognized arguments: --tol -1"),
+            ("curve", ["--beta-points", "50"], "unrecognized arguments: --beta-points 50"),
+            ("curve", ["--method", "naive", "--beta-points", "0"], "unrecognized arguments: --beta-points 0"),
+            ("curve", ["--no-reference"], "unrecognized arguments: --no-reference"),
+            ("gen", ["--units", "nats"], "unrecognized arguments: --units nats"),
         ],
-        ids=["method-kcca", "smoother", "bandwidth", "kcca-ridge", "kcca-width"],
+        ids=["method-kcca", "smoother", "bandwidth", "kcca-ridge", "kcca-width", "tol", "tol-negative",
+             "beta-points", "curve-beta-points-zero", "no-reference", "gen-units"],
     )
-    def test_retired_flag_is_a_parser_error(self, tmp_path, capsys, flags, message):
-        # flags of kernel CCA and the kernel smoother: a script that still
-        # passes one must fail at the parser, not run without it
-        argv = ["bound", "--model", "gm1d", "--n", "500", "--restarts", "1", "--seed", "1", *flags,
-                "--out", str(tmp_path / "r.json")]
+    def test_retired_flag_is_a_parser_error(self, tmp_path, capsys, command, flags, message):
+        # flags of kernel CCA, of the kernel smoother and of settings that
+        # always took their default: a script that still passes one must
+        # fail at the parser, not run without it
+        argv = [command, "--model", "gm1d", "--n", "500", "--seed", "1", *flags]
+        if command == "gen":
+            argv += ["--out", str(tmp_path / "g.csv")]
+        else:
+            argv += ["--restarts", "1", "--out" if command == "bound" else "--out-dir", str(tmp_path / "r")]
         assert run_cli(argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
@@ -198,8 +211,6 @@ class TestBound:
             ["bound", "--method", "kcca", "--n", "10001"],  # a retired method, as below
             ["bound", "--method", "agce", "--restarts", "0", "--n", "500"],
             ["bound", "--method", "agce", "--restarts", "-3", "--n", "500"],
-            ["bound", "--method", "agce", "--tol", "-1", "--n", "500"],
-            ["curve", "--method", "naive", "--beta-points", "0", "--n", "500"],
             # too few samples for the method
             ["bound", "--method", "naive", "--n", "10"],
             ["bound", "--method", "agce", "--n", "60"],
@@ -233,7 +244,7 @@ class TestBound:
             ["gen", "--model", "mv_gaussian_scramble", "--n", "-3"],
         ],
         ids=["k-zero", "k-above-n", "kcca-n-cap", "restarts-zero", "restarts-negative",
-             "tol-negative", "curve-beta-points-zero", "naive-n-10", "agce-n-60",
+             "naive-n-10", "agce-n-60",
              "offshelf-n-60", "biterminal-n-60", "reproduce-n-40", "seed-negative",
              "gen-seed-negative", "reproduce-seed-negative", "eps-zero", "eps-nan", "mu-z-nan",
              "gm1d-d-2", "gen-gm1d-d-2", "kcca-width-zero", "kcca-width-negative", "kcca-width-nan",
@@ -473,11 +484,14 @@ class TestConfigFile:
         assert "line 2: unknown key 'restart'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("smoother", "knn"), ("bandwidth", "0.3"), ("kcca_ridge", "1e-3"), ("kcca_width", "1")]
+        "key, value",
+        [("smoother", "knn"), ("bandwidth", "0.3"), ("kcca_ridge", "1e-3"), ("kcca_width", "1"),
+         ("tol", "1e-3"), ("beta_points", "50"), ("reference", "no")],
     )
     def test_retired_config_key(self, tmp_path, capsys, key, value):
-        # settings of kernel CCA and the kernel smoother: a config file that
-        # still names one must fail, not run without it
+        # settings of kernel CCA, of the kernel smoother and that always took
+        # their default: a config file that still names one must fail, not
+        # run without it
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"n = 500\n{key} = {value}\n")
         argv = ["bound", "--model", "gm1d", "--method", "naive", "--config", str(cfg), "--out", str(tmp_path / "r.json")]
@@ -490,7 +504,6 @@ class TestConfigFile:
             ("bound", "units = furlongs"),
             ("curve", "units = furlongs"),
             ("bound", "k = many"),
-            ("curve", "reference = maybe"),
             ("bound", "seed = -1"),
         ],
     )
@@ -566,6 +579,21 @@ class TestCurve:
         assert manifest["reference_solver"]["unconverged_betas"] == 0
         assert 0.0 <= manifest["reference_solver"]["max_residual"] < 1.0
         assert manifest["reference_pmf_mi_nats"] == pmf.mutual_information()
+
+    @pytest.mark.parametrize(
+        "model",
+        [["--model", "gm1d", "--quad-m", "50"], ["--model", "gm_mv", "--d", "1", "--quad-m", "64"]],
+        ids=["gm1d-m50", "gm_mv-m64"],
+    )
+    def test_quad_m_the_model_cannot_take_fails_before_the_fit(self, tmp_path, monkeypatch, capsys, model):
+        # a gm model's y axis has two components, so m > 45 breaks the bin
+        # cap; the quadrature draws nothing, so it runs before the fit
+        fit = mock.Mock(wraps=cli.run_method)
+        monkeypatch.setattr(cli, "run_method", fit)
+        argv = ["curve", *model, "--n", "500", "--method", "naive", "--seed", "1", "--out-dir", str(tmp_path / "c")]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert fit.call_count == 0
 
     def test_no_reference_on_csv_input(self, sample_csv, tmp_path):
         out = tmp_path / "curves"
