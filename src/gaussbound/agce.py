@@ -94,7 +94,6 @@ class AgcePair:
     rho: float
     trace: np.ndarray
     converged: bool
-    independent: bool = False
     ace: CanonicalModel | None = None
 
 
@@ -177,7 +176,7 @@ def _alternate(u, v, phi, psi, sm_x, sm_y, rng: np.random.Generator) -> AgcePair
             break
     # a random restart whose v-steps all kept the start scores fitted no psi
     psi = psi or FittedTransform(sm_y, v)
-    return AgcePair(phi, psi, u, v, rho, np.asarray(trace), converged, step.independent)
+    return AgcePair(phi, psi, u, v, rho, np.asarray(trace), converged)
 
 
 def _random_smooth_init(powers, rng: np.random.Generator) -> np.ndarray:

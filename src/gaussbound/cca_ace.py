@@ -54,7 +54,6 @@ class CanonicalModel:
     rho: np.ndarray
     phi_history: list[np.ndarray]
     converged: np.ndarray
-    degenerate: np.ndarray
 
 
 def ace_fit(
@@ -133,7 +132,6 @@ def ace_fit(
         rho=rho[order],
         phi_history=[history[i] for i in order],
         converged=converged[order],
-        degenerate=degenerate[order],
     )
 
 

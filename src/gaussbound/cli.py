@@ -6,10 +6,12 @@ unknown config keys included), 3 I/O error, 4 numerical failure, 5 a
 binding ``reproduce`` check failed.  The ``GB_SEED`` environment variable
 supplies the default seed; a ``--config`` file of ``key = value`` lines
 fills in unset flags (explicit flags win).  Each setting is declared once,
-in ``_SETTINGS``: its default, parser, help and choices.  The flags are
-built from that table, and a config value or ``GB_SEED`` goes through the
-parser of the flag it stands for, so a bad one exits 2.  Model parameters
-are checked by the samplers in ``models`` before they draw.
+in ``_SETTINGS``: its default, parser, help and choices; ``_COMMAND_KEYS``
+names the settings each command takes.  ``parse_args`` turns ``GB_SEED``
+and each config line into a ``--key=value`` flag placed before the command
+line's own, and argparse parses them all: a bad value, or a key the command
+does not take, exits 2 like its flag.  Model parameters are checked by the
+samplers in ``models`` before they draw.
 All reports are deterministic for a fixed config and seed, except the
 separately kept "timing" section.  ``bound_report`` and ``curve_report``
 build them; ``reproduce`` runs every row's commands through the same
@@ -155,88 +157,6 @@ def write_curve_csv(path: Path, curve, units: str) -> None:
         for b, tx, ty in zip(c.beta, c.i_tx, c.i_ty)
     )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# Config plumbing
-# ---------------------------------------------------------------------------
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}", EXIT_IO) from exc
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}: line {lineno}: expected key = value", EXIT_CONFIG)
-        written, value = (part.strip() for part in line.split("=", 1))
-        key = written.replace("-", "_")
-        if key not in _SETTINGS:
-            raise CliError(f"{path}: line {lineno}: unknown key {written!r}", EXIT_CONFIG)
-        out[key] = value
-    return out
-
-
-def _one_of(choices: tuple, value: str) -> str:
-    """value, if it is one of a flag's choices; ValueError otherwise."""
-    if value not in choices:
-        raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """A seed: numpy's generators take non-negative integers only."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
-# key -> (default, parser, help, choices).  Each key is the flag --key (with
-# "_" as "-").  A config-file value and GB_SEED go through the parser and
-# choices of the flag they stand for.
-_SETTINGS = {
-    "n": (10_000, int, "sample count", None),
-    "mu_z": (10.0, float, "mixture offset (gm models)", None),
-    "eps": (0.1, float, "correlated-branch noise scale (gm models)", None),
-    "d": (1, int, "model dimension", None),
-    "method": ("agce", str, "embedding method", METHODS),
-    "k": (None, int, "neighbor count for the knn smoother", None),
-    "restarts": (8, int, "AGCE restart count", None),
-    "units": ("bits", str, "output units", UNITS),
-    "quad_m": (32, int, "quadrature nodes per component", None),
-    "seed": (0, _seed, "RNG seed (default: GB_SEED or 0)", None),
-}
-_MODEL_KEYS = ("mu_z", "eps", "d", "n", "seed")
-_METHOD_KEYS = ("method", "k", "restarts")
-
-
-def _parse(key: str, text: str, source: str):
-    """A config-file or GB_SEED value for key, checked like its flag."""
-    _, parse, _, choices = _SETTINGS[key]
-    try:
-        value = parse(text)
-        return _one_of(choices, value) if choices else value
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise CliError(f"{source}: {exc}", EXIT_CONFIG) from exc
-
-
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then GB_SEED, then the defaults."""
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, (value, *_) in _SETTINGS.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in file_cfg:
-            value = _parse(key, file_cfg[key], f"config {key}")
-        elif key == "seed" and os.environ.get("GB_SEED"):
-            value = _parse(key, os.environ["GB_SEED"], "GB_SEED")
-        setattr(args, key, value)
-    return args
 
 
 def _get_samples(args) -> tuple[PairedSamples, dict]:
@@ -466,17 +386,48 @@ def _reproduce_outputs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_command(sub, name: str, help_text: str, keys: tuple, with_input: bool = True):
-    """A subcommand with one sample source, --config and the flags of keys."""
+def _seed(text: str) -> int:
+    """A seed: numpy's generators take non-negative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+# key -> (default, parser, help, choices).  Each key is the flag --key (with
+# "_" as "-"); argparse applies its parser, choices and default to the flag,
+# to a config-file line and to GB_SEED alike.
+_SETTINGS = {
+    "n": (10_000, int, "sample count", None),
+    "mu_z": (10.0, float, "mixture offset (gm models)", None),
+    "eps": (0.1, float, "correlated-branch noise scale (gm models)", None),
+    "d": (1, int, "model dimension", None),
+    "method": ("agce", str, "embedding method", METHODS),
+    "k": (None, int, "neighbor count for the knn smoother", None),
+    "restarts": (8, int, "AGCE restart count", None),
+    "units": ("bits", str, "output units", UNITS),
+    "quad_m": (32, int, "quadrature nodes per component", None),
+    "seed": (0, _seed, "RNG seed (default: GB_SEED or 0)", None),
+}
+# command -> the settings it takes, both as flags and as config-file keys
+_COMMAND_KEYS = {
+    "bound": ("mu_z", "eps", "d", "n", "seed", "method", "k", "restarts", "units"),
+    "curve": ("mu_z", "eps", "d", "n", "seed", "method", "k", "restarts", "units", "quad_m"),
+    "gen": ("mu_z", "eps", "d", "n", "seed"),
+}
+
+
+def _add_command(sub, name: str, help_text: str, with_input: bool = True):
+    """A subcommand with one sample source, --config and its settings' flags."""
     p = sub.add_parser(name, help=help_text)
     source = p.add_mutually_exclusive_group(required=True)
     if with_input:
         source.add_argument("--input", help="CSV of paired samples (header x0..,y0..)")
     source.add_argument("--model", choices=MODEL_FAMILIES, help="synthetic model family")
     p.add_argument("--config", help="key = value file supplying unset flags")
-    for key in keys:
-        _, parse, text, choices = _SETTINGS[key]
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parse, choices=choices, help=text)
+    for key in _COMMAND_KEYS[name]:
+        default, parse, text, choices = _SETTINGS[key]
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=parse, choices=choices, default=default,
+                       help=text)
     return p
 
 
@@ -487,15 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bound_keys = _MODEL_KEYS + _METHOD_KEYS + ("units",)
-    p_bound = _add_command(sub, "bound", "compute MI bounds for one pair", bound_keys)
+    p_bound = _add_command(sub, "bound", "compute MI bounds for one pair")
     p_bound.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    curve_keys = bound_keys + ("quad_m",)
-    p_curve = _add_command(sub, "curve", "emit trade-off curves as CSV", curve_keys)
+    p_curve = _add_command(sub, "curve", "emit trade-off curves as CSV")
     p_curve.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
 
-    p_gen = _add_command(sub, "gen", "generate model samples as CSV", _MODEL_KEYS, with_input=False)
+    p_gen = _add_command(sub, "gen", "generate model samples as CSV", with_input=False)
     p_gen.add_argument("--out", required=True, help="CSV output path")
 
     p_rep = sub.add_parser("reproduce", help="rerun a documented experiment bundle")
@@ -506,16 +455,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _config_flags(path: str, command: str) -> list[str]:
+    """Each ``key = value`` line of the config file as the flag ``--key=value``:
+    one token, so a value such as ``-1`` is never read as an option."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read config {path}: {exc}", EXIT_IO) from exc
+    flags = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}: line {lineno}: expected key = value", EXIT_CONFIG)
+        written, value = (part.strip() for part in line.split("=", 1))
+        key = written.replace("-", "_")
+        if key not in _COMMAND_KEYS[command]:
+            raise CliError(f"{path}: line {lineno}: unknown key {written!r} for {command}", EXIT_CONFIG)
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line, parsed with GB_SEED and each config-file line as a
+    flag placed before its own: the last flag wins, so a flag beats the
+    file, which beats GB_SEED, which beats the default."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "reproduce":
+        return args
+    flags = []
+    if os.environ.get("GB_SEED"):
+        try:
+            flags.append(f"--seed={_seed(os.environ['GB_SEED'])}")
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"GB_SEED: {exc}", EXIT_CONFIG) from exc
+    if args.config:
+        flags += _config_flags(args.config, args.command)
+    if not flags:
+        return args
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+        return parser.parse_args([argv[0], *flags, *argv[1:]])
+    except SystemExit:
+        # the command line parsed alone, so the rejected value is the file's
+        print(f"error: the value is from config {args.config}", file=sys.stderr)
+        raise
+
+
+def main(argv=None) -> int:
     try:
+        args = parse_args(argv)
         if args.command == "reproduce":
             return _reproduce_outputs(args)
-        args = _resolve(args)
         if args.command == "bound":
             _write_json(bound_report(args), args.out)
         elif args.command == "curve":
@@ -523,6 +516,8 @@ def main(argv=None) -> int:
         else:
             _gen_outputs(args)
         return EXIT_OK
+    except SystemExit as exc:  # argparse: --help, or a rejected flag
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     except (CliError, ParameterError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_CONFIG)

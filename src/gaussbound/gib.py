@@ -38,8 +38,6 @@ class GibSpectrum:
     vectors: np.ndarray
     r: np.ndarray
     beta_crit: np.ndarray
-    c_x: np.ndarray
-    c_x_given_y: np.ndarray
 
 
 def gib_spectrum(cov, d_x: int) -> GibSpectrum:
@@ -78,34 +76,26 @@ def gib_spectrum(cov, d_x: int) -> GibSpectrum:
         vectors=vectors,
         r=r,
         beta_crit=beta_crit,
-        c_x=c_x,
-        c_x_given_y=c_xgy,
     )
 
 
 def projection_coefficients(spec: GibSpectrum, beta: float):
     """Per-component coefficients a_i at trade-off beta.
 
-    Returns ``(a, active, saturated)``: the coefficient vector (zero for
-    inactive components), the strict-activation mask beta > beta_i, and a
-    flag set when a deterministic component (lambda ~ 0) had to be capped.
+    Returns ``(a, active)``: the coefficient vector (zero for inactive
+    components, capped on a deterministic one, lambda ~ 0) and the
+    strict-activation mask beta > beta_i.
     """
     if beta <= 0:
         raise DomainError("beta must be positive")
     lam, r = spec.lam, spec.r
     gain = beta * (1.0 - lam) - 1.0
     active = gain > 0.0
-    a = np.zeros_like(lam)
-    saturated = False
     lam_safe = np.maximum(lam, _LAMBDA_FLOOR)
     a_sq = np.where(active, gain / (lam_safe * r), 0.0)
     cap = np.expm1(2.0 * _CAP_NATS) / r
     over = active & ((lam <= _LAMBDA_FLOOR) | (a_sq > cap))
-    if np.any(over):
-        saturated = True
-        a_sq = np.where(over, cap, a_sq)
-    a = np.sqrt(a_sq)
-    return a, active, saturated
+    return np.sqrt(np.where(over, cap, a_sq)), active
 
 
 @dataclass(frozen=True)
@@ -128,9 +118,6 @@ class IBCurve:
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "i_tx", tx)
         object.__setattr__(self, "i_ty", ty)
-
-    def __len__(self) -> int:
-        return self.beta.size
 
     def validate(self, concavity_tol: float = 1e-6) -> None:
         """Assert the trade-off invariants: DPI, monotonicity, concavity."""
@@ -169,7 +156,7 @@ def default_beta_grid(spec: GibSpectrum) -> np.ndarray:
     return np.logspace(np.log10(0.9 * b1), np.log10(100.0 * b1), 200)
 
 
-def gib_curve(spec: GibSpectrum, beta_grid=None, units: str = "nats") -> IBCurve:
+def gib_curve(spec: GibSpectrum, beta_grid=None) -> IBCurve:
     """Analytic bottleneck curve of a Gaussian pair over a beta grid."""
     grid = default_beta_grid(spec) if beta_grid is None else np.asarray(beta_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
@@ -177,7 +164,7 @@ def gib_curve(spec: GibSpectrum, beta_grid=None, units: str = "nats") -> IBCurve
     tx = np.empty(grid.size)
     ty = np.empty(grid.size)
     for idx, beta in enumerate(grid):
-        a, active, _ = projection_coefficients(spec, beta)
+        a, active = projection_coefficients(spec, beta)
         # the eigenbasis diagonalizes both quadratic forms, so the dets reduce
         # to per-component products
         gain_x = a[active] ** 2 * spec.r[active]
@@ -185,4 +172,4 @@ def gib_curve(spec: GibSpectrum, beta_grid=None, units: str = "nats") -> IBCurve
         ty[idx] = tx[idx] - 0.5 * np.log1p(gain_x * spec.lam[active]).sum()
     curve = IBCurve(grid, tx, ty, "nats")
     curve.validate()
-    return curve.in_units(units)
+    return curve

@@ -113,35 +113,27 @@ def _norm_pdf(t, mean, std):
     return math.exp(-0.5 * z * z) / (std * math.sqrt(2 * math.pi))
 
 
-def _gm1d_mi_numeric(mu_z: float, eps: float, p_noise: float = 0.5) -> float:
+def _gm1d_mi_numeric(mu_z: float, eps: float) -> float:
     """I(X;Y) = h(Y) - h(Y|X) by nested quadrature, accurate to ~1e-4 nats."""
     sig0 = math.sqrt(1.0 + eps * eps)
 
     def pdf_y(t):
-        out = (1.0 - p_noise) * _norm_pdf(t, 0.0, sig0)
-        if p_noise > 0:
-            out += p_noise * _norm_pdf(t, mu_z, 1.0)
-        return out
+        return 0.5 * _norm_pdf(t, 0.0, sig0) + 0.5 * _norm_pdf(t, mu_z, 1.0)
 
     h_y = _entropy_quad(pdf_y, sorted({0.0, mu_z / 2.0, mu_z}))
 
-    if p_noise == 0.0:
-        h_y_given_x = 0.5 * (_LOG_2PI + 1.0) + math.log(eps)
-    else:
-        nodes, weights = np.polynomial.hermite.hermgauss(64)
-        xs = math.sqrt(2.0) * nodes
-        ws = weights / math.sqrt(math.pi)
-        h_y_given_x = 0.0
-        for xval, wval in zip(xs, ws):
+    nodes, weights = np.polynomial.hermite.hermgauss(64)
+    xs = math.sqrt(2.0) * nodes
+    ws = weights / math.sqrt(math.pi)
+    h_y_given_x = 0.0
+    for xval, wval in zip(xs, ws):
 
-            def pdf_cond(t, xv=xval):
-                return (1.0 - p_noise) * _norm_pdf(t, xv, eps) + p_noise * _norm_pdf(
-                    t, mu_z, 1.0
-                )
+        def pdf_cond(t, xv=xval):
+            return 0.5 * _norm_pdf(t, xv, eps) + 0.5 * _norm_pdf(t, mu_z, 1.0)
 
-            h_y_given_x += wval * _entropy_quad(
-                pdf_cond, sorted({xval, (xval + mu_z) / 2.0, mu_z})
-            )
+        h_y_given_x += wval * _entropy_quad(
+            pdf_cond, sorted({xval, (xval + mu_z) / 2.0, mu_z})
+        )
     return h_y - h_y_given_x
 
 

@@ -263,7 +263,7 @@ EXPERIMENTS = {
 
 def _report(argv: tuple[str, ...]) -> dict:
     """The report ``gaussbound`` builds for argv; a curve's also holds its curves."""
-    args = cli._resolve(cli.build_parser().parse_args(argv))
+    args = cli.build_parser().parse_args(argv)
     if args.command == "bound":
         return cli.bound_report(args)
     manifest, curves = cli.curve_report(args)

@@ -17,7 +17,7 @@ from gaussbound.stats_core import SATURATION_RHO
 
 def gib_projection(spec: GibSpectrum, beta: float) -> np.ndarray:
     """Projection matrix A(beta); one row per active component (possibly none)."""
-    a, active, _ = projection_coefficients(spec, beta)
+    a, active = projection_coefficients(spec, beta)
     return a[active, None] * spec.vectors[active]
 
 
@@ -27,17 +27,19 @@ def gib_mi_nats(spec: GibSpectrum) -> float:
     return float(-0.5 * np.log(lam).sum())
 
 
-def gib_point_info(a_mat, c_x, c_x_given_y) -> tuple[float, float]:
+def gib_point_info(a_mat, cov, d_x: int) -> tuple[float, float]:
     """(I(T;X), I(T;Y)) in nats for T = A X + unit-covariance Gaussian noise.
 
-    I(T;X) = 0.5 ln det(I + A C_X A^T) and
+    ``cov`` is the joint covariance of (X, Y) with X's ``d_x`` coordinates
+    first.  I(T;X) = 0.5 ln det(I + A C_X A^T) and
     I(T;Y) = I(T;X) - 0.5 ln det(I + A C_{X|Y} A^T).
     """
     a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
     if a_mat.size == 0 or a_mat.shape[0] == 0:
         return 0.0, 0.0
-    c_x = np.atleast_2d(np.asarray(c_x, dtype=float))
-    c_x_given_y = np.atleast_2d(np.asarray(c_x_given_y, dtype=float))
+    cov = np.asarray(cov, dtype=float)
+    c_x, c_y, c_xy = cov[:d_x, :d_x], cov[d_x:, d_x:], cov[:d_x, d_x:]
+    c_x_given_y = c_x - c_xy @ np.linalg.solve(c_y, c_xy.T)
     m = a_mat.shape[0]
     eye = np.eye(m)
     _, ld_x = np.linalg.slogdet(eye + a_mat @ c_x @ a_mat.T)

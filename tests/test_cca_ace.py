@@ -100,7 +100,6 @@ class TestAceUpperBound:
             rho=np.array([0.703]),
             phi_history=[np.array([0.703])],
             converged=np.array([True]),
-            degenerate=np.array([False]),
         )
         assert abs(ace_upper_bound(model) / NATS_PER_BIT - 0.4917) <= 1e-4
 
@@ -111,7 +110,6 @@ class TestAceUpperBound:
             rho=np.zeros(3),
             phi_history=[],
             converged=np.ones(3, bool),
-            degenerate=np.zeros(3, bool),
         )
         assert ace_upper_bound(model) == 0.0
 
@@ -124,7 +122,6 @@ class TestAceUpperBound:
                 rho=np.full(d, 1.0 / np.sqrt(2.0)),
                 phi_history=[],
                 converged=np.ones(d, bool),
-                degenerate=np.zeros(d, bool),
             )
             assert abs(ace_upper_bound(model) / NATS_PER_BIT - d * 0.5) <= 1e-12
 
@@ -135,6 +132,5 @@ class TestAceUpperBound:
             rho=np.array([1.0]),
             phi_history=[],
             converged=np.ones(1, bool),
-            degenerate=np.zeros(1, bool),
         )
         assert np.isfinite(ace_upper_bound(model))

@@ -484,6 +484,35 @@ class TestConfigFile:
         assert "line 2: unknown key 'restart'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, line",
+        [("bound", "quad_m = 999"), ("gen", "method = naive"), ("gen", "units = bits")],
+    )
+    def test_config_key_the_command_does_not_take(self, tmp_path, capsys, command, line):
+        # a key for another command's flag exits 2 like that flag would here
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 300\n{line}\n")
+        out = tmp_path / ("r.json" if command == "bound" else "s.csv")
+        argv = [command, "--model", "gm1d", "--seed", "1", "--config", str(cfg), "--out", str(out)]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert f"line 2: unknown key {line.split(' = ')[0]!r}" in capsys.readouterr().err
+
+    def test_config_value_error_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("units = furlongs\n")
+        argv = ["bound", "--model", "gm1d", "--n", "500", "--method", "naive", "--config", str(cfg)]
+        assert run_cli(argv) == EXIT_CONFIG
+        assert str(cfg) in capsys.readouterr().err
+
+    def test_bad_value_fails_under_a_flag_that_overrides_it(self, tmp_path, monkeypatch):
+        # every config line and GB_SEED is parsed, even where a later flag wins
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("units = furlongs\n")
+        argv = ["bound", "--model", "gm1d", "--n", "300", "--method", "naive", "--out", str(tmp_path / "r.json")]
+        assert run_cli([*argv, "--config", str(cfg), "--units", "nats"]) == EXIT_CONFIG
+        monkeypatch.setenv("GB_SEED", "abc")
+        assert run_cli([*argv, "--seed", "3"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
         "key, value",
         [("smoother", "knn"), ("bandwidth", "0.3"), ("kcca_ridge", "1e-3"), ("kcca_width", "1"),
          ("tol", "1e-3"), ("beta_points", "50"), ("reference", "no")],

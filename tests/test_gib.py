@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gaussbound import ConditioningError, DomainError, gib_curve, gib_spectrum
-from gaussbound.gib import IBCurve, default_beta_grid, projection_coefficients
+from gaussbound.gib import _CAP_NATS, IBCurve, default_beta_grid, projection_coefficients
 from gaussbound.stats_core import NATS_PER_BIT
 from reference import gib_mi_nats, gib_point_info, gib_projection
 
@@ -14,11 +14,12 @@ SCALAR_BETA = 2.0 / 0.36
 SCALAR_A = 1.25
 SCALAR_ITX = 0.4704916722322633  # 0.5 ln(41/16)
 SCALAR_ITY = 0.12391808195229065  # ITX - 0.5 ln 2
+SCALAR_COV = [[1.0, 0.6], [0.6, 1.0]]
 
 
 @pytest.fixture(scope="module")
 def scalar_spec():
-    return gib_spectrum([[1.0, 0.6], [0.6, 1.0]], 1)
+    return gib_spectrum(SCALAR_COV, 1)
 
 
 class TestSpectrum:
@@ -65,15 +66,16 @@ class TestProjection:
 
     def test_continuous_activation(self, scalar_spec):
         bc = scalar_spec.beta_crit[0]
-        a, active, _ = projection_coefficients(scalar_spec, bc * (1 + 1e-12))
+        a, active = projection_coefficients(scalar_spec, bc * (1 + 1e-12))
         assert active[0]
         assert a[0] <= 1e-5  # coefficient grows continuously from zero
 
     def test_deterministic_component_capped(self):
-        spec = gib_spectrum([[1.0, 1.0], [1.0, 1.0 + 1e-14]], 1)
-        a, active, saturated = projection_coefficients(spec, 10.0)
-        assert active[0] and saturated
-        itx, _ = gib_point_info(a[:, None] * spec.vectors, spec.c_x, spec.c_x_given_y)
+        cov = [[1.0, 1.0], [1.0, 1.0 + 1e-14]]
+        spec = gib_spectrum(cov, 1)
+        a, active = projection_coefficients(spec, 10.0)
+        assert active[0] and a[0] == np.sqrt(np.expm1(2.0 * _CAP_NATS) / spec.r[0])
+        itx, _ = gib_point_info(a[:, None] * spec.vectors, cov, 1)
         assert itx <= 30.0 + 1e-9
 
     def test_beta_domain(self, scalar_spec):
@@ -83,17 +85,17 @@ class TestProjection:
 
 class TestPointInfo:
     def test_empty_projection(self, scalar_spec):
-        assert gib_point_info(np.zeros((0, 1)), scalar_spec.c_x, scalar_spec.c_x_given_y) == (0.0, 0.0)
+        assert gib_point_info(np.zeros((0, 1)), SCALAR_COV, 1) == (0.0, 0.0)
 
     def test_scalar_plugin_values(self, scalar_spec):
         a = gib_projection(scalar_spec, SCALAR_BETA)
-        itx, ity = gib_point_info(a, scalar_spec.c_x, scalar_spec.c_x_given_y)
+        itx, ity = gib_point_info(a, SCALAR_COV, 1)
         assert abs(itx - SCALAR_ITX) <= 1e-12
         assert abs(ity - SCALAR_ITY) <= 1e-12
 
     def test_endpoint_identity(self, scalar_spec):
         a = gib_projection(scalar_spec, 1e4)
-        _, ity = gib_point_info(a, scalar_spec.c_x, scalar_spec.c_x_given_y)
+        _, ity = gib_point_info(a, SCALAR_COV, 1)
         assert abs(ity - gib_mi_nats(scalar_spec)) <= 1e-3
 
 
@@ -105,7 +107,7 @@ class TestCurve:
 
     def test_mixture_bound_endpoint(self):
         spec = gib_spectrum([[1.0, 0.703], [0.703, 1.0]], 1)
-        curve = gib_curve(spec, beta_grid=np.logspace(0, 5, 300), units="bits")
+        curve = gib_curve(spec, beta_grid=np.logspace(0, 5, 300)).in_units("bits")
         assert abs(curve.i_ty[-1] - 0.4917) <= 1e-3
 
     def test_slope_at_activation(self):

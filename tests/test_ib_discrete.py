@@ -414,7 +414,7 @@ class TestReverseAnneal:
         pmf = symmetric_2x2(0.1)
         curve, diag = reverse_anneal(pmf)
         curve.validate()
-        assert len(diag["solutions"]) == len(curve)
+        assert len(diag["solutions"]) == curve.beta.size
 
     def test_data_processing_lemma_brute_force(self):
         # coarsening Y can only lower the curve at matched I_TX

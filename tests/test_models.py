@@ -56,9 +56,6 @@ class TestGm1d:
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] <= 1e-3
 
-    def test_single_branch_gaussian_channel(self):
-        mi = _gm1d_mi_numeric(10.0, 0.1, p_noise=0.0)
-        assert abs(mi - 0.5 * math.log(101.0)) <= 1e-3
 
 class TestMirror:
     def test_symmetric_interval(self):
