@@ -18,7 +18,12 @@ neighbors from a kd-tree (Friedman, Bentley & Finkel, 1977), which a
 prediction queries per call.  A row whose k-th neighbor is tied takes the
 exact (distance, index) selection, built once per distinct value: in a 1-D
 block it is read off the sorted sample in O(k + run length), in a wider one
-from a full distance row, O(n d) per distinct tied point.  A smoother is built
+from a full distance row, O(n d) per distinct tied point.  On a wider block
+every O(n k) step runs in row blocks of about ``_BLOCK`` entries: the tree
+query, z's mean over the table in ``smooth`` and ``predictor``, and the
+norms and selection of each re-selection chunk, whose one distance product
+is then its only full-size array.  So a fit holds the (n, k) table and a
+block, and never an (n, k) gather.  A smoother is built
 only on a finite block, and takes only finite query points and a response of
 the block's length.  A call changes no state of the smoother.  A smoother
 takes its k as given; ``PairedSamples.smoothers`` chooses the default and
@@ -34,8 +39,16 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Rows per chunk are sized so a chunk of the squared-distance matrix stays
-# around 128 MB at float64.
+# Entries per row block of the d > 1 path's O(n k) steps (the kd-tree query,
+# the gather of z over the neighbour table, and each re-selection chunk's
+# norms and selection): 128 KB at float64.
+_BLOCK = 2**14
+# Rows per re-selection chunk are sized so a chunk of the squared-distance
+# matrix stays around 128 MB at float64.  A chunk's cross term is one matrix
+# product, never split: a row's distances can differ in their last bits with
+# the number of rows in the product (one row takes numpy's matrix-vector
+# path, and BLAS may tile a product by its row count), and a tie's choice
+# reads them.
 _CHUNK_BUDGET = 16_000_000
 
 
@@ -87,20 +100,32 @@ def _query_block(x_new, d: int) -> np.ndarray:
     return q
 
 
+def _row_blocks(m: int, width: int):
+    """``(start, stop)`` of each block of about ``_BLOCK`` entries over m rows of ``width``."""
+    step = max(1, _BLOCK // width)
+    return ((start, min(start + step, m)) for start in range(0, m, step))
+
+
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of a and b, clipped at 0.
 
     Both blocks are first centred on b's column-wise lower median, so an
     offset shared by a and b cannot cancel catastrophically in the
     |a|^2 + |b|^2 - 2 a.b expansion.  The median is a sample value, which
-    keeps integer-valued data, and so its exact distance ties, exact.
+    keeps integer-valued data, and so its exact distance ties, exact.  The
+    cross term is one matrix product; the norms are added to it in place,
+    row block by row block, so it is the only (rows, n) array built.
     """
     mid = (b.shape[0] - 1) // 2
     centre = np.partition(b, mid, axis=0)[mid]
     a = a - centre
     b = b - centre
-    d2 = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - (2.0 * a) @ b.T
-    np.maximum(d2, 0.0, out=d2)
+    d2 = (2.0 * a) @ b.T
+    aa, bb = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    for start, stop in _row_blocks(len(aa), len(bb)):
+        rows = d2[start:stop]
+        np.subtract(aa[start:stop, None] + bb, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
     return d2
 
 
@@ -125,13 +150,14 @@ def _reselect(rows: np.ndarray, distances, n: int, k: int) -> np.ndarray:
     """The exact (distance, index) selection of k neighbors for the queries ``rows``.
 
     ``distances(rows)`` returns the full distance rows of those queries; it is
-    called in row chunks.
+    called once per chunk, and each chunk is selected in row blocks.
     """
     out = np.empty((rows.size, k), dtype=np.intp)
     chunk = max(1, _CHUNK_BUDGET // n)
     for start in range(0, rows.size, chunk):
         d = distances(rows[start : start + chunk])
-        out[start : start + chunk] = _select_k_smallest(d, k)
+        for lo, hi in _row_blocks(len(d), n):
+            out[start + lo : start + hi] = _select_k_smallest(d[lo:hi], k)
         del d  # free this chunk's rows before the next chunk is built
     return out
 
@@ -298,8 +324,8 @@ def _gather(table: np.ndarray, z: np.ndarray, windows, f) -> np.ndarray:
 def _knn_tree(x: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
     """Exact k nearest of each query row among the rows of x, from a kd-tree.
 
-    The tree gives each query's k + 1 nearest in row chunks.  A row whose
-    k-th and (k+1)-th distances tie is re-selected over its full
+    The tree gives each query's k + 1 nearest in row blocks (``_BLOCK``).  A
+    row whose k-th and (k+1)-th distances tie is re-selected over its full
     ``sq_distances`` row by (distance, index), once per distinct tied point.
     """
     from scipy.spatial import cKDTree  # imported here: a 1-D bound loads no scipy
@@ -307,20 +333,27 @@ def _knn_tree(x: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
     n, m = x.shape[0], q.shape[0]
     tree = cKDTree(x)
     idx = np.empty((m, k), dtype=np.intp)
-    tied = []
-    chunk = max(1, _CHUNK_BUDGET // (k + 1))
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
+    is_tied = np.empty(m, dtype=bool)
+    for start, stop in _row_blocks(m, k + 1):
         # beyond n neighbors the tree pads with distance inf
         dist, nb = tree.query(q[start:stop], k + 1)
         idx[start:stop] = nb[:, :k]
-        tied.append(start + np.flatnonzero(dist[:, k - 1] == dist[:, k]))
-    tied = np.concatenate(tied)
+        is_tied[start:stop] = dist[:, k - 1] == dist[:, k]
+    tied = np.flatnonzero(is_tied)
     if tied.size:
         points, group = np.unique(q[tied], axis=0, return_inverse=True)
         rows = _reselect(np.arange(len(points)), lambda r: sq_distances(points[r], x), n, k)
-        idx[tied] = rows[group]
+        for start, stop in _row_blocks(tied.size, k):
+            idx[tied[start:stop]] = rows[group[start:stop]]
     return idx
+
+
+def _row_means(z: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``z[table].mean(axis=1)`` bit for bit, gathered one row block at a time."""
+    out = np.empty(table.shape[0])
+    for start, stop in _row_blocks(table.shape[0], table.shape[1]):
+        out[start:stop] = z[table[start:stop]].mean(axis=1)
+    return out
 
 
 def knn_indices(x_block, k: int) -> np.ndarray:
@@ -368,7 +401,7 @@ class KnnSmoother:
         """k-NN regression of z at the sample's own points."""
         z = _response(z, self.n)
         if self._sorted is None:
-            return z[self.neighbors].mean(axis=1)
+            return _row_means(z, self.neighbors)
         return _gather(_window_sums(z[self._sorted.order], self.k) / self.k, z, self._windows, _identity)
 
     def predict(self, x_new, z) -> np.ndarray:
@@ -384,7 +417,7 @@ class KnnSmoother:
         """
         z, x, k, sample = _response(z, self.n), self.x, self.k, self._sorted
         if sample is None:
-            return lambda x_new: f(z[_knn_tree(x, _query_block(x_new, x.shape[1]), k)].mean(axis=1))
+            return lambda x_new: f(_row_means(z, _knn_tree(x, _query_block(x_new, x.shape[1]), k)))
         table = f(_window_sums(z[sample.order], k) / k)
         return lambda x_new: _gather(table, z, sample.windows(_query_block(x_new, 1)[:, 0], False), f)
 

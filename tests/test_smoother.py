@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
+from scipy.spatial import cKDTree
 
 from gaussbound import (
     KnnSmoother,
     PairedSamples,
     ParameterError,
     ace_fit,
+    expgamma_sample,
 )
 from gaussbound import smoother
 from gaussbound.agce import FittedTransform
@@ -230,6 +232,15 @@ def growth_with_collector_off(call, times=50):
         tracemalloc.stop()
         if was_enabled:
             gc.enable()
+
+
+def traced_peak(call):
+    """``(call(), the peak traced memory in bytes during it)``."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fresh_sort_predict(x, q, z, k):
@@ -478,6 +489,115 @@ class TestKnnTree:
         assert_allclose(KnnSmoother(x, k).predict(queries, z), expected, rtol=0, atol=1e-12)
 
 
+# blocks of 1 entry, k - 1 and k + 1, and a gather of n - 1 rows, which leaves a
+# one-row tail
+def _block_sizes(n, k):
+    return {"1": 1, "k-1": k - 1, "k+1": k + 1, "tail": (n - 1) * k}
+
+
+# One-decimal values, whose distances are inexact.  At n = 300, not a multiple
+# of 8, a row's distances can change in their last bits with the number of
+# rows in its product; on OpenBLAS 0.3.31 these seeds' tables at k = 5 then
+# change when each product holds two rows.
+_ROUNDED = {d: np.round(np.random.default_rng(seed).standard_normal((300, d)), 1) for d, seed in ((2, 3), (3, 10))}
+
+
+def _blocked_cases():
+    blocks = {
+        **MULTI_D_BLOCKS,
+        "continuous-d3": _POINTS[3],
+        "rounded-d2": _ROUNDED[2],
+        "rounded-d3": _ROUNDED[3],
+    }
+    for name, x in blocks.items():
+        for k in (1, 5, 17):
+            for label, size in _block_sizes(x.shape[0], k).items():
+                yield pytest.param(x, k, size, id=f"{name}-k{k}-{label}")
+
+
+def one_product_knn(x, q, k):
+    """Reference: the kd-tree's k nearest of each query, every tied row selected
+    from one ``sq_distances`` product over the distinct tied queries."""
+    dist, nb = cKDTree(x).query(q, k + 1)
+    idx = np.ascontiguousarray(nb[:, :k])
+    tied = np.flatnonzero(dist[:, k - 1] == dist[:, k])
+    if tied.size:
+        points, group = np.unique(q[tied], axis=0, return_inverse=True)
+        idx[tied] = smoother._select_k_smallest(smoother.sq_distances(points, x), k)[group]
+    return idx
+
+
+def counted_products(monkeypatch):
+    """The row count of every ``sq_distances`` product, in call order."""
+    products, sq_distances = [], smoother.sq_distances
+
+    def counting(a, b):
+        products.append(a.shape[0])
+        return sq_distances(a, b)
+
+    monkeypatch.setattr(smoother, "sq_distances", counting)
+    return products
+
+
+class TestRowBlocks:
+    """The d > 1 path's row blocks change no bit."""
+
+    @pytest.mark.parametrize("x, k, size", list(_blocked_cases()))
+    def test_blocks_match_one_block(self, monkeypatch, x, k, size):
+        z = np.random.default_rng(k).standard_normal(x.shape[0])
+        queries = np.concatenate([x, (x[:-1] + x[1:]) / 2.0])
+        table, query_table = one_product_knn(x, x, k), one_product_knn(x, queries, k)
+        monkeypatch.setattr(smoother, "_BLOCK", size)
+        sm = KnnSmoother(x, k)
+        assert knn_indices(x, k).tobytes() == table.tobytes()
+        assert sm.smooth(z).tobytes() == z[table].mean(axis=1).tobytes()
+        assert sm.predict(queries, z).tobytes() == z[query_table].mean(axis=1).tobytes()
+
+    @pytest.mark.parametrize("blocks", ["one-row", "one-row-tail"])
+    def test_a_one_row_chunk_stays_its_own_product(self, monkeypatch, blocks):
+        # the tied points fill one chunk and one row: each chunk is one
+        # product however small the blocks, and selecting it in blocks of
+        # one row, or with a one-row tail, changes no bit
+        x, k = _ROUNDED[2], 5
+        n = x.shape[0]
+        products = counted_products(monkeypatch)
+        knn_indices(x, k)
+        (tied,) = products
+        chunk = tied - 1
+        monkeypatch.setattr(smoother, "_CHUNK_BUDGET", n * chunk)
+        monkeypatch.setattr(smoother, "_BLOCK", 2**62)
+        expected = knn_indices(x, k)
+        monkeypatch.setattr(smoother, "_BLOCK", 1 if blocks == "one-row" else n * (chunk - 1))
+        products.clear()
+        assert knn_indices(x, k).tobytes() == expected.tobytes()
+        assert products == [chunk, 1]
+
+    def test_wide_smooth_allocates_its_output_and_one_block(self):
+        # a block of 2^14 float64 is 128 KB; the whole (n, k) gather would
+        # take 15 MB
+        rng = np.random.default_rng(41)
+        x, z = rng.standard_normal((20_000, 2)), rng.standard_normal(20_000)
+        sm = KnnSmoother(x, experiment_knn_k(20_000, 2))
+        sm.smooth(z)
+        assert traced_peak(lambda: sm.smooth(z))[1] <= z.nbytes + 2**17 + 2**14
+
+    def test_rounded_wide_block_holds_one_product(self, monkeypatch):
+        # nearly every point ties: the build holds one chunk's distance
+        # product, the (n, k) table and blocks, where the sum of norms and
+        # a whole-chunk selection once held two more arrays of its size
+        x = np.round(expgamma_sample(10_000, 2, seed=1).samples.x, 1)
+        products = counted_products(monkeypatch)
+        _, peak = traced_peak(lambda: KnnSmoother(x, experiment_knn_k(10_000, 2)))
+        assert peak < 8 * x.shape[0] * max(products) + 16e6
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_predict_at_no_points(self, d):
+        x = np.random.default_rng(42).standard_normal((40, d))
+        assert KnnSmoother(x, 5).predict(np.empty((0, d)), np.arange(40.0)).shape == (0,)
+        if d > 1:
+            assert smoother._knn_tree(x, np.empty((0, d)), 5).shape == (0, 5)
+
+
 class TestKnn:
     def test_full_window_is_mean(self):
         z = np.array([1.0, 5.0, 9.0, -2.0])
@@ -515,12 +635,7 @@ class TestKnn:
         # a 1-D block keeps its sorted windows and tied rows; an (n, k) table
         # at n = 1e4 and the default k = 793 alone would take 63 MB
         x = np.random.default_rng(16).standard_normal(10_000)
-        tracemalloc.start()
-        try:
-            sm = KnnSmoother(x, default_knn_k(x.size))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sm, peak = traced_peak(lambda: KnnSmoother(x, default_knn_k(x.size)))
         assert peak < 8e6
         assert sm.neighbors.shape == (0, sm.k)
 
@@ -532,13 +647,7 @@ class TestKnn:
         sm = KnnSmoother(x, 793)
         assert sm.neighbors.shape[0] <= 50
         sm.smooth(z)
-        tracemalloc.start()
-        try:
-            sm.smooth(z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5e6
+        assert traced_peak(lambda: sm.smooth(z))[1] < 5e6
 
     def test_predict_at_new_points(self):
         x = np.array([0.0, 1.0, 2.0, 3.0])
