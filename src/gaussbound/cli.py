@@ -1,17 +1,22 @@
 """Command-line front end: bound, curve, gen, reproduce.
 
 Exit codes: 0 success, 2 input/config error (non-finite sample values,
-out-of-range parameters, negative seeds, too few samples for a method and
-unknown config keys included), 3 I/O error, 4 numerical failure, 5 a
-binding ``reproduce`` check failed.  The ``GB_SEED`` environment variable
-supplies the default seed; a ``--config`` file of ``key = value`` lines
-fills in unset flags (explicit flags win).  Each setting is declared once,
+out-of-range parameters, negative seeds, too few samples for a method,
+unknown config keys and sample or config files that are not UTF-8
+included), 3 I/O error, 4 numerical failure, 5 a binding ``reproduce``
+check failed.  The ``GB_SEED`` environment variable supplies the default
+seed; a ``--config`` file of ``key = value`` lines fills in unset flags
+(explicit flags win).  Each setting is declared once,
 in ``_SETTINGS``: its default, parser, help and choices; ``_COMMAND_KEYS``
 names the settings each command takes.  ``parse_args`` turns ``GB_SEED``
 and each config line into a ``--key=value`` flag placed before the command
 line's own, and argparse parses them all: a bad value, or a key the command
 does not take, exits 2 like its flag.  Model parameters are checked by the
 samplers in ``models`` before they draw.
+Sample CSVs are read and written a block of rows at a time
+(``read_samples_csv``, ``write_samples_csv``): beyond the samples, only one
+block's text is held, and files, arrays and messages are those of one pass
+over the whole text.
 All reports are deterministic for a fixed config and seed, except the
 separately kept "timing" section.  ``bound_report`` and ``curve_report``
 build them; ``reproduce`` runs every row's commands through the same
@@ -21,6 +26,8 @@ parser and builders.
 from __future__ import annotations
 
 import argparse
+import array
+import itertools
 import json
 import math
 import os
@@ -66,33 +73,90 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# A sample CSV is read _READ_CHARS characters, and written _WRITE_ROWS rows,
+# at a time.  Universal newlines leave no "\r", so these are every character
+# str.splitlines ends a line at.
+_READ_CHARS = 2**15
+_WRITE_ROWS = 2**11
+_LINE_BREAKS = ("\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 def _expected_header(d_x: int, d_y: int) -> str:
     return ",".join([f"x{i}" for i in range(d_x)] + [f"y{i}" for i in range(d_y)])
 
 
 def read_samples_csv(path: str) -> PairedSamples:
-    """Read the `x0..,y0..` sample layout, reporting the offending line on error."""
+    """Read the `x0..,y0..` sample layout, reporting the offending line on error.
+
+    The file is decoded ``_READ_CHARS`` characters at a time, with universal
+    newlines, and each chunk's complete lines are parsed as one block; so
+    beyond the samples themselves, only one block's text and fields are held
+    at once.  Arrays and messages are those of a parse of the whole text.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            arr, d_x = _read_rows(path, fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    lines = text.splitlines()
-    if not lines:
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text ({exc.reason})", EXIT_CONFIG) from exc
+    if arr.shape[0] < 2:
+        raise CliError(f"{path}: need at least 2 data rows", EXIT_CONFIG)
+    return PairedSamples(arr[:, :d_x], arr[:, d_x:])
+
+
+def _read_rows(path: str, fh) -> tuple[np.ndarray, int]:
+    """(the data rows, d_x) of the open sample file, parsed one chunk's lines
+    at a time.  The rows gather in one growing buffer: kept as an array per
+    block, the freed blocks stayed resident as heap holes (16 MB more after
+    a 10**6-row read)."""
+    chunks = _chunk_lines(fh)
+    first = next(chunks, None)
+    if first is None:
         raise CliError(f"{path}: empty file (line 1)", EXIT_CONFIG)
-    header = lines[0].split(",")
+    d_x, d_y = _header_widths(path, first[0])
+    d = d_x + d_y
+    rows, start = array.array("d"), 2
+    for lines in itertools.chain([first[1:]], chunks):
+        arr = _parse_body(lines, d)
+        if arr is None:
+            arr = _parse_body([line for line in lines if line.strip()], d)
+        if arr is None:
+            arr = _parse_lines(path, lines, d, start)
+        rows.frombytes(memoryview(arr).cast("B"))  # the block's bytes, as one flat buffer
+        start += len(lines)
+    return np.frombuffer(rows).reshape(-1, d), d_x
+
+
+def _chunk_lines(fh):
+    """The lines ``str.splitlines`` gives on the file's whole text, as one
+    non-empty list per chunk read: a line cut at a chunk's end is carried,
+    as its pieces, into the list of the chunk that ends it."""
+    cut = []  # pieces of the line the chunks so far leave unterminated
+    while chunk := fh.read(_READ_CHARS):
+        lines = chunk.splitlines()
+        tail = None if chunk.endswith(_LINE_BREAKS) else lines.pop()
+        if lines:
+            lines[0] = "".join(cut) + lines[0]
+            cut = []
+            yield lines
+        if tail is not None:
+            cut.append(tail)
+    if cut:
+        yield ["".join(cut)]
+
+
+def _header_widths(path: str, line: str) -> tuple[int, int]:
+    """(d_x, d_y) of the header line ``x0..,y0..``."""
+    header = line.split(",")
     d_x = sum(1 for h in header if h.startswith("x"))
     d_y = sum(1 for h in header if h.startswith("y"))
     if d_x == 0 or d_y == 0 or header != _expected_header(d_x, d_y).split(","):
         raise CliError(
-            f"{path}: line 1: header must be x0..x{{dx-1}},y0..y{{dy-1}}, got {lines[0]!r}",
+            f"{path}: line 1: header must be x0..x{{dx-1}},y0..y{{dy-1}}, got {line!r}",
             EXIT_CONFIG,
         )
-    arr = _parse_body(lines[1:], d_x + d_y)
-    if arr is None:
-        arr = _parse_lines(path, lines[1:], d_x + d_y)
-    if arr.shape[0] < 2:
-        raise CliError(f"{path}: need at least 2 data rows", EXIT_CONFIG)
-    return PairedSamples(arr[:, :d_x], arr[:, d_x:])
+    return d_x, d_y
 
 
 def _parse_body(body: list[str], d: int) -> np.ndarray | None:
@@ -110,11 +174,11 @@ def _parse_body(body: list[str], d: int) -> np.ndarray | None:
     return arr.reshape(len(body), d)
 
 
-def _parse_lines(path: str, body: list[str], d: int) -> np.ndarray:
-    """The data lines parsed one at a time, skipping blank ones; raises at
-    the first bad line with its line number."""
+def _parse_lines(path: str, body: list[str], d: int, start: int = 2) -> np.ndarray:
+    """The data lines, numbered from start, parsed one at a time, skipping
+    blank ones; raises at the first bad line with its line number."""
     rows = []
-    for lineno, line in enumerate(body, start=2):
+    for lineno, line in enumerate(body, start=start):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -130,11 +194,17 @@ def _parse_lines(path: str, body: list[str], d: int) -> np.ndarray:
 
 
 def write_samples_csv(path: Path, samples: PairedSamples) -> None:
-    header = _expected_header(samples.d_x, samples.d_y)
-    data = np.hstack([samples.x, samples.y]).tolist()  # Python floats, whose repr is the text
-    lines = [header]
-    lines.extend(",".join(map(repr, row)) for row in data)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the `x0..,y0..` sample layout: each value as ``repr(float(v))``.
+
+    The rows are formatted ``_WRITE_ROWS`` at a time, each block in one
+    ``%`` of a row format repeated, so only one block's text is held at once.
+    """
+    row = ",".join(["%r"] * (samples.d_x + samples.d_y)) + "\n"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(_expected_header(samples.d_x, samples.d_y) + "\n")
+        for lo in range(0, samples.n, _WRITE_ROWS):
+            block = np.hstack([samples.x[lo : lo + _WRITE_ROWS], samples.y[lo : lo + _WRITE_ROWS]])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))  # Python floats: repr is the text
 
 
 def _write_json(obj: dict, out: str | Path | None) -> None:
@@ -459,9 +529,15 @@ def _config_flags(path: str, command: str) -> list[str]:
     """Each ``key = value`` line of the config file as the flag ``--key=value``:
     one token, so a value such as ``-1`` is never read as an option."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_IO) from exc
+    try:
+        text = data.decode("utf-8")  # splitlines ends lines as universal newlines would
+    except UnicodeDecodeError as exc:
+        # the line the bad byte is on: the lines before it, and its own
+        lineno = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise CliError(f"{path}: line {lineno}: not UTF-8 text ({exc.reason})", EXIT_CONFIG) from exc
     flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

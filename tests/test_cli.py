@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -450,6 +451,200 @@ class TestCsvValidation:
         out = tmp_path / "curves"
         code = run_cli(["curve", "--input", str(path), "--method", "naive", "--seed", "1", "--out-dir", str(out)])
         assert code == EXIT_NUMERIC
+
+
+def whole_text_read(path):
+    """One parse of the file's whole text, as the reader gave before it read
+    in blocks: the (n, d) array, or the CliError's message."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    d = len(lines[0].split(","))
+    try:
+        arr = _parse_body(lines[1:], d)
+        return _parse_lines(str(path), lines[1:], d) if arr is None else arr
+    except CliError as exc:
+        return str(exc)
+
+
+def block_read(path):
+    """read_samples_csv's (n, d) array, or its CliError's message."""
+    try:
+        samples = read_samples_csv(str(path))
+    except CliError as exc:
+        assert exc.code == EXIT_CONFIG
+        return str(exc)
+    return np.hstack([samples.x, samples.y])
+
+
+def assert_same_read(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def one_join_text(x, y):
+    """The sample CSV as one join of every row's text."""
+    header = ",".join([f"x{i}" for i in range(x.shape[1])] + [f"y{i}" for i in range(y.shape[1])])
+    return "\n".join([header] + [",".join(map(repr, row)) for row in np.hstack([x, y]).tolist()]) + "\n"
+
+
+def traced_peak(call):
+    """(call(), the peak of the memory it allocated, by tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+B = cli._WRITE_ROWS
+# every character str.splitlines ends a line at, besides "\n"
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# (name, the line, whether it is inserted before the third line from the end
+# or replaces it)
+DEFECTS = [
+    ("bad-field", "1.0,oops", False),
+    ("ragged-short", "1.0", False),
+    ("ragged-long", "1.0,2.0,3.0", False),
+    ("nan", "nan,1.0", False),
+    ("inf", "1.0,-inf", False),
+    ("blank", "", True),
+    ("whitespace", " \t ", True),
+    *((f"break-{ord(c):x}-inside", f"3.0{c},4.0", False) for c in LINE_BREAKS),
+    *((f"break-{ord(c):x}-between", f"3.0,4.0{c}5.0,6.0", False) for c in LINE_BREAKS),
+]
+DEFECT_IDS = [name for name, _, _ in DEFECTS]
+
+
+def with_defect(lines, line, insert):
+    if insert:
+        lines.insert(-3, line)
+    else:
+        lines[-3] = line
+
+
+class TestCsvBlocks:
+    """The reader and writer work a block at a time; files, arrays and
+    messages are those of one pass over the whole text."""
+
+    @pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("d_x, d_y", [(1, 1), (2, 3)])
+    def test_written_bytes_and_read_back(self, tmp_path, n, d_x, d_y):
+        rng = np.random.default_rng(n * 10 + d_x)
+        data = rng.standard_normal((n, d_x + d_y)) * 10.0 ** rng.integers(-300, 300, (n, d_x + d_y))
+        data[rng.integers(0, n, 3), rng.integers(0, d_x + d_y, 3)] = [-0.0, 5e-324, 1.7976931348623157e308]
+        samples = PairedSamples(data[:, :d_x], data[:, d_x:])
+        path = tmp_path / "s.csv"
+        write_samples_csv(path, samples)
+        assert path.read_bytes() == one_join_text(samples.x, samples.y).encode()
+        assert_same_read(block_read(path), data)
+
+    @pytest.mark.parametrize("name, line, insert", DEFECTS, ids=DEFECT_IDS)
+    @pytest.mark.parametrize("ends", ["\n", "\r\n"])
+    def test_defect_in_the_last_block(self, tmp_path, name, line, insert, ends):
+        # a file of several read chunks, its defect three lines from the end
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((3 * cli._READ_CHARS // 30, 2))
+        lines = one_join_text(data[:, :1], data[:, 1:]).splitlines()
+        with_defect(lines, line, insert)
+        path = tmp_path / "d.csv"
+        path.write_bytes((ends.join(lines) + ends).encode())
+        assert len(path.read_text(encoding="utf-8")) > 3 * cli._READ_CHARS
+        want = whole_text_read(path)
+        assert_same_read(block_read(path), want)
+        if name.startswith(("bad", "ragged", "nan", "inf")) or name.endswith("inside"):
+            assert isinstance(want, str) and f"line {len(lines) - 2}: " in want
+
+    @pytest.mark.parametrize("name, line, insert", DEFECTS, ids=DEFECT_IDS)
+    def test_every_chunk_boundary(self, tmp_path, monkeypatch, name, line, insert):
+        # small chunks cut the file at every offset, the defect's included
+        lines = ["x0,y0", "1.0,2.0", "-0,3e-2", "4.5,6.0", "7.0,8.25", "9.0,1e3"]
+        with_defect(lines, line, insert)
+        text = "\r\n".join(lines[:3]) + "\r\n" + "\n".join(lines[3:])  # the last line unterminated
+        path = tmp_path / "c.csv"
+        path.write_bytes(text.encode())
+        want = whole_text_read(path)
+        for size in range(1, len(text) + 2):
+            monkeypatch.setattr(cli, "_READ_CHARS", size)
+            with open(path, encoding="utf-8") as fh:
+                assert [got for chunk in cli._chunk_lines(fh) for got in chunk] == text.splitlines()
+            assert_same_read(block_read(path), want)
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("", "empty file (line 1)"),
+            ("\n", "line 1: header must be x0..x{dx-1},y0..y{dy-1}, got ''"),
+            ("x0,y0\n", "need at least 2 data rows"),
+            ("x0,y0\n\n \n", "need at least 2 data rows"),
+            ("x0,y0\n1,2\n", "need at least 2 data rows"),
+            ("x0,y0", "need at least 2 data rows"),
+        ],
+        ids=["empty", "blank-header", "header-only", "blank-body", "one-row", "unterminated-header"],
+    )
+    @pytest.mark.parametrize("size", [1, 3, 2**15])
+    def test_short_files(self, tmp_path, monkeypatch, text, want, size):
+        monkeypatch.setattr(cli, "_READ_CHARS", size)
+        path = tmp_path / "short.csv"
+        path.write_bytes(text.encode())
+        assert block_read(path) == f"{path}: {want}"
+
+    def test_a_line_longer_than_many_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_READ_CHARS", 7)
+        path = tmp_path / "long.csv"
+        path.write_text("x0,y0\n" + "1." + "0" * 500 + "1,2\n3,4\n")
+        assert_same_read(block_read(path), whole_text_read(path))
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        """10^5 rows, at which a pass over the whole text held about 30 MB of
+        Python objects."""
+        rng = np.random.default_rng(8)
+        samples = PairedSamples(rng.standard_normal(10**5), rng.standard_normal(10**5))
+        path = tmp_path_factory.mktemp("big") / "big.csv"
+        write_samples_csv(path, samples)
+        return samples, path
+
+    def test_write_holds_one_block(self, tmp_path, big):
+        samples, path = big
+        out = tmp_path / "again.csv"
+        _, peak = traced_peak(lambda: write_samples_csv(out, samples))
+        assert peak < 2**20
+        assert out.read_bytes() == path.read_bytes()
+
+    def test_read_holds_the_rows_and_one_block(self, big):
+        samples, path = big
+        read, peak = traced_peak(lambda: read_samples_csv(str(path)))
+        # the parsed rows and the copies the samples keep, plus one block
+        assert peak < 2 * (samples.x.nbytes + samples.y.nbytes) + 2**20
+        assert read.x.tobytes() == samples.x.tobytes() and read.y.tobytes() == samples.y.tobytes()
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 is an input error, named in one line."""
+
+    @pytest.mark.parametrize("late", [False, True], ids=["first-chunk", "later-chunk"])
+    def test_csv(self, tmp_path, capsys, late):
+        rows = "".join(f"{i}.0,{i}.5\n" for i in range(cli._READ_CHARS if late else 1))
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x0,y0\n" + rows.encode() + b"\xff\xfe,3\n")
+        assert run_cli(["bound", "--input", str(path), "--method", "naive"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"units = \xff\n", 1), (b"n = 500\r\nseed = 2\r\n# caf\xe9\n", 3), (b"n = 500\n\x0cunits = bits\xc3\n", 3)],
+        ids=["first-line", "comment-crlf", "truncated-after-form-feed"],
+    )
+    def test_config(self, tmp_path, capsys, data, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(data)
+        argv = ["bound", "--model", "gm1d", "--n", "300", "--method", "naive", "--config", str(cfg)]
+        assert run_cli(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: line {line}: not UTF-8 text (") and err.count("\n") == 1
 
 
 class TestConfigFile:
