@@ -9,7 +9,8 @@ A point's k nearest neighbors in a 1-D block are a window of the sorted
 sample, so the block sorts its sample once and keeps that sort and its
 window starts.  All windows of one width share numpy's pairwise summation
 tree, so z's mean over every window is one table, O(n log k), equal to
-numpy's row means bit for bit, and ``smooth``, ``predict`` and
+numpy's row means bit for bit; it is built holding a few n-length arrays
+at a time, whatever k (``_window_sums``).  ``smooth``, ``predict`` and
 ``predictor`` each gather it at their windows (``_gather``); a query costs
 one binary search.  ``predictor(z, f)`` serves a response that is predicted
 many times, as a fitted transform's is: it keeps f of the table, and
@@ -268,8 +269,10 @@ def _window_sums(p: np.ndarray, k: int) -> np.ndarray:
     ``_pairwise_split(L)``.  Every window of one width has the same tree, so
     each width the tree visits gets its sums for all window starts at once,
     smallest first: a split width is one add of two shifted slices, and the
-    leaf widths read one strided running sum.  The final ``+ 0.0`` is the
-    reduction's 0.0 start, which turns -0.0 into +0.0.
+    leaf widths read one strided running sum.  Each width counts its readers
+    (192 reads 96 twice) and its sums are freed once the last is built, so
+    the tree holds a few n-length arrays at a time, not one per width.  The
+    final ``+= 0.0`` is the reduction's 0.0 start, which turns -0.0 into +0.0.
     """
     n = p.size
     if k < 8:
@@ -277,32 +280,40 @@ def _window_sums(p: np.ndarray, k: int) -> np.ndarray:
         for t in range(1, k):
             sums += p[t : n - k + 1 + t]
         return sums
-    widths, todo = set(), [k]
+    readers, todo = {k: 1}, [k]
     while todo:
         width = todo.pop()
-        if width not in widths:
-            widths.add(width)
-            if width > 128:
-                half = _pairwise_split(width)
-                todo += [half, width - half]
+        if width > 128:
+            half = _pairwise_split(width)
+            for part in (half, width - half):
+                if part not in readers:
+                    readers[part] = 0
+                    todo.append(part)
+                readers[part] += 1
     sums = {}
     run, terms = p, 1  # run[i] = p[i] + p[i + 8] + ... over ``terms`` values
-    for width in sorted(widths):
+    for width in sorted(readers):
         m = n - width + 1
         if width > 128:
             half = _pairwise_split(width)
             sums[width] = sums[half][:m] + sums[width - half][half : half + m]
+            for part in (half, width - half):
+                readers[part] -= 1
+                if not readers[part]:
+                    del sums[part]
             continue
         while terms < width // 8:
             run = run[: n - 8 * terms] + p[8 * terms :]
             terms += 1
         pairs = run[:-1] + run[1:]
         quads = pairs[:-2] + pairs[2:]
-        total = quads[:m] + quads[4 : 4 + m]
+        del pairs
+        sums[width] = quads[:m] + quads[4 : 4 + m]
+        del quads
         for t in range(8 * terms, width):
-            total += p[t : t + m]
-        sums[width] = total
-    return sums[k] + 0.0
+            sums[width] += p[t : t + m]
+    sums[k] += 0.0
+    return sums[k]
 
 
 def _gather(table: np.ndarray, z: np.ndarray, windows, f) -> np.ndarray:
@@ -402,7 +413,9 @@ class KnnSmoother:
         z = _response(z, self.n)
         if self._sorted is None:
             return _row_means(z, self.neighbors)
-        return _gather(_window_sums(z[self._sorted.order], self.k) / self.k, z, self._windows, _identity)
+        means = _window_sums(z[self._sorted.order], self.k)
+        means /= self.k
+        return _gather(means, z, self._windows, _identity)
 
     def predict(self, x_new, z) -> np.ndarray:
         """k-NN regression of z at new query points (no self handling)."""

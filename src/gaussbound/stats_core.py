@@ -231,8 +231,10 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     (value, index) order, are re-sorted by one more int64 sort.  Its keys
     pack, from the high bits down, a member's group number, ``floor(draw
     2^53)`` shifted right as far as the key's 63 bits need, and its
-    position; clashing runs out of draw order are again re-sorted exactly,
-    by (group, draw, position).  So the result is the ``lexsort((draw,
+    position, read off a prefix of the column's cached index array, so
+    columns of one length with any tie counts share one cached array;
+    clashing runs out of draw order are again re-sorted exactly, by (group,
+    draw, position).  So the result is the ``lexsort((draw,
     xs))`` permutation.  A column without ties reads no draw and skips it
     (see ``_skip_uniforms``): the generator ends in the same state either
     way, so its stream never depends on the data.
@@ -252,7 +254,8 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     keys |= _sample_indices(n)
     keys.sort()
     order = keys & low
-    if (keys[1:] - keys[:-1]).min() > low:  # no clash, so no tie either
+    gaps = np.subtract(keys[1:], keys[:-1], out=flip[:-1])  # reuse the spent sign mask
+    if gaps.min() > low:  # no clash, so no tie either
         _skip_uniforms(rng, n)
         return order
 
@@ -284,7 +287,7 @@ def rank_order(xs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     keys >>= 53 - draw_bits
     keys |= group_of << draw_bits
     keys <<= m_shift
-    keys |= _sample_indices(m)
+    keys |= _sample_indices(n)[:m]  # a prefix: one cached array per n
     keys.sort()
     pos = keys & ((1 << m_shift) - 1)
     # dropped draw bits, or draws finer than 2^-53, can clash out of order

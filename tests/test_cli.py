@@ -621,6 +621,17 @@ class TestCsvBlocks:
         assert read.x.tobytes() == samples.x.tobytes() and read.y.tobytes() == samples.y.tobytes()
 
 
+def test_naive_bound_at_2e5_rows_holds_30_sample_arrays(tmp_path):
+    # the ACE fit's window-sum tree holds a few arrays of the sample's length at a time
+    n = 200_000
+    path = tmp_path / "big.csv"
+    assert run_cli(["gen", "--model", "gm1d", "--n", str(n), "--seed", "1", "--out", str(path)]) == 0
+    argv = ["bound", "--input", str(path), "--method", "naive", "--seed", "1", "--out", str(tmp_path / "r.json")]
+    code, peak = traced_peak(lambda: run_cli(argv))
+    assert code == 0
+    assert peak < 30 * 8 * n
+
+
 class TestNotUtf8:
     """A file that is not UTF-8 is an input error, named in one line."""
 

@@ -214,6 +214,54 @@ class TestWindowSums:
         assert growth_with_collector_off(lambda: sm.smooth(z)) < 2e6
 
 
+class TestWindowTreeMemory:
+    """Each width of the pairwise tree is freed after its last reader, so the
+    tree holds a few n-length arrays at a time, not one per width."""
+
+    N = 200_000
+
+    @pytest.fixture(scope="class")
+    def z(self):
+        return np.random.default_rng(40).standard_normal(self.N)
+
+    def test_window_sums_hold_few_arrays(self, z):
+        # the tree of k = 8,706 has 16 widths
+        sums, peak = traced_peak(lambda: _window_sums(z, default_knn_k(self.N)))
+        assert peak <= 7 * z.nbytes
+        assert sums.size == self.N - default_knn_k(self.N) + 1
+
+    def test_smooth_holds_few_arrays(self, z):
+        x = np.random.default_rng(41).standard_normal(self.N)
+        sm = KnnSmoother(x, default_knn_k(self.N))
+        out, peak = traced_peak(lambda: sm.smooth(z))
+        assert peak <= 8 * z.nbytes
+        assert out.size == self.N
+
+    @pytest.mark.parametrize("kind", ["signed-zeros", "zero-sum"])
+    def test_shared_width_read_by_several_splits(self, kind):
+        # 793 splits into 392 and 401, those into 192, 200 and 200, 201, and
+        # each of those reads width 96: 192 reads it twice.  Normal values
+        # at k = 793 are in TestWindowSums.
+        n, k = 10_000, 793
+        rng = np.random.default_rng(793)
+        if kind == "signed-zeros":
+            z = np.where(rng.random(n) < 0.01, 0.0, -0.0)
+        else:
+            period = rng.integers(-3, 4, k).astype(float)
+            period[-1] -= period.sum()
+            z = np.resize(period, n)
+        expected = reference_window_sums(z, k)
+        assert np.array_equal(_window_sums(z, k).view(np.int64), expected.view(np.int64))
+
+    def test_tree_of_the_million_row_default(self):
+        # k = default_knn_k(10**6): the widths a 10^6-row fit sums
+        k = default_knn_k(10**6)
+        assert k == 31_548
+        z = np.random.default_rng(31_548).standard_normal(40_000)
+        expected = reference_window_sums(z, k)
+        assert np.array_equal(_window_sums(z, k).view(np.int64), expected.view(np.int64))
+
+
 def growth_with_collector_off(call, times=50):
     """Traced memory growth over ``times`` calls with the collector off.
 

@@ -211,6 +211,17 @@ class TestRankOrder:
         # bits, which RANK_COLUMNS' short columns rarely make them do
         self.check_against_lexsort(_tied_column(), lambda: _make_draws(draws, 20))
 
+    def test_tie_counts_share_one_cached_index_array(self):
+        # 20 columns of one length, each with its own number of tied
+        # members: the tie path reads a prefix of the column's index array
+        n = 10_000
+        stats_core._sample_indices.cache_clear()
+        for j in range(20):
+            xs = np.random.default_rng(j).standard_normal(n)
+            xs[: 2 + 7 * j] = xs[0]
+            self.check_against_lexsort(xs, lambda: np.random.default_rng(100 + j))
+        assert stats_core._sample_indices.cache_info().currsize == 1
+
     @pytest.mark.parametrize("n", [300, 512, 513])
     def test_descent_inside_a_clash_run(self, n):
         # values that differ only in the low ceil(log2 n) bits, in reverse
